@@ -74,14 +74,18 @@ def _config(args) -> CampaignConfig:
     )
 
 
+def _lookup(registry: dict, kind: str, name: str):
+    """The registry entry ``name``; an unknown name is a usage error."""
+    if name not in registry:
+        raise IllFormed(f"unknown {kind} {name}")
+    return registry[name]
+
+
 # ---------------------------------------------------------------------------
 # plain commands
 
 def _cmd_run(args) -> tuple[int, Report, list]:
-    langs = language_registry(args.frame_len)
-    if args.lang not in langs:
-        raise IllFormed(f"unknown language {args.lang}")
-    lang = langs[args.lang]
+    lang = _lookup(language_registry(args.frame_len), "language", args.lang)
     term = parse_term(args.term)
     lang.validate(term)
     state = parse_state(lang.state_kind, args.input)
@@ -115,10 +119,7 @@ def _cmd_run(args) -> tuple[int, Report, list]:
 
 
 def _cmd_compile(args) -> tuple[int, Report, list]:
-    comps = compiler_registry(L=args.frame_len)
-    if args.compiler not in comps:
-        raise IllFormed(f"unknown compiler {args.compiler}")
-    cp = comps[args.compiler]
+    cp = _lookup(compiler_registry(L=args.frame_len), "compiler", args.compiler)
     term = parse_term(args.term)
     out = compile_term(cp, term)
     text = show_low(out) if cp.target.state_kind == "pc" and out.tag == "instr" else print_term(out)
@@ -128,10 +129,7 @@ def _cmd_compile(args) -> tuple[int, Report, list]:
 
 
 def _cmd_coherence(args) -> tuple[int, Report, list]:
-    comps = compiler_registry(L=args.frame_len)
-    if args.compiler not in comps:
-        raise IllFormed(f"unknown compiler {args.compiler}")
-    cp = comps[args.compiler]
+    cp = _lookup(compiler_registry(L=args.frame_len), "compiler", args.compiler)
     cfg = replace(_config(args), mode=args.mode)
     started = time.monotonic()
     verdict = check_coherence(cp, cfg)
@@ -197,8 +195,7 @@ def _show_outcome(d: dict) -> str:
 
 
 def _cmd_bisim(args) -> tuple[int, Report, list]:
-    langs = language_registry(args.frame_len)
-    lang = langs[args.lang]
+    lang = _lookup(language_registry(args.frame_len), "language", args.lang)
     cfg = _config(args)
     left, right = parse_term(args.left), parse_term(args.right)
     lang.validate(left)
@@ -229,8 +226,7 @@ def _cmd_bisim(args) -> tuple[int, Report, list]:
 
 
 def _cmd_ctx_closure(args) -> tuple[int, Report, list]:
-    langs = language_registry(args.frame_len)
-    lang = langs[args.lang]
+    lang = _lookup(language_registry(args.frame_len), "language", args.lang)
     cfg = _config(args)
     left, right = parse_term(args.left), parse_term(args.right)
     report_obj = check_context_closure(lang, left, right, cfg)
@@ -248,14 +244,16 @@ def _cmd_ctx_closure(args) -> tuple[int, Report, list]:
 
 
 def _cmd_preserve(args) -> tuple[int, Report, list]:
-    comps = compiler_registry(L=args.frame_len)
-    cp = comps[args.compiler]
+    cp = _lookup(compiler_registry(L=args.frame_len), "compiler", args.compiler)
     cfg = _config(args)
     pairs = None
     if args.pairs:
         with open(args.pairs) as fh:
             data = json.load(fh)
-        pairs = [(parse_term(d["left"]), parse_term(d["right"])) for d in data]
+        try:
+            pairs = [(parse_term(d["left"]), parse_term(d["right"])) for d in data]
+        except KeyError as err:
+            raise IllFormed(f"{args.pairs}: a pair has no {err} field") from None
     result = check_preservation(cp, cfg, pairs)
     lines = []
     for e in result.entries:
@@ -298,7 +296,7 @@ def _cmd_laws(args) -> tuple[int, Report, list]:
     tallies = {}
     started = time.monotonic()
     for name in names:
-        outcome = run_law_suite(langs[name], cfg)
+        outcome = run_law_suite(_lookup(langs, "language", name), cfg)
         tallies[name] = {k: v for k, v in outcome.items() if k != "language"}
         lines.append(
             f"{name}: unit {outcome['unit']}, copoint {outcome['copoint']},"
@@ -627,7 +625,7 @@ def main(argv=None) -> int:
     except IllFormed as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (KeyError, FileNotFoundError, json.JSONDecodeError, ValueError) as err:
+    except (FileNotFoundError, json.JSONDecodeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if "--json" in argv:

@@ -1,5 +1,5 @@
-"""The eight-plus-one concrete languages: expression evaluators, syntax
-functors and rule functions.
+"""The eight-plus-one concrete languages: one expression evaluator, one
+structured rule set, and the extra constructors of each language.
 
 Store-machine family: ``while`` (nat store), ``while-flag`` (labelled
 outputs plus obs blocks), ``while-sec`` (while-flag plus label-erasing
@@ -9,10 +9,14 @@ plus the structured sequencing/looping primitives and the one-step
 assignment).  Frame machines: ``while-b`` (stack of private frames),
 ``stack`` (one store partitioned by a stack pointer) and ``stack-clear``
 (stack with the zeroing frame rule).
+
+Every language but the two counter machines shares the skip/assign/seq/while
+rules of ``structured_rule``; it differs only in how cells are read and
+written, whether transitions are labelled, and its extra constructors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .terms import (
@@ -22,18 +26,18 @@ from .terms import (
 )
 from .states import FrameState, LowState, StackState, Store, clamp_negatives
 from .semantics import StepOutcome
-from .spf import LanguageFunctor
+from .spf import language_spf
 
 
 # ---------------------------------------------------------------------------
 # expression evaluation
 
-def _bin_nat(op: str, a: int, b: int) -> int:
+def _bin(op: str, a: int, b: int, nat: bool) -> int:
     match op:
         case "add":
             return a + b
         case "sub":
-            return max(0, a - b)
+            return max(0, a - b) if nat else a - b
         case "mul":
             return a * b
         case "lt":
@@ -45,106 +49,73 @@ def _bin_nat(op: str, a: int, b: int) -> int:
     raise IllFormed(f"unknown operator {op}")
 
 
-def _bin_int(op: str, a: int, b: int) -> int:
-    if op == "sub":
-        return a - b
-    return _bin_nat(op, a, b)
-
-
 def _un(op: str, a: int) -> int:
     if op == "not":
         return 1 if a == 0 else 0
     raise IllFormed(f"unknown operator {op}")
 
 
-def eval_nat(store: Store, e: Expr) -> int:
-    """Natural-valued evaluation; subtraction truncates at 0."""
+def evaluate(e: Expr, read: Callable, state, nat: bool = True) -> int:
+    """The one expression evaluator: ``read(state, l)`` gives the value of
+    ``var l``; ``nat`` truncates subtraction at 0 (every language but
+    ``while-int``)."""
     match e:
         case Lit(n):
             return n
         case Loc(l):
-            return store.get(l)
+            return read(state, l)
         case Bin(op, lhs, rhs):
-            return _bin_nat(op, eval_nat(store, lhs), eval_nat(store, rhs))
+            return _bin(op, evaluate(lhs, read, state, nat),
+                        evaluate(rhs, read, state, nat), nat)
         case Un(op, inner):
-            return _un(op, eval_nat(store, inner))
+            return _un(op, evaluate(inner, read, state, nat))
     raise IllFormed(f"not an expression: {e!r}")
 
 
-def eval_int(store: Store, e: Expr) -> int:
-    match e:
-        case Lit(n):
-            return n
-        case Loc(l):
-            return store.get(l)
-        case Bin(op, lhs, rhs):
-            return _bin_int(op, eval_int(store, lhs), eval_int(store, rhs))
-        case Un(op, inner):
-            return _un(op, eval_int(store, inner))
-    raise IllFormed(f"not an expression: {e!r}")
+# ---------------------------------------------------------------------------
+# cell access of the frame machines: read(state, l) and write(state, l, v),
+# as ``Store.get`` and ``Store.set`` are for the store machines
+
+def frame_cells(L: int):
+    """``while-b``: ``var l`` is slot l of the topmost frame; on the empty
+    stack reads give 0 and writes change nothing."""
+
+    def read(m: FrameState, l: int) -> int:
+        if l >= L:
+            raise IllFormed(f"var {l} outside frame length {L}")
+        return m.frames[0][l] if m.frames else 0
+
+    def write(m: FrameState, l: int, v: int) -> FrameState:
+        if l >= L:
+            raise IllFormed(f"var {l} outside frame length {L}")
+        if not m.frames:
+            return m
+        head = list(m.frames[0])
+        head[l] = v
+        return FrameState((tuple(head),) + m.frames[1:])
+
+    return read, write
 
 
-def eval_frames(stack: FrameState, e: Expr, L: int) -> int:
-    """Evaluation against the topmost frame; the empty stack reads 0."""
-    match e:
-        case Lit(n):
-            return n
-        case Loc(l):
-            if l >= L:
-                raise IllFormed(f"var {l} outside frame length {L}")
-            return stack.frames[0][l] if stack.frames else 0
-        case Bin(op, lhs, rhs):
-            return _bin_nat(op, eval_frames(stack, lhs, L), eval_frames(stack, rhs, L))
-        case Un(op, inner):
-            return _un(op, eval_frames(stack, inner, L))
-    raise IllFormed(f"not an expression: {e!r}")
+def block_cells(L: int):
+    """``stack``: ``var l`` is cell l + L*(sp-1) of the active block; with
+    no live frame (sp = 0) any access is ill-formed."""
 
+    def read(st: StackState, l: int) -> int:
+        if l >= L:
+            raise IllFormed(f"var {l} outside frame length {L}")
+        if st.sp == 0:
+            raise IllFormed("var read with no live frame (sp = 0)")
+        return st.store.get(l + L * (st.sp - 1))
 
-def update_frames(stack: FrameState, l: int, v: int, L: int) -> FrameState:
-    if l >= L:
-        raise IllFormed(f"var {l} outside frame length {L}")
-    if not stack.frames:
-        return stack
-    head = list(stack.frames[0])
-    head[l] = v
-    return FrameState((tuple(head),) + stack.frames[1:])
+    def write(st: StackState, l: int, v: int) -> StackState:
+        if l >= L:
+            raise IllFormed(f"var {l} outside frame length {L}")
+        if st.sp == 0:
+            raise IllFormed("assignment with no live frame (sp = 0)")
+        return StackState(st.store.set(l + L * (st.sp - 1), v), st.sp)
 
-
-def eval_sp(store: Store, sp: int, e: Expr, L: int) -> int:
-    """Evaluation against the active block: ``var l`` reads l + L*(sp-1)."""
-    match e:
-        case Lit(n):
-            return n
-        case Loc(l):
-            if l >= L:
-                raise IllFormed(f"var {l} outside frame length {L}")
-            if sp == 0:
-                raise IllFormed("var read with no live frame (sp = 0)")
-            return store.get(l + L * (sp - 1))
-        case Bin(op, lhs, rhs):
-            return _bin_nat(op, eval_sp(store, sp, lhs, L), eval_sp(store, sp, rhs, L))
-        case Un(op, inner):
-            return _un(op, eval_sp(store, sp, inner, L))
-    raise IllFormed(f"not an expression: {e!r}")
-
-
-def update_sp(store: Store, sp: int, l: int, v: int, L: int) -> Store:
-    if l >= L:
-        raise IllFormed(f"var {l} outside frame length {L}")
-    if sp == 0:
-        raise IllFormed("assignment with no live frame (sp = 0)")
-    return store.set(l + L * (sp - 1), v)
-
-
-def zero_frame(L: int) -> tuple:
-    return (0,) * L
-
-
-def clear_block(store: Store, sp: int, L: int) -> Store:
-    out = store
-    for i in range(L * sp, L * (sp + 1)):
-        out = out.set(i, 0)
-    return out
+    return read, write
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +129,12 @@ class LangDef:
     has_label: bool
     rule: Callable  # (tag, payload, children, state) -> StepOutcome
     L: int = 2
-
-    def __post_init__(self):
-        self.functor = LanguageFunctor(self.constructors)
+    # closed-term steps of this language, filled by semantics.step
+    steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def spf(self):
-        return self.functor.spf
+        return language_spf(self.constructors)
 
     def signature(self):
         return {(tag, arity) for tag, _, arity in self.constructors}
@@ -234,168 +204,123 @@ def _expr_lits(e: Expr):
             yield from _expr_lits(inner)
 
 
-# --- rule functions -------------------------------------------------------
+# --- the structured rules --------------------------------------------------
 
-def _while_rule(tag, payload, children, s: Store) -> StepOutcome:
-    match tag:
-        case "skip":
-            return StepOutcome(s)
-        case "assign":
-            l, e = payload
-            return StepOutcome(s.set(l, eval_nat(s, e)))
-        case "seq":
-            (p, fp), (q, _) = children
-            o = fp(s)
-            cont = q if o.cont is None else seq(o.cont, q)
-            return StepOutcome(o.state, cont=cont, flags=o.flags)
-        case "while":
-            (e,) = payload
-            (x, _) = children[0]
-            if eval_nat(s, e) != 0:
-                return StepOutcome(s, cont=seq(x, while_(e, x)))
-            return StepOutcome(s, cont=skip())
-    raise IllFormed(f"no while rule for {tag}")
+_NO_FLAGS = frozenset()
 
 
-def _flag_rule_base(tag, payload, children, s: Store) -> StepOutcome:
-    # while-flag: every transition carries the evaluated label
-    match tag:
-        case "skip":
-            return StepOutcome(s, label=0)
-        case "assign":
-            l, e = payload
-            v = eval_nat(s, e)
-            return StepOutcome(s.set(l, v), label=v)
-        case "seq":
-            (p, fp), (q, _) = children
-            o = fp(s)
-            cont = q if o.cont is None else seq(o.cont, q)
-            return StepOutcome(o.state, label=o.label, cont=cont, flags=o.flags)
-        case "while":
-            (e,) = payload
-            (x, _) = children[0]
-            v = eval_nat(s, e)
-            if v != 0:
-                return StepOutcome(s, label=v, cont=seq(x, while_(e, x)))
-            return StepOutcome(s, label=v, cont=skip())
-        case "obs":
-            (n,) = payload
-            (x, fx) = children[0]
-            o = fx(s)
-            logged = o.state.set(n, o.label)
-            if o.cont is None:
-                return StepOutcome(logged, label=o.label, cont=skip(), flags=o.flags)
-            return StepOutcome(logged, label=o.label, cont=obs(n + 1, o.cont), flags=o.flags)
-    raise IllFormed(f"no while-flag rule for {tag}")
+def structured_rule(name: str, read: Callable, write: Callable, labelled: bool,
+                    nat: bool = True, empty_flags: Callable | None = None,
+                    extras: dict | None = None) -> Callable:
+    """The rule function of a structured language: skip, assign, seq and
+    while, plus ``extras``, a map from each further constructor tag to its
+    rule ``(payload, children, state) -> StepOutcome``.
 
+    A labelled language labels skip with 0 and assignments and guards with
+    the value they evaluate.  ``empty_flags(state)`` (``while-b`` only)
+    gives the flags of an assignment, and of a guard that reads a variable,
+    so that steps on a totalized empty stack are reported.
+    """
+    extras = extras or {}
+    skip_label = 0 if labelled else None
 
-def _sec_rule(tag, payload, children, s: Store) -> StepOutcome:
-    if tag == "sandbox":
-        (x, fx) = children[0]
-        o = fx(s)
-        cont = None if o.cont is None else sandbox(o.cont)
-        return StepOutcome(o.state, label=0, cont=cont, flags=o.flags)
-    return _flag_rule_base(tag, payload, children, s)
-
-
-def _int_rule(tag, payload, children, s: Store) -> StepOutcome:
-    match tag:
-        case "skip":
-            return StepOutcome(s)
-        case "assign":
-            l, e = payload
-            return StepOutcome(s.set(l, eval_int(s, e)))
-        case "seq":
-            (p, fp), (q, _) = children
-            o = fp(s)
-            cont = q if o.cont is None else seq(o.cont, q)
-            return StepOutcome(o.state, cont=cont, flags=o.flags)
-        case "while":
-            (e,) = payload
-            (x, _) = children[0]
-            if eval_int(s, e) != 0:
-                return StepOutcome(s, cont=seq(x, while_(e, x)))
-            return StepOutcome(s, cont=skip())
-        case "isandbox":
-            # the inner term runs against the store with negatives forgotten
-            (x, fx) = children[0]
-            o = fx(clamp_negatives(s))
-            cont = None if o.cont is None else isandbox(o.cont)
-            return StepOutcome(o.state, cont=cont, flags=o.flags)
-    raise IllFormed(f"no while-int rule for {tag}")
-
-
-def _make_whileb_rule(L: int):
-    def rule(tag, payload, children, m: FrameState) -> StepOutcome:
-        empty = not m.frames
+    def rule(tag, payload, children, s) -> StepOutcome:
         match tag:
             case "skip":
-                return StepOutcome(m)
+                return StepOutcome(s, label=skip_label)
             case "assign":
                 l, e = payload
-                v = eval_frames(m, e, L)
-                flags = frozenset({"whileb-empty-stack"}) if empty else frozenset()
-                return StepOutcome(update_frames(m, l, v, L), flags=flags)
+                v = evaluate(e, read, s, nat)
+                flags = empty_flags(s) if empty_flags else _NO_FLAGS
+                return StepOutcome(write(s, l, v), label=v if labelled else None,
+                                   flags=flags)
             case "seq":
-                (p, fp), (q, _) = children
-                o = fp(m)
+                (_, fp), (q, _) = children
+                o = fp(s)
                 cont = q if o.cont is None else seq(o.cont, q)
-                return StepOutcome(o.state, cont=cont, flags=o.flags)
+                return StepOutcome(o.state, label=o.label if labelled else None,
+                                   cont=cont, flags=o.flags)
             case "while":
                 (e,) = payload
                 (x, _) = children[0]
-                flags = (
-                    frozenset({"whileb-empty-stack"})
-                    if empty and expr_locs(e)
-                    else frozenset()
-                )
-                if eval_frames(m, e, L) != 0:
-                    return StepOutcome(m, cont=seq(x, while_(e, x)), flags=flags)
-                return StepOutcome(m, cont=skip(), flags=flags)
-            case "frame":
-                return StepOutcome(FrameState((zero_frame(L),) + m.frames))
-            case "return":
-                if empty:
-                    return StepOutcome(m, flags=frozenset({"whileb-empty-stack"}))
-                return StepOutcome(FrameState(m.frames[1:]))
-        raise IllFormed(f"no while-b rule for {tag}")
+                flags = empty_flags(s) if empty_flags and expr_locs(e) else _NO_FLAGS
+                v = evaluate(e, read, s, nat)
+                cont = seq(x, while_(e, x)) if v != 0 else skip()
+                return StepOutcome(s, label=v if labelled else None, cont=cont,
+                                   flags=flags)
+        extra = extras.get(tag)
+        if extra is None:
+            raise IllFormed(f"no {name} rule for {tag}")
+        return extra(payload, children, s)
 
     return rule
 
 
-def _make_stack_rule(L: int, clearing: bool):
-    def rule(tag, payload, children, st: StackState) -> StepOutcome:
+# --- extra constructors -----------------------------------------------------
+
+def _obs_rule(payload, children, s: Store) -> StepOutcome:
+    # log the inner step's label in cell n, then in n + 1 for the next step
+    (n,) = payload
+    (_, fx) = children[0]
+    o = fx(s)
+    logged = o.state.set(n, o.label)
+    cont = skip() if o.cont is None else obs(n + 1, o.cont)
+    return StepOutcome(logged, label=o.label, cont=cont, flags=o.flags)
+
+
+def _sandbox_rule(payload, children, s: Store) -> StepOutcome:
+    (_, fx) = children[0]
+    o = fx(s)
+    cont = None if o.cont is None else sandbox(o.cont)
+    return StepOutcome(o.state, label=0, cont=cont, flags=o.flags)
+
+
+def _isandbox_rule(payload, children, s: Store) -> StepOutcome:
+    # the inner term runs against the store with negatives forgotten
+    (_, fx) = children[0]
+    o = fx(clamp_negatives(s))
+    cont = None if o.cont is None else isandbox(o.cont)
+    return StepOutcome(o.state, cont=cont, flags=o.flags)
+
+
+_EMPTY_STACK = frozenset({"whileb-empty-stack"})
+
+
+def _whileb_empty(m: FrameState) -> frozenset:
+    return _NO_FLAGS if m.frames else _EMPTY_STACK
+
+
+def _whileb_extras(L: int) -> dict:
+    fresh = (0,) * L
+
+    def push(payload, children, m: FrameState) -> StepOutcome:
+        return StepOutcome(FrameState((fresh,) + m.frames))
+
+    def pop(payload, children, m: FrameState) -> StepOutcome:
+        if not m.frames:
+            return StepOutcome(m, flags=_EMPTY_STACK)
+        return StepOutcome(FrameState(m.frames[1:]))
+
+    return {"frame": push, "return": pop}
+
+
+def _stack_extras(L: int, clearing: bool) -> dict:
+    def push(payload, children, st: StackState) -> StepOutcome:
         s, sp = st.store, st.sp
-        match tag:
-            case "skip":
-                return StepOutcome(st)
-            case "assign":
-                l, e = payload
-                v = eval_sp(s, sp, e, L)
-                return StepOutcome(StackState(update_sp(s, sp, l, v, L), sp))
-            case "seq":
-                (p, fp), (q, _) = children
-                o = fp(st)
-                cont = q if o.cont is None else seq(o.cont, q)
-                return StepOutcome(o.state, cont=cont, flags=o.flags)
-            case "while":
-                (e,) = payload
-                (x, _) = children[0]
-                if eval_sp(s, sp, e, L) != 0:
-                    return StepOutcome(st, cont=seq(x, while_(e, x)))
-                return StepOutcome(st, cont=skip())
-            case "frame":
-                if clearing:
-                    return StepOutcome(StackState(clear_block(s, sp, L), sp + 1))
-                return StepOutcome(StackState(s, sp + 1))
-            case "return":
-                if sp > 0:
-                    return StepOutcome(StackState(s, sp - 1))
-                return StepOutcome(st, flags=frozenset({"stack-empty-return"}))
-        raise IllFormed(f"no stack rule for {tag}")
+        if clearing:
+            for i in range(L * sp, L * (sp + 1)):
+                s = s.set(i, 0)
+        return StepOutcome(StackState(s, sp + 1))
 
-    return rule
+    def pop(payload, children, st: StackState) -> StepOutcome:
+        if st.sp > 0:
+            return StepOutcome(StackState(st.store, st.sp - 1))
+        return StepOutcome(st, flags=frozenset({"stack-empty-return"}))
 
+    return {"frame": push, "return": pop}
+
+
+# --- the counter machines ---------------------------------------------------
 
 def _inst_step(i: Inst, s: Store, same: Node) -> StepOutcome:
     """Fig-style dispatch of the head instruction at pc 0; ``same`` is the
@@ -406,9 +331,9 @@ def _inst_step(i: Inst, s: Store, same: Node) -> StepOutcome:
         case Nop():
             return StepOutcome(LowState(s, 1), cont=same)
         case IAssign(l, e):
-            return StepOutcome(LowState(s.set(l, eval_nat(s, e)), 1), cont=same)
+            return StepOutcome(LowState(s.set(l, evaluate(e, Store.get, s)), 1), cont=same)
         case Br(e, z):
-            v = eval_nat(s, e)
+            v = evaluate(e, Store.get, s)
             return StepOutcome(LowState(s, 1 if v == 0 else z), cont=same)
     raise IllFormed(f"not an instruction: {i!r}")
 
@@ -446,7 +371,7 @@ def _lowsec_rule(tag, payload, children, st: LowState) -> StepOutcome:
                 case Stop():
                     return StepOutcome(LowState(s, 1))
                 case IAssign(l, e):
-                    return StepOutcome(LowState(s.set(l, eval_nat(s, e)), 1))
+                    return StepOutcome(LowState(s.set(l, evaluate(e, Store.get, s)), 1))
             return _inst_step(payload[0], s, instr(payload[0]))
         case "instr":
             return _low_rule(tag, payload, children, st)
@@ -463,7 +388,7 @@ def _lowsec_rule(tag, payload, children, st: LowState) -> StepOutcome:
             (x, _) = children[0]
             if pc != 0:
                 return StepOutcome(LowState(s, pc))
-            if eval_nat(s, e) == 0:
+            if evaluate(e, Store.get, s) == 0:
                 return StepOutcome(LowState(s, 0), cont=instr(Stop()))
             return StepOutcome(LowState(s, 0), cont=sseq(x, loop(e, x)))
     raise IllFormed(f"no low-sec rule for {tag}")
@@ -487,23 +412,29 @@ _LOW_CONS = [
 def language_registry(L: int = 2) -> dict[str, LangDef]:
     """All nine languages, keyed by name; ``L`` is the frame length shared by
     the frame machines."""
+
+    def structured(name, extra_cons, kind, labelled, read=Store.get, write=Store.set,
+                   **policy) -> LangDef:
+        rule = structured_rule(name, read, write, labelled, **policy)
+        return LangDef(name, list(_WHILE_CONS) + extra_cons, kind, labelled, rule, L)
+
+    frame_cons = [("frame", (), 0), ("return", (), 0)]
     langs = [
-        LangDef("while", list(_WHILE_CONS), "store", False, _while_rule, L),
-        LangDef("while-flag", list(_WHILE_CONS) + [("obs", ("nat",), 1)],
-                "store", True, _flag_rule_base, L),
-        LangDef("while-sec",
-                list(_WHILE_CONS) + [("obs", ("nat",), 1), ("sandbox", (), 1)],
-                "store", True, _sec_rule, L),
-        LangDef("while-int", list(_WHILE_CONS) + [("isandbox", (), 1)],
-                "int-store", False, _int_rule, L),
+        structured("while", [], "store", False),
+        structured("while-flag", [("obs", ("nat",), 1)], "store", True,
+                   extras={"obs": _obs_rule}),
+        structured("while-sec", [("obs", ("nat",), 1), ("sandbox", (), 1)], "store", True,
+                   extras={"obs": _obs_rule, "sandbox": _sandbox_rule}),
+        structured("while-int", [("isandbox", (), 1)], "int-store", False, nat=False,
+                   extras={"isandbox": _isandbox_rule}),
         LangDef("low", list(_LOW_CONS), "pc", False, _low_rule, L),
         LangDef("low-sec", list(_LOW_CONS) + [("sseq", (), 2), ("loop", ("expr",), 1)],
                 "pc", False, _lowsec_rule, L),
-        LangDef("while-b", list(_WHILE_CONS) + [("frame", (), 0), ("return", (), 0)],
-                "frames", False, _make_whileb_rule(L), L),
-        LangDef("stack", list(_WHILE_CONS) + [("frame", (), 0), ("return", (), 0)],
-                "sp", False, _make_stack_rule(L, clearing=False), L),
-        LangDef("stack-clear", list(_WHILE_CONS) + [("frame", (), 0), ("return", (), 0)],
-                "sp", False, _make_stack_rule(L, clearing=True), L),
+        structured("while-b", frame_cons, "frames", False, *frame_cells(L),
+                   empty_flags=_whileb_empty, extras=_whileb_extras(L)),
+        structured("stack", frame_cons, "sp", False, *block_cells(L),
+                   extras=_stack_extras(L, clearing=False)),
+        structured("stack-clear", frame_cons, "sp", False, *block_cells(L),
+                   extras=_stack_extras(L, clearing=True)),
     ]
     return {l.name: l for l in langs}

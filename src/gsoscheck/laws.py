@@ -24,6 +24,11 @@ from .spf import decompositions, mhc_to_context, plug, plug_multi, Hole, MLayer
 from . import gen
 
 
+def _is_nested(name) -> bool:
+    """Outer variables ("t", u) stand for the inner open term u."""
+    return isinstance(name, tuple) and len(name) == 2 and name[0] == "t"
+
+
 class _NestedBehaviors:
     """Behavior map for outer variables that stand for inner open terms:
     querying one runs the inner term and re-injects its continuation as an
@@ -34,7 +39,7 @@ class _NestedBehaviors:
         self.tables = tables
 
     def __contains__(self, name):
-        return isinstance(name, tuple) and len(name) == 2 and name[0] == "t"
+        return _is_nested(name)
 
     def __getitem__(self, name):
         inner = name[1]
@@ -50,20 +55,12 @@ class _NestedBehaviors:
 def _flatten_nested(t: OpenTerm) -> OpenTerm:
     """Collapse Var(('t', u)) back to the inner term u (the mu step)."""
     if isinstance(t, Var):
-        if t.name in _NESTED_MARK:
+        if _is_nested(t.name):
             return t.name[1]
         return t
     if not t.children:
         return t
     return Node(t.tag, tuple(_flatten_nested(c) for c in t.children), t.payload)
-
-
-class _Marker:
-    def __contains__(self, name):
-        return isinstance(name, tuple) and len(name) == 2 and name[0] == "t"
-
-
-_NESTED_MARK = _Marker()
 
 
 def _outcome_key(o: StepOutcome):

@@ -11,6 +11,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+from .terms import IllFormed
+
 TOOL_VERSION = "0.1.0"
 
 REPLAY_IGNORED = ("wall_time_s",)
@@ -40,12 +42,15 @@ class Report:
 def load_report(path: str) -> Report:
     with open(path) as fh:
         data = json.load(fh)
-    return Report(
-        command=data["command"],
-        config=data.get("config", {}),
-        verdict=data["verdict"],
-        witness=data.get("witness"),
-        tallies=data.get("tallies", {}),
-        wall_time_s=data.get("wall_time_s", 0.0),
-        tool_version=data.get("tool_version", TOOL_VERSION),
-    )
+    try:
+        return Report(
+            command=data["command"],
+            config=data.get("config", {}),
+            verdict=data["verdict"],
+            witness=data.get("witness"),
+            tallies=data.get("tallies", {}),
+            wall_time_s=data.get("wall_time_s", 0.0),
+            tool_version=data.get("tool_version", TOOL_VERSION),
+        )
+    except KeyError as err:
+        raise IllFormed(f"report {path} has no {err} field") from None

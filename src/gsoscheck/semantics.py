@@ -69,17 +69,11 @@ class BehaviorTable:
         return BehaviorTable(self.var, entries, self.has_label)
 
 
-def apply_law(lang, tag: str, payload: tuple, children, state: MachineState) -> StepOutcome:
-    """Apply one syntax layer of ``lang``'s rule function.
-
-    ``children``: sequence of (subject, behavior) pairs.  The outcome's
-    continuation is an open term over the subjects.
-    """
-    return lang.rule(tag, payload, tuple(children), state)
-
-
 def extend_law(lang, term: OpenTerm, behaviors: dict, state: MachineState) -> StepOutcome:
-    """Inductive extension of the one-layer law to whole open terms."""
+    """Inductive extension of the one-layer law to whole open terms: each
+    node is one call of ``lang.rule`` with its children as (subject,
+    behavior) pairs; the outcome's continuation is an open term over the
+    subjects."""
     if isinstance(term, Var):
         if term.name not in behaviors:
             raise IncompleteTable(term.name, state)
@@ -90,7 +84,7 @@ def extend_law(lang, term: OpenTerm, behaviors: dict, state: MachineState) -> St
             pairs.append((child, behaviors[child.name]))
         else:
             pairs.append((child, _closure(lang, child, behaviors)))
-    return apply_law(lang, term.tag, term.payload, pairs, state)
+    return lang.rule(term.tag, term.payload, tuple(pairs), state)
 
 
 def _closure(lang, term, behaviors):
@@ -117,24 +111,17 @@ def _rebuild_subject(term):
 
 # --- closed terms ---
 
-_step_cache: dict = {}
-
-
 def step(lang, term: Node, state: MachineState) -> StepOutcome:
-    """One small-step transition of a closed program."""
-    key = (id(lang), term, state)
-    hit = _step_cache.get(key)
+    """One small-step transition of a closed program, cached on ``lang``."""
+    key = (term, state)
+    hit = lang.steps.get(key)
     if hit is not None:
         return hit
     if not is_closed(term):
         raise IllFormed("step requires a closed term")
     out = extend_law(lang, term, {}, state)
-    _step_cache[key] = out
+    lang.steps[key] = out
     return out
-
-
-def clear_step_cache():
-    _step_cache.clear()
 
 
 @dataclass
@@ -208,10 +195,6 @@ class Distinguished:
 
 
 BisimResult = Equivalent | Distinguished
-
-
-def _observline(o: StepOutcome):
-    return (o.label, o.state, o.cont is None)
 
 
 def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,

@@ -235,72 +235,6 @@ def _id_slots(f: SpfExpr, value):
                 yield from _id_slots(h, slot)
 
 
-# --- packing respecting the pruning done by sum_/prod_ ---
-
-def _pack_sum(left: SpfExpr, right: SpfExpr, side: str, v):
-    if left == Zero():
-        return v
-    if right == Zero():
-        return v
-    return (("inl" if side == "l" else "inr"), v)
-
-
-def _unpack_sum(left: SpfExpr, right: SpfExpr, v):
-    if left == Zero():
-        return "r", v
-    if right == Zero():
-        return "l", v
-    return ("l", v[1]) if v[0] == "inl" else ("r", v[1])
-
-
-def _pack_prod(a: SpfExpr, b: SpfExpr, va, vb):
-    if a == One():
-        return vb
-    if b == One():
-        return va
-    return ("pair", va, vb)
-
-
-def _unpack_prod(a: SpfExpr, b: SpfExpr, v):
-    if a == One():
-        return UNIT, v
-    if b == One():
-        return v, UNIT
-    return v[1], v[2]
-
-
-def con_step_value(f: SpfExpr, dvalue, filler):
-    """Reconstruct a value of f(X) from a value of derive(f)(X) and a filler.
-
-    Structural on the functor: the coproduct case keeps the injection, the
-    product case rebuilds the marked factor, and composition first rebuilds
-    the inner value and then plugs it into the outer derivative.
-    """
-    match f:
-        case Id():
-            return filler
-        case Const() | One() | Zero():
-            raise IllFormed("constant functors have no holes")
-        case Sum(g, h):
-            side, v = _unpack_sum(derive(g), derive(h), dvalue)
-            if side == "l":
-                return ("inl", con_step_value(g, v, filler))
-            return ("inr", con_step_value(h, v, filler))
-        case Prod(g, h):
-            dg, dh = derive(g), derive(h)
-            side, v = _unpack_sum(prod_(dg, h), prod_(g, dh), dvalue)
-            if side == "l":
-                dgv, hv = _unpack_prod(dg, h, v)
-                return ("pair", con_step_value(g, dgv, filler), hv)
-            gv, dhv = _unpack_prod(g, dh, v)
-            return ("pair", gv, con_step_value(h, dhv, filler))
-        case Comp(g, h):
-            dgh, dhv = _unpack_prod(comp_(derive(g), h), derive(h), dvalue)
-            hv = con_step_value(h, dhv, filler)
-            return con_step_value(g, dgh, hv)
-    raise IllFormed(f"not a functor expression: {f!r}")
-
-
 # ---------------------------------------------------------------------------
 # language-layer contexts
 
@@ -405,148 +339,10 @@ def decompositions(t: OpenTerm):
 
 
 # ---------------------------------------------------------------------------
-# bridging language layers and generic functor values
-#
-# A language's syntax functor is an ordered sum of constructor shapes, each
-# shape a right-nested product of Const (payload) and Id (child) factors.
-# These converters let the generic con_step_value drive term plugging, so
-# the derivative algebra is exercised by every language.
-
-def constructor_shape(payload_kinds: Sequence[str], arity: int) -> SpfExpr:
-    factors = [Const(k) for k in payload_kinds] + [Id() for _ in range(arity)]
-    return prod_fold(factors)
-
+# the syntax functor of a language
 
 def language_spf(constructors: Sequence[tuple[str, tuple, int]]) -> SpfExpr:
-    return sum_fold([constructor_shape(p, a) for _, p, a in constructors])
-
-
-def _pack_prod_chain(factors, values):
-    if not factors:
-        return UNIT
-    out = values[-1]
-    rest_shape = factors[-1]
-    for f, v in zip(reversed(factors[:-1]), reversed(values[:-1])):
-        out = _pack_prod(f, rest_shape, v, out)
-        rest_shape = prod_(f, rest_shape)
-    return out
-
-
-def _unpack_prod_chain(factors, value):
-    if not factors:
-        return []
-    if len(factors) == 1:
-        return [value]
-    rest_shapes = [factors[-1]]
-    for f in reversed(factors[1:-1]):
-        rest_shapes.append(prod_(f, rest_shapes[-1]))
-    rest_shapes.reverse()  # rest_shapes[i] = shape of factors[i+1:]
-    out = []
-    v = value
-    for i, f in enumerate(factors[:-1]):
-        fv, v = _unpack_prod(f, rest_shapes[i], v)
-        out.append(fv)
-    out.append(v)
-    return out
-
-
-def _dprod_chain_value(factors, values, hole_index):
-    """Value of derive(prod_fold(factors)) marking the Id factor at
-    ``hole_index``; ``values[hole_index]`` is ignored."""
-    if len(factors) == 1:
-        if not isinstance(factors[0], Id):
-            raise IllFormed("hole at a constant factor")
-        return UNIT
-    f1, rest = factors[0], factors[1:]
-    rest_shape = prod_fold(rest)
-    d1, drest = derive(f1), derive(rest_shape)
-    left_shape, right_shape = prod_(d1, rest_shape), prod_(f1, drest)
-    if hole_index == 0:
-        if not isinstance(f1, Id):
-            raise IllFormed("hole at a constant factor")
-        rest_value = _pack_prod_chain(rest, values[1:])
-        return _pack_sum(left_shape, right_shape, "l", _pack_prod(d1, rest_shape, UNIT, rest_value))
-    inner = _dprod_chain_value(rest, values[1:], hole_index - 1)
-    return _pack_sum(left_shape, right_shape, "r", _pack_prod(f1, drest, values[0], inner))
-
-
-class LanguageFunctor:
-    """Symbolic syntax functor of a language plus value/term converters."""
-
-    def __init__(self, constructors: Sequence[tuple[str, tuple, int]]):
-        self.constructors = list(constructors)
-        self.spf = language_spf(constructors)
-        self._shapes = [constructor_shape(p, a) for _, p, a in constructors]
-
-    def index_of(self, tag: str, arity: int) -> int:
-        for i, (t, _, a) in enumerate(self.constructors):
-            if t == tag and a == arity:
-                return i
-        raise IllFormed(f"no constructor {tag}/{arity}")
-
-    def _inject(self, k: int, v, shapes):
-        # right-nested sum over shapes, with Zero summands pruned
-        if len(shapes) == 1:
-            return v
-        head, rest = shapes[0], shapes[1:]
-        rest_shape = sum_fold(rest)
-        if k == 0:
-            return _pack_sum(head, rest_shape, "l", v)
-        return _pack_sum(head, rest_shape, "r", self._inject(k - 1, v, rest))
-
-    def _project(self, v, shapes, base=0):
-        if len(shapes) == 1:
-            return base, v
-        head, rest = shapes[0], shapes[1:]
-        side, inner = _unpack_sum(head, sum_fold(rest), v)
-        if side == "l":
-            return base, inner
-        return self._project(inner, rest, base + 1)
-
-    def node_to_value(self, node: Node):
-        k = self.index_of(node.tag, len(node.children))
-        _, kinds, arity = self.constructors[k]
-        factors = [Const(x) for x in kinds] + [Id() for _ in range(arity)]
-        inner = _pack_prod_chain(factors, list(node.payload) + list(node.children))
-        return self._inject(k, inner, self._shapes)
-
-    def value_to_node(self, value) -> Node:
-        k, inner = self._project(value, self._shapes)
-        tag, kinds, arity = self.constructors[k]
-        factors = [Const(x) for x in kinds] + [Id() for _ in range(arity)]
-        parts = _unpack_prod_chain(factors, inner)
-        payload = tuple(parts[: len(kinds)])
-        children = tuple(parts[len(kinds) :])
-        return Node(tag, children, payload)
-
-    def layer_to_dvalue(self, layer: OneHoleLayer):
-        arity = 1 + len(layer.siblings)
-        k = self.index_of(layer.tag, arity)
-        tag, kinds, _ = self.constructors[k]
-        factors = [Const(x) for x in kinds] + [Id() for _ in range(arity)]
-        slot = len(kinds) + layer.hole
-        values = list(layer.payload) + list(
-            layer.siblings[: layer.hole] + (None,) + layer.siblings[layer.hole :]
-        )
-        inner = _dprod_chain_value(factors, values, slot)
-        # inject into the pruned sum of *derivative* shapes
-        dshapes = [derive(s) for s in self._shapes]
-        if dshapes[k] == Zero():
-            raise IllFormed(f"constructor {tag} has no child positions")
-        nonzero = [s for s in dshapes if s != Zero()]
-        pos = sum(1 for s in dshapes[:k] if s != Zero())
-        return self._inject_into(pos, inner, nonzero)
-
-    def _inject_into(self, k, v, shapes):
-        if len(shapes) == 1:
-            return v
-        if k == 0:
-            return _pack_sum(shapes[0], sum_fold(shapes[1:]), "l", v)
-        return _pack_sum(shapes[0], sum_fold(shapes[1:]), "r", self._inject_into(k - 1, v, shapes[1:]))
-
-    def con_step_via_functor(self, layer: OneHoleLayer, filler: OpenTerm) -> Node:
-        """con_step routed through the generic derivative machinery; must
-        agree with the direct layer reconstruction."""
-        dv = self.layer_to_dvalue(layer)
-        value = con_step_value(self.spf, dv, filler)
-        return self.value_to_node(value)
+    """An ordered sum of constructor shapes, each a right-nested product of
+    Const (payload) and Id (child) factors."""
+    return sum_fold([prod_fold([Const(k) for k in kinds] + [Id()] * arity)
+                     for _, kinds, arity in constructors])

@@ -32,9 +32,6 @@ class Store:
         items[l] = v
         return Store.of(items)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.cells)
-
     def show(self) -> str:
         inner = ", ".join(f"{k}:{v}" for k, v in self.cells)
         return "{" + inner + "}"
@@ -77,8 +74,6 @@ MachineState = Store | LowState | StackState | FrameState
 
 
 def show_state(s: MachineState) -> str:
-    if isinstance(s, Store):
-        return s.show()
     return s.show()
 
 

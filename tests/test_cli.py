@@ -66,11 +66,32 @@ def test_compile_identity_stack(capsys):
     assert capsys.readouterr().out.strip() == "frame"
 
 
-def test_parse_error_exits_2(capsys):
+def test_parse_error_exits_2(capsys, tmp_path):
     assert main(["run", "--lang", "while", "--term", "(seq skip",
                  "--input", "{}"]) == 2
     assert main(["run", "--lang", "nosuch", "--term", "skip", "--input", "{}"]) == 2
     assert main(["compile", "--compiler", "nosuch", "--term", "skip"]) == 2
+    for cmd in ("bisim", "ctx-closure"):
+        assert main([cmd, "--lang", "nosuch", "--left", "skip", "--right", "skip"]) == 2
+    assert main(["laws", "--lang", "nosuch"]) == 2
+    assert main(["preserve", "--compiler", "nosuch"]) == 2
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([{"left": "skip"}]))
+    assert main(["preserve", "--compiler", "embed-flag", "--pairs", str(pairs)]) == 2
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"command": ["laws", "--lang", "while"]}))
+    assert main(["replay", "--report", str(report)]) == 2
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    from gsoscheck import cli
+
+    def broken(cp, cfg):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "check_coherence", broken)
+    with pytest.raises(KeyError):
+        main(["coherence", "--compiler", "embed-flag"])
 
 
 def test_ill_formed_term_exits_2(capsys):

@@ -4,9 +4,7 @@ import itertools
 
 import pytest
 
-from gsoscheck.languages import (
-    eval_frames, eval_int, eval_nat, eval_sp, update_frames, update_sp,
-)
+from gsoscheck.languages import block_cells, evaluate, frame_cells
 from gsoscheck.semantics import step
 from gsoscheck.states import FrameState, LowState, StackState, Store
 from gsoscheck.terms import (
@@ -41,9 +39,9 @@ def oracle_eval(cells: dict, e) -> int:
 
 
 def test_eval_examples():
-    assert eval_nat(Store.of({}), Lit(7)) == 7
-    assert eval_nat(Store.of({0: 1}), Bin("mul", Loc(0), Lit(2))) == 2
-    assert eval_nat(Store.of({0: 3}), Bin("sub", Lit(2), Loc(0))) == 0
+    assert evaluate(Lit(7), Store.get, Store.of({})) == 7
+    assert evaluate(Bin("mul", Loc(0), Lit(2)), Store.get, Store.of({0: 1})) == 2
+    assert evaluate(Bin("sub", Lit(2), Loc(0)), Store.get, Store.of({0: 3})) == 0
 
 
 def test_eval_matches_oracle(cfg):
@@ -61,36 +59,43 @@ def test_eval_matches_oracle(cfg):
         exprs.append(Un("not", rng.choice(depth2)))
     for e in exprs:
         for cells in stores:
-            assert eval_nat(Store.of(cells), e) == oracle_eval(cells, e)
+            assert evaluate(e, Store.get, Store.of(cells)) == oracle_eval(cells, e)
 
 
 def test_eval_int_examples():
-    assert eval_int(Store.of({0: -1}), Bin("min", Loc(0), Lit(0))) == -1
-    assert eval_int(Store.of({}), Bin("min", Loc(0), Lit(0))) == 0
-    assert eval_int(Store.of({0: -2}), Bin("sub", Lit(0), Loc(0))) == 2
+    def ev(e, cells):
+        return evaluate(e, Store.get, Store.of(cells), nat=False)
+
+    assert ev(Bin("min", Loc(0), Lit(0)), {0: -1}) == -1
+    assert ev(Bin("min", Loc(0), Lit(0)), {}) == 0
+    assert ev(Bin("sub", Lit(0), Loc(0)), {0: -2}) == 2
 
 
 def test_eval_frames_examples():
-    assert eval_frames(FrameState(((5, 0),)), Loc(0), 2) == 5
-    assert eval_frames(FrameState(), Loc(1), 2) == 0
-    assert eval_frames(FrameState(((1, 2), (9, 9))), Loc(1), 2) == 2
+    read, _ = frame_cells(2)
+    assert evaluate(Loc(0), read, FrameState(((5, 0),))) == 5
+    assert evaluate(Loc(1), read, FrameState()) == 0
+    assert evaluate(Loc(1), read, FrameState(((1, 2), (9, 9)))) == 2
     with pytest.raises(IllFormed):
-        eval_frames(FrameState(((1, 2),)), Loc(2), 2)
+        evaluate(Loc(2), read, FrameState(((1, 2),)))
 
 
 def test_eval_sp_examples():
-    assert eval_sp(Store.of({0: 5}), 1, Loc(0), 2) == 5
-    assert eval_sp(Store.of({2: 7}), 2, Loc(0), 2) == 7
-    assert eval_sp(Store.of({}), 1, Lit(4), 2) == 4
+    read, _ = block_cells(2)
+    assert evaluate(Loc(0), read, StackState(Store.of({0: 5}), 1)) == 5
+    assert evaluate(Loc(0), read, StackState(Store.of({2: 7}), 2)) == 7
+    assert evaluate(Lit(4), read, StackState(Store.of({}), 1)) == 4
     with pytest.raises(IllFormed):
-        eval_sp(Store.of({}), 0, Loc(0), 2)
+        evaluate(Loc(0), read, StackState(Store.of({}), 0))
 
 
 def test_update_examples():
     assert Store.of({}).set(0, 3) == Store.of({0: 3})
-    assert update_frames(FrameState(), 0, 3, 2) == FrameState()
-    assert update_sp(Store.of({}), 1, 1, 9, 2) == Store.of({1: 9})
-    assert update_sp(Store.of({}), 2, 0, 4, 2) == Store.of({2: 4})
+    _, write_frames = frame_cells(2)
+    assert write_frames(FrameState(), 0, 3) == FrameState()
+    _, write_block = block_cells(2)
+    assert write_block(StackState(Store.of({}), 1), 1, 9) == StackState(Store.of({1: 9}), 1)
+    assert write_block(StackState(Store.of({}), 2), 0, 4) == StackState(Store.of({2: 4}), 2)
 
 
 def test_while_flag_sandbox_always_label_zero(langs, cfg):

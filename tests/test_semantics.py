@@ -6,7 +6,7 @@ import pytest
 
 from gsoscheck.semantics import (
     BehaviorTable, Distinguished, Equivalent, IncompleteTable, StepOutcome,
-    apply_law, check_bisim, extend_law, run, step, unfold,
+    check_bisim, extend_law, run, step, unfold,
 )
 from gsoscheck.states import FrameState, LowState, Store
 from gsoscheck.terms import (
@@ -56,7 +56,7 @@ def test_step_matches_reference_while(langs, cfg):
 
 
 def test_apply_law_skip(langs):
-    out = apply_law(langs["while"], "skip", (), (), Store.of({0: 2}))
+    out = langs["while"].rule("skip", (), (), Store.of({0: 2}))
     assert out.state == Store.of({0: 2}) and out.cont is None
 
 
@@ -64,8 +64,8 @@ def test_apply_law_seq_premise_steps(langs):
     # (p, beta) ; (q, gamma) with beta stepping to p' continues as p' ; q
     beta = BehaviorTable("x", {Store.of({}): (None, Store.of({0: 1}), "x")}, False)
     gamma = BehaviorTable("y", {}, False)
-    out = apply_law(
-        langs["while"], "seq", (),
+    out = langs["while"].rule(
+        "seq", (),
         ((Var("x"), beta), (Var("y"), gamma)),
         Store.of({}),
     )
@@ -75,7 +75,7 @@ def test_apply_law_seq_premise_steps(langs):
 
 def test_apply_law_flag_assignment_labels(langs):
     s = Store.of({0: 3})
-    out = apply_law(langs["while-flag"], "assign", (1, Loc(0)), (), s)
+    out = langs["while-flag"].rule("assign", (1, Loc(0)), (), s)
     assert out.label == 3
     assert out.state == Store.of({0: 3, 1: 3})
     assert out.cont is None
@@ -118,6 +118,20 @@ def test_step_is_deterministic(langs):
     t = while_(Loc(0), assign(0, Lit(0)))
     s = Store.of({0: 2})
     assert step(langs["while"], t, s) == step(langs["while"], t, s)
+
+
+def test_step_cache_is_per_language():
+    # languages built and dropped in turn may reuse each other's object id;
+    # each must still step with its own rule
+    from gsoscheck.languages import LangDef
+
+    for i in range(20):
+        def rule(tag, payload, children, s, i=i):
+            return StepOutcome(s.set(0, i + 1))
+
+        lang = LangDef(f"probe-{i}", [("skip", (), 0)], "store", False, rule)
+        assert step(lang, skip(), Store.of({})).state == Store.of({0: i + 1})
+        del lang
 
 
 def test_run_examples(langs, comps):
