@@ -13,6 +13,12 @@ syntactic mismatch falls back to a bounded behavioral comparison over the
 case's window; a pass obtained this way is counted and reported.  Every
 other registered translation either matches continuations exactly or
 diverges in an observable.
+
+The fallback's verdict does not depend on the case's target input: the
+window, depth and target language are fixed per campaign.  A campaign
+therefore computes it once per (upper continuation, lower continuation,
+tables) and reuses it for every other input of the window;
+``fallback_cases`` still counts the cases that needed it.
 """
 from __future__ import annotations
 
@@ -161,7 +167,8 @@ def _target_behaviors(cp: CompilerPair, tables: dict) -> dict:
 
 
 def _compare(cp: CompilerPair, upper: StepOutcome, upper_cont, lower: StepOutcome,
-             window, behaviors, cfg) -> tuple[Optional[Divergence], bool]:
+             window, tables: dict, cfg,
+             memo: Optional[dict]) -> tuple[Optional[Divergence], bool]:
     """Compare the two paths' outcomes; returns (divergence, used_fallback)."""
     if upper.label != lower.label:
         return Divergence("label", upper, lower, upper_cont), False
@@ -171,16 +178,28 @@ def _compare(cp: CompilerPair, upper: StepOutcome, upper_cont, lower: StepOutcom
         return Divergence("termination", upper, lower, upper_cont), False
     if upper_cont is None or upper_cont == lower.cont:
         return None, False
-    # syntactic mismatch: bounded behavioral comparison over the window
-    verdict = check_bisim(cp.target, upper_cont, lower.cont, window,
-                          cfg.fallback_depth, behaviors=behaviors)
+    # syntactic mismatch: bounded behavioral comparison over the window, once
+    # per key (see the module docstring).  Tables compare by identity: a
+    # widened table is a new object, hence a new key, and the memo keeps its
+    # tables alive, so no identity is reused.  Only the verdict is kept; each
+    # case builds its own divergence from it.
+    memo = {} if memo is None else memo
+    key = (upper_cont, lower.cont, tuple(tables.items()))
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = check_bisim(cp.target, upper_cont, lower.cont, window,
+                              cfg.fallback_depth, behaviors=_target_behaviors(cp, tables))
+        memo[key] = verdict
     if isinstance(verdict, Equivalent):
         return None, True
     return Divergence("continuation", upper, lower, upper_cont, lower.cont), True
 
 
-def evaluate_open_case(cp: CompilerPair, case: CoherenceCase, window, cfg):
-    """One open-mode square; returns (divergence|None, used_fallback, flags)."""
+def evaluate_open_case(cp: CompilerPair, case: CoherenceCase, window, cfg,
+                       memo: Optional[dict] = None):
+    """One open-mode square; returns (divergence|None, used_fallback, flags).
+    ``memo`` holds the campaign's fallback verdicts; without one, nothing is
+    shared with other cases."""
     src, tables = cp.source, case.tables
     i2 = case.target_input
 
@@ -192,12 +211,12 @@ def evaluate_open_case(cp: CompilerPair, case: CoherenceCase, window, cfg):
     lower = extend_law(cp.target, compile_open(cp, case.subject),
                        _target_behaviors(cp, tables), i2)
     flags = upper.flags | lower.flags
-    div, fb = _compare(cp, upper, upper_cont, lower, window,
-                       _target_behaviors(cp, tables), cfg)
+    div, fb = _compare(cp, upper, upper_cont, lower, window, tables, cfg, memo)
     return div, fb, flags
 
 
-def evaluate_closed_case(cp: CompilerPair, case: CoherenceCase, window, cfg):
+def evaluate_closed_case(cp: CompilerPair, case: CoherenceCase, window, cfg,
+                         memo: Optional[dict] = None):
     src, tgt = cp.source, cp.target
     i2 = case.target_input
     compiled = compile_term(cp, case.subject)
@@ -211,7 +230,7 @@ def evaluate_closed_case(cp: CompilerPair, case: CoherenceCase, window, cfg):
         upper_cont = compile_term(cp, upper.cont)
     lower = step(tgt, compiled, i2)
     flags = upper.flags | lower.flags
-    div, fb = _compare(cp, upper, upper_cont, lower, window, {}, cfg)
+    div, fb = _compare(cp, upper, upper_cont, lower, window, {}, cfg, memo)
     return div, fb, flags
 
 
@@ -276,10 +295,13 @@ def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
 
     cases = inconclusive = illformed = fallback = 0
     flags: frozenset = frozenset()
+    # this campaign's fallback verdicts, see _compare; cases on the pool may
+    # both miss one key, and then both compute the same verdict
+    memo: dict = {}
 
     def guarded(case):
         try:
-            return _evaluate_with_widening(evaluate, cp, case, window, cfg)
+            return _evaluate_with_widening(evaluate, cp, case, window, cfg, memo)
         except IllFormed:
             return "illformed"
         except IncompleteTable:
@@ -330,20 +352,21 @@ def _stream_done(stream) -> bool:
         return True
 
 
-def _evaluate_with_widening(evaluate, cp, case, window, cfg):
+def _evaluate_with_widening(evaluate, cp, case, window, cfg, memo=None):
     try:
-        return evaluate(cp, case, window, cfg)
+        return evaluate(cp, case, window, cfg, memo)
     except IncompleteTable as miss:
         if miss.var not in case.tables:
             raise
         # the widening entry depends only on the missing state, so verdicts
-        # do not depend on evaluation order
+        # do not depend on evaluation order; the case gets its own tables,
+        # because the variant's dict is shared with its sibling cases
         rng = random.Random(cfg.seed ^ (hash(miss.state) & 0xFFFFFFFF))
-        table = case.tables[miss.var]
         entry = gen.widen_entry(rng, miss.state, cp.source.has_label,
                                 sorted(case.tables, key=str), cfg)
-        case.tables[miss.var] = table.widen(miss.state, entry)
-        return evaluate(cp, case, window, cfg)
+        case.tables = {**case.tables,
+                       miss.var: case.tables[miss.var].widen(miss.state, entry)}
+        return evaluate(cp, case, window, cfg, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +380,7 @@ class PreservationEntry:
     target: Optional[object] = None  # BisimResult when source is Equivalent
     compiled_left: Optional[Node] = None
     compiled_right: Optional[Node] = None
+    target_illformed: bool = False  # the target check hit an ill-formed state
 
     @property
     def violated(self) -> bool:
@@ -376,11 +400,18 @@ class PreservationReport:
     def violations(self) -> list:
         return [e for e in self.entries if e.violated]
 
+    @property
+    def illformed(self) -> int:
+        return sum(e.target_illformed for e in self.entries)
+
 
 def check_preservation(cp: CompilerPair, cfg: CampaignConfig,
                        pairs: Optional[list] = None) -> PreservationReport:
     """For source pairs found bisimilar within budget, check the compiled
-    pair in the target; a Distinguished target verdict is a violation."""
+    pair in the target; a Distinguished target verdict is a violation.  A
+    target check that reaches an ill-formed state (a stack machine's frame
+    read at sp = 0) leaves that pair without a target verdict, as coherence
+    campaigns skip ill-formed cases."""
     src_window = gen.state_window(cp.source, cfg)
     tgt_window = gen.state_window(cp.target, cfg)
     if pairs is None:
@@ -394,8 +425,11 @@ def check_preservation(cp: CompilerPair, cfg: CampaignConfig,
         if isinstance(source, Equivalent):
             entry.compiled_left = compile_term(cp, left)
             entry.compiled_right = compile_term(cp, right)
-            entry.target = check_bisim(cp.target, entry.compiled_left,
-                                       entry.compiled_right, tgt_window, cfg.depth)
+            try:
+                entry.target = check_bisim(cp.target, entry.compiled_left,
+                                           entry.compiled_right, tgt_window, cfg.depth)
+            except IllFormed:
+                entry.target_illformed = True
         entries.append(entry)
     return PreservationReport(entries, cfg.echo())
 

@@ -43,7 +43,10 @@ def _default_seed() -> int:
     env = os.environ.get("GSOSCHECK_SEED")
     if env is None:
         return 0xC0FFEE
-    return int(env, 0)
+    try:
+        return int(env, 0)
+    except ValueError:
+        raise IllFormed(f"GSOSCHECK_SEED is not an integer: {env!r}") from None
 
 
 def _add_budget_flags(p: argparse.ArgumentParser):
@@ -259,6 +262,8 @@ def _cmd_preserve(args) -> tuple[int, Report, list]:
     for e in result.entries:
         src = "equivalent" if isinstance(e.source, Equivalent) else "distinguished"
         line = f"source {src}: {print_term(e.left)}  /  {print_term(e.right)}"
+        if e.target_illformed:
+            line += "  => target ill-formed"
         if e.target is not None:
             tgt = "equivalent" if isinstance(e.target, Equivalent) else "DISTINGUISHED"
             line += f"  => target {tgt}"
@@ -281,10 +286,13 @@ def _cmd_preserve(args) -> tuple[int, Report, list]:
             "target_right": describe_outcome(v.target.right),
         }
         lines.append(f"{len(violations)} preservation violation(s)")
+    if result.illformed:
+        lines.append(f"note: {result.illformed} pair(s) ill-formed in the target skipped")
     report = Report(command=_echo(args), config=cfg.echo(),
                     verdict="violation" if violations else "preserved",
                     witness=witness,
-                    tallies={"pairs": len(result.entries), "violations": len(violations)})
+                    tallies={"pairs": len(result.entries), "violations": len(violations),
+                             "illformed": result.illformed})
     return (1 if violations else 0), report, lines
 
 
@@ -625,7 +633,7 @@ def main(argv=None) -> int:
     except IllFormed as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, json.JSONDecodeError, ValueError) as err:
+    except (FileNotFoundError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if "--json" in argv:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import IllFormed
+from .terms import IllFormed, parse_int
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def parse_store(text: str) -> Store:
         if ":" not in part:
             raise IllFormed(f"bad store entry: {part!r}")
         k, v = part.split(":", 1)
-        items[int(k)] = int(v)
+        items[parse_int(k)] = parse_int(v)
     return Store.of(items)
 
 
@@ -114,7 +114,7 @@ def parse_frames(text: str) -> FrameState:
             depth -= 1
             if depth == 0:
                 inner = body[start + 1 : i].strip()
-                vals = tuple(int(x) for x in inner.split(",")) if inner else ()
+                vals = tuple(parse_int(x) for x in inner.split(",")) if inner else ()
                 frames.append(vals)
     if depth != 0 or not frames:
         raise IllFormed(f"bad frame stack literal: {text!r}")
@@ -129,9 +129,11 @@ def parse_state(kind: str, text: str) -> MachineState:
         if not (text.startswith("(") and text.endswith(")")):
             raise IllFormed(f"bad state literal: {text!r}")
         body = text[1:-1]
-        cut = body.rindex(",")
+        cut = body.rfind(",")
+        if cut < 0:
+            raise IllFormed(f"bad state literal: {text!r}")
         store = parse_store(body[:cut])
-        n = int(body[cut + 1 :].strip())
+        n = parse_int(body[cut + 1 :])
         return LowState(store, n) if kind == "pc" else StackState(store, n)
     if kind == "frames":
         return parse_frames(text)

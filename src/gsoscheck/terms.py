@@ -374,7 +374,7 @@ def _read(tokens: list[str], pos: int):
     return tok, pos + 1
 
 
-def _int(tok) -> int:
+def parse_int(tok) -> int:
     try:
         return int(tok)
     except (TypeError, ValueError):
@@ -386,9 +386,9 @@ def parse_expr(sx) -> Expr:
         raise IllFormed(f"bad expression: {sx!r}")
     head = sx[0]
     if head == "lit" and len(sx) == 2:
-        return Lit(_int(sx[1]))
+        return Lit(parse_int(sx[1]))
     if head == "var" and len(sx) == 2:
-        return Loc(_int(sx[1]))
+        return Loc(parse_int(sx[1]))
     if head in UN_OPS and len(sx) == 2:
         return Un(head, parse_expr(sx[1]))
     if head in BIN_OPS and len(sx) == 3:
@@ -405,9 +405,9 @@ def parse_inst(sx) -> Inst:
     if head == "stop" and len(sx) == 1:
         return Stop()
     if head == "assign" and len(sx) == 3:
-        return IAssign(_int(sx[1]), parse_expr(sx[2]))
+        return IAssign(parse_int(sx[1]), parse_expr(sx[2]))
     if head == "br" and len(sx) == 3:
-        return Br(parse_expr(sx[1]), _int(sx[2]))
+        return Br(parse_expr(sx[1]), parse_int(sx[2]))
     raise IllFormed(f"bad instruction: {sx!r}")
 
 
@@ -424,13 +424,13 @@ def _build_term(sx):
     if head in ("skip", "frame", "return") and len(sx) == 1:
         return Node(head)
     if head == "assign" and len(sx) == 3:
-        return assign(_int(sx[1]), parse_expr(sx[2]))
+        return assign(parse_int(sx[1]), parse_expr(sx[2]))
     if head in ("seq", "sseq") and len(sx) == 3:
         return Node(head, (_build_term(sx[1]), _build_term(sx[2])))
     if head in ("while", "loop") and len(sx) == 3:
         return Node(head, (_build_term(sx[2]),), (parse_expr(sx[1]),))
     if head == "obs" and len(sx) == 3:
-        return obs(_int(sx[1]), _build_term(sx[2]))
+        return obs(parse_int(sx[1]), _build_term(sx[2]))
     if head in ("sandbox", "isandbox") and len(sx) == 2:
         return Node(head, (_build_term(sx[1]),))
     if head == "instr" and len(sx) >= 2:

@@ -9,13 +9,13 @@ from gsoscheck.checker import (
     check_context_closure, check_preservation, closed_cases,
     evaluate_closed_case, evaluate_open_case, open_cases,
 )
-from gsoscheck.semantics import Distinguished, Equivalent
+from gsoscheck.semantics import BehaviorTable, Distinguished, Equivalent
 from gsoscheck.states import LowState, StackState, Store
 from gsoscheck.terms import (
     Bin, IllFormed, Lit, Loc, assign, print_term, sandbox, seq, skip, while_,
 )
 from gsoscheck.spf import OneHoleLayer
-from gsoscheck import gen
+from gsoscheck import checker, gen
 
 EXPECTED_VERDICTS = {
     "embed-flag": Fail,
@@ -149,6 +149,79 @@ def test_sandbox_passes_only_up_to_continuation_fallback(comps):
     verdict = check_coherence(comps["sandbox"], CampaignConfig(samples=2000))
     assert isinstance(verdict, Pass)
     assert verdict.fallback_cases > 0
+
+
+def test_fallback_runs_once_per_continuations_and_tables(comps, monkeypatch):
+    # the fallback verdict depends on the two continuations and the case's
+    # tables, not on the target input, so a campaign computes it once per
+    # such key however many inputs of the window reach it
+    cp, cfg = comps["sandbox"], CampaignConfig(samples=2000)
+    window = gen.state_window(cp.target, cfg)
+    calls = []
+    real = checker.check_bisim
+
+    def counting(lang, p, q, *rest, **kwargs):
+        calls.append((p, q))
+        return real(lang, p, q, *rest, **kwargs)
+
+    monkeypatch.setattr(checker, "check_bisim", counting)
+    keys = set()
+    for case in itertools.islice(open_cases(cp, cfg, window), cfg.samples):
+        calls.clear()
+        evaluate_open_case(cp, case, window, cfg)  # no memo: nothing shared
+        keys.update((p, q, tuple(case.tables.values())) for p, q in calls)
+    calls.clear()
+    verdict = check_coherence(cp, cfg)
+    assert isinstance(verdict, Pass) and verdict.fallback_cases == 209
+    assert len(calls) == len(keys) == 18
+    assert len(set(calls)) == 9  # each pair under both table variants
+
+
+def test_widening_copies_the_variant_tables_and_misses_the_memo(comps, monkeypatch):
+    cp, cfg = comps["sandbox"], CampaignConfig(samples=2000)
+    window = gen.state_window(cp.target, cfg)
+    # the first fallback case is (seq ?x0 ?x1) with ?x0 terminating at the
+    # input, so the continuations ?x1 and (sandbox ?x1) are compared
+    # behaviorally.  With ?x1 never continuing as ?x0, that comparison reads
+    # only ?x1's table, and ?x0's table is read at the input alone: a table
+    # for ?x0 missing that input widens only the case at that input.
+    case = next(c for c in open_cases(cp, cfg, window)
+                if evaluate_open_case(cp, c, window, cfg)[1])
+    x0, x1 = sorted(case.tables, key=str)
+    full = case.tables[x0]
+    missing = case.target_input
+    assert full.entries[missing][2] is None
+    clipped = BehaviorTable(x0, {s: e for s, e in full.entries.items() if s != missing},
+                            full.has_label)
+    only_x1 = BehaviorTable(x1, {s: (label, out, cont if cont == x1 else None)
+                                 for s, (label, out, cont) in case.tables[x1].entries.items()},
+                            full.has_label)
+    variant = {x0: clipped, x1: only_x1}
+    sibling_input = next(s for s, e in clipped.entries.items() if e[2] is None)
+    sibling = CoherenceCase(case.subject, sibling_input, variant)
+    widened = CoherenceCase(case.subject, missing, variant)
+    calls = []
+    real = checker.check_bisim
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(checker, "check_bisim", counting)
+    memo = {}
+    # the sibling reaches the same continuations against the unwidened table
+    assert checker._evaluate_with_widening(
+        evaluate_open_case, cp, sibling, window, cfg, memo)[:2] == (None, True)
+    assert len(calls) == 1 and len(memo) == 1
+    assert checker._evaluate_with_widening(
+        evaluate_open_case, cp, widened, window, cfg, memo)[:2] == (None, True)
+    # the widened case got its own tables; the variant's dict is untouched
+    assert widened.tables is not variant and missing in widened.tables[x0].entries
+    assert sibling.tables is variant and variant[x0] is clipped
+    assert missing not in clipped.entries
+    # and its verdict was computed against the widened table, not served
+    assert len(calls) == 2 and calls[0] == calls[1]
+    assert (*calls[1], tuple(widened.tables.items())) in memo
 
 
 def test_secure_low_needs_no_fallback(comps):

@@ -66,9 +66,12 @@ def test_compile_identity_stack(capsys):
     assert capsys.readouterr().out.strip() == "frame"
 
 
-def test_parse_error_exits_2(capsys, tmp_path):
+def test_parse_error_exits_2(capsys, tmp_path, monkeypatch):
     assert main(["run", "--lang", "while", "--term", "(seq skip",
                  "--input", "{}"]) == 2
+    for lang, state in (("while", "{0:x}"), ("while", "{y:1}"), ("stack", "({}, z)"),
+                        ("stack", "({})"), ("while-b", "[[1,q]]")):
+        assert main(["run", "--lang", lang, "--term", "skip", "--input", state]) == 2
     assert main(["run", "--lang", "nosuch", "--term", "skip", "--input", "{}"]) == 2
     assert main(["compile", "--compiler", "nosuch", "--term", "skip"]) == 2
     for cmd in ("bisim", "ctx-closure"):
@@ -81,6 +84,9 @@ def test_parse_error_exits_2(capsys, tmp_path):
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"command": ["laws", "--lang", "while"]}))
     assert main(["replay", "--report", str(report)]) == 2
+    monkeypatch.setenv("GSOSCHECK_SEED", "0xZZ")
+    assert main(["coherence", "--compiler", "embed-flag"]) == 2
+    assert "GSOSCHECK_SEED" in capsys.readouterr().err
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):
@@ -91,6 +97,17 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
 
     monkeypatch.setattr(cli, "check_coherence", broken)
     with pytest.raises(KeyError):
+        main(["coherence", "--compiler", "embed-flag"])
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    from gsoscheck import cli
+
+    def broken(cp, cfg):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "check_coherence", broken)
+    with pytest.raises(ValueError):
         main(["coherence", "--compiler", "embed-flag"])
 
 
@@ -155,6 +172,16 @@ def test_preserve_cli(tmp_path, capsys):
     assert "DISTINGUISHED" in out
     assert main(["preserve", "--compiler", "sandbox", "--pairs", str(path)]) == 0
     capsys.readouterr()
+
+
+def test_preserve_skips_pairs_ill_formed_in_the_target():
+    # the default pairs equivalent in the source read a frame at sp = 0 once
+    # compiled to the stack machines; each is tallied, not a usage error
+    for compiler in ("embed-stack", "embed-stack-clear"):
+        code, report, lines = run_cli(["preserve", "--compiler", compiler])
+        assert code in (0, 1)
+        assert report.tallies["illformed"] == 8
+        assert sum(line.endswith("=> target ill-formed") for line in lines) == 8
 
 
 def test_ctx_closure_cli(capsys):
