@@ -4,7 +4,7 @@ from .terms import Node, Var, parse_term, print_term
 from .languages import language_registry
 from .compilers import compiler_registry, compile_term
 from .checker import CampaignConfig, check_coherence, check_context_closure, check_preservation
-from .semantics import check_bisim, run, step, unfold
+from .semantics import check_bisim, run, step
 
 __all__ = [
     "CampaignConfig",
@@ -21,7 +21,6 @@ __all__ = [
     "print_term",
     "run",
     "step",
-    "unfold",
 ]
 
 __version__ = "0.1.0"

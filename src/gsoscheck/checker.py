@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .terms import (
@@ -44,7 +44,6 @@ from . import gen
 class CampaignConfig:
     store_cells: int = 2
     max_value: int = 3
-    max_expr_depth: int = 2
     max_term_size: int = 4
     depth: int = 20
     samples: int = 1000
@@ -55,27 +54,9 @@ class CampaignConfig:
     exprs_per_slot: int = 12
     table_variants: int = 2
     fallback_depth: int = 8
-    fuel: int = 10_000
-    threads: int = 1
 
     def echo(self) -> dict:
-        return {
-            "store_cells": self.store_cells,
-            "max_value": self.max_value,
-            "max_expr_depth": self.max_expr_depth,
-            "max_term_size": self.max_term_size,
-            "depth": self.depth,
-            "samples": self.samples,
-            "L": self.L,
-            "sp_max": self.sp_max,
-            "seed": self.seed,
-            "mode": self.mode,
-            "exprs_per_slot": self.exprs_per_slot,
-            "table_variants": self.table_variants,
-            "fallback_depth": self.fallback_depth,
-            "fuel": self.fuel,
-            "threads": self.threads,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -295,28 +276,18 @@ def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
 
     cases = inconclusive = illformed = fallback = 0
     flags: frozenset = frozenset()
-    # this campaign's fallback verdicts, see _compare; cases on the pool may
-    # both miss one key, and then both compute the same verdict
-    memo: dict = {}
-
-    def guarded(case):
-        try:
-            return _evaluate_with_widening(evaluate, cp, case, window, cfg, memo)
-        except IllFormed:
-            return "illformed"
-        except IncompleteTable:
-            return "inconclusive"
-
-    bounded = itertools.islice(stream, cfg.samples)
-    for case, outcome in _fan_out(bounded, guarded, cfg.threads):
+    memo: dict = {}  # this campaign's fallback verdicts, see _compare
+    for case in itertools.islice(stream, cfg.samples):
         cases += 1
-        if outcome == "illformed":
+        try:
+            div, fb, case_flags = _evaluate_with_widening(
+                evaluate, cp, case, window, cfg, memo)
+        except IllFormed:
             illformed += 1
             continue
-        if outcome == "inconclusive":
+        except IncompleteTable:
             inconclusive += 1
             continue
-        div, fb, case_flags = outcome
         flags |= case_flags
         if fb:
             fallback += 1
@@ -324,24 +295,6 @@ def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
             return Fail(case, div, cases_before=cases - 1, flags=flags)
     exhausted = _stream_done(stream)
     return Pass(cases, exhausted, inconclusive, illformed, fallback, flags)
-
-
-def _fan_out(cases, guarded, threads: int):
-    """Evaluate cases, possibly on a thread pool; results always come back in
-    stream order, so the first failure is the same at any fan-out degree."""
-    if threads <= 1:
-        for case in cases:
-            yield case, guarded(case)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while True:
-            chunk = list(itertools.islice(cases, threads * 8))
-            if not chunk:
-                return
-            for case, outcome in zip(chunk, pool.map(guarded, chunk)):
-                yield case, outcome
 
 
 def _stream_done(stream) -> bool:

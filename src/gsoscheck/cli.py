@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 from .terms import (
     Bin, IllFormed, Lit, Loc, assign, obs, parse_term, print_term, seq,
@@ -49,6 +50,11 @@ def _default_seed() -> int:
         raise IllFormed(f"GSOSCHECK_SEED is not an integer: {env!r}") from None
 
 
+def _add_frame_len_and_json(p: argparse.ArgumentParser):
+    p.add_argument("--frame-len", type=int, default=2)
+    p.add_argument("--json", action="store_true")
+
+
 def _add_budget_flags(p: argparse.ArgumentParser):
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--depth", type=int, default=20)
@@ -57,10 +63,9 @@ def _add_budget_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-value", type=int, default=3)
     p.add_argument("--max-term-size", type=int, default=4)
     p.add_argument("--sp-max", type=int, default=3)
-    p.add_argument("--frame-len", type=int, default=2)
-    p.add_argument("--threads", type=int, default=1,
-                   help="fan-out degree; results are deterministic regardless")
-    p.add_argument("--json", action="store_true", dest="as_json")
+    # ignored: perfbench/run.py still appends --threads 1 to every command line
+    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
+    _add_frame_len_and_json(p)
 
 
 def _config(args) -> CampaignConfig:
@@ -73,7 +78,6 @@ def _config(args) -> CampaignConfig:
         L=args.frame_len,
         sp_max=args.sp_max,
         seed=args.seed if args.seed is not None else _default_seed(),
-        threads=args.threads,
     )
 
 
@@ -249,14 +253,7 @@ def _cmd_ctx_closure(args) -> tuple[int, Report, list]:
 def _cmd_preserve(args) -> tuple[int, Report, list]:
     cp = _lookup(compiler_registry(L=args.frame_len), "compiler", args.compiler)
     cfg = _config(args)
-    pairs = None
-    if args.pairs:
-        with open(args.pairs) as fh:
-            data = json.load(fh)
-        try:
-            pairs = [(parse_term(d["left"]), parse_term(d["right"])) for d in data]
-        except KeyError as err:
-            raise IllFormed(f"{args.pairs}: a pair has no {err} field") from None
+    pairs = _load_pairs(args.pairs) if args.pairs else None
     result = check_preservation(cp, cfg, pairs)
     lines = []
     for e in result.entries:
@@ -296,6 +293,16 @@ def _cmd_preserve(args) -> tuple[int, Report, list]:
     return (1 if violations else 0), report, lines
 
 
+def _load_pairs(path: str) -> list:
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, list) or not all(
+            isinstance(d, dict) and isinstance(d.get("left"), str)
+            and isinstance(d.get("right"), str) for d in data):
+        raise IllFormed(f"{path}: expected a list of {{left, right}} objects of terms")
+    return [(parse_term(d["left"]), parse_term(d["right"])) for d in data]
+
+
 def _cmd_laws(args) -> tuple[int, Report, list]:
     langs = language_registry(args.frame_len)
     cfg = _config(args)
@@ -320,54 +327,29 @@ def _cmd_laws(args) -> tuple[int, Report, list]:
 # ---------------------------------------------------------------------------
 # demos: pinned configurations reproducing the case studies
 
-def _demo_cfg(**overrides) -> CampaignConfig:
-    return replace(CampaignConfig(), **overrides)
-
-
-def _demo_fig3():
-    comps = compiler_registry()
-    cfg = _demo_cfg(samples=10_000)
-    verdict = check_coherence(comps["embed-flag"], cfg)
+def _demo_label_leak(compiler: str, samples: int, tag: str, expectation: str):
+    cfg = CampaignConfig(samples=samples)
+    verdict = check_coherence(compiler_registry()[compiler], cfg)
     ok = (
         isinstance(verdict, Fail)
-        and verdict.case.subject.tag == "assign"
+        and verdict.case.subject.tag == tag
         and verdict.divergence.field_name == "label"
         and verdict.divergence.upper.label == 0
         and verdict.divergence.lower.label not in (0, None)
     )
-    return ok, verdict, cfg, "embed-flag must fail on an assignment layer with label v vs 0"
+    return ok, verdict, cfg, expectation
 
 
-def _demo_fig4():
-    comps = compiler_registry()
-    cfg = _demo_cfg(samples=2000)
-    verdict = check_coherence(comps["sandbox"], cfg)
-    ok = (
-        isinstance(verdict, Pass)
-        and verdict.exhausted
-        and verdict.inconclusive == 0
-    )
-    return ok, verdict, cfg, "sandbox must pass exhaustively with no inconclusive cases"
-
-
-def _demo_fig5():
-    comps = compiler_registry()
-    cfg = _demo_cfg(samples=2000)
-    verdict = check_coherence(comps["unsandbox"], cfg)
-    ok = (
-        isinstance(verdict, Fail)
-        and verdict.case.subject.tag == "sandbox"
-        and verdict.divergence.field_name == "label"
-        and verdict.divergence.upper.label == 0
-        and verdict.divergence.lower.label not in (0, None)
-    )
-    return ok, verdict, cfg, "unsandbox must leak the inner label on a sandboxed layer"
+def _demo_exhaustive_pass(compiler: str, samples: int, expectation: str):
+    cfg = CampaignConfig(samples=samples)
+    verdict = check_coherence(compiler_registry()[compiler], cfg)
+    ok = isinstance(verdict, Pass) and verdict.exhausted and verdict.inconclusive == 0
+    return ok, verdict, cfg, expectation
 
 
 def _demo_fig6():
-    comps = compiler_registry()
-    cp = comps["flatten-low"]
-    cfg = _demo_cfg(mode="closed")
+    cp = compiler_registry()["flatten-low"]
+    cfg = CampaignConfig(mode="closed")
     pinned = CoherenceCase(
         while_(Lit(0), assign(0, Lit(0))),
         LowState(Store.of({0: 3}), 1),
@@ -388,18 +370,9 @@ def _demo_fig6():
         " at pc 1 terminates upstairs but steps into the dead body downstairs")
 
 
-def _demo_fig8():
-    comps = compiler_registry()
-    cfg = _demo_cfg(samples=10_000)
-    verdict = check_coherence(comps["embed-low-sec"], cfg)
-    ok = isinstance(verdict, Pass) and verdict.exhausted and verdict.inconclusive == 0
-    return ok, verdict, cfg, "the secure primitives must pass, including out-of-range pcs"
-
-
 def _demo_fig9():
-    comps = compiler_registry()
-    cp = comps["embed-stack"]
-    cfg = _demo_cfg(samples=10_000)
+    cp = compiler_registry()["embed-stack"]
+    cfg = CampaignConfig(samples=10_000)
     verdict = check_coherence(cp, cfg)
     ok = False
     if isinstance(verdict, Fail):
@@ -417,18 +390,9 @@ def _demo_fig9():
         "plain stack allocation must leak the uncleared block at sp 0")
 
 
-def _demo_fig10():
-    comps = compiler_registry()
-    cfg = _demo_cfg(samples=10_000)
-    verdict = check_coherence(comps["embed-stack-clear"], cfg)
-    ok = isinstance(verdict, Pass) and verdict.exhausted and verdict.inconclusive == 0
-    return ok, verdict, cfg, "the clearing frame rule must restore coherence"
-
-
 def _demo_sec6_fail():
-    comps = compiler_registry()
-    cp = comps["embed-int"]
-    cfg = _demo_cfg(samples=4000)
+    cp = compiler_registry()["embed-int"]
+    cfg = CampaignConfig(samples=4000)
     pinned = CoherenceCase(
         assign(0, Bin("min", Loc(0), Lit(0))),
         Store.of({0: -1}),
@@ -450,14 +414,6 @@ def _demo_sec6_fail():
         " the pinned min-assignment diverges -1 vs 0")
 
 
-def _demo_sec6_pass():
-    comps = compiler_registry()
-    cfg = _demo_cfg(samples=6000)
-    verdict = check_coherence(comps["sandbox-int"], cfg)
-    ok = isinstance(verdict, Pass) and verdict.exhausted and verdict.inconclusive == 0
-    return ok, verdict, cfg, "the negative-forgetting sandbox must restore coherence"
-
-
 EXAMPLE1_SOURCE = while_(
     Bin("lt", Loc(0), Lit(2)),
     assign(1, Bin("add", Loc(1), Lit(1))),
@@ -466,11 +422,10 @@ EXAMPLE1_COMPILED = "br !(var 0 < 2) 3 ;; assign 1 (var 1 + 1) ;; br (lit 1) -2"
 
 
 def _demo_example1():
-    comps = compiler_registry()
-    out = compile_term(comps["flatten-low"], EXAMPLE1_SOURCE)
+    out = compile_term(compiler_registry()["flatten-low"], EXAMPLE1_SOURCE)
     text = show_low(out)
     ok = text == EXAMPLE1_COMPILED
-    return ok, text, _demo_cfg(), "the loop compiles to the exact three-instruction sequence"
+    return ok, text, CampaignConfig(), "the loop compiles to the exact three-instruction sequence"
 
 
 def _demo_sec3_context():
@@ -493,20 +448,26 @@ def _demo_sec3_context():
         "plugged_a": {"terminated": run_a.terminated, "steps": run_a.steps},
         "plugged_b": {"terminated": run_b.terminated, "steps": run_b.steps},
     }
-    return ok, payload, _demo_cfg(fuel=fuel), (
+    return ok, payload, CampaignConfig(), (
         "one plugged program terminates and the other exhausts its fuel")
 
 
 DEMO_FNS = {
-    "fig3": _demo_fig3,
-    "fig4": _demo_fig4,
-    "fig5": _demo_fig5,
+    "fig3": partial(_demo_label_leak, "embed-flag", 10_000, "assign",
+                    "embed-flag must fail on an assignment layer with label v vs 0"),
+    "fig4": partial(_demo_exhaustive_pass, "sandbox", 2000,
+                    "sandbox must pass exhaustively with no inconclusive cases"),
+    "fig5": partial(_demo_label_leak, "unsandbox", 2000, "sandbox",
+                    "unsandbox must leak the inner label on a sandboxed layer"),
     "fig6": _demo_fig6,
-    "fig8": _demo_fig8,
+    "fig8": partial(_demo_exhaustive_pass, "embed-low-sec", 10_000,
+                    "the secure primitives must pass, including out-of-range pcs"),
     "fig9": _demo_fig9,
-    "fig10": _demo_fig10,
+    "fig10": partial(_demo_exhaustive_pass, "embed-stack-clear", 10_000,
+                     "the clearing frame rule must restore coherence"),
     "sec6-fail": _demo_sec6_fail,
-    "sec6-pass": _demo_sec6_pass,
+    "sec6-pass": partial(_demo_exhaustive_pass, "sandbox-int", 6000,
+                         "the negative-forgetting sandbox must restore coherence"),
     "example1": _demo_example1,
     "sec3-context": _demo_sec3_context,
 }
@@ -563,13 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--fuel", type=int, default=10_000)
     p.add_argument("--trace", action="store_true")
-    _add_budget_flags(p)
+    _add_frame_len_and_json(p)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("compile", help="translate a source program")
     p.add_argument("--compiler", required=True)
     p.add_argument("--term", required=True)
-    _add_budget_flags(p)
+    _add_frame_len_and_json(p)
     p.set_defaults(fn=_cmd_compile)
 
     p = sub.add_parser("coherence", help="run a coherence campaign")
@@ -605,12 +566,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="reproduce a pinned case study")
     p.add_argument("name", choices=DEMOS)
-    _add_budget_flags(p)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_demo)
 
     p = sub.add_parser("replay", help="re-run a saved report and compare")
     p.add_argument("--report", required=True)
-    _add_budget_flags(p)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_replay)
     return top
 

@@ -50,7 +50,11 @@ class CompilerPair:
     target: LangDef
     syntax: LayerMap | WholeTerm
     behavior: BehaviorTranslation
-    open_checkable: bool
+
+    @property
+    def open_checkable(self) -> bool:
+        """Only a layer-wise syntax translation has an open-mode check."""
+        return isinstance(self.syntax, LayerMap)
 
 
 def compile_open(cp: CompilerPair, t: OpenTerm) -> OpenTerm:
@@ -221,8 +225,8 @@ def _flatten(p: Node) -> list:
 def compiler_registry(langs: Optional[dict] = None, L: int = 2) -> dict[str, CompilerPair]:
     langs = langs or language_registry(L)
 
-    def pair(name, src, tgt, syntax, behavior, open_checkable=True):
-        return CompilerPair(name, langs[src], langs[tgt], syntax, behavior, open_checkable)
+    def pair(name, src, tgt, syntax, behavior):
+        return CompilerPair(name, langs[src], langs[tgt], syntax, behavior)
 
     pairs = [
         pair("embed-flag", "while", "while-flag", LayerMap(_identity_layer), _b_flag()),
@@ -230,8 +234,7 @@ def compiler_registry(langs: Optional[dict] = None, L: int = 2) -> dict[str, Com
         pair("unsandbox", "while-sec", "while-sec", LayerMap(_unsandbox_layer), _b_identity()),
         pair("embed-int", "while", "while-int", LayerMap(_identity_layer), _b_int()),
         pair("sandbox-int", "while", "while-int", LayerMap(_isandbox_layer), _b_int()),
-        pair("flatten-low", "while", "low", WholeTerm(flatten_to_low), _b_low(),
-             open_checkable=False),
+        pair("flatten-low", "while", "low", WholeTerm(flatten_to_low), _b_low()),
         pair("embed-low-sec", "while", "low-sec", LayerMap(_secure_low_layer), _b_low()),
         pair("embed-stack", "while-b", "stack", LayerMap(_identity_layer), _b_stack(L)),
         pair("embed-stack-clear", "while-b", "stack-clear", LayerMap(_identity_layer),

@@ -207,7 +207,7 @@ def closed_terms(lang, cfg, max_size: Optional[int] = None,
 def sample_table(rng: random.Random, var, domain: list, has_label: bool,
                  cont_vars: list, cfg) -> BehaviorTable:
     """A total table on ``domain``: outputs stay inside the domain so bounded
-    unfolding never escapes the sampled window."""
+    exploration never escapes the sampled window."""
     entries = {}
     for state in domain:
         label = rng.randint(0, cfg.max_value) if has_label else None

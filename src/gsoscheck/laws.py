@@ -9,8 +9,7 @@ For every registered language this checks, at desk scale:
   * multiplication: on doubly-nested open terms, extending and then
     flattening agrees with flattening and then extending;
   * plugging: every (context, subterm) split of a term plugs back to it,
-    the empty context is the identity, and single-hole-shaped multi-hole
-    contexts agree with the layer representation.
+    and the empty context is the identity.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from dataclasses import replace
 
 from .terms import IllFormed, Node, OpenTerm, Var, subst, term_vars
 from .semantics import StepOutcome, extend_law, extend_law_checked
-from .spf import decompositions, mhc_to_context, plug, plug_multi, Hole, MLayer
+from .spf import decompositions, plug
 from . import gen
 
 
@@ -160,7 +159,7 @@ def check_copoint_law(lang, cfg, inputs) -> int:
 
 def check_plug_roundtrip(lang, cfg, max_size=None) -> int:
     """plug inverts the brute-force splitter on every generated term; also
-    checks the hole law and multi-hole agreement on single-hole shapes."""
+    checks the hole law."""
     small = replace(cfg, exprs_per_slot=2)
     checked = 0
     for t in gen.closed_terms(lang, small, max_size or cfg.max_term_size):
@@ -169,27 +168,7 @@ def check_plug_roundtrip(lang, cfg, max_size=None) -> int:
             if plug(ctx, sub, lang.signature()) != t:
                 raise AssertionError(f"plug round-trip failed on {t}")
             checked += 1
-        mhc = _term_to_single_hole_mhc(t)
-        if mhc is not None:
-            ctx = mhc_to_context(mhc)
-            if plug_multi(mhc, t) != plug(ctx, t):
-                raise AssertionError("multi-hole and single-hole plugging disagree")
     return checked
-
-
-def _term_to_single_hole_mhc(t: Node):
-    """Replace the leftmost deepest leaf child with a hole, if any."""
-    if not t.children:
-        return None
-    first = t.children[0]
-    sub = _term_to_single_hole_mhc(first) if first.children else None
-    replaced = sub if sub is not None else Hole()
-    rest = tuple(_as_mlayer(c) for c in t.children[1:])
-    return MLayer(t.tag, (replaced,) + rest, t.payload)
-
-
-def _as_mlayer(t: Node):
-    return MLayer(t.tag, tuple(_as_mlayer(c) for c in t.children), t.payload)
 
 
 def run_law_suite(lang, cfg) -> dict:

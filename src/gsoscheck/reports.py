@@ -42,9 +42,14 @@ class Report:
 def load_report(path: str) -> Report:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise IllFormed(f"report {path} is not a JSON object")
+    command = data.get("command")
+    if not isinstance(command, list) or not all(isinstance(a, str) for a in command):
+        raise IllFormed(f"report {path}: command is not a list of strings")
     try:
         return Report(
-            command=data["command"],
+            command=command,
             config=data.get("config", {}),
             verdict=data["verdict"],
             witness=data.get("witness"),

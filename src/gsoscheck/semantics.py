@@ -1,5 +1,5 @@
 """The generic engine: one-step rule application, its extension to whole
-terms, bounded unfolding and bounded bisimilarity.
+terms, and bounded bisimilarity.
 
 A language's rule function is consulted one syntax layer at a time.  It
 receives the layer's children as (subject, behavior) pairs and may only use
@@ -149,27 +149,6 @@ def run(lang, term: Node, state: MachineState, fuel: int) -> RunResult:
             return RunResult(trace, True, state)
         current = out.cont
     return RunResult(trace, False, state, current)
-
-
-@dataclass
-class BehaviorTree:
-    """Depth-bounded unfolding of a program's behavior on an input set."""
-
-    branches: dict  # state -> (StepOutcome, BehaviorTree | None)
-
-    def __eq__(self, other):
-        return isinstance(other, BehaviorTree) and self.branches == other.branches
-
-
-def unfold(lang, term: Node, inputs, depth: int) -> BehaviorTree:
-    if depth <= 0:
-        return BehaviorTree({})
-    branches = {}
-    for s in inputs:
-        out = step(lang, term, s)
-        sub = unfold(lang, out.cont, inputs, depth - 1) if out.cont is not None else None
-        branches[s] = (out, sub)
-    return BehaviorTree(branches)
 
 
 # --- bounded bisimilarity ---

@@ -253,21 +253,6 @@ class OneHoleLayer:
 Context = tuple  # of OneHoleLayer, outermost first; () is the bare hole
 
 
-@dataclass(frozen=True)
-class Hole:
-    pass
-
-
-@dataclass(frozen=True)
-class MLayer:
-    tag: str
-    children: tuple  # of MultiHoleContext
-    payload: tuple = ()
-
-
-MultiHoleContext = Union[Hole, MLayer]
-
-
 def con_step(layer: OneHoleLayer, filler: OpenTerm) -> Node:
     """Insert ``filler`` at the marked position of a one-hole layer."""
     children = layer.siblings[: layer.hole] + (filler,) + layer.siblings[layer.hole :]
@@ -285,42 +270,6 @@ def plug(ctx: Context, p: OpenTerm, signature=None) -> OpenTerm:
                 raise IllFormed(f"layer {layer.tag}/{arity} not in language")
         out = con_step(layer, out)
     return out
-
-
-def plug_multi(c: MultiHoleContext, p: OpenTerm) -> OpenTerm:
-    if isinstance(c, Hole):
-        return p
-    return Node(c.tag, tuple(plug_multi(ch, p) for ch in c.children), c.payload)
-
-
-def mhc_to_context(c: MultiHoleContext) -> Context:
-    """Convert a multi-hole context with exactly one hole into layer form."""
-    if isinstance(c, Hole):
-        return ()
-    holed = [i for i, ch in enumerate(c.children) if _count_holes(ch) > 0]
-    if len(holed) != 1:
-        raise IllFormed("not a single-hole context")
-    i = holed[0]
-    siblings = []
-    for j, ch in enumerate(c.children):
-        if j != i:
-            if _count_holes(ch) > 0:
-                raise IllFormed("not a single-hole context")
-            siblings.append(_mhc_to_term(ch))
-    layer = OneHoleLayer(c.tag, c.payload, i, tuple(siblings))
-    return (layer,) + mhc_to_context(c.children[i])
-
-
-def _count_holes(c: MultiHoleContext) -> int:
-    if isinstance(c, Hole):
-        return 1
-    return sum(_count_holes(ch) for ch in c.children)
-
-
-def _mhc_to_term(c: MultiHoleContext) -> Node:
-    if isinstance(c, Hole):
-        raise IllFormed("hole in term position")
-    return Node(c.tag, tuple(_mhc_to_term(ch) for ch in c.children), c.payload)
 
 
 def decompositions(t: OpenTerm):

@@ -68,17 +68,6 @@ def expr_locs(e: Expr) -> set[int]:
     raise IllFormed(f"not an expression: {e!r}")
 
 
-def expr_size(e: Expr) -> int:
-    match e:
-        case Lit() | Loc():
-            return 1
-        case Bin(_, lhs, rhs):
-            return 1 + expr_size(lhs) + expr_size(rhs)
-        case Un(_, inner):
-            return 1 + expr_size(inner)
-    raise IllFormed(f"not an expression: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Low instructions
 

@@ -1,9 +1,12 @@
 """Command-line contract: exit codes, output shapes, JSON round trips."""
+import importlib.util
 import json
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
-from gsoscheck.cli import execute, main
+from gsoscheck.cli import build_parser, execute, main
 
 
 def run_cli(argv):
@@ -79,11 +82,16 @@ def test_parse_error_exits_2(capsys, tmp_path, monkeypatch):
     assert main(["laws", "--lang", "nosuch"]) == 2
     assert main(["preserve", "--compiler", "nosuch"]) == 2
     pairs = tmp_path / "pairs.json"
-    pairs.write_text(json.dumps([{"left": "skip"}]))
-    assert main(["preserve", "--compiler", "embed-flag", "--pairs", str(pairs)]) == 2
+    for data in ([{"left": "skip"}], [["skip", "skip"]], [{"left": "skip", "right": 1}],
+                 {"left": "skip", "right": "skip"}):
+        pairs.write_text(json.dumps(data))
+        assert main(["preserve", "--compiler", "embed-flag", "--pairs", str(pairs)]) == 2
     report = tmp_path / "report.json"
-    report.write_text(json.dumps({"command": ["laws", "--lang", "while"]}))
-    assert main(["replay", "--report", str(report)]) == 2
+    for data in ({"command": ["laws", "--lang", "while"]},
+                 {"command": "laws --lang while", "verdict": "pass"},
+                 {"command": ["laws", 1], "verdict": "pass"}):
+        report.write_text(json.dumps(data))
+        assert main(["replay", "--report", str(report)]) == 2
     monkeypatch.setenv("GSOSCHECK_SEED", "0xZZ")
     assert main(["coherence", "--compiler", "embed-flag"]) == 2
     assert "GSOSCHECK_SEED" in capsys.readouterr().err
@@ -210,6 +218,39 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["demo", "nosuchdemo"])
     assert e.value.code == 2
+    # a flag the command does not read is a usage error, not a silent no-op
+    for argv in (["demo", "fig4", "--samples", "5"],
+                 ["replay", "--report", "r.json", "--seed", "3"],
+                 ["compile", "--compiler", "sandbox", "--term", "skip", "--samples", "3"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
+
+
+def test_threads_flag_does_not_change_the_report():
+    argv = ["coherence", "--compiler", "sandbox", "--samples", "2000", "--json"]
+    reports = []
+    for threads in ("1", "4"):
+        code, report, _ = execute(argv + ["--threads", threads])
+        assert code == 0
+        reports.append({k: v for k, v in asdict(report).items()
+                        if k not in ("command", "wall_time_s")})
+    assert reports[0] == reports[1]
+
+
+def test_benchmark_command_lines_parse():
+    # the command lines perfbench/run.py passes, its suffix included
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    workloads = json.loads((path.parent / "workloads.json").read_text())
+    assert workloads
+    parser = build_parser()
+    for name in workloads:
+        for seed in (0, 7):
+            for argv in bench.commands(name, seed):
+                parser.parse_args(argv)
 
 
 def test_all_demos_under_a_minute(capsys):

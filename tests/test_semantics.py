@@ -6,7 +6,7 @@ import pytest
 
 from gsoscheck.semantics import (
     BehaviorTable, Distinguished, Equivalent, IncompleteTable, StepOutcome,
-    check_bisim, extend_law, run, step, unfold,
+    check_bisim, extend_law, run, step,
 )
 from gsoscheck.states import FrameState, LowState, Store
 from gsoscheck.terms import (
@@ -147,21 +147,6 @@ def test_run_examples(langs, comps):
     compiled = compile_term(comps["flatten-low"], EXAMPLE1_SOURCE)
     r = run(langs["low"], compiled, LowState(Store.of({0: 5}), 0), 10)
     assert r.terminated and r.final == LowState(Store.of({0: 5}), 3)
-
-
-def test_unfold_examples(langs):
-    s = Store.of({})
-    lang = langs["while"]
-    t1 = unfold(lang, skip(), [s], 1)
-    assert t1.branches[s][0].cont is None
-    assert t1.branches[s][1] is None
-
-    t2 = unfold(lang, seq(skip(), skip()), [s], 2)
-    out, sub = t2.branches[s]
-    assert out.cont == skip()
-    assert sub.branches[s][0].cont is None
-
-    assert unfold(lang, skip(), [s], 0).branches == {}
 
 
 def test_check_bisim_reflexive(langs, cfg):

@@ -3,9 +3,9 @@
 import pytest
 
 from gsoscheck.spf import (
-    Comp, Const, Hole, Id, MLayer, One, OneHoleLayer, Prod, Sum, Zero,
+    Comp, Const, Id, One, OneHoleLayer, Prod, Sum, Zero,
     con_step, count_id_occurrences, count_positions,
-    decompositions, derive, enum_values, mhc_to_context, plug, plug_multi,
+    decompositions, derive, enum_values, plug,
 )
 from gsoscheck.terms import Bin, Lit, Loc, assign, obs, parse_term, seq, skip, while_
 from gsoscheck import gen
@@ -114,22 +114,6 @@ def test_plug_unplug_round_trip(langs, cfg):
                 assert plug(ctx, sub, lang.signature()) == t
                 count += 1
         assert count > 0
-
-
-def test_plug_multi_examples():
-    p = assign(1, Lit(2))
-    assert plug_multi(Hole(), p) == p
-    both = MLayer("seq", (Hole(), Hole()))
-    assert plug_multi(both, p) == seq(p, p)
-    looped = MLayer("while", (Hole(),), (Loc(0),))
-    assert plug_multi(looped, p) == while_(Loc(0), p)
-
-
-def test_multi_and_single_hole_agree():
-    p = assign(0, Lit(1))
-    single = MLayer("seq", (MLayer("while", (Hole(),), (Loc(0),)), MLayer("skip", ())))
-    ctx = mhc_to_context(single)
-    assert plug_multi(single, p) == plug(ctx, p)
 
 
 def test_sample_contexts_deterministic_and_pluggable(langs, cfg):
