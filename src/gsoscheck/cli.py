@@ -55,13 +55,20 @@ def _add_frame_len_and_json(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true")
 
 
-def _add_budget_flags(p: argparse.ArgumentParser):
-    p.add_argument("--samples", type=int, default=1000)
+def _add_budget_flags(p: argparse.ArgumentParser, sampled: bool = True):
+    """The campaign budget; ``sampled=False`` leaves out ``--samples`` and
+    ``--max-term-size`` for a command that samples no cases or terms, whose
+    report still echoes their defaults."""
+    if sampled:
+        p.add_argument("--samples", type=int, default=CampaignConfig.samples)
+        p.add_argument("--max-term-size", type=int, default=CampaignConfig.max_term_size)
+    else:
+        p.set_defaults(samples=CampaignConfig.samples,
+                       max_term_size=CampaignConfig.max_term_size)
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--seed", type=lambda v: int(v, 0), default=None)
     p.add_argument("--store-cells", type=int, default=2)
     p.add_argument("--max-value", type=int, default=3)
-    p.add_argument("--max-term-size", type=int, default=4)
     p.add_argument("--sp-max", type=int, default=3)
     # ignored: perfbench/run.py still appends --threads 1 to every command line
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
@@ -543,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    _add_budget_flags(p)
+    _add_budget_flags(p, sampled=False)
     p.set_defaults(fn=_cmd_bisim)
 
     p = sub.add_parser("ctx-closure", help="contextual closure of a bisimilar pair")

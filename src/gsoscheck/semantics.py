@@ -10,10 +10,16 @@ its behavior table with the variable re-injected as the continuation, and
 a node recursively turns each child into such a pair before applying the
 one-layer rule.  Continuations built from subjects come out already
 flattened, which is the multiplication step of the extension.
+
+Closed programs go through ``step``, the same extension taken one layer at
+a time through a cache on the language: a node's children behave as
+``step`` on themselves, so a closed subterm is stepped once per state
+however many programs contain it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .terms import IllFormed, Node, OpenTerm, Var, is_closed
@@ -112,14 +118,20 @@ def _rebuild_subject(term):
 # --- closed terms ---
 
 def step(lang, term: Node, state: MachineState) -> StepOutcome:
-    """One small-step transition of a closed program, cached on ``lang``."""
+    """One small-step transition of a closed program, cached on ``lang``.
+
+    A miss applies ``lang.rule`` to the top layer only, each child behaving
+    as ``step`` on itself, so a closed subterm is stepped once per state
+    whichever programs contain it.  The outcome is the one
+    ``extend_law(lang, term, {}, state)`` gives."""
     key = (term, state)
     hit = lang.steps.get(key)
     if hit is not None:
         return hit
     if not is_closed(term):
         raise IllFormed("step requires a closed term")
-    out = extend_law(lang, term, {}, state)
+    pairs = tuple((child, partial(step, lang, child)) for child in term.children)
+    out = lang.rule(term.tag, term.payload, pairs, state)
     lang.steps[key] = out
     return out
 
@@ -180,25 +192,29 @@ def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
                 behaviors: Optional[dict] = None) -> BisimResult:
     """Bounded stepwise comparison: equal outputs and agreeing termination at
     every level, recursing on continuations.  A Distinguished verdict is a
-    real inequivalence; Equivalent only speaks to the given bound.
+    real inequivalence; Equivalent(depth) means every pair reached was
+    explored to the depth it had left, so it speaks to the given bound.
     """
     behaviors = behaviors or {}
     inputs = list(inputs)
-    seen = set()
+    # pair -> the most remaining depth it has been explored with; a pair met
+    # again with more depth left is explored again
+    seen: dict = {}
 
-    def stepper(t, s):
+    def stepper(t):
         if behaviors or not is_closed(t):
-            return extend_law(lang, t, behaviors, s)
-        return step(lang, t, s)
+            return partial(extend_law, lang, t, behaviors)
+        return partial(step, lang, t)
 
     def compare(a, b, d, path):
-        if a == b or d <= 0 or (a, b) in seen:
+        if a == b or d <= 0 or seen.get((a, b), 0) >= d:
             return None
-        seen.add((a, b))
+        seen[a, b] = d
         pending = []
+        step_a, step_b = stepper(a), stepper(b)
         for s in inputs:
-            oa = stepper(a, s)
-            ob = stepper(b, s)
+            oa = step_a(s)
+            ob = step_b(s)
             if oa.label != ob.label:
                 return Distinguished(path + (s,), oa, ob, "label")
             if oa.state != ob.state:

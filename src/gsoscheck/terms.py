@@ -2,11 +2,12 @@
 
 Terms are plain immutable trees: a ``Node`` carries a constructor tag, a
 tuple of child terms and a tuple of payload values (expressions, store
-locations, instructions).  ``Var`` marks a program variable, so a closed
-program is a ``Node`` tree with no ``Var`` anywhere.  Which tags are legal,
-and with what payload shapes, is decided by each language definition; the
-tree type itself is untyped on purpose so that syntax-preserving compilers
-are the identity on trees.
+locations, instructions), and keeps its hash and closedness once computed.
+``Var`` marks a program variable, so a closed program is a ``Node`` tree
+with no ``Var`` anywhere.  Which tags are legal, and with what payload
+shapes, is decided by each language definition; the tree type itself is
+untyped on purpose so that syntax-preserving compilers are the identity on
+trees.
 """
 from __future__ import annotations
 
@@ -104,11 +105,69 @@ class Var:
     name: object
 
 
-@dataclass(frozen=True)
 class Node:
-    tag: str
-    children: tuple = ()
-    payload: tuple = ()
+    """One constructor layer: a tag, a tuple of child terms and a tuple of
+    payload values.
+
+    A node is immutable: its fields are set once, in ``__init__``, and
+    assigning or deleting one afterwards raises ``AttributeError``.  That
+    lets it keep what is derived from its fields.  Its hash, the hash of
+    ``(tag, children, payload)`` as a frozen dataclass would give it, is
+    computed on first use and kept, and so is ``closed``, which reads the
+    children's kept values.  A term used as a cache key is then hashed once,
+    not re-walked on every lookup; equal nodes built apart stay equal and
+    hash the same.
+    """
+
+    __slots__ = ("tag", "children", "payload", "_hash", "_closed")
+
+    def __init__(self, tag: str, children: tuple = (), payload: tuple = ()):
+        _set_tag(self, tag)
+        _set_children(self, children)
+        _set_payload(self, payload)
+        _set_hash(self, None)
+        _set_closed(self, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Node")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Node")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.tag, self.children, self.payload))
+            _set_hash(self, h)
+        return h
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Node:
+            return NotImplemented
+        return (self.tag == other.tag and self.payload == other.payload
+                and self.children == other.children)
+
+    @property
+    def closed(self) -> bool:
+        """No ``Var`` anywhere below this node."""
+        c = self._closed
+        if c is None:
+            c = all(type(k) is Node and k.closed for k in self.children)
+            _set_closed(self, c)
+        return c
+
+    def __repr__(self) -> str:
+        return f"Node(tag={self.tag!r}, children={self.children!r}, payload={self.payload!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return Node, (self.tag, self.children, self.payload)
+
+
+# the slots' own setters, which bypass the refusing __setattr__
+_set_tag, _set_children, _set_payload, _set_hash, _set_closed = (
+    Node.__dict__[name].__set__ for name in Node.__slots__)
 
 
 Term = Node  # a closed term: no Var inside
@@ -187,9 +246,7 @@ def loop(e: Expr, p: OpenTerm) -> Node:
 
 
 def is_closed(t: OpenTerm) -> bool:
-    if isinstance(t, Var):
-        return False
-    return all(is_closed(c) for c in t.children)
+    return type(t) is Node and t.closed
 
 
 def term_size(t: OpenTerm) -> int:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gsoscheck.checker import CampaignConfig
 from gsoscheck.cli import build_parser, execute, main
 
 
@@ -166,6 +167,9 @@ def test_bisim_cli(capsys):
                  "--depth", "4"]) == 1
     out = capsys.readouterr().out
     assert "DISTINGUISHED" in out and "{0:1}" in out
+    # bisim samples nothing, but its config echoes every campaign default
+    _, report, _ = execute(["bisim", "--lang", "while", "--left", a, "--right", b])
+    assert report.config == asdict(CampaignConfig())
 
 
 def test_preserve_cli(tmp_path, capsys):
@@ -221,7 +225,11 @@ def test_usage_error_exits_2():
     # a flag the command does not read is a usage error, not a silent no-op
     for argv in (["demo", "fig4", "--samples", "5"],
                  ["replay", "--report", "r.json", "--seed", "3"],
-                 ["compile", "--compiler", "sandbox", "--term", "skip", "--samples", "3"]):
+                 ["compile", "--compiler", "sandbox", "--term", "skip", "--samples", "3"],
+                 ["bisim", "--lang", "while", "--left", "skip", "--right", "skip",
+                  "--samples", "5"],
+                 ["bisim", "--lang", "while", "--left", "skip", "--right", "skip",
+                  "--max-term-size", "2"]):
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2, argv
@@ -238,13 +246,21 @@ def test_threads_flag_does_not_change_the_report():
     assert reports[0] == reports[1]
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name,
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_command_lines_parse():
     # the command lines perfbench/run.py passes, its suffix included
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
-    spec = importlib.util.spec_from_file_location("perfbench_run", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    workloads = json.loads((path.parent / "workloads.json").read_text())
+    bench = _load_perfbench("run")
+    workloads = json.loads((PERFBENCH / "workloads.json").read_text())
     assert workloads
     parser = build_parser()
     for name in workloads:
@@ -289,3 +305,25 @@ def test_sexpr_round_trip():
         term = parse_term(text)
         assert print_term(term) == text
         assert parse_term(print_term(term)) == term
+
+
+def test_benchmark_tracer_binds_existing_callables():
+    # every name the traced benchmark run wraps must exist, so that a
+    # refactor cannot silently break `perfbench/run.py --trace 1`
+    tracer = _load_perfbench("tracer")
+    for mod, fn, _, _ in tracer.SPANS:
+        assert callable(getattr(importlib.import_module("gsoscheck." + mod), fn)), (mod, fn)
+    gen = importlib.import_module("gsoscheck.gen")
+    for fn in tracer.GEN_FUNCTIONS:
+        assert callable(getattr(gen, fn)), fn
+    assert tracer.COUNTERS
+    for key in tracer.COUNTERS:
+        mod, *path = key.split(".")
+        owner = importlib.import_module("gsoscheck." + mod)
+        if len(path) == 1:  # a module function
+            assert callable(getattr(owner, path[0])), key
+            continue
+        cls, method = path
+        # the tracer swaps a class's own attribute, "hash" being __hash__
+        method = "__hash__" if method == "hash" else method
+        assert callable(vars(getattr(owner, cls)).get(method)), key

@@ -4,14 +4,15 @@ import itertools
 
 import pytest
 
+from gsoscheck.languages import LangDef, language_registry
 from gsoscheck.semantics import (
     BehaviorTable, Distinguished, Equivalent, IncompleteTable, StepOutcome,
     check_bisim, extend_law, run, step,
 )
 from gsoscheck.states import FrameState, LowState, Store
 from gsoscheck.terms import (
-    Bin, Lit, Loc, Node, Var, assign, frame, obs, parse_term, sandbox, seq,
-    skip, while_,
+    Bin, IllFormed, Lit, Loc, Node, Var, assign, frame, obs, parse_term,
+    sandbox, seq, skip, while_,
 )
 from gsoscheck import gen
 from gsoscheck.cli import EXAMPLE1_SOURCE
@@ -123,8 +124,6 @@ def test_step_is_deterministic(langs):
 def test_step_cache_is_per_language():
     # languages built and dropped in turn may reuse each other's object id;
     # each must still step with its own rule
-    from gsoscheck.languages import LangDef
-
     for i in range(20):
         def rule(tag, payload, children, s, i=i):
             return StepOutcome(s.set(0, i + 1))
@@ -192,15 +191,29 @@ def test_check_bisim_symmetry_and_transitivity_spot(langs, cfg):
             assert isinstance(check_bisim(lang, a, c, window, 10), Equivalent)
 
 
-def test_closed_extension_agrees_with_step(langs, cfg):
+def test_closed_extension_agrees_with_step(cfg):
     # the inductive extension restricted to closed terms is the one-step
-    # operational model
-    for name in ("while", "while-flag", "while-b"):
-        lang = langs[name]
-        window = gen.state_window(lang, cfg)[:6]
+    # operational model: the cached step, which shares entries between terms
+    # and their subterms, against extend_law on a language whose cache stays
+    # empty, in every language; both raise IllFormed on the same pairs
+    cached, fresh = language_registry(), language_registry()
+    for name, lang in cached.items():
+        reference = fresh[name]
+        window = gen.state_window(lang, cfg)
+        illformed = 0
         for t in itertools.islice(gen.closed_terms(lang, cfg, 4, expr_cap=2), 120):
             for s in window:
-                assert extend_law(lang, t, {}, s) == step(lang, t, s)
+                try:
+                    want = extend_law(reference, t, {}, s)
+                except IllFormed:
+                    with pytest.raises(IllFormed):
+                        step(lang, t, s)
+                    illformed += 1
+                    continue
+                assert step(lang, t, s) == want, (name, t, s)
+        assert not reference.steps
+        if name in ("stack", "stack-clear"):
+            assert illformed  # frame reads at sp = 0
 
 
 def test_section3_context_split(langs):
@@ -215,3 +228,50 @@ def test_section3_context_split(langs):
     rb = run(lang, seq(obs(1, b), w), store, 10_000)
     assert ra.terminated
     assert not rb.terminated
+
+
+def test_step_caches_closed_subterms():
+    lang = language_registry()["while"]
+    p, q = assign(0, Lit(1)), while_(Loc(0), skip())
+    s = Store.of({})
+    step(lang, seq(p, q), s)
+    assert (p, s) in lang.steps
+    assert lang.steps[p, s] == step(lang, p, s)
+    with pytest.raises(IllFormed):
+        step(lang, seq(Var("x"), q), s)
+
+
+def _branching_language():
+    """``top`` steps to its child after one step from a store whose cell 0 is
+    nonzero, and after five (through ``wait`` 3) from the others; ``wait n``
+    idles n + 1 steps before its child, and ``skip`` terminates."""
+    def rule(tag, payload, children, s):
+        match tag:
+            case "skip":
+                return StepOutcome(s)
+            case "wait":
+                (n,) = payload
+                (x, _) = children[0]
+                return StepOutcome(s, cont=Node("wait", (x,), (n - 1,)) if n else x)
+            case "top":
+                (x, _) = children[0]
+                return StepOutcome(s, cont=x if s.get(0) else Node("wait", (x,), (3,)))
+        raise IllFormed(tag)
+
+    cons = [("skip", (), 0), ("wait", ("nat",), 1), ("top", (), 1)]
+    return LangDef("branching", cons, "store", False, rule)
+
+
+def test_check_bisim_reexplores_a_pair_met_with_more_depth_left():
+    # wait 2 skip terminates on its 4th step and wait 3 skip on its 5th.  The
+    # pair is first met down the long branch with 2 steps left, too few to
+    # tell it apart, then down the short branch with 5 left: it must be
+    # explored again there, not pruned as seen
+    lang = _branching_language()
+    x, y = Node("wait", (skip(),), (2,)), Node("wait", (skip(),), (3,))
+    inputs = [Store.of({}), Store.of({0: 1})]
+    verdict = check_bisim(lang, Node("top", (x,)), Node("top", (y,)), inputs, 6)
+    assert isinstance(verdict, Distinguished)
+    assert verdict.reason == "termination"
+    assert verdict.path == (Store.of({0: 1}),) + (Store.of({}),) * 4
+    assert isinstance(check_bisim(lang, x, y, inputs, 3), Equivalent)

@@ -1,0 +1,65 @@
+"""``Node``: an immutable tree that keeps its hash and closedness."""
+import itertools
+
+import pytest
+
+from gsoscheck import gen
+from gsoscheck.spf import plug
+from gsoscheck.terms import Lit, Node, Var, is_closed, parse_term, seq, skip, while_
+
+
+def walk_closed(t) -> bool:
+    """Closedness by a fresh recursive walk, nothing kept."""
+    return not isinstance(t, Var) and all(walk_closed(c) for c in t.children)
+
+
+def test_hash_is_the_field_tuple_hash():
+    for t in (skip(), seq(skip(), Var("x")),
+              parse_term("(while (lt (var 0) (lit 2)) (seq skip (assign 1 (lit 1))))")):
+        assert hash(t) == hash((t.tag, t.children, t.payload))
+        assert hash(t) == hash((t.tag, t.children, t.payload))  # once kept
+
+
+def test_equal_trees_built_apart_are_equal():
+    text = "(seq (while (var 0) (assign 0 (lit 0))) (sandbox skip))"
+    a, b = parse_term(text), parse_term(text)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != parse_term("(seq (while (var 1) (assign 0 (lit 0))) (sandbox skip))")
+    assert a != Var("x") and Var("x") != a
+
+
+def test_closed_agrees_with_a_recursive_walk(langs, cfg):
+    for lang in langs.values():
+        closed = list(itertools.islice(gen.closed_terms(lang, cfg, 3, expr_cap=2), 40))
+        layers = gen.layer_shapes(lang, cfg)
+        # open terms with a variable up to three layers down, beside closed
+        # siblings
+        contexts = gen.sample_contexts(lang, 3, 40, 7, cfg)
+        deep = [plug(ctx, Var("h")) for ctx in contexts if ctx]
+        assert deep and not any(t.closed for t in deep)
+        for t in closed + layers + deep:
+            assert t.closed == walk_closed(t), t
+            assert is_closed(t) == walk_closed(t)
+    assert not is_closed(Var("x"))
+
+
+def test_node_is_immutable():
+    t = while_(Lit(1), skip())
+    with pytest.raises(AttributeError):
+        t.tag = "skip"
+    with pytest.raises(AttributeError):
+        t.children = ()
+    with pytest.raises(AttributeError):
+        del t.payload
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    assert t == while_(Lit(1), skip())
+
+
+def test_repr_is_the_dataclass_repr():
+    t = seq(skip(), while_(Lit(1), Var("x")))
+    assert repr(t) == (
+        "Node(tag='seq', children=(Node(tag='skip', children=(), payload=()), "
+        "Node(tag='while', children=(Var(name='x'),), payload=(Lit(n=1),))), payload=())")
