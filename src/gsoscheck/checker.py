@@ -132,6 +132,10 @@ class Fail:
     def __bool__(self):
         return False
 
+    def describe(self) -> dict:
+        """The witness of a failing campaign's report."""
+        return {"case": self.case.describe(), "divergence": self.divergence.describe()}
+
 
 Verdict = Pass | Fail
 
@@ -347,7 +351,6 @@ class PreservationEntry:
 @dataclass
 class PreservationReport:
     entries: list
-    budget: dict
 
     @property
     def violations(self) -> list:
@@ -384,7 +387,7 @@ def check_preservation(cp: CompilerPair, cfg: CampaignConfig,
             except IllFormed:
                 entry.target_illformed = True
         entries.append(entry)
-    return PreservationReport(entries, cfg.echo())
+    return PreservationReport(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +399,6 @@ class ContextClosureReport:
     contexts_checked: int
     base: object
     violations: list
-    budget: dict
 
 
 def check_context_closure(lang, p: Node, q: Node, cfg: CampaignConfig,
@@ -409,11 +411,11 @@ def check_context_closure(lang, p: Node, q: Node, cfg: CampaignConfig,
     if contexts is None:
         contexts = gen.sample_contexts(lang, 3, cfg.samples, cfg.seed, cfg)
     if isinstance(base, Distinguished):
-        return ContextClosureReport("base-distinguished", 0, base, [], cfg.echo())
+        return ContextClosureReport("base-distinguished", 0, base, [])
     violations = []
     for ctx in contexts:
         verdict = check_bisim(lang, plug(ctx, p), plug(ctx, q), window, cfg.depth)
         if isinstance(verdict, Distinguished):
             violations.append((ctx, verdict))
     status = "closed" if not violations else "violation"
-    return ContextClosureReport(status, len(contexts), base, violations, cfg.echo())
+    return ContextClosureReport(status, len(contexts), base, violations)

@@ -17,7 +17,7 @@ from dataclasses import replace
 from functools import partial
 
 from .terms import (
-    Bin, IllFormed, Lit, Loc, assign, obs, parse_term, print_term, seq,
+    Bin, IllFormed, Lit, Loc, Node, assign, is_closed, parse_term, print_term,
     show_low, skip, while_,
 )
 from .states import LowState, Store, parse_state, show_state
@@ -95,13 +95,23 @@ def _lookup(registry: dict, kind: str, name: str):
     return registry[name]
 
 
+def _program(text: str, lang, closed: bool = True) -> Node:
+    """A program of ``lang`` read from the command line.  A term that does
+    not parse, is open (unless ``closed`` is false) or is ill-formed in
+    ``lang`` is a usage error."""
+    term = parse_term(text)
+    if closed and not is_closed(term):
+        raise IllFormed(f"not a closed program: {text}")
+    lang.validate(term)
+    return term
+
+
 # ---------------------------------------------------------------------------
 # plain commands
 
 def _cmd_run(args) -> tuple[int, Report, list]:
     lang = _lookup(language_registry(args.frame_len), "language", args.lang)
-    term = parse_term(args.term)
-    lang.validate(term)
+    term = _program(args.term, lang)
     state = parse_state(lang.state_kind, args.input)
     result = run_term(lang, term, state, args.fuel)
     lines = []
@@ -124,34 +134,26 @@ def _cmd_run(args) -> tuple[int, Report, list]:
         lines.append(f"out of fuel after {result.steps} step(s): {show_state(result.final)}"
                      f" residual {print_term(result.residual)}")
         verdict = "out-of-fuel"
-    report = Report(
-        command=_echo(args), config={"fuel": args.fuel},
-        verdict=verdict,
-        witness={"final": show_state(result.final), "steps": result.steps},
-    )
+    report = Report(config={"fuel": args.fuel}, verdict=verdict,
+                    witness={"final": show_state(result.final), "steps": result.steps})
     return 0, report, lines
 
 
 def _cmd_compile(args) -> tuple[int, Report, list]:
     cp = _lookup(compiler_registry(L=args.frame_len), "compiler", args.compiler)
-    term = parse_term(args.term)
+    # a layer map also translates open terms
+    term = _program(args.term, cp.source, closed=not cp.open_checkable)
     out = compile_term(cp, term)
-    text = show_low(out) if cp.target.state_kind == "pc" and out.tag == "instr" else print_term(out)
-    report = Report(command=_echo(args), config={}, verdict="compiled",
-                    witness={"target": text})
+    low = cp.target.state_kind == "pc" and isinstance(out, Node) and out.tag == "instr"
+    text = show_low(out) if low else print_term(out)
+    report = Report(config={}, verdict="compiled", witness={"target": text})
     return 0, report, [text]
 
 
 def _cmd_coherence(args) -> tuple[int, Report, list]:
     cp = _lookup(compiler_registry(L=args.frame_len), "compiler", args.compiler)
     cfg = replace(_config(args), mode=args.mode)
-    started = time.monotonic()
     verdict = check_coherence(cp, cfg)
-    elapsed = time.monotonic() - started
-    return _coherence_report(args, cp, cfg, verdict, elapsed)
-
-
-def _coherence_report(args, cp, cfg, verdict, elapsed):
     if isinstance(verdict, Pass):
         lines = [
             f"PASS {cp.name}: {verdict.cases} case(s)"
@@ -168,26 +170,18 @@ def _coherence_report(args, cp, cfg, verdict, elapsed):
             lines.append(f"note: {verdict.illformed} ill-formed case(s) skipped")
         if verdict.flags:
             lines.append("note: totalized rules exercised: " + ", ".join(sorted(verdict.flags)))
-        report = Report(
-            command=_echo(args), config=cfg.echo(), verdict="pass",
-            tallies=_tallies(verdict), wall_time_s=elapsed,
-        )
-        return 0, report, lines
+        return 0, Report(config=cfg.echo(), verdict="pass", tallies=_tallies(verdict)), lines
+    witness = verdict.describe()
     lines = [
         f"FAIL {cp.name} after {verdict.cases_before} passing case(s)",
         f"  case:  {print_term(verdict.case.subject)}  at  {show_state(verdict.case.target_input)}",
         f"  diverges in: {verdict.divergence.field_name}",
-        f"  upper: {_show_outcome(verdict.divergence.describe()['upper'])}",
-        f"  lower: {_show_outcome(verdict.divergence.describe()['lower'])}",
+        f"  upper: {_show_outcome(witness['divergence']['upper'])}",
+        f"  lower: {_show_outcome(witness['divergence']['lower'])}",
     ]
-    report = Report(
-        command=_echo(args), config=cfg.echo(), verdict="fail",
-        witness={"case": verdict.case.describe(),
-                 "divergence": verdict.divergence.describe()},
-        tallies={"cases_before": verdict.cases_before,
-                 "flags": sorted(verdict.flags)},
-        wall_time_s=elapsed,
-    )
+    report = Report(config=cfg.echo(), verdict="fail", witness=witness,
+                    tallies={"cases_before": verdict.cases_before,
+                             "flags": sorted(verdict.flags)})
     return 1, report, lines
 
 
@@ -211,14 +205,12 @@ def _show_outcome(d: dict) -> str:
 def _cmd_bisim(args) -> tuple[int, Report, list]:
     lang = _lookup(language_registry(args.frame_len), "language", args.lang)
     cfg = _config(args)
-    left, right = parse_term(args.left), parse_term(args.right)
-    lang.validate(left)
-    lang.validate(right)
+    left, right = _program(args.left, lang), _program(args.right, lang)
     window = gen.state_window(lang, cfg)
     verdict = check_bisim(lang, left, right, window, cfg.depth)
     if isinstance(verdict, Equivalent):
         lines = [f"EQUIVALENT to depth {verdict.depth} over {verdict.inputs} input(s)"]
-        report = Report(command=_echo(args), config=cfg.echo(), verdict="equivalent",
+        report = Report(config=cfg.echo(), verdict="equivalent",
                         tallies={"depth": verdict.depth, "inputs": verdict.inputs})
         return 0, report, lines
     lines = [
@@ -229,7 +221,7 @@ def _cmd_bisim(args) -> tuple[int, Report, list]:
         f"  right: {_show_outcome(describe_outcome(verdict.right))}",
     ]
     report = Report(
-        command=_echo(args), config=cfg.echo(), verdict="distinguished",
+        config=cfg.echo(), verdict="distinguished",
         witness={
             "path": [show_state(s) for s in verdict.path],
             "reason": verdict.reason,
@@ -242,7 +234,7 @@ def _cmd_bisim(args) -> tuple[int, Report, list]:
 def _cmd_ctx_closure(args) -> tuple[int, Report, list]:
     lang = _lookup(language_registry(args.frame_len), "language", args.lang)
     cfg = _config(args)
-    left, right = parse_term(args.left), parse_term(args.right)
+    left, right = _program(args.left, lang), _program(args.right, lang)
     report_obj = check_context_closure(lang, left, right, cfg)
     lines = [f"status: {report_obj.status} over {report_obj.contexts_checked} context(s)"]
     witness = None
@@ -250,8 +242,7 @@ def _cmd_ctx_closure(args) -> tuple[int, Report, list]:
         ctx, verdict = report_obj.violations[0]
         witness = {"context_layers": len(ctx), "reason": verdict.reason}
         lines.append(f"  VIOLATION: context of {len(ctx)} layer(s) distinguishes the pair")
-    report = Report(command=_echo(args), config=cfg.echo(), verdict=report_obj.status,
-                    witness=witness,
+    report = Report(config=cfg.echo(), verdict=report_obj.status, witness=witness,
                     tallies={"contexts": report_obj.contexts_checked,
                              "violations": len(report_obj.violations)})
     return (0 if report_obj.status == "closed" else 1), report, lines
@@ -260,7 +251,7 @@ def _cmd_ctx_closure(args) -> tuple[int, Report, list]:
 def _cmd_preserve(args) -> tuple[int, Report, list]:
     cp = _lookup(compiler_registry(L=args.frame_len), "compiler", args.compiler)
     cfg = _config(args)
-    pairs = _load_pairs(args.pairs) if args.pairs else None
+    pairs = _load_pairs(args.pairs, cp.source) if args.pairs else None
     result = check_preservation(cp, cfg, pairs)
     lines = []
     for e in result.entries:
@@ -292,22 +283,21 @@ def _cmd_preserve(args) -> tuple[int, Report, list]:
         lines.append(f"{len(violations)} preservation violation(s)")
     if result.illformed:
         lines.append(f"note: {result.illformed} pair(s) ill-formed in the target skipped")
-    report = Report(command=_echo(args), config=cfg.echo(),
-                    verdict="violation" if violations else "preserved",
+    report = Report(config=cfg.echo(), verdict="violation" if violations else "preserved",
                     witness=witness,
                     tallies={"pairs": len(result.entries), "violations": len(violations),
                              "illformed": result.illformed})
     return (1 if violations else 0), report, lines
 
 
-def _load_pairs(path: str) -> list:
+def _load_pairs(path: str, lang) -> list:
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not all(
             isinstance(d, dict) and isinstance(d.get("left"), str)
             and isinstance(d.get("right"), str) for d in data):
         raise IllFormed(f"{path}: expected a list of {{left, right}} objects of terms")
-    return [(parse_term(d["left"]), parse_term(d["right"])) for d in data]
+    return [(_program(d["left"], lang), _program(d["right"], lang)) for d in data]
 
 
 def _cmd_laws(args) -> tuple[int, Report, list]:
@@ -316,7 +306,6 @@ def _cmd_laws(args) -> tuple[int, Report, list]:
     names = [args.lang] if args.lang != "all" else list(langs)
     lines = []
     tallies = {}
-    started = time.monotonic()
     for name in names:
         outcome = run_law_suite(_lookup(langs, "language", name), cfg)
         tallies[name] = {k: v for k, v in outcome.items() if k != "language"}
@@ -325,10 +314,7 @@ def _cmd_laws(args) -> tuple[int, Report, list]:
             f" multiplication {outcome['multiplication']},"
             f" plug round-trip {outcome['plug_roundtrip']} -- ok"
         )
-    elapsed = time.monotonic() - started
-    report = Report(command=_echo(args), config=cfg.echo(), verdict="pass",
-                    tallies=tallies, wall_time_s=elapsed)
-    return 0, report, lines
+    return 0, Report(config=cfg.echo(), verdict="pass", tallies=tallies), lines
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +467,11 @@ DEMO_FNS = {
 
 
 def _cmd_demo(args) -> tuple[int, Report, list]:
-    started = time.monotonic()
     ok, payload, cfg, expectation = DEMO_FNS[args.name]()
-    elapsed = time.monotonic() - started
     lines = [f"demo {args.name}: {'reproduced' if ok else 'NOT REPRODUCED'} -- {expectation}"]
     witness = None
     if isinstance(payload, Fail):
-        witness = {"case": payload.case.describe(),
-                   "divergence": payload.divergence.describe()}
+        witness = payload.describe()
         lines.append(f"  witness: {print_term(payload.case.subject)}"
                      f" at {show_state(payload.case.target_input)}")
     elif isinstance(payload, Pass):
@@ -498,8 +481,8 @@ def _cmd_demo(args) -> tuple[int, Report, list]:
     elif isinstance(payload, (dict, str)):
         witness = {"payload": payload}
         lines.append(f"  {payload}")
-    report = Report(command=_echo(args), config=cfg.echo(), verdict="reproduced" if ok else "mismatch",
-                    witness=witness, wall_time_s=elapsed)
+    report = Report(config=cfg.echo(), verdict="reproduced" if ok else "mismatch",
+                    witness=witness)
     return (0 if ok else 1), report, lines
 
 
@@ -508,7 +491,7 @@ def _cmd_replay(args) -> tuple[int, Report, list]:
     code, fresh, _ = execute(list(saved.command))
     same = saved.matches(fresh)
     lines = [f"replay of {' '.join(saved.command)}: {'identical' if same else 'DIFFERS'}"]
-    report = Report(command=_echo(args), config=saved.config,
+    report = Report(config=saved.config,
                     verdict="identical" if same else "differs",
                     witness=None if same else {"fresh": fresh.verdict, "saved": saved.verdict})
     return (0 if same else 1), report, lines
@@ -516,10 +499,6 @@ def _cmd_replay(args) -> tuple[int, Report, list]:
 
 # ---------------------------------------------------------------------------
 # wiring
-
-def _echo(args) -> list:
-    return list(args._argv)
-
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gsoscheck")
@@ -584,13 +563,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def execute(argv: list) -> tuple[int, Report, list]:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = argv
+    """Run one command line; its report echoes ``argv`` and the wall time of
+    the whole command, parsing included."""
     started = time.monotonic()
+    args = build_parser().parse_args(argv)
     code, report, lines = args.fn(args)
-    if not report.wall_time_s:
-        report.wall_time_s = time.monotonic() - started
+    report.command = list(argv)
+    report.wall_time_s = time.monotonic() - started
     return code, report, lines
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import replace
+from functools import partial
 
 from .terms import IllFormed, Node, OpenTerm, Var, subst, term_vars
 from .semantics import StepOutcome, extend_law, extend_law_checked
@@ -28,27 +29,12 @@ def _is_nested(name) -> bool:
     return isinstance(name, tuple) and len(name) == 2 and name[0] == "t"
 
 
-class _NestedBehaviors:
-    """Behavior map for outer variables that stand for inner open terms:
-    querying one runs the inner term and re-injects its continuation as an
-    outer variable."""
-
-    def __init__(self, lang, tables):
-        self.lang = lang
-        self.tables = tables
-
-    def __contains__(self, name):
-        return _is_nested(name)
-
-    def __getitem__(self, name):
-        inner = name[1]
-
-        def behave(state):
-            o = extend_law(self.lang, inner, self.tables, state)
-            cont = Var(("t", o.cont)) if o.cont is not None else None
-            return StepOutcome(o.state, o.label, cont, o.flags)
-
-        return behave
+def _nested_behavior(lang, tables, inner, state) -> StepOutcome:
+    """The behavior of the outer variable ("t", inner): run the inner open
+    term and re-inject its continuation as an outer variable."""
+    o = extend_law(lang, inner, tables, state)
+    cont = Var(("t", o.cont)) if o.cont is not None else None
+    return StepOutcome(o.state, o.label, cont, o.flags)
 
 
 def _flatten_nested(t: OpenTerm) -> OpenTerm:
@@ -114,7 +100,9 @@ def check_multiplication_law(lang, cfg, inputs) -> int:
         }
         flat = subst(outer, mapping)
         nested = subst(outer, {k: Var(("t", v)) for k, v in mapping.items()})
-        nested_behaviors = _NestedBehaviors(lang, tables)
+        # one extension step queries only the outer variables of `nested`
+        nested_behaviors = {("t", u): partial(_nested_behavior, lang, tables, u)
+                            for u in mapping.values()}
         for s in inputs:
             try:
                 via_flat = extend_law(lang, flat, tables, s)

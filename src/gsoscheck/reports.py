@@ -3,7 +3,8 @@
 A report captures enough to re-run its command deterministically: the
 command echo, the full configuration including the seed, the verdict and
 the witness.  `replay` re-executes the command and compares everything but
-the wall time.
+the wall time.  A command fills in its outcome; ``cli.execute`` sets the
+command echo and the wall time of the whole command line.
 """
 from __future__ import annotations
 
@@ -20,11 +21,11 @@ REPLAY_IGNORED = ("wall_time_s",)
 
 @dataclass
 class Report:
-    command: list
     config: dict
     verdict: str
     witness: Optional[dict] = None
     tallies: dict = field(default_factory=dict)
+    command: list = field(default_factory=list)
     wall_time_s: float = 0.0
     tool_version: str = TOOL_VERSION
 

@@ -89,15 +89,8 @@ def extend_law(lang, term: OpenTerm, behaviors: dict, state: MachineState) -> St
         if isinstance(child, Var) and child.name in behaviors:
             pairs.append((child, behaviors[child.name]))
         else:
-            pairs.append((child, _closure(lang, child, behaviors)))
+            pairs.append((child, partial(extend_law, lang, child, behaviors)))
     return lang.rule(term.tag, term.payload, tuple(pairs), state)
-
-
-def _closure(lang, term, behaviors):
-    def behave(state):
-        return extend_law(lang, term, behaviors, state)
-
-    return behave
 
 
 def extend_law_checked(lang, term, behaviors, state):

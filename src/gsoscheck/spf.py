@@ -6,9 +6,9 @@ and composition; no fixed points.  Derivatives follow the usual rules
     d(Id) = One        d(K) = Zero        d(G + H) = dG + dH
     d(G x H) = dG x H + G x dH            d(G . H) = (dG . H) x dH
 
-with canonical pruning of Zero summands and One factors so derivative
-shapes stay readable; the tested contract is isomorphism (cardinality
-agreement), not syntactic equality.
+taken literally, with no simplification: Zero summands and One factors
+stay in the shape.  The tested contract is isomorphism (cardinality
+agreement), never syntactic shape.
 
 A single-hole context for a syntax functor is a list of derivative layers,
 outermost first; plugging folds the one-step reconstruction over the list,
@@ -73,47 +73,13 @@ SpfExpr = Union[Id, Const, Sum, Prod, Comp, Zero, One]
 UNIT = ("unit",)
 
 
-def sum_(a: SpfExpr, b: SpfExpr) -> SpfExpr:
-    if a == Zero():
-        return b
-    if b == Zero():
-        return a
-    return Sum(a, b)
-
-
-def prod_(a: SpfExpr, b: SpfExpr) -> SpfExpr:
-    if a == Zero() or b == Zero():
-        return Zero()
-    if a == One():
-        return b
-    if b == One():
-        return a
-    return Prod(a, b)
-
-
-def comp_(outer: SpfExpr, inner: SpfExpr) -> SpfExpr:
-    if outer in (Zero(), One()):
-        return outer
-    if inner == Id():
-        return outer
-    return Comp(outer, inner)
-
-
-def sum_fold(shapes: Sequence[SpfExpr]) -> SpfExpr:
+def _right_nested(node, empty: SpfExpr, shapes: Sequence[SpfExpr]) -> SpfExpr:
+    """``node(shapes[0], node(shapes[1], ...))``; ``empty`` for no shapes."""
     if not shapes:
-        return Zero()
+        return empty
     out = shapes[-1]
     for s in reversed(shapes[:-1]):
-        out = sum_(s, out)
-    return out
-
-
-def prod_fold(shapes: Sequence[SpfExpr]) -> SpfExpr:
-    if not shapes:
-        return One()
-    out = shapes[-1]
-    for s in reversed(shapes[:-1]):
-        out = prod_(s, out)
+        out = node(s, out)
     return out
 
 
@@ -125,11 +91,11 @@ def derive(f: SpfExpr) -> SpfExpr:
         case Const() | One() | Zero():
             return Zero()
         case Sum(g, h):
-            return sum_(derive(g), derive(h))
+            return Sum(derive(g), derive(h))
         case Prod(g, h):
-            return sum_(prod_(derive(g), h), prod_(g, derive(h)))
+            return Sum(Prod(derive(g), h), Prod(g, derive(h)))
         case Comp(g, h):
-            return prod_(comp_(derive(g), h), derive(h))
+            return Prod(Comp(derive(g), h), derive(h))
     raise IllFormed(f"not a functor expression: {f!r}")
 
 
@@ -293,5 +259,6 @@ def decompositions(t: OpenTerm):
 def language_spf(constructors: Sequence[tuple[str, tuple, int]]) -> SpfExpr:
     """An ordered sum of constructor shapes, each a right-nested product of
     Const (payload) and Id (child) factors."""
-    return sum_fold([prod_fold([Const(k) for k in kinds] + [Id()] * arity)
-                     for _, kinds, arity in constructors])
+    return _right_nested(Sum, Zero(), [
+        _right_nested(Prod, One(), [Const(k) for k in kinds] + [Id()] * arity)
+        for _, kinds, arity in constructors])

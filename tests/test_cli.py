@@ -126,6 +126,30 @@ def test_ill_formed_term_exits_2(capsys):
                  "--input", "{}"]) == 2
 
 
+def test_open_or_ill_formed_programs_exit_2(tmp_path, capsys):
+    # every command that takes a program rejects an open one, and one that
+    # is ill-formed in its language, with a one-line error
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([{"left": "?x", "right": "skip"}]))
+    for argv in (["bisim", "--lang", "while", "--left", "?x", "--right", "skip"],
+                 ["ctx-closure", "--lang", "while", "--left", "?x", "--right", "skip"],
+                 ["preserve", "--compiler", "sandbox", "--pairs", str(pairs)],
+                 ["compile", "--compiler", "flatten-low", "--term", "?x"],
+                 ["ctx-closure", "--lang", "while", "--left", "(assign 0 (lit -1))",
+                  "--right", "skip"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_compile_open_term_through_a_layer_map(capsys):
+    for compiler, term, expected in (
+            ("sandbox", "(seq ?x skip)", "(sandbox (seq ?x (sandbox skip)))"),
+            ("embed-low-sec", "?x", "?x")):
+        assert main(["compile", "--compiler", compiler, "--term", term]) == 0
+        assert capsys.readouterr().out.strip() == expected
+
+
 def test_coherence_exit_codes():
     code, report, _ = run_cli(["coherence", "--compiler", "sandbox", "--samples", "2000"])
     assert code == 0 and report.verdict == "pass"
@@ -267,6 +291,42 @@ def test_benchmark_command_lines_parse():
         for seed in (0, 7):
             for argv in bench.commands(name, seed):
                 parser.parse_args(argv)
+
+
+def test_benchmark_reports_match_expected():
+    # every benchmark command line at benchmark seed 0, run and checked the
+    # way perfbench/run.py does, so a refactor that moves a report fails here
+    bench = _load_perfbench("run")
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    for name in json.loads((PERFBENCH / "workloads.json").read_text()):
+        for argv in bench.commands(name, 0):
+            code, report, _ = execute(list(argv))
+            op = {"argv": argv, "exit": code, "report": asdict(report)}
+            assert bench.check_op(op, expected, 0) == [], argv
+
+
+def test_every_report_echoes_its_command_and_time(tmp_path):
+    saved = tmp_path / "report.json"
+    _, report, _ = execute(["compile", "--compiler", "sandbox", "--term", "skip"])
+    saved.write_text(report.to_json())
+    argvs = [
+        ["run", "--lang", "while", "--term", "skip", "--input", "{}"],
+        ["compile", "--compiler", "sandbox", "--term", "skip", "--json"],
+        ["coherence", "--compiler", "embed-flag", "--samples", "50"],
+        ["bisim", "--lang", "while", "--left", "skip", "--right", "skip"],
+        ["ctx-closure", "--lang", "while", "--left", "skip", "--right", "skip",
+         "--samples", "5"],
+        ["preserve", "--compiler", "sandbox", "--samples", "3"],
+        ["laws", "--lang", "while"],
+        ["demo", "example1"],
+        ["replay", "--report", str(saved)],
+    ]
+    commands = next(a.choices for a in build_parser()._actions if a.dest == "cmd")
+    assert sorted(argv[0] for argv in argvs) == sorted(commands)
+    for argv in argvs:
+        _, report, _ = execute(list(argv))
+        assert report.command == argv
+        assert report.wall_time_s > 0, argv
 
 
 def test_all_demos_under_a_minute(capsys):
