@@ -19,6 +19,11 @@ window, depth and target language are fixed per campaign.  A campaign
 therefore computes it once per (upper continuation, lower continuation,
 tables) and reuses it for every other input of the window;
 ``fallback_cases`` still counts the cases that needed it.
+
+A context-closure check shares the pairs ``check_bisim`` has proved
+equivalent across all its contexts (the base pair aside), so a pair that
+many plugged programs reach is explored once; each context's verdict is
+the one it gets on its own.
 """
 from __future__ import annotations
 
@@ -413,8 +418,10 @@ def check_context_closure(lang, p: Node, q: Node, cfg: CampaignConfig,
     if isinstance(base, Distinguished):
         return ContextClosureReport("base-distinguished", 0, base, [])
     violations = []
+    proved: dict = {}  # pairs shown equivalent so far, see check_bisim
     for ctx in contexts:
-        verdict = check_bisim(lang, plug(ctx, p), plug(ctx, q), window, cfg.depth)
+        verdict = check_bisim(lang, plug(ctx, p), plug(ctx, q), window, cfg.depth,
+                              proved=proved)
         if isinstance(verdict, Distinguished):
             violations.append((ctx, verdict))
     status = "closed" if not violations else "violation"

@@ -50,8 +50,20 @@ def _default_seed() -> int:
         raise IllFormed(f"GSOSCHECK_SEED is not an integer: {env!r}") from None
 
 
+def _count(text: str) -> int:
+    """A budget count from the command line: a natural number, anything
+    else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _add_frame_len_and_json(p: argparse.ArgumentParser):
-    p.add_argument("--frame-len", type=int, default=2)
+    p.add_argument("--frame-len", type=_count, default=2)
     p.add_argument("--json", action="store_true")
 
 
@@ -60,16 +72,16 @@ def _add_budget_flags(p: argparse.ArgumentParser, sampled: bool = True):
     ``--max-term-size`` for a command that samples no cases or terms, whose
     report still echoes their defaults."""
     if sampled:
-        p.add_argument("--samples", type=int, default=CampaignConfig.samples)
-        p.add_argument("--max-term-size", type=int, default=CampaignConfig.max_term_size)
+        p.add_argument("--samples", type=_count, default=CampaignConfig.samples)
+        p.add_argument("--max-term-size", type=_count, default=CampaignConfig.max_term_size)
     else:
         p.set_defaults(samples=CampaignConfig.samples,
                        max_term_size=CampaignConfig.max_term_size)
-    p.add_argument("--depth", type=int, default=20)
+    p.add_argument("--depth", type=_count, default=20)
     p.add_argument("--seed", type=lambda v: int(v, 0), default=None)
-    p.add_argument("--store-cells", type=int, default=2)
-    p.add_argument("--max-value", type=int, default=3)
-    p.add_argument("--sp-max", type=int, default=3)
+    p.add_argument("--store-cells", type=_count, default=2)
+    p.add_argument("--max-value", type=_count, default=3)
+    p.add_argument("--sp-max", type=_count, default=3)
     # ignored: perfbench/run.py still appends --threads 1 to every command line
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     _add_frame_len_and_json(p)
@@ -508,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang", required=True)
     p.add_argument("--term", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=_count, default=10_000)
     p.add_argument("--trace", action="store_true")
     _add_frame_len_and_json(p)
     p.set_defaults(fn=_cmd_run)

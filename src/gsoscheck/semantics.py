@@ -15,6 +15,11 @@ Closed programs go through ``step``, the same extension taken one layer at
 a time through a cache on the language: a node's children behave as
 ``step`` on themselves, so a closed subterm is stepped once per state
 however many programs contain it.
+
+``check_bisim`` can share the pairs it has proved equivalent with later
+calls over the same language and inputs; a context-closure check shares
+one such table across all its contexts, so a pair that many plugged
+programs reach is explored once.
 """
 from __future__ import annotations
 
@@ -182,14 +187,23 @@ BisimResult = Equivalent | Distinguished
 
 
 def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
-                behaviors: Optional[dict] = None) -> BisimResult:
+                behaviors: Optional[dict] = None,
+                proved: Optional[dict] = None) -> BisimResult:
     """Bounded stepwise comparison: equal outputs and agreeing termination at
     every level, recursing on continuations.  A Distinguished verdict is a
     real inequivalence; Equivalent(depth) means every pair reached was
     explored to the depth it had left, so it speaks to the given bound.
+
+    ``proved`` maps pairs to a depth they are known to be equivalent to over
+    the same ``lang``, ``inputs`` and ``behaviors``; a pair needing no more
+    depth than that is not explored again.  After an Equivalent verdict,
+    every pair this call explored is added with its depth.  Only pairs that
+    cannot be told apart within the depth left are skipped, so a
+    Distinguished verdict is the one found without ``proved``.
     """
     behaviors = behaviors or {}
     inputs = list(inputs)
+    proved = {} if proved is None else proved
     # pair -> the most remaining depth it has been explored with; a pair met
     # again with more depth left is explored again
     seen: dict = {}
@@ -200,7 +214,7 @@ def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
         return partial(step, lang, t)
 
     def compare(a, b, d, path):
-        if a == b or d <= 0 or seen.get((a, b), 0) >= d:
+        if a == b or d <= 0 or seen.get((a, b), 0) >= d or proved.get((a, b), 0) >= d:
             return None
         seen[a, b] = d
         pending = []
@@ -225,4 +239,7 @@ def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
     witness = compare(p, q, depth, ())
     if witness is not None:
         return witness
+    # each pair was explored to completion with the depth it records, more
+    # than ``proved`` held for it before
+    proved.update(seen)
     return Equivalent(depth, len(inputs))

@@ -3,6 +3,8 @@
 Terms are plain immutable trees: a ``Node`` carries a constructor tag, a
 tuple of child terms and a tuple of payload values (expressions, store
 locations, instructions), and keeps its hash and closedness once computed.
+Nodes are hash-consed: equal terms are one shared object, so comparing two
+terms is an identity check.  The table of nodes lives for the whole process.
 ``Var`` marks a program variable, so a closed program is a ``Node`` tree
 with no ``Var`` anywhere.  Which tags are legal, and with what payload
 shapes, is decided by each language definition; the tree type itself is
@@ -109,24 +111,31 @@ class Node:
     """One constructor layer: a tag, a tuple of child terms and a tuple of
     payload values.
 
-    A node is immutable: its fields are set once, in ``__init__``, and
-    assigning or deleting one afterwards raises ``AttributeError``.  That
-    lets it keep what is derived from its fields.  Its hash, the hash of
+    Nodes are hash-consed: ``Node(tag, children, payload)`` returns the one
+    node with those fields, found in a module-level table that lives for the
+    whole process and is never emptied.  Equal terms are therefore one
+    object, however they were built (parsing, plugging, compiling, copying,
+    unpickling), and equality is identity.  A node is immutable: assigning
+    or deleting a field raises ``AttributeError``.  Its hash, the hash of
     ``(tag, children, payload)`` as a frozen dataclass would give it, is
-    computed on first use and kept, and so is ``closed``, which reads the
-    children's kept values.  A term used as a cache key is then hashed once,
-    not re-walked on every lookup; equal nodes built apart stay equal and
-    hash the same.
+    computed once, at construction; ``closed`` is computed on first use from
+    the children's kept values and kept.
     """
 
     __slots__ = ("tag", "children", "payload", "_hash", "_closed")
 
-    def __init__(self, tag: str, children: tuple = (), payload: tuple = ()):
-        _set_tag(self, tag)
-        _set_children(self, children)
-        _set_payload(self, payload)
-        _set_hash(self, None)
-        _set_closed(self, None)
+    def __new__(cls, tag: str, children: tuple = (), payload: tuple = ()):
+        key = (tag, children, payload)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            _set_tag(node, tag)
+            _set_children(node, children)
+            _set_payload(node, payload)
+            _set_hash(node, hash(key))
+            _set_closed(node, None)
+            _NODES[key] = node
+        return node
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Node")
@@ -135,19 +144,7 @@ class Node:
         raise AttributeError(f"cannot delete field {name!r} of an immutable Node")
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.tag, self.children, self.payload))
-            _set_hash(self, h)
-        return h
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Node:
-            return NotImplemented
-        return (self.tag == other.tag and self.payload == other.payload
-                and self.children == other.children)
+        return self._hash
 
     @property
     def closed(self) -> bool:
@@ -161,9 +158,12 @@ class Node:
     def __repr__(self) -> str:
         return f"Node(tag={self.tag!r}, children={self.children!r}, payload={self.payload!r})"
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
+    def __reduce__(self):  # copy and pickle rebuild through the table
         return Node, (self.tag, self.children, self.payload)
 
+
+# every node built so far, keyed on its fields
+_NODES: dict = {}
 
 # the slots' own setters, which bypass the refusing __setattr__
 _set_tag, _set_children, _set_payload, _set_hash, _set_closed = (

@@ -10,12 +10,15 @@ from gsoscheck.checker import (
     check_context_closure, check_preservation, closed_cases,
     evaluate_closed_case, evaluate_open_case, open_cases,
 )
-from gsoscheck.semantics import BehaviorTable, Distinguished, Equivalent
+from gsoscheck.languages import LangDef
+from gsoscheck.semantics import (
+    BehaviorTable, Distinguished, Equivalent, StepOutcome, check_bisim,
+)
 from gsoscheck.states import LowState, StackState, Store
 from gsoscheck.terms import (
     Bin, IllFormed, Lit, Loc, assign, print_term, sandbox, seq, skip, while_,
 )
-from gsoscheck.spf import OneHoleLayer
+from gsoscheck.spf import OneHoleLayer, plug
 from gsoscheck import checker, gen
 
 EXPECTED_VERDICTS = {
@@ -301,6 +304,46 @@ def test_context_closure_trivial_pair(langs):
     assert report.status == "closed"
 
 
+def _seq_peeking_while(langs):
+    """A throwaway ``while`` whose seq rule is not natural: it sets cell 1
+    when its left subject is a loop with a binary guard."""
+    base = langs["while"]
+
+    def rule(tag, payload, children, s):
+        out = base.rule(tag, payload, children, s)
+        if tag == "seq":
+            left = children[0][0]
+            if left.tag == "while" and isinstance(left.payload[0], Bin):
+                return StepOutcome(out.state.set(1, 1), out.label, out.cont, out.flags)
+        return out
+
+    return LangDef("while", base.constructors, base.state_kind, base.has_label, rule, base.L)
+
+
+def test_context_closure_shares_proved_pairs_without_changing_the_report(langs):
+    # the report must be the one of checking every context on its own; at
+    # depth 3 some violations need the last level of depth
+    a = while_(Loc(0), assign(0, Lit(0)))
+    b = while_(Bin("mul", Loc(0), Lit(2)), assign(0, Lit(0)))
+    peeking = _seq_peeking_while(langs)
+    for lang, depth, status, count in ((peeking, 20, "violation", 162),
+                                       (peeking, 3, "violation", 141),
+                                       (langs["while"], 20, "closed", 0)):
+        cfg = CampaignConfig(samples=400, depth=depth)
+        window = gen.state_window(lang, cfg)
+        contexts = gen.sample_contexts(lang, 3, cfg.samples, cfg.seed, cfg)
+        report = check_context_closure(lang, a, b, cfg, contexts)
+        alone = [(ctx, check_bisim(lang, plug(ctx, a), plug(ctx, b), window, cfg.depth))
+                 for ctx in contexts]
+        assert report.status == status
+        assert report.base == check_bisim(lang, a, b, window, cfg.depth)
+        assert report.contexts_checked == len(contexts) == 400
+        assert len(report.violations) == count
+        # the same contexts, each with the same path, reason and outcomes
+        assert report.violations == [(ctx, v) for ctx, v in alone
+                                     if isinstance(v, Distinguished)]
+
+
 def test_closed_low_cases_cross_out_of_range_pcs(comps):
     cfg = CampaignConfig()
     cp = comps["flatten-low"]
@@ -334,16 +377,12 @@ def test_context_closure_base_distinguished(langs):
 def test_context_closure_explicit_flag_context(langs):
     # precondition violated for the flag pair, but the explicit section-3
     # context distinguishes the plugged terms outright
-    from gsoscheck.semantics import check_bisim
-
     cfg = CampaignConfig()
     lang = langs["while-flag"]
     a = while_(Loc(0), assign(0, Lit(0)))
     b = while_(Bin("mul", Loc(0), Lit(2)), assign(0, Lit(0)))
     w = while_(Bin("sub", Loc(1), Lit(1)), skip())
     ctx = (OneHoleLayer("seq", (), 0, (w,)), OneHoleLayer("obs", (1,), 0, ()))
-    from gsoscheck.spf import plug
-
     window = gen.store_window(cfg, int_mode=False)
     verdict = check_bisim(lang, plug(ctx, a), plug(ctx, b), window, cfg.depth)
     assert isinstance(verdict, Distinguished)

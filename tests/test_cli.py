@@ -259,6 +259,28 @@ def test_usage_error_exits_2():
         assert e.value.code == 2, argv
 
 
+WHILE_PAIR = ["--left", "(while (var 0) (assign 0 (lit 0)))",
+              "--right", "(while (mul (var 0) (lit 2)) (assign 0 (lit 0)))"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--compiler", "sandbox", "--samples", "-1"],
+    ["coherence", "--compiler", "sandbox", "--max-term-size", "-1"],
+    ["coherence", "--compiler", "sandbox", "--depth", "-1"],
+    ["coherence", "--compiler", "sandbox", "--store-cells", "-1"],
+    ["coherence", "--compiler", "sandbox", "--max-value", "-1"],
+    ["coherence", "--compiler", "embed-stack", "--sp-max", "-1"],
+    ["coherence", "--compiler", "embed-stack", "--frame-len", "-1"],
+    ["ctx-closure", "--lang", "while", *WHILE_PAIR, "--samples", "-1"],
+    ["run", "--lang", "while", "--term", "skip", "--input", "{}", "--fuel", "-1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_negative_budget_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "must not be negative: -1" in capsys.readouterr().err
+
+
 def test_threads_flag_does_not_change_the_report():
     argv = ["coherence", "--compiler", "sandbox", "--samples", "2000", "--json"]
     reports = []

@@ -1,11 +1,17 @@
-"""``Node``: an immutable tree that keeps its hash and closedness."""
+"""``Node``: an immutable, hash-consed tree that keeps its hash and
+closedness."""
+import copy
 import itertools
+import pickle
 
 import pytest
 
 from gsoscheck import gen
-from gsoscheck.spf import plug
-from gsoscheck.terms import Lit, Node, Var, is_closed, parse_term, seq, skip, while_
+from gsoscheck.compilers import compile_open
+from gsoscheck.spf import decompositions, plug
+from gsoscheck.terms import (
+    Lit, Node, Var, is_closed, parse_term, print_term, seq, skip, while_,
+)
 
 
 def walk_closed(t) -> bool:
@@ -23,11 +29,33 @@ def test_hash_is_the_field_tuple_hash():
 def test_equal_trees_built_apart_are_equal():
     text = "(seq (while (var 0) (assign 0 (lit 0))) (sandbox skip))"
     a, b = parse_term(text), parse_term(text)
-    assert a is not b
+    assert a is b
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
     assert a != parse_term("(seq (while (var 1) (assign 0 (lit 0))) (sandbox skip))")
     assert a != Var("x") and Var("x") != a
+
+
+def test_equal_terms_are_one_object_however_built(langs, comps, cfg):
+    lang = langs["while"]
+    terms = list(itertools.islice(gen.closed_terms(lang, cfg, 3, expr_cap=2), 60))
+    terms.append(parse_term("(seq (while (lt (var 0) (lit 2)) (assign 1 (lit 1))) skip)"))
+    assert len(terms) > 1
+    for t in terms:
+        rebuilt = [
+            parse_term(print_term(t)),
+            compile_open(comps["embed-flag"], t),  # identity layer map
+            copy.copy(t),
+            copy.deepcopy(t),
+            pickle.loads(pickle.dumps(t)),
+        ]
+        rebuilt += [plug(ctx, sub) for ctx, sub in decompositions(t)]
+        for u in rebuilt:
+            assert u is t, print_term(t)
+            assert hash(u) == hash((t.tag, t.children, t.payload))
+    # generating again yields the same objects
+    again = list(itertools.islice(gen.closed_terms(lang, cfg, 3, expr_cap=2), 60))
+    assert all(u is t for u, t in zip(again, terms))
 
 
 def test_closed_agrees_with_a_recursive_walk(langs, cfg):
