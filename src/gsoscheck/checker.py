@@ -38,7 +38,7 @@ from .terms import (
 from .states import LowState, show_state
 from .semantics import (
     Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim,
-    extend_law, step,
+    extend_law, first_difference, step,
 )
 from .compilers import CompilerPair, compile_open, compile_term, translate_behavior
 from .spf import plug
@@ -123,9 +123,6 @@ class Pass:
     fallback_cases: int = 0
     flags: frozenset = frozenset()
 
-    def __bool__(self):
-        return True
-
 
 @dataclass
 class Fail:
@@ -133,9 +130,6 @@ class Fail:
     divergence: Divergence
     cases_before: int
     flags: frozenset = frozenset()
-
-    def __bool__(self):
-        return False
 
     def describe(self) -> dict:
         """The witness of a failing campaign's report."""
@@ -159,13 +153,12 @@ def _target_behaviors(cp: CompilerPair, tables: dict) -> dict:
 def _compare(cp: CompilerPair, upper: StepOutcome, upper_cont, lower: StepOutcome,
              window, tables: dict, cfg,
              memo: Optional[dict]) -> tuple[Optional[Divergence], bool]:
-    """Compare the two paths' outcomes; returns (divergence, used_fallback)."""
-    if upper.label != lower.label:
-        return Divergence("label", upper, lower, upper_cont), False
-    if upper.state != lower.state:
-        return Divergence("state", upper, lower, upper_cont), False
-    if (upper_cont is None) != (lower.cont is None):
-        return Divergence("termination", upper, lower, upper_cont), False
+    """Compare the two paths' outcomes; returns (divergence, used_fallback).
+    ``upper_cont`` is the compiled ``upper.cont``, so it is None just when
+    that is."""
+    field_name = first_difference(upper, lower)
+    if field_name is not None:
+        return Divergence(field_name, upper, lower, upper_cont), False
     if upper_cont is None or upper_cont == lower.cont:
         return None, False
     # syntactic mismatch: bounded behavioral comparison over the window, once
@@ -257,13 +250,7 @@ def closed_cases(cp: CompilerPair, cfg: CampaignConfig, window):
 
 
 def _preimage(cp: CompilerPair, window) -> list:
-    seen, out = set(), []
-    for i2 in window:
-        s1 = cp.behavior.input_map(i2)
-        if s1 not in seen:
-            seen.add(s1)
-            out.append(s1)
-    return out
+    return list(dict.fromkeys(cp.behavior.input_map(i2) for i2 in window))
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +289,8 @@ def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
             fallback += 1
         if div is not None:
             return Fail(case, div, cases_before=cases - 1, flags=flags)
-    exhausted = _stream_done(stream)
+    exhausted = next(stream, None) is None
     return Pass(cases, exhausted, inconclusive, illformed, fallback, flags)
-
-
-def _stream_done(stream) -> bool:
-    try:
-        next(stream)
-        return False
-    except StopIteration:
-        return True
 
 
 def _evaluate_with_widening(evaluate, cp, case, window, cfg, memo=None):

@@ -3,17 +3,16 @@
 Commands: run, compile, coherence, bisim, ctx-closure, preserve, laws,
 demo, replay.  Exit codes: 0 pass/reproduced, 1 counterexample or expected
 verdict missed, 2 usage or parse errors.  All campaigns are deterministic
-per (config, seed); the default seed can be overridden with the
-GSOSCHECK_SEED environment variable.
+per (config, seed); the seed is ``--seed`` or, without it, the default
+``CampaignConfig.seed``.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 
 from .terms import (
@@ -40,26 +39,22 @@ DEMOS = (
 )
 
 
-def _default_seed() -> int:
-    env = os.environ.get("GSOSCHECK_SEED")
-    if env is None:
-        return 0xC0FFEE
-    try:
-        return int(env, 0)
-    except ValueError:
-        raise IllFormed(f"GSOSCHECK_SEED is not an integer: {env!r}") from None
-
-
-def _count(text: str) -> int:
-    """A budget count from the command line: a natural number, anything
-    else is a usage error."""
+def _count(text: str, least: int = 0) -> int:
+    """A count from the command line: a natural number of at least
+    ``least``, anything else is a usage error."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}: {value}")
     return value
+
+
+# a budget of 0 samples, term size or depth would check nothing and pass
+_budget = partial(_count, least=1)
 
 
 def _add_frame_len_and_json(p: argparse.ArgumentParser):
@@ -72,13 +67,13 @@ def _add_budget_flags(p: argparse.ArgumentParser, sampled: bool = True):
     ``--max-term-size`` for a command that samples no cases or terms, whose
     report still echoes their defaults."""
     if sampled:
-        p.add_argument("--samples", type=_count, default=CampaignConfig.samples)
-        p.add_argument("--max-term-size", type=_count, default=CampaignConfig.max_term_size)
+        p.add_argument("--samples", type=_budget, default=CampaignConfig.samples)
+        p.add_argument("--max-term-size", type=_budget, default=CampaignConfig.max_term_size)
     else:
         p.set_defaults(samples=CampaignConfig.samples,
                        max_term_size=CampaignConfig.max_term_size)
-    p.add_argument("--depth", type=_count, default=20)
-    p.add_argument("--seed", type=lambda v: int(v, 0), default=None)
+    p.add_argument("--depth", type=_budget, default=CampaignConfig.depth)
+    p.add_argument("--seed", type=lambda v: int(v, 0), default=CampaignConfig.seed)
     p.add_argument("--store-cells", type=_count, default=2)
     p.add_argument("--max-value", type=_count, default=3)
     p.add_argument("--sp-max", type=_count, default=3)
@@ -96,7 +91,7 @@ def _config(args) -> CampaignConfig:
         samples=args.samples,
         L=args.frame_len,
         sp_max=args.sp_max,
-        seed=args.seed if args.seed is not None else _default_seed(),
+        seed=args.seed,
     )
 
 
@@ -124,7 +119,7 @@ def _program(text: str, lang, closed: bool = True) -> Node:
 def _cmd_run(args) -> tuple[int, Report, list]:
     lang = _lookup(language_registry(args.frame_len), "language", args.lang)
     term = _program(args.term, lang)
-    state = parse_state(lang.state_kind, args.input)
+    state = parse_state(lang.state_kind, args.input, lang.L)
     result = run_term(lang, term, state, args.fuel)
     lines = []
     if args.trace:
@@ -198,14 +193,7 @@ def _cmd_coherence(args) -> tuple[int, Report, list]:
 
 
 def _tallies(verdict: Pass) -> dict:
-    return {
-        "cases": verdict.cases,
-        "exhausted": verdict.exhausted,
-        "inconclusive": verdict.inconclusive,
-        "illformed": verdict.illformed,
-        "fallback_cases": verdict.fallback_cases,
-        "flags": sorted(verdict.flags),
-    }
+    return {**asdict(verdict), "flags": sorted(verdict.flags)}
 
 
 def _show_outcome(d: dict) -> str:

@@ -91,12 +91,7 @@ def stack_window(cfg) -> list[StackState]:
     rng = random.Random(cfg.seed ^ 0x57AC)
     stores = store_window(cfg, int_mode=False)
     stores += _wide_stores(cfg, rng, cfg.L * (cfg.sp_max + 1), 8)
-    seen, uniq = set(), []
-    for s in stores:
-        if s not in seen:
-            seen.add(s)
-            uniq.append(s)
-    return [StackState(s, sp) for s in uniq for sp in range(0, cfg.sp_max + 1)]
+    return [StackState(s, sp) for s in dict.fromkeys(stores) for sp in range(0, cfg.sp_max + 1)]
 
 
 def frames_window(cfg) -> list[FrameState]:
@@ -111,12 +106,7 @@ def frames_window(cfg) -> list[FrameState]:
             tuple(rng.randint(0, cfg.max_value) for _ in range(cfg.L)) for _ in range(depth)
         )
         out.append(FrameState(frames))
-    seen, uniq = set(), []
-    for f in out:
-        if f not in seen:
-            seen.add(f)
-            uniq.append(f)
-    return uniq
+    return list(dict.fromkeys(out))
 
 
 def state_window(lang, cfg) -> list:

@@ -8,24 +8,28 @@ queried behavior — never by inspecting its structure.  The extension to
 arbitrary terms is the usual inductive one: a bare variable answers from
 its behavior table with the variable re-injected as the continuation, and
 a node recursively turns each child into such a pair before applying the
-one-layer rule.  Continuations built from subjects come out already
-flattened, which is the multiplication step of the extension.
+one-layer rule.  Each subject is the child as it stands, never a rewrite
+of it; the law suite's copoint check watches the rule to confirm this.
+Continuations built from subjects come out already flattened, which is the
+multiplication step of the extension.
 
 Closed programs go through ``step``, the same extension taken one layer at
 a time through a cache on the language: a node's children behave as
 ``step`` on themselves, so a closed subterm is stepped once per state
 however many programs contain it.
 
-``check_bisim`` can share the pairs it has proved equivalent with later
-calls over the same language and inputs; a context-closure check shares
-one such table across all its contexts, so a pair that many plugged
-programs reach is explored once.
+Two outcomes are told apart by ``first_difference``, on label, then
+output state, then termination; ``check_bisim`` and the coherence check
+both use it.  ``check_bisim`` can share the pairs it has proved equivalent
+with later calls over the same language and inputs; a context-closure
+check shares one such table across all its contexts, so a pair that many
+plugged programs reach is explored once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 from .terms import IllFormed, Node, OpenTerm, Var, is_closed
 from .states import MachineState
@@ -51,7 +55,16 @@ class StepOutcome:
     flags: frozenset = frozenset()
 
 
-Behavior = Callable[[MachineState], StepOutcome]
+def first_difference(a: StepOutcome, b: StepOutcome) -> Optional[str]:
+    """The first observable on which two outcomes differ: ``"label"``,
+    ``"state"`` or ``"termination"``; ``None`` when they agree on all three."""
+    if a.label != b.label:
+        return "label"
+    if a.state != b.state:
+        return "state"
+    if (a.cont is None) != (b.cont is None):
+        return "termination"
+    return None
 
 
 class BehaviorTable:
@@ -96,21 +109,6 @@ def extend_law(lang, term: OpenTerm, behaviors: dict, state: MachineState) -> St
         else:
             pairs.append((child, partial(extend_law, lang, child, behaviors)))
     return lang.rule(term.tag, term.payload, tuple(pairs), state)
-
-
-def extend_law_checked(lang, term, behaviors, state):
-    """Extension that also rebuilds the subject threaded through the law and
-    checks the engine never rewrites it (the copointed identity)."""
-    subject = _rebuild_subject(term)
-    if subject != term:
-        raise AssertionError("engine rewrote the consulted term")
-    return subject, extend_law(lang, term, behaviors, state)
-
-
-def _rebuild_subject(term):
-    if isinstance(term, Var):
-        return term
-    return Node(term.tag, tuple(_rebuild_subject(c) for c in term.children), term.payload)
 
 
 # --- closed terms ---
@@ -168,9 +166,6 @@ class Equivalent:
     depth: int
     inputs: int
 
-    def __bool__(self):
-        return True
-
 
 @dataclass(frozen=True)
 class Distinguished:
@@ -178,9 +173,6 @@ class Distinguished:
     left: StepOutcome
     right: StepOutcome
     reason: str
-
-    def __bool__(self):
-        return False
 
 
 BisimResult = Equivalent | Distinguished
@@ -222,12 +214,9 @@ def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
         for s in inputs:
             oa = step_a(s)
             ob = step_b(s)
-            if oa.label != ob.label:
-                return Distinguished(path + (s,), oa, ob, "label")
-            if oa.state != ob.state:
-                return Distinguished(path + (s,), oa, ob, "state")
-            if (oa.cont is None) != (ob.cont is None):
-                return Distinguished(path + (s,), oa, ob, "termination")
+            reason = first_difference(oa, ob)
+            if reason is not None:
+                return Distinguished(path + (s,), oa, ob, reason)
             if oa.cont is not None:
                 pending.append((s, oa.cont, ob.cont))
         for s, ca, cb in pending:

@@ -1,9 +1,10 @@
 """Machine states: finitely-supported stores and the per-language input kinds."""
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 
-from .terms import IllFormed, parse_int
+from .terms import IllFormed
 
 
 @dataclass(frozen=True)
@@ -79,62 +80,45 @@ def show_state(s: MachineState) -> str:
 
 # --- parsing of CLI input states ---
 
-def parse_store(text: str) -> Store:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise IllFormed(f"bad store literal: {text!r}")
-    body = text[1:-1].strip()
-    if not body:
-        return Store.of()
-    items = {}
-    for part in body.split(","):
-        if ":" not in part:
-            raise IllFormed(f"bad store entry: {part!r}")
-        k, v = part.split(":", 1)
-        items[parse_int(k)] = parse_int(v)
-    return Store.of(items)
+def _nat(v) -> bool:
+    return type(v) is int and v >= 0
 
 
-def parse_frames(text: str) -> FrameState:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise IllFormed(f"bad frame stack literal: {text!r}")
-    body = text[1:-1].strip()
-    if not body:
-        return FrameState()
-    frames = []
-    depth = 0
-    start = None
-    for i, ch in enumerate(body):
-        if ch == "[":
-            if depth == 0:
-                start = i
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                inner = body[start + 1 : i].strip()
-                vals = tuple(parse_int(x) for x in inner.split(",")) if inner else ()
-                frames.append(vals)
-    if depth != 0 or not frames:
-        raise IllFormed(f"bad frame stack literal: {text!r}")
-    return FrameState(tuple(frames))
+def _store(lit, values_nat: bool = True) -> Store:
+    if type(lit) is not dict or not all(
+            _nat(k) and (_nat(v) if values_nat else type(v) is int) for k, v in lit.items()):
+        raise IllFormed(f"bad store literal: {lit!r}")
+    return Store.of(lit)
 
 
-def parse_state(kind: str, text: str) -> MachineState:
-    text = text.strip()
+def parse_state(kind: str, text: str, L: int) -> MachineState:
+    """An input state of kind ``kind``, written as its ``show()`` prints it.
+
+    The text must be one Python literal and nothing else: ``{0:1, 1:2}`` for
+    a store, ``({0:1}, 2)`` for a pc or stack state and ``[[1, 2], [3, 4]]``
+    for a frame stack.  Cell indices are natural numbers, and so are values,
+    except in an int store; a stack pointer is natural and every frame has
+    length ``L``.
+    """
+    try:
+        if "#" in text:  # literal_eval would read a trailing comment as nothing
+            raise SyntaxError
+        lit = ast.literal_eval(text.strip())
+    except (SyntaxError, ValueError, TypeError, MemoryError, RecursionError):
+        raise IllFormed(f"bad {kind} state literal: {text!r}") from None
     if kind in ("store", "int-store"):
-        return parse_store(text)
+        return _store(lit, values_nat=kind == "store")
     if kind in ("pc", "sp"):
-        if not (text.startswith("(") and text.endswith(")")):
-            raise IllFormed(f"bad state literal: {text!r}")
-        body = text[1:-1]
-        cut = body.rfind(",")
-        if cut < 0:
-            raise IllFormed(f"bad state literal: {text!r}")
-        store = parse_store(body[:cut])
-        n = parse_int(body[cut + 1 :])
-        return LowState(store, n) if kind == "pc" else StackState(store, n)
+        if type(lit) is not tuple or len(lit) != 2 or type(lit[1]) is not int:
+            raise IllFormed(f"bad {kind} state literal: {text!r}")
+        if kind == "pc":
+            return LowState(_store(lit[0]), lit[1])
+        if lit[1] < 0:
+            raise IllFormed(f"stack pointer must not be negative: {text!r}")
+        return StackState(_store(lit[0]), lit[1])
     if kind == "frames":
-        return parse_frames(text)
+        if type(lit) is not list or not all(
+                type(f) is list and len(f) == L and all(map(_nat, f)) for f in lit):
+            raise IllFormed(f"bad frame stack literal (frames of {L} naturals): {text!r}")
+        return FrameState(tuple(map(tuple, lit)))
     raise IllFormed(f"unknown state kind: {kind}")

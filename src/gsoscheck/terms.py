@@ -2,9 +2,10 @@
 
 Terms are plain immutable trees: a ``Node`` carries a constructor tag, a
 tuple of child terms and a tuple of payload values (expressions, store
-locations, instructions), and keeps its hash and closedness once computed.
-Nodes are hash-consed: equal terms are one shared object, so comparing two
-terms is an identity check.  The table of nodes lives for the whole process.
+locations, instructions); its hash and its closedness are both set once,
+at construction, from its fields and its children's.  Nodes are
+hash-consed: equal terms are one shared object, so comparing two terms is
+an identity check.  The table of nodes lives for the whole process.
 ``Var`` marks a program variable, so a closed program is a ``Node`` tree
 with no ``Var`` anywhere.  Which tags are legal, and with what payload
 shapes, is decided by each language definition; the tree type itself is
@@ -117,12 +118,12 @@ class Node:
     object, however they were built (parsing, plugging, compiling, copying,
     unpickling), and equality is identity.  A node is immutable: assigning
     or deleting a field raises ``AttributeError``.  Its hash, the hash of
-    ``(tag, children, payload)`` as a frozen dataclass would give it, is
-    computed once, at construction; ``closed`` is computed on first use from
-    the children's kept values and kept.
+    ``(tag, children, payload)`` as a frozen dataclass would give it, and
+    ``closed``, true when no ``Var`` lies anywhere below it, are both set
+    once, at construction, from the fields and the children's own values.
     """
 
-    __slots__ = ("tag", "children", "payload", "_hash", "_closed")
+    __slots__ = ("tag", "children", "payload", "_hash", "closed")
 
     def __new__(cls, tag: str, children: tuple = (), payload: tuple = ()):
         key = (tag, children, payload)
@@ -133,7 +134,7 @@ class Node:
             _set_children(node, children)
             _set_payload(node, payload)
             _set_hash(node, hash(key))
-            _set_closed(node, None)
+            _set_closed(node, all(type(k) is Node and k.closed for k in children))
             _NODES[key] = node
         return node
 
@@ -145,15 +146,6 @@ class Node:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def closed(self) -> bool:
-        """No ``Var`` anywhere below this node."""
-        c = self._closed
-        if c is None:
-            c = all(type(k) is Node and k.closed for k in self.children)
-            _set_closed(self, c)
-        return c
 
     def __repr__(self) -> str:
         return f"Node(tag={self.tag!r}, children={self.children!r}, payload={self.payload!r})"
@@ -170,7 +162,6 @@ _set_tag, _set_children, _set_payload, _set_hash, _set_closed = (
     Node.__dict__[name].__set__ for name in Node.__slots__)
 
 
-Term = Node  # a closed term: no Var inside
 OpenTerm = Union[Var, Node]
 
 

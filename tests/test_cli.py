@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from gsoscheck import gen
 from gsoscheck.checker import CampaignConfig
 from gsoscheck.cli import build_parser, execute, main
+from gsoscheck.states import parse_state
 
 
 def run_cli(argv):
@@ -70,7 +72,7 @@ def test_compile_identity_stack(capsys):
     assert capsys.readouterr().out.strip() == "frame"
 
 
-def test_parse_error_exits_2(capsys, tmp_path, monkeypatch):
+def test_parse_error_exits_2(capsys, tmp_path):
     assert main(["run", "--lang", "while", "--term", "(seq skip",
                  "--input", "{}"]) == 2
     for lang, state in (("while", "{0:x}"), ("while", "{y:1}"), ("stack", "({}, z)"),
@@ -93,9 +95,26 @@ def test_parse_error_exits_2(capsys, tmp_path, monkeypatch):
                  {"command": ["laws", 1], "verdict": "pass"}):
         report.write_text(json.dumps(data))
         assert main(["replay", "--report", str(report)]) == 2
-    monkeypatch.setenv("GSOSCHECK_SEED", "0xZZ")
-    assert main(["coherence", "--compiler", "embed-flag"]) == 2
-    assert "GSOSCHECK_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lang, term, state", [
+    ("while-b", "(assign 1 (lit 5))", "[[1]]"),  # a frame shorter than L
+    ("while-b", "skip", "[[1,2,3]]"),  # a frame longer than L
+    ("stack", "skip", "({}, -1)"),  # a negative stack pointer
+    ("while", "skip", "{0:-3}"),  # a negative value in a nat store
+    ("while-b", "skip", "[[1,2] junk [3,4]]"),  # text beside the literal
+    ("while", "skip", "{0:1} # junk"),  # a comment after the literal
+])
+def test_bad_input_state_exits_2(lang, term, state, capsys):
+    assert main(["run", "--lang", lang, "--term", term, "--input", state]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_every_window_state_reads_back_from_its_show(langs, cfg):
+    states = [(lang, s) for lang in langs.values() for s in gen.state_window(lang, cfg)]
+    assert len(states) == 513
+    for lang, s in states:
+        assert parse_state(lang.state_kind, s.show(), lang.L) == s, (lang.name, s)
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):
@@ -281,6 +300,21 @@ def test_negative_budget_exits_2(argv, capsys):
     assert "must not be negative: -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--compiler", "flatten-low", "--max-term-size", "0"],
+    ["ctx-closure", "--lang", "while", "--left", "skip", "--right", "skip",
+     "--samples", "0"],
+    ["ctx-closure", "--lang", "while-flag", *WHILE_PAIR, "--depth", "0"],
+    ["preserve", "--compiler", "embed-flag", "--depth", "0"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_zero_budget_exits_2(argv, capsys):
+    # each of these passed at a zero budget having checked nothing
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "must be at least 1: 0" in capsys.readouterr().err
+
+
 def test_threads_flag_does_not_change_the_report():
     argv = ["coherence", "--compiler", "sandbox", "--samples", "2000", "--json"]
     reports = []
@@ -363,11 +397,18 @@ def test_all_demos_under_a_minute(capsys):
     assert time.monotonic() - t0 < 60
 
 
-def test_seed_env_override(capsys, monkeypatch):
+def test_seed_comes_only_from_the_command_line(tmp_path, capsys, monkeypatch):
+    # a report echoes its command line, so a seed read from anywhere else
+    # would make its replay differ
     monkeypatch.setenv("GSOSCHECK_SEED", "0x1234")
-    code, report, _ = run_cli(["coherence", "--compiler", "embed-flag"])
-    assert report.config["seed"] == 0x1234
+    assert main(["coherence", "--compiler", "embed-flag", "--json"]) == 1
+    payload = capsys.readouterr().out
+    assert json.loads(payload)["config"]["seed"] == CampaignConfig.seed
+    path = tmp_path / "report.json"
+    path.write_text(payload)
     monkeypatch.delenv("GSOSCHECK_SEED")
+    assert main(["replay", "--report", str(path)]) == 0
+    assert "identical" in capsys.readouterr().out
 
 
 def test_sexpr_round_trip():
