@@ -9,7 +9,6 @@ per (config, seed); the seed is ``--seed`` or, without it, the default
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import asdict, replace
@@ -30,7 +29,7 @@ from .checker import (
 )
 from .spf import OneHoleLayer, plug
 from .laws import run_law_suite
-from .reports import Report, load_report
+from .reports import Report, load_report, read_json
 from . import gen
 
 DEMOS = (
@@ -53,12 +52,13 @@ def _count(text: str, least: int = 0) -> int:
     return value
 
 
-# a budget of 0 samples, term size or depth would check nothing and pass
+# a budget of 0 samples, term size or depth would check nothing and pass;
+# a frame of 0 cells leaves out every assignment, so no frame leak can show
 _budget = partial(_count, least=1)
 
 
 def _add_frame_len_and_json(p: argparse.ArgumentParser):
-    p.add_argument("--frame-len", type=_count, default=2)
+    p.add_argument("--frame-len", type=_budget, default=CampaignConfig.L)
     p.add_argument("--json", action="store_true")
 
 
@@ -74,9 +74,9 @@ def _add_budget_flags(p: argparse.ArgumentParser, sampled: bool = True):
                        max_term_size=CampaignConfig.max_term_size)
     p.add_argument("--depth", type=_budget, default=CampaignConfig.depth)
     p.add_argument("--seed", type=lambda v: int(v, 0), default=CampaignConfig.seed)
-    p.add_argument("--store-cells", type=_count, default=2)
-    p.add_argument("--max-value", type=_count, default=3)
-    p.add_argument("--sp-max", type=_count, default=3)
+    p.add_argument("--store-cells", type=_count, default=CampaignConfig.store_cells)
+    p.add_argument("--max-value", type=_count, default=CampaignConfig.max_value)
+    p.add_argument("--sp-max", type=_count, default=CampaignConfig.sp_max)
     # ignored: perfbench/run.py still appends --threads 1 to every command line
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     _add_frame_len_and_json(p)
@@ -291,8 +291,7 @@ def _cmd_preserve(args) -> tuple[int, Report, list]:
 
 
 def _load_pairs(path: str, lang) -> list:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, list) or not all(
             isinstance(d, dict) and isinstance(d.get("left"), str)
             and isinstance(d.get("right"), str) for d in data):
@@ -578,9 +577,6 @@ def main(argv=None) -> int:
     try:
         code, report, lines = execute(argv)
     except IllFormed as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if "--json" in argv:

@@ -8,7 +8,7 @@ whole-term recursion and is checked in closed mode only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .terms import (
     Br, IAssign, IllFormed, Lit, Node, Nop, OpenTerm, Stop, Un, Var,
@@ -222,8 +222,8 @@ def _flatten(p: Node) -> list:
 
 # --- the registry ----------------------------------------------------------
 
-def compiler_registry(langs: Optional[dict] = None, L: int = 2) -> dict[str, CompilerPair]:
-    langs = langs or language_registry(L)
+def compiler_registry(L: int = 2) -> dict[str, CompilerPair]:
+    langs = language_registry(L)
 
     def pair(name, src, tgt, syntax, behavior):
         return CompilerPair(name, langs[src], langs[tgt], syntax, behavior)

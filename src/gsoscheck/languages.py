@@ -17,12 +17,13 @@ written, whether transitions are labelled, and its extra constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .terms import (
-    Bin, Br, Expr, IAssign, IllFormed, Inst, Lit, Loc, Nop, Node, OpenTerm,
-    Stop, Un, expr_locs, instr, loop, obs, sandbox, isandbox, seq, skip,
-    sseq, while_,
+    BIN_OPS, UN_OPS, Bin, Br, Expr, IAssign, IllFormed, Inst, Lit, Loc, Nop,
+    Node, OpenTerm, Stop, Un, Var, expr_locs, instr, loop, obs, sandbox,
+    isandbox, seq, skip, sseq, while_,
 )
 from .states import FrameState, LowState, StackState, Store, clamp_negatives
 from .semantics import StepOutcome
@@ -132,76 +133,56 @@ class LangDef:
     # closed-term steps of this language, filled by semantics.step
     steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    @cached_property
+    def shapes(self) -> dict:
+        """The constructor table keyed on (tag, payload length, arity)."""
+        return {(tag, len(kinds), arity): kinds for tag, kinds, arity in self.constructors}
+
     @property
     def spf(self):
         return language_spf(self.constructors)
 
-    def signature(self):
-        return {(tag, arity) for tag, _, arity in self.constructors}
-
     def validate(self, term: OpenTerm):
-        """Well-formedness; raises IllFormed with the offending part."""
-        from .terms import Var
-
+        """Well-formedness against the constructor table: each layer is a
+        constructor of this language, each payload value of its kind (natural
+        numbers, a ``loc`` below ``L`` on frame machines, no negative literal
+        outside ``while-int``); raises IllFormed with the offending part."""
         if isinstance(term, Var):
             return
-        if (term.tag, len(term.children)) not in self.signature():
-            raise IllFormed(f"{term.tag}/{len(term.children)} is not a {self.name} constructor")
-        tag = term.tag
-        if tag == "assign":
-            l, e = term.payload
-            self._check_loc(l)
-            self._check_expr(e)
-        elif tag in ("while", "loop"):
-            self._check_expr(term.payload[0])
-        elif tag == "obs":
-            if term.payload[0] < 0:
-                raise IllFormed("obs target must be a natural number")
-        elif tag == "instr":
-            self._check_inst(term.payload[0])
+        kinds = self.shapes.get((term.tag, len(term.payload), len(term.children)))
+        if kinds is None:
+            raise IllFormed(f"{term.tag} with {len(term.payload)} payload value(s) and"
+                            f" {len(term.children)} child(ren) is not a {self.name} constructor")
+        for kind, value in zip(kinds, term.payload):
+            self._check(kind, value)
         for c in term.children:
             self.validate(c)
 
-    def _check_loc(self, l: int):
-        if l < 0:
-            raise IllFormed("negative store location")
-        if self.state_kind in ("frames", "sp") and l >= self.L:
-            raise IllFormed(f"location {l} outside frame length {self.L}")
-
-    def _check_expr(self, e: Expr):
-        if self.state_kind != "int-store":
-            for sub in _expr_lits(e):
-                if sub < 0:
-                    raise IllFormed("negative literal in a nat-valued language")
-        if self.state_kind in ("frames", "sp"):
-            for l in expr_locs(e):
-                if l >= self.L:
-                    raise IllFormed(f"var {l} outside frame length {self.L}")
-
-    def _check_inst(self, i: Inst):
-        match i:
-            case Nop() | Stop():
+    def _check(self, kind: str, v):
+        match kind, v:
+            case "nat", int() if v >= 0:
                 return
-            case IAssign(l, e):
-                self._check_loc(l)
-                self._check_expr(e)
-            case Br(e, _):
-                self._check_expr(e)
+            case "loc", int() if v >= 0 and not (
+                    self.state_kind in ("frames", "sp") and v >= self.L):
+                return
+            case "expr", Lit(int() as n) if n >= 0 or self.state_kind == "int-store":
+                return
+            case "expr", Loc(l):
+                self._check("loc", l)
+            case "expr", Bin(op, lhs, rhs) if op in BIN_OPS:
+                self._check("expr", lhs)
+                self._check("expr", rhs)
+            case "expr", Un(op, inner) if op in UN_OPS:
+                self._check("expr", inner)
+            case "inst", Nop() | Stop():
+                return
+            case "inst", IAssign(l, e):
+                self._check("loc", l)
+                self._check("expr", e)
+            case "inst", Br(e, int()):
+                self._check("expr", e)
             case _:
-                raise IllFormed(f"not an instruction: {i!r}")
-
-
-def _expr_lits(e: Expr):
-    match e:
-        case Lit(n):
-            yield n
-        case Loc(_):
-            return
-        case Bin(_, lhs, rhs):
-            yield from _expr_lits(lhs)
-            yield from _expr_lits(rhs)
-        case Un(_, inner):
-            yield from _expr_lits(inner)
+                raise IllFormed(f"bad {kind} payload in {self.name}: {v!r}")
 
 
 # --- the structured rules --------------------------------------------------

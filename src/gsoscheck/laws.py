@@ -160,12 +160,11 @@ def check_plug_roundtrip(lang, cfg, max_size=None) -> int:
     """plug inverts the brute-force splitter on every generated term; also
     checks the hole law."""
     small = replace(cfg, exprs_per_slot=2)
-    signature = lang.signature()
     checked = 0
     for t in gen.closed_terms(lang, small, max_size or cfg.max_term_size):
         assert plug((), t) == t
         for ctx, sub in decompositions(t):
-            if plug(ctx, sub, signature) != t:
+            if plug(ctx, sub) != t:
                 raise AssertionError(f"plug round-trip failed on {t}")
             checked += 1
     return checked

@@ -40,9 +40,18 @@ class Report:
         return a == b
 
 
+def read_json(path: str):
+    """The JSON value in the file at ``path``; a file that cannot be read,
+    is not UTF-8 or is not JSON is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise IllFormed(f"cannot read JSON from {path}: {err}") from None
+
+
 def load_report(path: str) -> Report:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise IllFormed(f"report {path} is not a JSON object")
     command = data.get("command")

@@ -225,15 +225,11 @@ def con_step(layer: OneHoleLayer, filler: OpenTerm) -> Node:
     return Node(layer.tag, children, layer.payload)
 
 
-def plug(ctx: Context, p: OpenTerm, signature=None) -> OpenTerm:
+def plug(ctx: Context, p: OpenTerm) -> OpenTerm:
     """Plug ``p`` into a single-hole context (a left fold over the layers,
     innermost applied first); the empty context is the identity."""
     out = p
     for layer in reversed(ctx):
-        if signature is not None:
-            arity = 1 + len(layer.siblings)
-            if (layer.tag, arity) not in signature:
-                raise IllFormed(f"layer {layer.tag}/{arity} not in language")
         out = con_step(layer, out)
     return out
 

@@ -207,14 +207,13 @@ def instr(i: Inst, tail: Optional[OpenTerm] = None) -> Node:
     return Node("instr", (tail,), (i,))
 
 
-def instr_list(insts: list[Inst]) -> Node:
-    """Right-nested instruction sequence; ``insts`` must be nonempty."""
+def instr_list(insts: list[Inst], tail: Optional[OpenTerm] = None) -> Node:
+    """Right-nested instruction sequence ending in ``tail``; ``insts`` must be nonempty."""
     if not insts:
         raise IllFormed("Low programs are nonempty instruction sequences")
-    out = instr(insts[-1])
-    for i in reversed(insts[:-1]):
-        out = instr(i, out)
-    return out
+    for i in reversed(insts):
+        tail = instr(i, tail)
+    return tail
 
 
 def instr_flatten(t: Node) -> list[Inst]:
@@ -275,15 +274,16 @@ def subterms(t: OpenTerm) -> Iterator[OpenTerm]:
 # ---------------------------------------------------------------------------
 # s-expression printing and parsing
 #
-# Canonical grammar (one line per language, shared tags):
-#   prog := skip | frame | return
-#         | (assign LOC expr) | (seq prog prog) | (while expr prog)
-#         | (obs NAT prog) | (sandbox prog) | (isandbox prog)
-#         | (instr inst inst ...)            -- nonempty, flattened
-#         | (sseq prog prog) | (loop expr prog)
+# One form for every constructor of every language:
+#   term := ?NAME | TAG | (TAG payload... term...) | (instr inst... [term])
+#   payload := INT | expr
 #   inst := (nop) | (stop) | (assign LOC expr) | (br expr INT)
-#   expr := (lit INT) | (var NAT) | (not expr)
-#         | (add|sub|mul|lt|eq|min expr expr)
+#   expr := (lit INT) | (var NAT) | (not expr) | (add|sub|mul|lt|eq|min expr expr)
+# A bare TAG has no payload and no children.  `instr` is flattened and
+# nonempty; an optional last item that is not an instruction is its tail, as
+# in (instr (nop) ?x), and an (assign ...) item in it is always an
+# instruction.  Each language's constructor table, checked by
+# ``LangDef.validate``, says which tags, arities and payload kinds are legal.
 # Printing produces exactly this form and parsing round-trips it.
 
 def print_expr(e: Expr) -> str:
@@ -299,8 +299,10 @@ def print_expr(e: Expr) -> str:
     raise IllFormed(f"not an expression: {e!r}")
 
 
-def print_inst(i: Inst) -> str:
-    match i:
+def _print_payload(v) -> str:
+    match v:
+        case int():
+            return str(v)
         case Nop():
             return "(nop)"
         case Stop():
@@ -309,30 +311,20 @@ def print_inst(i: Inst) -> str:
             return f"(assign {loc} {print_expr(e)})"
         case Br(e, off):
             return f"(br {print_expr(e)} {off})"
-    raise IllFormed(f"not an instruction: {i!r}")
+    return print_expr(v)
 
 
 def print_term(t: OpenTerm) -> str:
     if isinstance(t, Var):
         return f"?{t.name}"
-    match t.tag:
-        case "skip" | "frame" | "return":
-            return t.tag
-        case "assign":
-            l, e = t.payload
-            return f"(assign {l} {print_expr(e)})"
-        case "seq" | "sseq":
-            return f"({t.tag} {print_term(t.children[0])} {print_term(t.children[1])})"
-        case "while" | "loop":
-            return f"({t.tag} {print_expr(t.payload[0])} {print_term(t.children[0])})"
-        case "obs":
-            return f"(obs {t.payload[0]} {print_term(t.children[0])})"
-        case "sandbox" | "isandbox":
-            return f"({t.tag} {print_term(t.children[0])})"
-        case "instr":
-            insts = " ".join(print_inst(i) for i in instr_flatten(t))
-            return f"(instr {insts})"
-    raise IllFormed(f"unknown constructor: {t.tag}")
+    items = [t.tag, *map(_print_payload, t.payload)]
+    # an instruction sequence prints flat: (instr i1 i2 ... [tail])
+    while t.tag == "instr" and len(t.children) == 1 \
+            and getattr(t.children[0], "tag", None) == "instr":
+        t = t.children[0]
+        items += map(_print_payload, t.payload)
+    items += map(print_term, t.children)
+    return f"({' '.join(items)})" if len(items) > 1 else t.tag
 
 
 # display form used by `compile` for Low targets: instructions joined by ";;"
@@ -448,31 +440,38 @@ def parse_inst(sx) -> Inst:
     raise IllFormed(f"bad instruction: {sx!r}")
 
 
+_EXPR_HEADS = ("lit", "var") + UN_OPS + BIN_OPS
+_INST_HEADS = ("nop", "stop", "assign", "br")
+
+
+def _head(sx):
+    return sx[0] if isinstance(sx, list) and sx else None
+
+
+def _payload_item(sx):
+    """The integer or expression an item denotes; None for a child term."""
+    if _head(sx) in _EXPR_HEADS:
+        return parse_expr(sx)
+    try:
+        return int(sx)
+    except (TypeError, ValueError):
+        return None
+
+
 def _build_term(sx):
-    if isinstance(sx, str):
-        if sx in ("skip", "frame", "return"):
-            return Node(sx)
-        if sx.startswith("?"):
-            return Var(sx[1:])
-        raise IllFormed(f"unknown term: {sx!r}")
-    if not sx:
-        raise IllFormed("empty term")
-    head = sx[0]
-    if head in ("skip", "frame", "return") and len(sx) == 1:
-        return Node(head)
-    if head == "assign" and len(sx) == 3:
-        return assign(parse_int(sx[1]), parse_expr(sx[2]))
-    if head in ("seq", "sseq") and len(sx) == 3:
-        return Node(head, (_build_term(sx[1]), _build_term(sx[2])))
-    if head in ("while", "loop") and len(sx) == 3:
-        return Node(head, (_build_term(sx[2]),), (parse_expr(sx[1]),))
-    if head == "obs" and len(sx) == 3:
-        return obs(parse_int(sx[1]), _build_term(sx[2]))
-    if head in ("sandbox", "isandbox") and len(sx) == 2:
-        return Node(head, (_build_term(sx[1]),))
-    if head == "instr" and len(sx) >= 2:
-        return instr_list([parse_inst(i) for i in sx[1:]])
-    raise IllFormed(f"bad term: {sx!r}")
+    if isinstance(sx, str) and sx.startswith("?"):
+        return Var(sx[1:])
+    tag, *items = [sx] if isinstance(sx, str) else sx or [None]  # a bare tag is (tag)
+    if not isinstance(tag, str) or not tag.isalpha():
+        raise IllFormed(f"bad term: {sx!r}")
+    if tag == "instr":
+        tail = _build_term(items.pop()) if items and _head(items[-1]) not in _INST_HEADS else None
+        return instr_list([parse_inst(i) for i in items], tail)
+    values = [_payload_item(item) for item in items] + [None]
+    n = values.index(None)
+    if any(v is not None for v in values[n:]):
+        raise IllFormed(f"payload after a child in {sx!r}")
+    return Node(tag, tuple(map(_build_term, items[n:])), tuple(values[:n]))
 
 
 def parse_term(text: str) -> Node:

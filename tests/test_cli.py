@@ -161,6 +161,33 @@ def test_open_or_ill_formed_programs_exit_2(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
+@pytest.mark.parametrize("lang, term", [
+    *(("while-sec", term) for term in (
+        "(seq skip)", "(seq skip skip skip)", "(assign 0)", "(obs skip)", "(obs -1 skip)",
+        "(sandbox 1 skip)", "(assign (lit 1) 0)", "(while skip (lit 0))",
+        "(seq skip 0 skip)", "(foo skip)", "()", "0", "(instr)")),
+    ("while-b", "(frame 1)"),
+])
+def test_malformed_program_exits_2(lang, term, capsys):
+    state = "[]" if lang == "while-b" else "{}"
+    assert main(["run", "--lang", lang, "--term", term, "--input", state]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["preserve", "--compiler", "sandbox", "--pairs"], "."),
+    (["replay", "--report"], "."),
+    (["replay", "--report"], "latin1.json"),
+], ids=["preserve-dir", "replay-dir", "replay-not-utf8"])
+def test_unreadable_json_file_exits_2(argv, path, tmp_path, capsys):
+    # a directory, or a file that is not UTF-8, is a usage error, not a crash
+    (tmp_path / "latin1.json").write_bytes(b'{"command": ["laws"], "verdict": "caf\xe9"}')
+    assert main([*argv, str(tmp_path / path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_compile_open_term_through_a_layer_map(capsys):
     for compiler, term, expected in (
             ("sandbox", "(seq ?x skip)", "(sandbox (seq ?x (sandbox skip)))"),
@@ -306,6 +333,7 @@ def test_negative_budget_exits_2(argv, capsys):
      "--samples", "0"],
     ["ctx-closure", "--lang", "while-flag", *WHILE_PAIR, "--depth", "0"],
     ["preserve", "--compiler", "embed-flag", "--depth", "0"],
+    ["coherence", "--compiler", "embed-stack", "--frame-len", "0"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_zero_budget_exits_2(argv, capsys):
     # each of these passed at a zero budget having checked nothing
@@ -423,6 +451,8 @@ def test_sexpr_round_trip():
         "(instr (br (not (lt (var 0) (lit 2))) 3) (assign 1 (add (var 1) (lit 1))) (br (lit 1) -2))",
         "(sseq (instr (stop)) (loop (var 0) (instr (nop))))",
         "(seq frame return)",
+        "(instr (nop) (loop (var 0) (instr (stop))))",
+        "(instr (nop) ?x)",
     ]
     for text in examples:
         term = parse_term(text)

@@ -8,7 +8,7 @@ from gsoscheck.languages import block_cells, evaluate, frame_cells
 from gsoscheck.semantics import step
 from gsoscheck.states import FrameState, LowState, StackState, Store
 from gsoscheck.terms import (
-    Bin, Br, IAssign, IllFormed, Lit, Loc, Nop, Stop, Un, assign, frame,
+    Bin, Br, IAssign, IllFormed, Lit, Loc, Node, Nop, Stop, Un, assign, frame,
     instr, instr_list, loop, parse_term, ret, seq, skip, sseq, while_,
 )
 from gsoscheck import gen
@@ -272,3 +272,20 @@ def test_validation_rejects_ill_formed(langs):
     with pytest.raises(IllFormed):
         langs["while"].validate(while_(Lit(-1), skip()))
     langs["while-int"].validate(while_(Lit(-1), skip()))
+
+
+@pytest.mark.parametrize("lang, term", [
+    ("while", Node("seq", (skip(), skip()), (0,))),
+    ("while", Node("while", (skip(),), (0,))),
+    ("while", Node("assign", (), (Lit(1), Lit(0)))),
+    ("while-flag", Node("obs", (skip(),), (Lit(0),))),
+    ("low", Node("instr", (), (Lit(0),))),
+    ("while", assign(0, Loc(-1))),
+    ("while-b", assign(0, Bin("add", Loc(2), Lit(0)))),
+    ("low", instr(IAssign(0, Lit(-1)))),
+], ids=["seq-with-a-payload", "int-guard", "expr-as-loc", "expr-as-nat", "expr-as-inst",
+        "negative-var", "var-outside-the-frame", "negative-literal-in-inst"])
+def test_validation_checks_payload_kinds(lang, term, langs):
+    # a payload must match its constructor's kinds, in number and in shape
+    with pytest.raises(IllFormed):
+        langs[lang].validate(term)

@@ -111,7 +111,7 @@ def test_plug_unplug_round_trip(langs, cfg):
         count = 0
         for t in gen.closed_terms(lang, cfg, 4, expr_cap=2):
             for ctx, sub in decompositions(t):
-                assert plug(ctx, sub, lang.signature()) == t
+                assert plug(ctx, sub) == t
                 count += 1
         assert count > 0
 
@@ -125,7 +125,7 @@ def test_sample_contexts_deterministic_and_pluggable(langs, cfg):
     assert len(first) == 100
     probe = assign(0, Lit(1))
     for ctx in first:
-        plugged = plug(ctx, probe, lang.signature())
+        plugged = plug(ctx, probe)
         lang.validate(plugged)
 
 

@@ -10,7 +10,9 @@ from gsoscheck import gen
 from gsoscheck.compilers import compile_open
 from gsoscheck.spf import decompositions, plug
 from gsoscheck.terms import (
-    Lit, Node, Var, is_closed, parse_term, print_term, seq, skip, while_,
+    Bin, Br, IAssign, Lit, Loc, Node, Nop, Stop, Un, Var, assign, frame, instr,
+    instr_list, is_closed, isandbox, loop, obs, parse_term, print_term, ret,
+    sandbox, seq, skip, sseq, while_,
 )
 
 
@@ -71,6 +73,58 @@ def test_closed_agrees_with_a_recursive_walk(langs, cfg):
             assert t.closed == walk_closed(t), t
             assert is_closed(t) == walk_closed(t)
     assert not is_closed(Var("x"))
+
+
+def test_every_generated_term_is_valid_and_reads_back_from_its_print(langs, cfg):
+    terms = [(lang, t) for lang in langs.values()
+             for t in [*gen.closed_terms(lang, cfg, 3, expr_cap=2), *gen.layer_shapes(lang, cfg)]]
+    assert len(terms) == 1801
+    for lang, t in terms:
+        lang.validate(t)
+        assert parse_term(print_term(t)) is t, (lang.name, t)
+
+
+# the first layer shape of each constructor tag, as printed
+FIRST_LAYERS = {
+    "while": ["skip", "(assign 0 (lit 0))", "(seq ?x0 ?x1)", "(while (lit 0) ?x0)"],
+    "while-flag": ["skip", "(assign 0 (lit 0))", "(seq ?x0 ?x1)", "(while (lit 0) ?x0)",
+                   "(obs 0 ?x0)"],
+    "while-sec": ["skip", "(assign 0 (lit 0))", "(seq ?x0 ?x1)", "(while (lit 0) ?x0)",
+                  "(obs 0 ?x0)", "(sandbox ?x0)"],
+    "while-int": ["skip", "(assign 0 (lit 0))", "(seq ?x0 ?x1)", "(while (lit 0) ?x0)",
+                  "(isandbox ?x0)"],
+    "low": ["(instr (nop))"],
+    "low-sec": ["(instr (nop))", "(sseq ?x0 ?x1)", "(loop (lit 0) ?x0)"],
+    "while-b": ["skip", "(assign 0 (lit 0))", "(seq ?x0 ?x1)", "(while (lit 0) ?x0)",
+                "frame", "return"],
+    "stack": ["skip", "(assign 0 (lit 0))", "(seq ?x0 ?x1)", "(while (lit 0) ?x0)",
+              "frame", "return"],
+    "stack-clear": ["skip", "(assign 0 (lit 0))", "(seq ?x0 ?x1)", "(while (lit 0) ?x0)",
+                    "frame", "return"],
+}
+
+
+def test_printed_forms_are_pinned(langs, cfg):
+    for lang in langs.values():
+        first = {}
+        for t in gen.layer_shapes(lang, cfg):
+            first.setdefault(t.tag, t)
+        assert [print_term(t) for t in first.values()] == FIRST_LAYERS[lang.name], lang.name
+    for t, text in (
+            (skip(), "skip"),
+            (seq(assign(0, Lit(1)), skip()), "(seq (assign 0 (lit 1)) skip)"),
+            (obs(1, assign(0, Loc(0))), "(obs 1 (assign 0 (var 0)))"),
+            (sandbox(while_(Loc(0), skip())), "(sandbox (while (var 0) skip))"),
+            (isandbox(assign(0, Bin("min", Loc(0), Lit(0)))),
+             "(isandbox (assign 0 (min (var 0) (lit 0))))"),
+            (instr_list([Br(Un("not", Bin("lt", Loc(0), Lit(2))), 3),
+                         IAssign(1, Bin("add", Loc(1), Lit(1))), Br(Lit(1), -2)]),
+             "(instr (br (not (lt (var 0) (lit 2))) 3) (assign 1 (add (var 1) (lit 1)))"
+             " (br (lit 1) -2))"),
+            (sseq(instr(Stop()), loop(Loc(0), instr(Nop()))),
+             "(sseq (instr (stop)) (loop (var 0) (instr (nop))))"),
+            (seq(frame(), ret()), "(seq frame return)")):
+        assert print_term(t) == text
 
 
 def test_node_is_immutable():
