@@ -20,6 +20,18 @@ therefore computes it once per (upper continuation, lower continuation,
 tables) and reuses it for every other input of the window;
 ``fallback_cases`` still counts the cases that needed it.
 
+An open-mode campaign evaluates its cases one (layer, tables) group at a
+time.  Of the whole square only the behavior translation's input side sees
+the target input, so a group compiles its layer, builds its target
+behaviors, runs the source law once per distinct preimage state and
+compiles each distinct upper continuation once, for all the window's
+inputs.  The input side itself (``pass_through``, else ``input_map``) is
+computed once per campaign, as a list aligned with the window.  A group
+lives only while its cases are evaluated.  A widened case has its own
+tables, so it misses its variant's group and starts one of its own, which
+its next sibling replaces; a case evaluated on its own gets a one-off
+group.  Neither shares anything with other cases.
+
 A context-closure check shares the pairs ``check_bisim`` has proved
 equivalent across all its contexts (the base pair aside), so a pair that
 many plugged programs reach is explored once; each context's verdict is
@@ -67,11 +79,13 @@ class CampaignConfig:
 @dataclass
 class CoherenceCase:
     """Open mode: one source layer over variables plus their sampled tables.
-    Closed mode: a closed source term.  Both carry the target input."""
+    Closed mode: a closed source term.  Both carry the target input; an
+    open-mode case also carries the input's index in the campaign window."""
 
     subject: OpenTerm
     target_input: object
     tables: dict = field(default_factory=dict)
+    slot: int = 0
 
     def describe(self) -> dict:
         out = {
@@ -178,24 +192,114 @@ def _compare(cp: CompilerPair, upper: StepOutcome, upper_cont, lower: StepOutcom
     return Divergence("continuation", upper, lower, upper_cont, lower.cont), True
 
 
+def _window_images(cp: CompilerPair, inputs) -> tuple[list, list]:
+    """The behavior translation's input side over ``inputs``: the distinct
+    ``input_map`` images, and per input either the outcome ``pass_through``
+    answers it with or the index of its image among them."""
+    index: dict = {}
+    images = []
+    for i2 in inputs:
+        shortcut = cp.behavior.pass_through(i2)
+        images.append(shortcut if shortcut is not None
+                      else index.setdefault(cp.behavior.input_map(i2), len(index)))
+    return list(index), images
+
+
+class _Group:
+    """One open-mode (layer, tables) variant over a window and the work its
+    cases share (see the module docstring).  Each part is computed when a
+    case first needs it, at the point of the square where a case evaluated
+    on its own computes it, so the same exception surfaces first."""
+
+    def __init__(self, cp: CompilerPair, subject: OpenTerm, tables: dict, window_images):
+        self.cp, self.subject, self.tables = cp, subject, tables
+        self.preimages, self.images = window_images
+        self.sources: list = [None] * len(self.preimages)  # source outcome per preimage
+        self.compiled: dict = {}  # source term -> compile_open of it
+        self.layer: Optional[OpenTerm] = None  # the compiled subject
+        self.behaviors = _target_behaviors(cp, tables)
+
+    def holds(self, case: CoherenceCase) -> bool:
+        return case.subject is self.subject and case.tables is self.tables
+
+    def _compile(self, t: OpenTerm) -> OpenTerm:
+        out = self.compiled.get(t)
+        if out is None:
+            out = self.compiled[t] = compile_open(self.cp, t)
+        return out
+
+    def evaluate(self, case: CoherenceCase, slot: int, window, cfg, memo):
+        """The square at the window's input ``slot``, which is the case's."""
+        cp, i2 = self.cp, case.target_input
+        upper = self.images[slot]
+        if isinstance(upper, int):
+            o1 = self.sources[upper]
+            if o1 is None:
+                o1 = self.sources[upper] = extend_law(
+                    cp.source, self.subject, self.tables, self.preimages[upper])
+            upper = cp.behavior.output_map(i2, o1)
+        upper_cont = self._compile(upper.cont) if upper.cont is not None else None
+        if self.layer is None:
+            self.layer = self._compile(self.subject)
+        lower = extend_law(cp.target, self.layer, self.behaviors, i2)
+        flags = upper.flags | lower.flags
+        div, fb = _compare(cp, upper, upper_cont, lower, window, self.tables, cfg, memo)
+        return div, fb, flags
+
+
+class _OpenCampaign:
+    """An open-mode campaign's window images and the group of the variant
+    its cases have reached: a case the group does not hold starts the next
+    group, and the last one's work is dropped."""
+
+    def __init__(self, cp: CompilerPair, window):
+        self.window_images = _window_images(cp, window)
+        self.group: Optional[_Group] = None
+
+    def group_of(self, cp: CompilerPair, case: CoherenceCase) -> _Group:
+        group = self.group
+        if group is None or not group.holds(case):
+            group = self.group = _Group(cp, case.subject, case.tables, self.window_images)
+        return group
+
+    def evaluate(self, cp: CompilerPair, case: CoherenceCase, window, cfg, memo):
+        """``evaluate_open_case`` on a case of the stream, widening a table
+        the case finds incomplete and evaluating it again."""
+        try:
+            return evaluate_open_case(cp, case, window, cfg, memo, self)
+        except IncompleteTable as miss:
+            _widen(cp, case, miss, cfg)
+            return evaluate_open_case(cp, case, window, cfg, memo, self)
+
+
+def _widen(cp: CompilerPair, case: CoherenceCase, miss: IncompleteTable, cfg) -> None:
+    """Give ``case`` tables with an entry for the missing state, or re-raise
+    ``miss`` when no table of the case is missing it."""
+    if miss.var not in case.tables:
+        raise miss
+    # the widening entry depends only on the missing state, so verdicts do not
+    # depend on evaluation order; the case gets its own tables, because the
+    # variant's dict is shared with its sibling cases
+    rng = random.Random(cfg.seed ^ (hash(miss.state) & 0xFFFFFFFF))
+    entry = gen.widen_entry(rng, miss.state, cp.source.has_label,
+                            sorted(case.tables, key=str), cfg)
+    case.tables = {**case.tables,
+                   miss.var: case.tables[miss.var].widen(miss.state, entry)}
+
+
 def evaluate_open_case(cp: CompilerPair, case: CoherenceCase, window, cfg,
-                       memo: Optional[dict] = None):
+                       memo: Optional[dict] = None,
+                       campaign: Optional[_OpenCampaign] = None):
     """One open-mode square; returns (divergence|None, used_fallback, flags).
-    ``memo`` holds the campaign's fallback verdicts; without one, nothing is
-    shared with other cases."""
-    src, tables = cp.source, case.tables
-    i2 = case.target_input
-
-    def source_behavior(s1):
-        return extend_law(src, case.subject, tables, s1)
-
-    upper = translate_behavior(cp, source_behavior, i2)
-    upper_cont = compile_open(cp, upper.cont) if upper.cont is not None else None
-    lower = extend_law(cp.target, compile_open(cp, case.subject),
-                       _target_behaviors(cp, tables), i2)
-    flags = upper.flags | lower.flags
-    div, fb = _compare(cp, upper, upper_cont, lower, window, tables, cfg, memo)
-    return div, fb, flags
+    ``memo`` holds the campaign's fallback verdicts.  Within a ``campaign``
+    the case is evaluated through its variant's group; without one, through
+    a one-off group, and without a memo nothing is shared with other cases.
+    The result is the same either way."""
+    if campaign is not None:
+        return campaign.group_of(cp, case).evaluate(case, case.slot, window, cfg, memo)
+    one_off = _Group(cp, case.subject, case.tables,
+                     _window_images(cp, [case.target_input]))
+    return one_off.evaluate(case, 0, window, cfg, memo)
 
 
 def evaluate_closed_case(cp: CompilerPair, case: CoherenceCase, window, cfg,
@@ -231,8 +335,8 @@ def open_cases(cp: CompilerPair, cfg: CampaignConfig, window):
                 x: gen.sample_table(rng, x, preimage, cp.source.has_label, names, cfg)
                 for x in names
             }
-            for i2 in window:
-                yield CoherenceCase(layer, i2, tables)
+            for slot, i2 in enumerate(window):
+                yield CoherenceCase(layer, i2, tables, slot)
 
 
 def closed_cases(cp: CompilerPair, cfg: CampaignConfig, window):
@@ -265,8 +369,9 @@ def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
     window = gen.state_window(cp.target, cfg)
     if mode == "open":
         stream = open_cases(cp, cfg, window)
-        evaluate = evaluate_open_case
+        evaluate = _OpenCampaign(cp, window).evaluate
     else:
+        # a closed case has no tables, so there is nothing to widen
         stream = closed_cases(cp, cfg, window)
         evaluate = evaluate_closed_case
 
@@ -276,8 +381,7 @@ def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
     for case in itertools.islice(stream, cfg.samples):
         cases += 1
         try:
-            div, fb, case_flags = _evaluate_with_widening(
-                evaluate, cp, case, window, cfg, memo)
+            div, fb, case_flags = evaluate(cp, case, window, cfg, memo)
         except IllFormed:
             illformed += 1
             continue
@@ -291,23 +395,6 @@ def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
             return Fail(case, div, cases_before=cases - 1, flags=flags)
     exhausted = next(stream, None) is None
     return Pass(cases, exhausted, inconclusive, illformed, fallback, flags)
-
-
-def _evaluate_with_widening(evaluate, cp, case, window, cfg, memo=None):
-    try:
-        return evaluate(cp, case, window, cfg, memo)
-    except IncompleteTable as miss:
-        if miss.var not in case.tables:
-            raise
-        # the widening entry depends only on the missing state, so verdicts
-        # do not depend on evaluation order; the case gets its own tables,
-        # because the variant's dict is shared with its sibling cases
-        rng = random.Random(cfg.seed ^ (hash(miss.state) & 0xFFFFFFFF))
-        entry = gen.widen_entry(rng, miss.state, cp.source.has_label,
-                                sorted(case.tables, key=str), cfg)
-        case.tables = {**case.tables,
-                       miss.var: case.tables[miss.var].widen(miss.state, entry)}
-        return evaluate(cp, case, window, cfg, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,8 @@ def pc_window(cfg, length: Optional[int] = None) -> list[int]:
 
 
 def _wide_stores(cfg, rng: random.Random, n_cells: int, count: int) -> list[Store]:
+    if cfg.max_value < 1:
+        return [Store.of({})] * count  # no nonzero value to put in a cell
     out = []
     for _ in range(count):
         cells = {}

@@ -1,6 +1,7 @@
 """Campaign behavior: the verdict table, witness soundness, stream
 determinism, preservation and context closure."""
 import itertools
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -12,7 +13,7 @@ from gsoscheck.checker import (
 )
 from gsoscheck.languages import LangDef
 from gsoscheck.semantics import (
-    BehaviorTable, Distinguished, Equivalent, StepOutcome, check_bisim,
+    BehaviorTable, Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim,
 )
 from gsoscheck.states import LowState, StackState, Store
 from gsoscheck.terms import (
@@ -202,8 +203,8 @@ def test_widening_copies_the_variant_tables_and_misses_the_memo(comps, monkeypat
                             full.has_label)
     variant = {x0: clipped, x1: only_x1}
     sibling_input = next(s for s, e in clipped.entries.items() if e[2] is None)
-    sibling = CoherenceCase(case.subject, sibling_input, variant)
-    widened = CoherenceCase(case.subject, missing, variant)
+    sibling = CoherenceCase(case.subject, sibling_input, variant, window.index(sibling_input))
+    widened = CoherenceCase(case.subject, missing, variant, window.index(missing))
     calls = []
     real = checker.check_bisim
 
@@ -212,13 +213,11 @@ def test_widening_copies_the_variant_tables_and_misses_the_memo(comps, monkeypat
         return real(*args, **kwargs)
 
     monkeypatch.setattr(checker, "check_bisim", counting)
-    memo = {}
+    memo, campaign = {}, checker._OpenCampaign(cp, window)
     # the sibling reaches the same continuations against the unwidened table
-    assert checker._evaluate_with_widening(
-        evaluate_open_case, cp, sibling, window, cfg, memo)[:2] == (None, True)
+    assert campaign.evaluate(cp, sibling, window, cfg, memo)[:2] == (None, True)
     assert len(calls) == 1 and len(memo) == 1
-    assert checker._evaluate_with_widening(
-        evaluate_open_case, cp, widened, window, cfg, memo)[:2] == (None, True)
+    assert campaign.evaluate(cp, widened, window, cfg, memo)[:2] == (None, True)
     # the widened case got its own tables; the variant's dict is untouched
     assert widened.tables is not variant and missing in widened.tables[x0].entries
     assert sibling.tables is variant and variant[x0] is clipped
@@ -226,6 +225,101 @@ def test_widening_copies_the_variant_tables_and_misses_the_memo(comps, monkeypat
     # and its verdict was computed against the widened table, not served
     assert len(calls) == 2 and calls[0] == calls[1]
     assert (*calls[1], tuple(widened.tables.items())) in memo
+
+
+def _alone(cp, case, window, cfg):
+    """``evaluate_open_case`` on the case alone, widened as a campaign
+    widens it."""
+    try:
+        return evaluate_open_case(cp, case, window, cfg)
+    except IncompleteTable as miss:
+        checker._widen(cp, case, miss, cfg)
+        return evaluate_open_case(cp, case, window, cfg)
+
+
+def _per_case_campaign(cp, cfg):
+    """The campaign as a loop over the case stream, each case evaluated on
+    its own with no memo: the reference for the grouped evaluation."""
+    window = gen.state_window(cp.target, cfg)
+    stream = open_cases(cp, cfg, window)
+    cases = inconclusive = illformed = fallback = 0
+    flags = frozenset()
+    for case in itertools.islice(stream, cfg.samples):
+        cases += 1
+        try:
+            div, fb, case_flags = _alone(cp, case, window, cfg)
+        except IllFormed:
+            illformed += 1
+            continue
+        except IncompleteTable:
+            inconclusive += 1
+            continue
+        flags |= case_flags
+        fallback += fb
+        if div is not None:
+            return Fail(case, div, cases - 1, flags)
+    return Pass(cases, next(stream, None) is None, inconclusive, illformed, fallback, flags)
+
+
+OPEN_CHECKABLE = ("embed-flag", "sandbox", "unsandbox", "embed-int", "sandbox-int",
+                  "embed-low-sec", "embed-stack", "embed-stack-clear")
+
+
+@pytest.mark.parametrize("seed", [CampaignConfig.seed, CampaignConfig.seed + 7])
+@pytest.mark.parametrize("name", OPEN_CHECKABLE)
+def test_group_evaluation_equals_per_case_evaluation(comps, name, seed):
+    # every budget reaches the verdict of the shipped campaign, except
+    # sandbox-int's: un-memoised, its fallback cases take seconds
+    cp = comps[name]
+    assert cp.open_checkable
+    cfg = CampaignConfig(samples=500 if name == "sandbox-int" else 6000, seed=seed)
+    grouped, alone = check_coherence(cp, cfg), _per_case_campaign(cp, cfg)
+    assert type(grouped) is type(alone)
+    if isinstance(alone, Pass):
+        assert grouped == alone
+        return
+    assert grouped.case.subject is alone.case.subject
+    assert grouped.case.target_input == alone.case.target_input
+    assert grouped.case.describe() == alone.case.describe()
+    assert grouped.cases_before == alone.cases_before
+    assert grouped.divergence.describe() == alone.divergence.describe()
+    assert grouped.flags == alone.flags
+
+
+def test_each_group_compiles_its_layer_once_and_runs_the_source_once_per_state(
+        comps, monkeypatch):
+    # within one (layer, tables) group only the target input changes, so the
+    # layer is compiled once and the source law runs once per preimage state
+    cp, cfg = comps["embed-stack-clear"], CampaignConfig()
+    variants = []  # every group's tables, kept alive so that ids stay apart
+    layer_compiles, source_runs = Counter(), Counter()
+    real_evaluate, real_compile, real_law = (
+        checker.evaluate_open_case, checker.compile_open, checker.extend_law)
+
+    def evaluating(cp_, case, *rest, **kwargs):
+        if not variants or variants[-1][1] is not case.tables:
+            variants.append((case.subject, case.tables))
+        return real_evaluate(cp_, case, *rest, **kwargs)
+
+    def compiling(cp_, t):
+        subject, tables = variants[-1]
+        if t is subject:
+            layer_compiles[t, id(tables)] += 1
+        return real_compile(cp_, t)
+
+    def extending(lang, term, behaviors, state):
+        if lang is cp.source:
+            source_runs[term, id(behaviors), state] += 1
+        return real_law(lang, term, behaviors, state)
+
+    monkeypatch.setattr(checker, "evaluate_open_case", evaluating)
+    monkeypatch.setattr(checker, "compile_open", compiling)
+    monkeypatch.setattr(checker, "extend_law", extending)
+    verdict = check_coherence(cp, cfg)
+    assert isinstance(verdict, Pass) and verdict.cases == cfg.samples
+    assert len(variants) > 1
+    assert layer_compiles == Counter({(subject, id(tables)): 1 for subject, tables in variants})
+    assert source_runs and max(source_runs.values()) == 1
 
 
 def test_secure_low_needs_no_fallback(comps):
