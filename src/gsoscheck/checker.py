@@ -27,10 +27,12 @@ behaviors, runs the source law once per distinct preimage state and
 compiles each distinct upper continuation once, for all the window's
 inputs.  The input side itself (``pass_through``, else ``input_map``) is
 computed once per campaign, as a list aligned with the window.  A group
-lives only while its cases are evaluated.  A widened case has its own
-tables, so it misses its variant's group and starts one of its own, which
-its next sibling replaces; a case evaluated on its own gets a one-off
-group.  Neither shares anything with other cases.
+lives only while its cases are evaluated; a case evaluated on its own
+gets a one-off group, which shares nothing with other cases.
+
+A table answers only on the states it was sampled on.  A case whose
+square queries a table elsewhere is tallied inconclusive, never answered
+with an invented entry.
 
 A context-closure check shares the pairs ``check_bisim`` has proved
 equivalent across all its contexts (the base pair aside), so a pair that
@@ -42,6 +44,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Optional
 
 from .terms import (
@@ -176,10 +179,10 @@ def _compare(cp: CompilerPair, upper: StepOutcome, upper_cont, lower: StepOutcom
     if upper_cont is None or upper_cont == lower.cont:
         return None, False
     # syntactic mismatch: bounded behavioral comparison over the window, once
-    # per key (see the module docstring).  Tables compare by identity: a
-    # widened table is a new object, hence a new key, and the memo keeps its
-    # tables alive, so no identity is reused.  Only the verdict is kept; each
-    # case builds its own divergence from it.
+    # per key (see the module docstring).  Tables compare by identity, so a
+    # key costs no hashing of their entries; the memo keeps its tables alive,
+    # so no identity is reused.  Only the verdict is kept; each case builds
+    # its own divergence from it.
     memo = {} if memo is None else memo
     key = (upper_cont, lower.cont, tuple(tables.items()))
     verdict = memo.get(key)
@@ -261,30 +264,6 @@ class _OpenCampaign:
         if group is None or not group.holds(case):
             group = self.group = _Group(cp, case.subject, case.tables, self.window_images)
         return group
-
-    def evaluate(self, cp: CompilerPair, case: CoherenceCase, window, cfg, memo):
-        """``evaluate_open_case`` on a case of the stream, widening a table
-        the case finds incomplete and evaluating it again."""
-        try:
-            return evaluate_open_case(cp, case, window, cfg, memo, self)
-        except IncompleteTable as miss:
-            _widen(cp, case, miss, cfg)
-            return evaluate_open_case(cp, case, window, cfg, memo, self)
-
-
-def _widen(cp: CompilerPair, case: CoherenceCase, miss: IncompleteTable, cfg) -> None:
-    """Give ``case`` tables with an entry for the missing state, or re-raise
-    ``miss`` when no table of the case is missing it."""
-    if miss.var not in case.tables:
-        raise miss
-    # the widening entry depends only on the missing state, so verdicts do not
-    # depend on evaluation order; the case gets its own tables, because the
-    # variant's dict is shared with its sibling cases
-    rng = random.Random(cfg.seed ^ (hash(miss.state) & 0xFFFFFFFF))
-    entry = gen.widen_entry(rng, miss.state, cp.source.has_label,
-                            sorted(case.tables, key=str), cfg)
-    case.tables = {**case.tables,
-                   miss.var: case.tables[miss.var].widen(miss.state, entry)}
 
 
 def evaluate_open_case(cp: CompilerPair, case: CoherenceCase, window, cfg,
@@ -369,9 +348,8 @@ def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
     window = gen.state_window(cp.target, cfg)
     if mode == "open":
         stream = open_cases(cp, cfg, window)
-        evaluate = _OpenCampaign(cp, window).evaluate
+        evaluate = partial(evaluate_open_case, campaign=_OpenCampaign(cp, window))
     else:
-        # a closed case has no tables, so there is nothing to widen
         stream = closed_cases(cp, cfg, window)
         evaluate = evaluate_closed_case
 

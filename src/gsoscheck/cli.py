@@ -53,7 +53,9 @@ def _count(text: str, least: int = 0) -> int:
 
 
 # a budget of 0 samples, term size or depth would check nothing and pass;
-# a frame of 0 cells leaves out every assignment, so no frame leak can show
+# a frame of 0 cells leaves out every assignment, so no frame leak can show;
+# 0 store cells or a top value of 0 leave only all-zero stores, where no
+# leaked nonzero value can show
 _budget = partial(_count, least=1)
 
 
@@ -74,8 +76,8 @@ def _add_budget_flags(p: argparse.ArgumentParser, sampled: bool = True):
                        max_term_size=CampaignConfig.max_term_size)
     p.add_argument("--depth", type=_budget, default=CampaignConfig.depth)
     p.add_argument("--seed", type=lambda v: int(v, 0), default=CampaignConfig.seed)
-    p.add_argument("--store-cells", type=_count, default=CampaignConfig.store_cells)
-    p.add_argument("--max-value", type=_count, default=CampaignConfig.max_value)
+    p.add_argument("--store-cells", type=_budget, default=CampaignConfig.store_cells)
+    p.add_argument("--max-value", type=_budget, default=CampaignConfig.max_value)
     p.add_argument("--sp-max", type=_count, default=CampaignConfig.sp_max)
     # ignored: perfbench/run.py still appends --threads 1 to every command line
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)

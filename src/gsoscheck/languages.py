@@ -27,7 +27,6 @@ from .terms import (
 )
 from .states import FrameState, LowState, StackState, Store, clamp_negatives
 from .semantics import StepOutcome
-from .spf import language_spf
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +136,6 @@ class LangDef:
     def shapes(self) -> dict:
         """The constructor table keyed on (tag, payload length, arity)."""
         return {(tag, len(kinds), arity): kinds for tag, kinds, arity in self.constructors}
-
-    @property
-    def spf(self):
-        return language_spf(self.constructors)
 
     def validate(self, term: OpenTerm):
         """Well-formedness against the constructor table: each layer is a

@@ -38,11 +38,6 @@ from .states import MachineState
 class IncompleteTable(Exception):
     """A behavior table was consulted outside its sampled domain."""
 
-    def __init__(self, var, state):
-        super().__init__(f"table for {var!r} has no entry for {state!r}")
-        self.var = var
-        self.state = state
-
 
 @dataclass(frozen=True)
 class StepOutcome:
@@ -82,15 +77,10 @@ class BehaviorTable:
 
     def __call__(self, state: MachineState) -> StepOutcome:
         if state not in self.entries:
-            raise IncompleteTable(self.var, state)
+            raise IncompleteTable(f"table for {self.var!r} has no entry for {state!r}")
         label, out, cont = self.entries[state]
         return StepOutcome(out, label if self.has_label else None,
                            Var(cont) if cont is not None else None)
-
-    def widen(self, state: MachineState, entry) -> "BehaviorTable":
-        entries = dict(self.entries)
-        entries[state] = entry
-        return BehaviorTable(self.var, entries, self.has_label)
 
 
 def extend_law(lang, term: OpenTerm, behaviors: dict, state: MachineState) -> StepOutcome:
@@ -100,7 +90,7 @@ def extend_law(lang, term: OpenTerm, behaviors: dict, state: MachineState) -> St
     subjects."""
     if isinstance(term, Var):
         if term.name not in behaviors:
-            raise IncompleteTable(term.name, state)
+            raise IncompleteTable(f"no table for {term.name!r} at {state!r}")
         return behaviors[term.name](state)
     pairs = []
     for child in term.children:

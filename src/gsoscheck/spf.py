@@ -7,8 +7,12 @@ and composition; no fixed points.  Derivatives follow the usual rules
     d(G x H) = dG x H + G x dH            d(G . H) = (dG . H) x dH
 
 taken literally, with no simplification: Zero summands and One factors
-stay in the shape.  The tested contract is isomorphism (cardinality
-agreement), never syntactic shape.
+stay in the shape.  The tested contract is cardinality, never syntactic
+shape: over n variables, a language's functor F counts its layers, and
+|dF| * n counts the splits ``decompositions`` yields at depth one, each
+layer once per child position.  No command runs the functor algebra; it
+states the syntax functor that ``decompositions`` and ``plug`` compute
+with, and the tests hold the two to each other.
 
 A single-hole context for a syntax functor is a list of derivative layers,
 outermost first; plugging folds the one-step reconstruction over the list,
@@ -16,7 +20,6 @@ innermost layer applied first, and the empty list is the bare hole.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -70,8 +73,6 @@ class One:
 
 SpfExpr = Union[Id, Const, Sum, Prod, Comp, Zero, One]
 
-UNIT = ("unit",)
-
 
 def _right_nested(node, empty: SpfExpr, shapes: Sequence[SpfExpr]) -> SpfExpr:
     """``node(shapes[0], node(shapes[1], ...))``; ``empty`` for no shapes."""
@@ -124,81 +125,6 @@ def count_positions(f: SpfExpr, x_size: int, sizes: Optional[dict[str, int]] = N
         case Comp(g, h):
             return count_positions(g, count_positions(h, x_size, sizes), sizes)
     raise IllFormed(f"not a functor expression: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# generic values of f(X)
-#
-# Value encoding: Id slots hold the X element itself, constants hold a
-# carrier element, One is the UNIT token, sums are ('inl', v) / ('inr', v)
-# and products are ('pair', l, r).  Composition reuses the outer encoding
-# with inner values sitting in the Id slots.
-
-def enum_values(f: SpfExpr, xs: Sequence, carriers: Optional[dict[str, Sequence]] = None):
-    carriers = carriers or {}
-    match f:
-        case Id():
-            yield from xs
-        case Const(c):
-            if c not in carriers:
-                raise UnknownCarrier(c)
-            yield from carriers[c]
-        case One():
-            yield UNIT
-        case Zero():
-            return
-        case Sum(g, h):
-            for v in enum_values(g, xs, carriers):
-                yield ("inl", v)
-            for v in enum_values(h, xs, carriers):
-                yield ("inr", v)
-        case Prod(g, h):
-            for l, r in itertools.product(
-                list(enum_values(g, xs, carriers)), list(enum_values(h, xs, carriers))
-            ):
-                yield ("pair", l, r)
-        case Comp(g, h):
-            inner = list(enum_values(h, xs, carriers))
-            yield from enum_values(g, inner, carriers)
-        case _:
-            raise IllFormed(f"not a functor expression: {f!r}")
-
-
-def count_id_occurrences(f: SpfExpr, value) -> int:
-    """Id occurrences inside one value of f(X); the brute-force side of the
-    derivative/position oracle."""
-    match f:
-        case Id():
-            return 1
-        case Const() | One():
-            return 0
-        case Sum(g, h):
-            tag, v = value[0], value[1]
-            return count_id_occurrences(g if tag == "inl" else h, v)
-        case Prod(g, h):
-            return count_id_occurrences(g, value[1]) + count_id_occurrences(h, value[2])
-        case Comp(g, h):
-            total = 0
-            for slot in _id_slots(g, value):
-                total += count_id_occurrences(h, slot)
-            return total
-    raise IllFormed(f"not a functor expression: {f!r}")
-
-
-def _id_slots(f: SpfExpr, value):
-    match f:
-        case Id():
-            yield value
-        case Const() | One():
-            return
-        case Sum(g, h):
-            yield from _id_slots(g if value[0] == "inl" else h, value[1])
-        case Prod(g, h):
-            yield from _id_slots(g, value[1])
-            yield from _id_slots(h, value[2])
-        case Comp(g, h):
-            for slot in _id_slots(g, value):
-                yield from _id_slots(h, slot)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,11 @@ from gsoscheck.cli import EXAMPLE1_COMPILED, EXAMPLE1_SOURCE, execute
 from gsoscheck.compilers import compile_term
 from gsoscheck.laws import run_law_suite
 from gsoscheck.semantics import Distinguished, Equivalent, check_bisim
-from gsoscheck.spf import count_positions, derive
 from gsoscheck.states import LowState, Store
 from gsoscheck.terms import Bin, Lit, Loc, assign, show_low, while_
 from gsoscheck import gen
 
-from tests.test_spf import CARRIER_SIZES, brute_marked_count
+from tests.test_spf import functor_counts
 
 
 def report(n, text):
@@ -185,9 +184,8 @@ def test_criterion_12_laws_under_60s(langs, cfg):
 
 def test_criterion_13_derivative_oracle(langs):
     for lang in langs.values():
-        f = lang.spf
         for n in (1, 2, 3):
-            symbolic = count_positions(derive(f), n, CARRIER_SIZES) * n
-            brute = brute_marked_count(f, n, CARRIER_SIZES)
-            assert symbolic == brute, (lang.name, n)
+            layers, f_count, splits, df_count = functor_counts(lang, n)
+            assert layers == f_count, (lang.name, n)
+            assert splits == df_count, (lang.name, n)
     report(13, "derivative position counts match brute force for every syntax functor at |X| <= 3")

@@ -2,7 +2,7 @@
 determinism, preservation and context closure."""
 import itertools
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -13,7 +13,7 @@ from gsoscheck.checker import (
 )
 from gsoscheck.languages import LangDef
 from gsoscheck.semantics import (
-    BehaviorTable, Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim,
+    Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim,
 )
 from gsoscheck.states import LowState, StackState, Store
 from gsoscheck.terms import (
@@ -182,59 +182,21 @@ def test_fallback_runs_once_per_continuations_and_tables(comps, monkeypatch):
     assert len(set(calls)) == 9  # each pair under both table variants
 
 
-def test_widening_copies_the_variant_tables_and_misses_the_memo(comps, monkeypatch):
-    cp, cfg = comps["sandbox"], CampaignConfig(samples=2000)
-    window = gen.state_window(cp.target, cfg)
-    # the first fallback case is (seq ?x0 ?x1) with ?x0 terminating at the
-    # input, so the continuations ?x1 and (sandbox ?x1) are compared
-    # behaviorally.  With ?x1 never continuing as ?x0, that comparison reads
-    # only ?x1's table, and ?x0's table is read at the input alone: a table
-    # for ?x0 missing that input widens only the case at that input.
-    case = next(c for c in open_cases(cp, cfg, window)
-                if evaluate_open_case(cp, c, window, cfg)[1])
-    x0, x1 = sorted(case.tables, key=str)
-    full = case.tables[x0]
-    missing = case.target_input
-    assert full.entries[missing][2] is None
-    clipped = BehaviorTable(x0, {s: e for s, e in full.entries.items() if s != missing},
-                            full.has_label)
-    only_x1 = BehaviorTable(x1, {s: (label, out, cont if cont == x1 else None)
-                                 for s, (label, out, cont) in case.tables[x1].entries.items()},
-                            full.has_label)
-    variant = {x0: clipped, x1: only_x1}
-    sibling_input = next(s for s, e in clipped.entries.items() if e[2] is None)
-    sibling = CoherenceCase(case.subject, sibling_input, variant, window.index(sibling_input))
-    widened = CoherenceCase(case.subject, missing, variant, window.index(missing))
-    calls = []
-    real = checker.check_bisim
+def test_out_of_domain_table_query_is_inconclusive(comps):
+    # a table answers only on the states it was sampled on: a case whose
+    # square queries one elsewhere is tallied inconclusive, not answered
+    cp = comps["sandbox"]
+    outside = Store.of({0: 99})
+    rule = cp.source.rule
 
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return real(*args, **kwargs)
+    def probing(tag, payload, children, s):
+        if tag == "seq":
+            children[0][1](outside)
+        return rule(tag, payload, children, s)
 
-    monkeypatch.setattr(checker, "check_bisim", counting)
-    memo, campaign = {}, checker._OpenCampaign(cp, window)
-    # the sibling reaches the same continuations against the unwidened table
-    assert campaign.evaluate(cp, sibling, window, cfg, memo)[:2] == (None, True)
-    assert len(calls) == 1 and len(memo) == 1
-    assert campaign.evaluate(cp, widened, window, cfg, memo)[:2] == (None, True)
-    # the widened case got its own tables; the variant's dict is untouched
-    assert widened.tables is not variant and missing in widened.tables[x0].entries
-    assert sibling.tables is variant and variant[x0] is clipped
-    assert missing not in clipped.entries
-    # and its verdict was computed against the widened table, not served
-    assert len(calls) == 2 and calls[0] == calls[1]
-    assert (*calls[1], tuple(widened.tables.items())) in memo
-
-
-def _alone(cp, case, window, cfg):
-    """``evaluate_open_case`` on the case alone, widened as a campaign
-    widens it."""
-    try:
-        return evaluate_open_case(cp, case, window, cfg)
-    except IncompleteTable as miss:
-        checker._widen(cp, case, miss, cfg)
-        return evaluate_open_case(cp, case, window, cfg)
+    probed = replace(cp, source=replace(cp.source, rule=probing))
+    verdict = check_coherence(probed, CampaignConfig(samples=2000))
+    assert isinstance(verdict, Pass) and verdict.inconclusive > 0
 
 
 def _per_case_campaign(cp, cfg):
@@ -247,7 +209,7 @@ def _per_case_campaign(cp, cfg):
     for case in itertools.islice(stream, cfg.samples):
         cases += 1
         try:
-            div, fb, case_flags = _alone(cp, case, window, cfg)
+            div, fb, case_flags = evaluate_open_case(cp, case, window, cfg)
         except IllFormed:
             illformed += 1
             continue

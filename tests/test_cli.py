@@ -9,7 +9,7 @@ import pytest
 from gsoscheck import gen
 from gsoscheck.checker import CampaignConfig
 from gsoscheck.cli import build_parser, execute, main
-from gsoscheck.states import parse_state
+from gsoscheck.states import Store, parse_state
 
 
 def run_cli(argv):
@@ -334,9 +334,19 @@ def test_negative_budget_exits_2(argv, capsys):
     ["ctx-closure", "--lang", "while-flag", *WHILE_PAIR, "--depth", "0"],
     ["preserve", "--compiler", "embed-flag", "--depth", "0"],
     ["coherence", "--compiler", "embed-stack", "--frame-len", "0"],
+    # each compiler fails at the default window
+    pytest.param(["coherence", "--compiler", "embed-stack", "--max-value", "0"],
+                 id="coherence-embed-stack--max-value"),
+    pytest.param(["coherence", "--compiler", "embed-int", "--max-value", "0"],
+                 id="coherence-embed-int--max-value"),
+    pytest.param(["coherence", "--compiler", "unsandbox", "--max-value", "0"],
+                 id="coherence-unsandbox--max-value"),
+    pytest.param(["coherence", "--compiler", "embed-int", "--store-cells", "0"],
+                 id="coherence-embed-int--store-cells"),
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_zero_budget_exits_2(argv, capsys):
-    # each of these passed at a zero budget having checked nothing
+    # each of these passed at a zero budget having checked nothing, or
+    # having checked only all-zero stores
     with pytest.raises(SystemExit) as e:
         main(argv)
     assert e.value.code == 2
@@ -351,11 +361,16 @@ def test_zero_budget_exits_2(argv, capsys):
     ["ctx-closure", "--lang", "stack", "--left", "skip", "--right", "skip",
      "--samples", "50"],
 ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
-def test_zero_max_value_on_stack_windows(argv):
-    # a stack window's wide stores hold only nonzero values; with none to
-    # draw they are empty, where they used to crash the draw
-    code, report, _ = execute(argv + ["--max-value", "0"])
-    assert code == 0 and report.verdict in ("pass", "preserved", "equivalent", "closed")
+def test_zero_max_value_on_stack_windows(argv, capsys):
+    # a top value of 0 is a usage error on every command; a configuration
+    # built with one still gets a stack window, whose wide stores hold only
+    # nonzero values and so are empty, where they used to crash the draw
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--max-value", "0"])
+    assert e.value.code == 2
+    assert "must be at least 1: 0" in capsys.readouterr().err
+    window = gen.stack_window(CampaignConfig(max_value=0))
+    assert {st.store for st in window} == {Store.of({})}
 
 
 def test_threads_flag_does_not_change_the_report():

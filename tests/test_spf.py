@@ -1,13 +1,15 @@
 """Functor derivatives, contexts and plugging."""
+import itertools
 
 import pytest
 
 from gsoscheck.spf import (
     Comp, Const, Id, One, OneHoleLayer, Prod, Sum, Zero,
-    con_step, count_id_occurrences, count_positions,
-    decompositions, derive, enum_values, plug,
+    con_step, count_positions, decompositions, derive, language_spf, plug,
 )
-from gsoscheck.terms import Bin, Lit, Loc, assign, obs, parse_term, seq, skip, while_
+from gsoscheck.terms import (
+    Bin, Lit, Loc, Node, Var, assign, obs, parse_term, seq, skip, while_,
+)
 from gsoscheck import gen
 
 
@@ -40,38 +42,55 @@ def test_count_positions_unknown_carrier():
         count_positions(Const("mystery"), 3)
 
 
-def brute_marked_count(f, n, carriers):
-    """Independent oracle: enumerate every value of f(X) and count the
-    (value, marked Id occurrence) pairs."""
-    xs = [("x", i) for i in range(n)]
-    elems = {tag: [(tag, i) for i in range(size)] for tag, size in carriers.items()}
-    return sum(count_id_occurrences(f, v) for v in enum_values(f, xs, elems))
-
-
 CARRIER_SIZES = {"expr": 2, "loc": 2, "nat": 2, "inst": 2}
 
 
+def functor_counts(lang, n: int) -> tuple[int, int, int, int]:
+    """The derivative oracle for ``lang``'s syntax functor F over n variables:
+    (layers built, |F(X)|, splits one layer deep, |dF(X)| * |X|).
+
+    The layers are built from the constructor table, with n distinct
+    variables and CARRIER_SIZES distinct values per payload kind; their
+    splits are the ones ``decompositions`` yields, a layer once per child
+    position."""
+    xs = [Var(f"x{i}") for i in range(n)]
+    built = set()
+    for tag, kinds, arity in lang.constructors:
+        values = [[(k, i) for i in range(CARRIER_SIZES[k])] for k in kinds]
+        for payload in itertools.product(*values):
+            for children in itertools.product(xs, repeat=arity):
+                built.add(Node(tag, children, payload))
+    splits = sum(len(ctx) == 1 for t in built for ctx, _ in decompositions(t))
+    f = language_spf(lang.constructors)
+    return (len(built), count_positions(f, n, CARRIER_SIZES),
+            splits, count_positions(derive(f), n, CARRIER_SIZES) * n)
+
+
 def test_derivative_position_soundness_registry(langs):
-    # |dF(X)| * |X| equals the brute-force marked-position count, for every
-    # registered syntax functor at |X| <= 3
+    # F counts the layers over |X| variables and |dF(X)| * |X| the splits
+    # one layer deep, for every registered syntax functor at |X| <= 3
     for lang in langs.values():
-        f = lang.spf
         for n in (1, 2, 3):
-            derived = count_positions(derive(f), n, CARRIER_SIZES) * n
-            assert derived == brute_marked_count(f, n, CARRIER_SIZES), lang.name
+            layers, f_count, splits, df_count = functor_counts(lang, n)
+            assert layers == f_count and splits == df_count, (lang.name, n)
 
 
 def test_derivative_position_soundness_synthetic():
+    # these functors build no terms, so each |dF(X)| * |X| is checked against
+    # its closed form, worked out by hand with |X| = n and carriers of size 2:
+    #   1 + X^2:                   dF = 2X                        -> 2n * n = 2n^2
+    #   E * X^2:                   dF = E * 2X                    -> 4n * n = 4n^2
+    #   G . H, G = Y^2, H = 1 + X:   dF = dG(H) * dH = 2(1 + X) * 1 -> 2n(n + 1)
+    #   G . H, G = N + Y, H = X * E: dF = dG(H) * dH = 1 * E       -> 2n
     cases = [
-        Sum(One(), Prod(Id(), Id())),
-        Prod(Const("expr"), Prod(Id(), Id())),
-        Comp(Prod(Id(), Id()), Sum(One(), Id())),
-        Comp(Sum(Const("nat"), Id()), Prod(Id(), Const("expr"))),
+        (Sum(One(), Prod(Id(), Id())), lambda n: 2 * n * n),
+        (Prod(Const("expr"), Prod(Id(), Id())), lambda n: 4 * n * n),
+        (Comp(Prod(Id(), Id()), Sum(One(), Id())), lambda n: 2 * n * (n + 1)),
+        (Comp(Sum(Const("nat"), Id()), Prod(Id(), Const("expr"))), lambda n: 2 * n),
     ]
-    for f in cases:
+    for f, closed_form in cases:
         for n in (1, 2, 3):
-            derived = count_positions(derive(f), n, CARRIER_SIZES) * n
-            assert derived == brute_marked_count(f, n, CARRIER_SIZES)
+            assert count_positions(derive(f), n, CARRIER_SIZES) * n == closed_form(n), (f, n)
 
 
 def test_con_step_layer_examples():
