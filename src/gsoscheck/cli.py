@@ -9,6 +9,7 @@ per (config, seed); the seed is ``--seed`` or, without it, the default
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -581,11 +582,17 @@ def main(argv=None) -> int:
     except IllFormed as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if "--json" in argv:
-        print(report.to_json())
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if "--json" in argv:
+            print(report.to_json())
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output early, as `| head` does: the rest
+        # has nowhere to go, and the interpreter's last flush must not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

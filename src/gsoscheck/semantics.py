@@ -23,13 +23,20 @@ output state, then termination; ``check_bisim`` and the coherence check
 both use it.  ``check_bisim`` can share the pairs it has proved equivalent
 with later calls over the same language and inputs; a context-closure
 check shares one such table across all its contexts, so a pair that many
-plugged programs reach is explored once.
+plugged programs reach is explored once.  Open terms, and every term when
+behaviors are given, are extended through a dict that lives only for one
+``check_bisim`` call: it holds the outcome of every term the call steps,
+of every subterm the rule queries and of every variable's table answer,
+so each (term, state) is extended at most once per call.  Nothing in it
+outlives the call, so no case, campaign or other call sees it.  Outcomes
+are immutable named tuples, so a remembered one is handed out again as it
+is.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .terms import IllFormed, Node, OpenTerm, Var, is_closed
 from .states import MachineState
@@ -39,8 +46,7 @@ class IncompleteTable(Exception):
     """A behavior table was consulted outside its sampled domain."""
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """Result of one transition: output state, optional label, optional
     continuation; no continuation means the step terminated."""
 
@@ -189,10 +195,30 @@ def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
     # pair -> the most remaining depth it has been explored with; a pair met
     # again with more depth left is explored again
     seen: dict = {}
+    # (term, state) -> its outcome, for this call only: every open term, or
+    # every term given behaviors, with the subterms the rule queries and
+    # each variable's table answer
+    extended: dict = {}
+    rule = lang.rule
+
+    def extend(t, s):
+        """``extend_law(lang, t, behaviors, s)``, each (term, state) once."""
+        key = (t, s)
+        out = extended.get(key)
+        if out is None:
+            if type(t) is Var:
+                if t.name not in behaviors:
+                    raise IncompleteTable(f"no table for {t.name!r} at {s!r}")
+                out = behaviors[t.name](s)
+            else:
+                out = rule(t.tag, t.payload,
+                           tuple((c, partial(extend, c)) for c in t.children), s)
+            extended[key] = out
+        return out
 
     def stepper(t):
         if behaviors or not is_closed(t):
-            return partial(extend_law, lang, t, behaviors)
+            return partial(extend, t)
         return partial(step, lang, t)
 
     def compare(a, b, d, path):
@@ -215,7 +241,12 @@ def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
                 return found
         return None
 
-    witness = compare(p, q, depth, ())
+    try:
+        witness = compare(p, q, depth, ())
+    finally:
+        # ``extend`` and ``compare`` refer to themselves, so without this the
+        # outcomes would live on until the cycle collector runs
+        extended.clear()
     if witness is not None:
         return witness
     # each pair was explored to completion with the depth it records, more

@@ -1,11 +1,15 @@
 """Command-line contract: exit codes, output shapes, JSON round trips."""
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+import gsoscheck
 from gsoscheck import gen
 from gsoscheck.checker import CampaignConfig
 from gsoscheck.cli import build_parser, execute, main
@@ -25,6 +29,25 @@ def test_run_two_steps_then_termination(capsys):
     # one small step then a termination step, in judgment notation
     assert "⟨{}, (seq skip skip)⟩ → ⟨{}, skip⟩" in out
     assert "⟨{}, skip⟩ ⇓ {}" in out
+
+
+def test_closed_output_pipe_ends_quietly_with_the_commands_code():
+    # the reader takes one line and closes the pipe, as `| head -1` does,
+    # while the command still has about 1 MB of trace to print
+    src = str(Path(gsoscheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gsoscheck.cli", "run", "--lang", "while",
+         "--term", "(while (lit 1) skip)", "--input", "{}", "--fuel", "20000", "--trace"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+    assert first.decode().startswith("⟨{}, (while (lit 1) skip)⟩ →")
 
 
 def test_run_low_example1_compiled(capsys):

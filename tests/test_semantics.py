@@ -1,13 +1,17 @@
 """The engine against hand-derived transitions and an independent reference
 interpreter, plus bounded bisimilarity."""
 import itertools
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from gsoscheck import checker
+from gsoscheck.checker import CampaignConfig, Pass, check_coherence
 from gsoscheck.languages import LangDef, language_registry
 from gsoscheck.semantics import (
     BehaviorTable, Distinguished, Equivalent, IncompleteTable, StepOutcome,
-    check_bisim, extend_law, run, step,
+    check_bisim, extend_law, first_difference, run, step,
 )
 from gsoscheck.states import FrameState, LowState, Store
 from gsoscheck.terms import (
@@ -275,3 +279,118 @@ def test_check_bisim_reexplores_a_pair_met_with_more_depth_left():
     assert verdict.reason == "termination"
     assert verdict.path == (Store.of({0: 1}),) + (Store.of({}),) * 4
     assert isinstance(check_bisim(lang, x, y, inputs, 3), Equivalent)
+
+
+def test_step_outcome_is_immutable_with_the_dataclass_repr():
+    o = StepOutcome(Store.of({0: 1}), cont=skip())
+    for name in ("state", "label", "cont", "flags", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(o, name, None)
+    with pytest.raises(AttributeError):
+        del o.cont
+    assert o == StepOutcome(Store.of({0: 1}), None, skip(), frozenset())
+    assert repr(StepOutcome(Store.of({}), 2)) == (
+        "StepOutcome(state=Store(cells=()), label=2, cont=None, flags=frozenset())")
+
+
+# --- check_bisim with behaviors extends each (term, state) once per call ---
+
+def fresh_bisim(lang, p, q, inputs, depth, behaviors):
+    """``check_bisim``'s exploration with every outcome taken from a fresh
+    ``extend_law`` call: nothing is memoised."""
+    seen: dict = {}
+
+    def compare(a, b, d, path):
+        if a == b or d <= 0 or seen.get((a, b), 0) >= d:
+            return None
+        seen[a, b] = d
+        pending = []
+        for s in inputs:
+            oa, ob = extend_law(lang, a, behaviors, s), extend_law(lang, b, behaviors, s)
+            reason = first_difference(oa, ob)
+            if reason is not None:
+                return Distinguished(path + (s,), oa, ob, reason)
+            if oa.cont is not None:
+                pending.append((s, oa.cont, ob.cont))
+        for s, ca, cb in pending:
+            found = compare(ca, cb, d - 1, path + (s,))
+            if found is not None:
+                return found
+        return None
+
+    return compare(p, q, depth, ()) or Equivalent(depth, len(inputs))
+
+
+def counting_rule(lang):
+    """``lang`` with its rule counting the (layer, state) pairs it is
+    applied to, the layer rebuilt from the subjects it is handed."""
+    applied = Counter()
+
+    def rule(tag, payload, children, s):
+        applied[Node(tag, tuple(x for x, _ in children), payload), s] += 1
+        return lang.rule(tag, payload, children, s)
+
+    return replace(lang, rule=rule), applied
+
+
+@pytest.fixture(scope="module")
+def fallback_calls(comps):
+    """(language, p, q, inputs, depth, behaviors) of every fallback
+    bisimulation of the benchmark's sandbox-int and sandbox campaigns at
+    seed 0."""
+    calls = []
+    real = checker.check_bisim
+
+    def recording(lang, p, q, inputs, depth, behaviors=None, proved=None):
+        calls.append((lang, p, q, list(inputs), depth, behaviors))
+        return real(lang, p, q, inputs, depth, behaviors, proved)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checker, "check_bisim", recording)
+        for name, samples in (("sandbox-int", 6000), ("sandbox", 2000)):
+            verdict = check_coherence(comps[name], CampaignConfig(samples=samples))
+            assert isinstance(verdict, Pass) and verdict.fallback_cases > 0
+    return calls
+
+
+def _flag_pair():
+    """Two open ``while`` programs over a variable x that steps once from
+    {} and then terminates; after x they assign cell 1 from cell 0 or the
+    constant 1, so from {0:1} and then {} they end in different stores."""
+    x = Var("x")
+    table = BehaviorTable("x", {Store.of({}): (None, Store.of({0: 1}), "x"),
+                                Store.of({0: 1}): (None, Store.of({0: 1}), None),
+                                Store.of({0: 2}): (None, Store.of({0: 2}), None)}, False)
+    p, q = seq(x, assign(1, Loc(0))), seq(x, assign(1, Lit(1)))
+    return p, q, list(table.entries), {"x": table}
+
+
+def test_memoised_bisim_agrees_with_fresh_extension(langs, fallback_calls):
+    assert len(fallback_calls) == 36
+    lang = langs["while"]
+    p, q, inputs, behaviors = _flag_pair()
+    cases = fallback_calls + [(lang, p, q, inputs, 4, behaviors)]
+    for lang, p, q, inputs, depth, behaviors in cases:
+        got = check_bisim(lang, p, q, inputs, depth, behaviors)
+        assert got == fresh_bisim(lang, p, q, inputs, depth, behaviors)
+    # the hand-built pair is told apart, through the variable's table
+    assert got.path == (Store.of({0: 1}), Store.of({})) and got.reason == "state"
+    assert got.left == StepOutcome(Store.of({}))
+    assert got.right == StepOutcome(Store.of({1: 1}))
+
+
+def test_bisim_applies_the_rule_once_per_layer_and_state(langs, fallback_calls):
+    p, q, inputs, behaviors = _flag_pair()
+    queried = Counter()
+    table = behaviors["x"]
+
+    def counted_table(s):
+        queried[s] += 1
+        return table(s)
+
+    cases = fallback_calls + [(langs["while"], p, q, inputs, 4, {"x": counted_table})]
+    for lang, p, q, inputs, depth, behaviors in cases:
+        counted, applied = counting_rule(lang)
+        check_bisim(counted, p, q, inputs, depth, behaviors)
+        assert applied and max(applied.values()) == 1
+    assert queried and max(queried.values()) == 1

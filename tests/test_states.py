@@ -1,0 +1,57 @@
+"""``Store``: an immutable map whose hash is its field tuple's, so dict and
+set order is the same however a store was built."""
+import copy
+import pickle
+
+import pytest
+
+from gsoscheck import gen
+from gsoscheck.states import LowState, Store, clamp_negatives, parse_state
+
+
+def test_hash_is_the_field_tuple_hash():
+    for s in (Store(), Store.of({0: 1}), Store.of({1: 2, 0: -3})):
+        assert hash(s) == hash((s.cells,))
+
+
+def test_equal_stores_are_equal_however_built(cfg):
+    stores = gen.store_window(cfg, int_mode=True) + [Store.of({0: 1, 5: 7})]
+    for s in stores:
+        cells = dict(s.cells)
+        last = max(cells, default=0)
+        rebuilt = [
+            Store(s.cells),
+            Store(cells=s.cells),
+            Store.of(cells),
+            Store.of({**cells, 9: 0}),  # a zero cell is no cell
+            s.set(last, cells.get(last, 0)),
+            copy.copy(s),
+            copy.deepcopy(s),
+            pickle.loads(pickle.dumps(s)),
+        ]
+        if all(v > 0 for v in cells.values()):
+            rebuilt.append(clamp_negatives(Store.of({**cells, 3: -1})))
+            rebuilt.append(parse_state("store", s.show(), cfg.L))
+        rebuilt.append(parse_state("int-store", s.show(), cfg.L))
+        for u in rebuilt:
+            assert u == s, s.show()
+            assert hash(u) == hash((s.cells,))
+    assert Store.of({0: 1}) != Store.of({0: 2})
+    # a store inside another state compares and hashes through itself
+    assert {LowState(Store.of({0: 1}), 2): 1}[LowState(Store.of({0: 1}).set(1, 0), 2)] == 1
+
+
+def test_store_is_immutable():
+    s = Store.of({0: 1})
+    with pytest.raises(AttributeError):
+        s.cells = ()
+    with pytest.raises(AttributeError):
+        del s.cells
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    assert s == Store.of({0: 1})
+
+
+def test_repr_is_the_dataclass_repr():
+    assert repr(Store()) == "Store(cells=())"
+    assert repr(Store.of({1: 2, 0: 3})) == "Store(cells=((0, 3), (1, 2)))"
