@@ -34,10 +34,11 @@ A table answers only on the states it was sampled on.  A case whose
 square queries a table elsewhere is tallied inconclusive, never answered
 with an invented entry.
 
-A context-closure check shares the pairs ``check_bisim`` has proved
-equivalent across all its contexts (the base pair aside), so a pair that
-many plugged programs reach is explored once; each context's verdict is
-the one it gets on its own.
+A context-closure check steps its base pair and all its contexts through
+one ``extend_once`` memo and shares the pairs ``check_bisim`` has proved
+equivalent (the base pair aside), so a pair that many plugged programs
+reach is explored once; each context's verdict is the one it gets on its
+own.  Closed-mode coherence and preservation keep one memo per language.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ from .terms import (
 from .states import LowState, show_state
 from .semantics import (
     Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim,
-    extend_law, first_difference, step,
+    extend_law, extend_once, first_difference,
 )
 from .compilers import CompilerPair, compile_open, compile_term, translate_behavior
 from .spf import plug
@@ -168,11 +169,11 @@ def _target_behaviors(cp: CompilerPair, tables: dict) -> dict:
 
 
 def _compare(cp: CompilerPair, upper: StepOutcome, upper_cont, lower: StepOutcome,
-             window, tables: dict, cfg,
-             memo: Optional[dict]) -> tuple[Optional[Divergence], bool]:
+             window, tables: dict, cfg, memo: Optional[dict],
+             steps: Optional[dict] = None) -> tuple[Optional[Divergence], bool]:
     """Compare the two paths' outcomes; returns (divergence, used_fallback).
     ``upper_cont`` is the compiled ``upper.cont``, so it is None just when
-    that is."""
+    that is.  ``steps`` is the target's ``extend_once`` memo, if any."""
     field_name = first_difference(upper, lower)
     if field_name is not None:
         return Divergence(field_name, upper, lower, upper_cont), False
@@ -188,7 +189,8 @@ def _compare(cp: CompilerPair, upper: StepOutcome, upper_cont, lower: StepOutcom
     verdict = memo.get(key)
     if verdict is None:
         verdict = check_bisim(cp.target, upper_cont, lower.cont, window,
-                              cfg.fallback_depth, behaviors=_target_behaviors(cp, tables))
+                              cfg.fallback_depth, behaviors=_target_behaviors(cp, tables),
+                              memo=steps)
         memo[key] = verdict
     if isinstance(verdict, Equivalent):
         return None, True
@@ -281,22 +283,25 @@ def evaluate_open_case(cp: CompilerPair, case: CoherenceCase, window, cfg,
     return one_off.evaluate(case, 0, window, cfg, memo)
 
 
+def _step_memos(cp: CompilerPair) -> tuple[dict, dict]:
+    """Fresh ``extend_once`` memos for the source and the target, one if equal."""
+    source = {}
+    return source, source if cp.target is cp.source else {}
+
+
 def evaluate_closed_case(cp: CompilerPair, case: CoherenceCase, window, cfg,
-                         memo: Optional[dict] = None):
-    src, tgt = cp.source, cp.target
+                         memo: Optional[dict] = None, steps: Optional[tuple] = None):
+    """One closed-mode square, as ``evaluate_open_case``; ``steps`` are the
+    campaign's ``_step_memos``, without which the case shares nothing."""
+    src_steps, tgt_steps = steps or _step_memos(cp)
     i2 = case.target_input
     compiled = compile_term(cp, case.subject)
-
-    def source_behavior(s1):
-        return step(src, case.subject, s1)
-
-    upper = translate_behavior(cp, source_behavior, i2)
-    upper_cont = None
-    if upper.cont is not None:
-        upper_cont = compile_term(cp, upper.cont)
-    lower = step(tgt, compiled, i2)
+    upper = translate_behavior(
+        cp, partial(extend_once, cp.source.rule, {}, src_steps, case.subject), i2)
+    upper_cont = compile_term(cp, upper.cont) if upper.cont is not None else None
+    lower = extend_once(cp.target.rule, {}, tgt_steps, compiled, i2)
     flags = upper.flags | lower.flags
-    div, fb = _compare(cp, upper, upper_cont, lower, window, {}, cfg, memo)
+    div, fb = _compare(cp, upper, upper_cont, lower, window, {}, cfg, memo, tgt_steps)
     return div, fb, flags
 
 
@@ -351,7 +356,7 @@ def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
         evaluate = partial(evaluate_open_case, campaign=_OpenCampaign(cp, window))
     else:
         stream = closed_cases(cp, cfg, window)
-        evaluate = evaluate_closed_case
+        evaluate = partial(evaluate_closed_case, steps=_step_memos(cp))
 
     cases = inconclusive = illformed = fallback = 0
     flags: frozenset = frozenset()
@@ -423,16 +428,19 @@ def check_preservation(cp: CompilerPair, cfg: CampaignConfig,
         terms = list(itertools.islice(gen.closed_terms(cp.source, cfg), 12))
         pairs = [(a, b) for a, b in itertools.combinations(terms, 2)]
         pairs = pairs[: cfg.samples]
+    src_steps, tgt_steps = _step_memos(cp)
     entries = []
     for left, right in pairs:
-        source = check_bisim(cp.source, left, right, src_window, cfg.depth)
+        source = check_bisim(cp.source, left, right, src_window, cfg.depth,
+                             memo=src_steps)
         entry = PreservationEntry(left, right, source)
         if isinstance(source, Equivalent):
             entry.compiled_left = compile_term(cp, left)
             entry.compiled_right = compile_term(cp, right)
             try:
                 entry.target = check_bisim(cp.target, entry.compiled_left,
-                                           entry.compiled_right, tgt_window, cfg.depth)
+                                           entry.compiled_right, tgt_window, cfg.depth,
+                                           memo=tgt_steps)
             except IllFormed:
                 entry.target_illformed = True
         entries.append(entry)
@@ -456,7 +464,8 @@ def check_context_closure(lang, p: Node, q: Node, cfg: CampaignConfig,
     distinguishing them falsifies contextual closure at this scale and
     points at a framework bug."""
     window = gen.state_window(lang, cfg)
-    base = check_bisim(lang, p, q, window, cfg.depth)
+    memo: dict = {}  # every (term, state) stepped so far, see extend_once
+    base = check_bisim(lang, p, q, window, cfg.depth, memo=memo)
     if contexts is None:
         contexts = gen.sample_contexts(lang, 3, cfg.samples, cfg.seed, cfg)
     if isinstance(base, Distinguished):
@@ -465,7 +474,7 @@ def check_context_closure(lang, p: Node, q: Node, cfg: CampaignConfig,
     proved: dict = {}  # pairs shown equivalent so far, see check_bisim
     for ctx in contexts:
         verdict = check_bisim(lang, plug(ctx, p), plug(ctx, q), window, cfg.depth,
-                              proved=proved)
+                              proved=proved, memo=memo)
         if isinstance(verdict, Distinguished):
             violations.append((ctx, verdict))
     status = "closed" if not violations else "violation"

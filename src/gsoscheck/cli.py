@@ -9,6 +9,7 @@ per (config, seed); the seed is ``--seed`` or, without it, the default
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -490,6 +491,13 @@ def _cmd_demo(args) -> tuple[int, Report, list]:
 
 def _cmd_replay(args) -> tuple[int, Report, list]:
     saved = load_report(args.report)
+    try:  # a command that argparse ends (help, a bad flag) or a replay compares nothing
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            rerun = build_parser().parse_args(saved.command).fn
+    except SystemExit:
+        rerun = None
+    if rerun in (None, _cmd_replay):
+        raise IllFormed(f"the saved command runs no campaign: {' '.join(saved.command)}")
     code, fresh, _ = execute(list(saved.command))
     same = saved.matches(fresh)
     lines = [f"replay of {' '.join(saved.command)}: {'identical' if same else 'DIFFERS'}"]

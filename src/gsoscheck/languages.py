@@ -16,8 +16,7 @@ written, whether transitions are labelled, and its extra constructors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable
 
 from .terms import (
@@ -124,18 +123,11 @@ def block_cells(L: int):
 @dataclass
 class LangDef:
     name: str
-    constructors: list  # [(tag, payload_kinds, arity)] in enumeration order
+    constructors: tuple  # ((tag, payload_kinds, arity), ...) in enumeration order
     state_kind: str  # store | int-store | pc | sp | frames
     has_label: bool
     rule: Callable  # (tag, payload, children, state) -> StepOutcome
     L: int = 2
-    # closed-term steps of this language, filled by semantics.step
-    steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    @cached_property
-    def shapes(self) -> dict:
-        """The constructor table keyed on (tag, payload length, arity)."""
-        return {(tag, len(kinds), arity): kinds for tag, kinds, arity in self.constructors}
 
     def validate(self, term: OpenTerm):
         """Well-formedness against the constructor table: each layer is a
@@ -144,8 +136,10 @@ class LangDef:
         outside ``while-int``); raises IllFormed with the offending part."""
         if isinstance(term, Var):
             return
-        kinds = self.shapes.get((term.tag, len(term.payload), len(term.children)))
-        if kinds is None:
+        for tag, kinds, arity in self.constructors:
+            if tag == term.tag and arity == len(term.children) and len(kinds) == len(term.payload):
+                break
+        else:
             raise IllFormed(f"{term.tag} with {len(term.payload)} payload value(s) and"
                             f" {len(term.children)} child(ren) is not a {self.name} constructor")
         for kind, value in zip(kinds, term.payload):
@@ -372,17 +366,17 @@ def _lowsec_rule(tag, payload, children, st: LowState) -> StepOutcome:
 
 # --- the registry ---------------------------------------------------------
 
-_WHILE_CONS = [
+_WHILE_CONS = (
     ("skip", (), 0),
     ("assign", ("loc", "expr"), 0),
     ("seq", (), 2),
     ("while", ("expr",), 1),
-]
+)
 
-_LOW_CONS = [
+_LOW_CONS = (
     ("instr", ("inst",), 0),
     ("instr", ("inst",), 1),
-]
+)
 
 
 def language_registry(L: int = 2) -> dict[str, LangDef]:
@@ -392,19 +386,19 @@ def language_registry(L: int = 2) -> dict[str, LangDef]:
     def structured(name, extra_cons, kind, labelled, read=Store.get, write=Store.set,
                    **policy) -> LangDef:
         rule = structured_rule(name, read, write, labelled, **policy)
-        return LangDef(name, list(_WHILE_CONS) + extra_cons, kind, labelled, rule, L)
+        return LangDef(name, _WHILE_CONS + extra_cons, kind, labelled, rule, L)
 
-    frame_cons = [("frame", (), 0), ("return", (), 0)]
+    frame_cons = (("frame", (), 0), ("return", (), 0))
     langs = [
-        structured("while", [], "store", False),
-        structured("while-flag", [("obs", ("nat",), 1)], "store", True,
+        structured("while", (), "store", False),
+        structured("while-flag", (("obs", ("nat",), 1),), "store", True,
                    extras={"obs": _obs_rule}),
-        structured("while-sec", [("obs", ("nat",), 1), ("sandbox", (), 1)], "store", True,
+        structured("while-sec", (("obs", ("nat",), 1), ("sandbox", (), 1)), "store", True,
                    extras={"obs": _obs_rule, "sandbox": _sandbox_rule}),
-        structured("while-int", [("isandbox", (), 1)], "int-store", False, nat=False,
+        structured("while-int", (("isandbox", (), 1),), "int-store", False, nat=False,
                    extras={"isandbox": _isandbox_rule}),
-        LangDef("low", list(_LOW_CONS), "pc", False, _low_rule, L),
-        LangDef("low-sec", list(_LOW_CONS) + [("sseq", (), 2), ("loop", ("expr",), 1)],
+        LangDef("low", _LOW_CONS, "pc", False, _low_rule, L),
+        LangDef("low-sec", _LOW_CONS + (("sseq", (), 2), ("loop", ("expr",), 1)),
                 "pc", False, _lowsec_rule, L),
         structured("while-b", frame_cons, "frames", False, *frame_cells(L),
                    empty_flags=_whileb_empty, extras=_whileb_extras(L)),

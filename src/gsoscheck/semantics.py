@@ -13,24 +13,22 @@ of it; the law suite's copoint check watches the rule to confirm this.
 Continuations built from subjects come out already flattened, which is the
 multiplication step of the extension.
 
-Closed programs go through ``step``, the same extension taken one layer at
-a time through a cache on the language: a node's children behave as
-``step`` on themselves, so a closed subterm is stepped once per state
-however many programs contain it.
-
 Two outcomes are told apart by ``first_difference``, on label, then
 output state, then termination; ``check_bisim`` and the coherence check
 both use it.  ``check_bisim`` can share the pairs it has proved equivalent
 with later calls over the same language and inputs; a context-closure
 check shares one such table across all its contexts, so a pair that many
-plugged programs reach is explored once.  Open terms, and every term when
-behaviors are given, are extended through a dict that lives only for one
-``check_bisim`` call: it holds the outcome of every term the call steps,
-of every subterm the rule queries and of every variable's table answer,
-so each (term, state) is extended at most once per call.  Nothing in it
-outlives the call, so no case, campaign or other call sees it.  Outcomes
-are immutable named tuples, so a remembered one is handed out again as it
-is.
+plugged programs reach is explored once.
+
+``extend_law`` remembers nothing.  ``extend_once`` is the same extension
+through a memo keyed on (term, state), which also keeps every subterm the
+rule queries and every variable's table answer.  Its caller owns the memo,
+for one rule and one set of behaviors, and it lives as long as the caller
+keeps it: one ``run``, one ``check_bisim`` call, a context-closure check
+with all its contexts, or one language of a preservation or closed-mode
+coherence campaign.  No language holds one, so no other case, campaign or
+call sees it.  Outcomes are immutable named tuples, so a remembered one is
+handed out again as it is.
 """
 from __future__ import annotations
 
@@ -107,25 +105,32 @@ def extend_law(lang, term: OpenTerm, behaviors: dict, state: MachineState) -> St
     return lang.rule(term.tag, term.payload, tuple(pairs), state)
 
 
+def extend_once(rule, behaviors: dict, memo: dict, term: OpenTerm,
+                state: MachineState) -> StepOutcome:
+    """``extend_law`` through ``memo``, a dict its caller owns for this ``rule``
+    and these ``behaviors``: each (term, state) is extended once per memo."""
+    key = (term, state)
+    out = memo.get(key)
+    if out is None:
+        if type(term) is Var:
+            if term.name not in behaviors:
+                raise IncompleteTable(f"no table for {term.name!r} at {state!r}")
+            out = behaviors[term.name](state)
+        else:
+            out = rule(term.tag, term.payload,
+                       tuple((c, partial(extend_once, rule, behaviors, memo, c))
+                             for c in term.children), state)
+        memo[key] = out
+    return out
+
+
 # --- closed terms ---
 
 def step(lang, term: Node, state: MachineState) -> StepOutcome:
-    """One small-step transition of a closed program, cached on ``lang``.
-
-    A miss applies ``lang.rule`` to the top layer only, each child behaving
-    as ``step`` on itself, so a closed subterm is stepped once per state
-    whichever programs contain it.  The outcome is the one
-    ``extend_law(lang, term, {}, state)`` gives."""
-    key = (term, state)
-    hit = lang.steps.get(key)
-    if hit is not None:
-        return hit
+    """One small-step transition of a closed program, remembering nothing."""
     if not is_closed(term):
         raise IllFormed("step requires a closed term")
-    pairs = tuple((child, partial(step, lang, child)) for child in term.children)
-    out = lang.rule(term.tag, term.payload, pairs, state)
-    lang.steps[key] = out
-    return out
+    return extend_law(lang, term, {}, state)
 
 
 @dataclass
@@ -141,12 +146,15 @@ class RunResult:
 
 
 def run(lang, term: Node, state: MachineState, fuel: int) -> RunResult:
-    """Iterate ``step``, feeding each output state back in, until the program
-    terminates or the fuel runs out."""
+    """Step a closed program through one memo, feeding each output state
+    back in, until it terminates or the fuel runs out."""
+    if not is_closed(term):
+        raise IllFormed("run requires a closed term")
+    extend = partial(extend_once, lang.rule, {}, {})
     trace = []
     current = term
     for _ in range(fuel):
-        out = step(lang, current, state)
+        out = extend(current, state)
         trace.append((state, out))
         state = out.state
         if out.cont is None:
@@ -176,7 +184,7 @@ BisimResult = Equivalent | Distinguished
 
 def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
                 behaviors: Optional[dict] = None,
-                proved: Optional[dict] = None) -> BisimResult:
+                proved: Optional[dict] = None, memo: Optional[dict] = None) -> BisimResult:
     """Bounded stepwise comparison: equal outputs and agreeing termination at
     every level, recursing on continuations.  A Distinguished verdict is a
     real inequivalence; Equivalent(depth) means every pair reached was
@@ -187,49 +195,26 @@ def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
     depth than that is not explored again.  After an Equivalent verdict,
     every pair this call explored is added with its depth.  Only pairs that
     cannot be told apart within the depth left are skipped, so a
-    Distinguished verdict is the one found without ``proved``.
+    Distinguished verdict is the one found without ``proved``.  ``memo`` is
+    an ``extend_once`` memo for ``lang`` and ``behaviors`` that the caller
+    keeps; without one the call uses its own.
     """
-    behaviors = behaviors or {}
     inputs = list(inputs)
     proved = {} if proved is None else proved
     # pair -> the most remaining depth it has been explored with; a pair met
     # again with more depth left is explored again
     seen: dict = {}
-    # (term, state) -> its outcome, for this call only: every open term, or
-    # every term given behaviors, with the subterms the rule queries and
-    # each variable's table answer
-    extended: dict = {}
-    rule = lang.rule
-
-    def extend(t, s):
-        """``extend_law(lang, t, behaviors, s)``, each (term, state) once."""
-        key = (t, s)
-        out = extended.get(key)
-        if out is None:
-            if type(t) is Var:
-                if t.name not in behaviors:
-                    raise IncompleteTable(f"no table for {t.name!r} at {s!r}")
-                out = behaviors[t.name](s)
-            else:
-                out = rule(t.tag, t.payload,
-                           tuple((c, partial(extend, c)) for c in t.children), s)
-            extended[key] = out
-        return out
-
-    def stepper(t):
-        if behaviors or not is_closed(t):
-            return partial(extend, t)
-        return partial(step, lang, t)
+    owned = memo is None
+    memo = {} if owned else memo
+    extend = partial(extend_once, lang.rule, behaviors or {}, memo)
 
     def compare(a, b, d, path):
         if a == b or d <= 0 or seen.get((a, b), 0) >= d or proved.get((a, b), 0) >= d:
             return None
         seen[a, b] = d
         pending = []
-        step_a, step_b = stepper(a), stepper(b)
         for s in inputs:
-            oa = step_a(s)
-            ob = step_b(s)
+            oa, ob = extend(a, s), extend(b, s)
             reason = first_difference(oa, ob)
             if reason is not None:
                 return Distinguished(path + (s,), oa, ob, reason)
@@ -244,9 +229,9 @@ def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
     try:
         witness = compare(p, q, depth, ())
     finally:
-        # ``extend`` and ``compare`` refer to themselves, so without this the
-        # outcomes would live on until the cycle collector runs
-        extended.clear()
+        # ``compare`` refers to itself: an owned memo would await the collector
+        if owned:
+            memo.clear()
     if witness is not None:
         return witness
     # each pair was explored to completion with the depth it records, more

@@ -13,7 +13,7 @@ from gsoscheck.checker import (
 )
 from gsoscheck.languages import LangDef
 from gsoscheck.semantics import (
-    Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim,
+    Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim, run,
 )
 from gsoscheck.states import LowState, StackState, Store
 from gsoscheck.terms import (
@@ -398,6 +398,47 @@ def test_context_closure_shares_proved_pairs_without_changing_the_report(langs):
         # the same contexts, each with the same path, reason and outcomes
         assert report.violations == [(ctx, v) for ctx, v in alone
                                      if isinstance(v, Distinguished)]
+
+
+def test_context_closure_steps_each_layer_once_across_its_contexts(langs):
+    # the base pair and every context step through one memo: the rule sees
+    # each (layer, state) once in the whole check, and the verdicts are the
+    # ones fresh calls give
+    from tests.test_semantics import counting_rule
+
+    a = while_(Loc(0), assign(0, Lit(0)))
+    b = while_(Bin("mul", Loc(0), Lit(2)), assign(0, Lit(0)))
+    cfg = CampaignConfig(samples=200, depth=3)
+    for base in (_seq_peeking_while(langs), langs["while"]):
+        lang, applied = counting_rule(base)
+        window = gen.state_window(base, cfg)
+        contexts = gen.sample_contexts(base, 3, cfg.samples, cfg.seed, cfg)
+        report = check_context_closure(lang, a, b, cfg, contexts)
+        assert applied and max(applied.values()) == 1
+        fresh = [(ctx, check_bisim(base, plug(ctx, a), plug(ctx, b), window, cfg.depth))
+                 for ctx in contexts]
+        assert report.base == check_bisim(base, a, b, window, cfg.depth)
+        assert report.violations == [(ctx, v) for ctx, v in fresh
+                                     if isinstance(v, Distinguished)]
+    assert report.status == "closed"
+
+
+def test_campaigns_leave_the_languages_as_they_were(langs, comps):
+    # no campaign keeps anything on a language: the registries are shared
+    # by every test of a session
+    def snapshot():
+        owned = list(langs.values()) + [l for cp in comps.values()
+                                        for l in (cp.source, cp.target)]
+        return [repr(vars(lang)) for lang in owned]
+
+    before = snapshot()
+    a = while_(Loc(0), assign(0, Lit(0)))
+    b = while_(Bin("mul", Loc(0), Lit(2)), assign(0, Lit(0)))
+    check_context_closure(langs["while"], a, b, CampaignConfig(samples=30, seed=11))
+    check_preservation(comps["embed-int"], CampaignConfig(samples=20, seed=11))
+    run(langs["while-flag"], seq(a, assign(1, Lit(3))), Store.of({0: 3, 1: 2}), 50)
+    check_coherence(comps["unsandbox"], CampaignConfig(mode="closed", samples=60, seed=11))
+    assert snapshot() == before
 
 
 def test_closed_low_cases_cross_out_of_range_pcs(comps):

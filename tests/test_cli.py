@@ -250,6 +250,30 @@ def test_replay_detects_tampering(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_replay_rejects_a_saved_replay(tmp_path, capsys):
+    # a report whose command is itself a replay names no campaign; replaying
+    # one that names its own file would recurse without end
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"command": ["replay", "--report", str(path)],
+                                "verdict": "identical"}))
+    assert main(["replay", "--report", str(path)]) == 2
+    assert "runs no campaign" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["--help"],
+    ["coherence", "--compiler", "sandbox", "-h"],
+], ids=["help", "trailing-h"])
+def test_replay_rejects_a_command_that_argparse_ends(tmp_path, capsys, command):
+    # help ends the parse with exit 0 before any campaign runs, so the replay
+    # would have compared nothing
+    path = tmp_path / "help.json"
+    path.write_text(json.dumps({"command": command, "verdict": "pass"}))
+    assert main(["replay", "--report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "runs no campaign" in captured.err
+
+
 def test_bisim_cli(capsys):
     a = "(while (var 0) (assign 0 (lit 0)))"
     b = "(while (mul (var 0) (lit 2)) (assign 0 (lit 0)))"
@@ -536,3 +560,27 @@ def test_benchmark_tracer_binds_existing_callables():
         # the tracer swaps a class's own attribute, "hash" being __hash__
         method = "__hash__" if method == "hash" else method
         assert callable(vars(getattr(owner, cls)).get(method)), key
+
+
+def test_benchmark_tracer_traces_a_pass():
+    # `perfbench/run.py --trace 1` wraps the names above and unpacks their
+    # arguments: a signature the tracer no longer fits fails here, in the
+    # suite itself.  No command steps through `step`, so it is called alone
+    from gsoscheck import languages, semantics
+    from gsoscheck.terms import seq, skip
+
+    tracer = _load_perfbench("tracer").Tracer()
+    tracer.install()
+    try:
+        for argv in (["run", "--lang", "while", "--term", "(seq skip skip)", "--input", "{}"],
+                     ["coherence", "--compiler", "sandbox", "--samples", "200"],
+                     ["coherence", "--compiler", "flatten-low", "--mode", "closed"],
+                     ["ctx-closure", "--lang", "while", *WHILE_PAIR, "--samples", "5"]):
+            execute(argv)
+        semantics.step(languages.language_registry()["while"], seq(skip(), skip()),
+                       Store.of({}))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["languages.rule.calls"] > 0
+    assert metrics["semantics.step.calls"] == 1

@@ -8,10 +8,10 @@ import pytest
 
 from gsoscheck import checker
 from gsoscheck.checker import CampaignConfig, Pass, check_coherence
-from gsoscheck.languages import LangDef, language_registry
+from gsoscheck.languages import LangDef
 from gsoscheck.semantics import (
     BehaviorTable, Distinguished, Equivalent, IncompleteTable, StepOutcome,
-    check_bisim, extend_law, first_difference, run, step,
+    check_bisim, extend_law, extend_once, first_difference, run, step,
 )
 from gsoscheck.states import FrameState, LowState, Store
 from gsoscheck.terms import (
@@ -117,6 +117,8 @@ def test_step_examples(langs):
     assert low_out.cont is None and low_out.state == LowState(Store.of({}), -1)
     wb_out = step(langs["while-b"], frame(), FrameState())
     assert wb_out.cont is None and wb_out.state == FrameState(((0, 0),))
+    with pytest.raises(IllFormed):
+        step(langs["while"], seq(Var("x"), skip()), Store.of({}))
 
 
 def test_step_is_deterministic(langs):
@@ -195,27 +197,28 @@ def test_check_bisim_symmetry_and_transitivity_spot(langs, cfg):
             assert isinstance(check_bisim(lang, a, c, window, 10), Equivalent)
 
 
-def test_closed_extension_agrees_with_step(cfg):
+def test_closed_extension_agrees_with_step(langs, cfg):
     # the inductive extension restricted to closed terms is the one-step
-    # operational model: the cached step, which shares entries between terms
-    # and their subterms, against extend_law on a language whose cache stays
-    # empty, in every language; both raise IllFormed on the same pairs
-    cached, fresh = language_registry(), language_registry()
-    for name, lang in cached.items():
-        reference = fresh[name]
+    # operational model: step, and extend_once through one memo per language,
+    # which shares entries between terms and their subterms, against
+    # extend_law in every language; all raise IllFormed on the same pairs
+    for name, lang in langs.items():
+        memo: dict = {}
         window = gen.state_window(lang, cfg)
         illformed = 0
         for t in itertools.islice(gen.closed_terms(lang, cfg, 4, expr_cap=2), 120):
             for s in window:
                 try:
-                    want = extend_law(reference, t, {}, s)
+                    want = extend_law(lang, t, {}, s)
                 except IllFormed:
                     with pytest.raises(IllFormed):
                         step(lang, t, s)
+                    with pytest.raises(IllFormed):
+                        extend_once(lang.rule, {}, memo, t, s)
                     illformed += 1
                     continue
                 assert step(lang, t, s) == want, (name, t, s)
-        assert not reference.steps
+                assert extend_once(lang.rule, {}, memo, t, s) == want, (name, t, s)
         if name in ("stack", "stack-clear"):
             assert illformed  # frame reads at sp = 0
 
@@ -232,17 +235,6 @@ def test_section3_context_split(langs):
     rb = run(lang, seq(obs(1, b), w), store, 10_000)
     assert ra.terminated
     assert not rb.terminated
-
-
-def test_step_caches_closed_subterms():
-    lang = language_registry()["while"]
-    p, q = assign(0, Lit(1)), while_(Loc(0), skip())
-    s = Store.of({})
-    step(lang, seq(p, q), s)
-    assert (p, s) in lang.steps
-    assert lang.steps[p, s] == step(lang, p, s)
-    with pytest.raises(IllFormed):
-        step(lang, seq(Var("x"), q), s)
 
 
 def _branching_language():
@@ -341,9 +333,9 @@ def fallback_calls(comps):
     calls = []
     real = checker.check_bisim
 
-    def recording(lang, p, q, inputs, depth, behaviors=None, proved=None):
+    def recording(lang, p, q, inputs, depth, behaviors=None, proved=None, memo=None):
         calls.append((lang, p, q, list(inputs), depth, behaviors))
-        return real(lang, p, q, inputs, depth, behaviors, proved)
+        return real(lang, p, q, inputs, depth, behaviors, proved, memo)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checker, "check_bisim", recording)
