@@ -44,9 +44,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Optional
+from typing import Iterator, Optional
 
 from .terms import (
     IllFormed, Node, OpenTerm, instr_flatten, print_term, term_size, term_vars,
@@ -283,17 +284,27 @@ def evaluate_open_case(cp: CompilerPair, case: CoherenceCase, window, cfg,
     return one_off.evaluate(case, 0, window, cfg, memo)
 
 
-def _step_memos(cp: CompilerPair) -> tuple[dict, dict]:
-    """Fresh ``extend_once`` memos for the source and the target, one if equal."""
-    source = {}
-    return source, source if cp.target is cp.source else {}
+@contextmanager
+def _step_memos(cp: CompilerPair) -> Iterator[tuple[dict, dict]]:
+    """Fresh ``extend_once`` memos for the source and the target, one if
+    equal, cleared on exit (see ``extend_once``)."""
+    source: dict = {}
+    target = source if cp.target is cp.source else {}
+    try:
+        yield source, target
+    finally:
+        source.clear()
+        target.clear()
 
 
 def evaluate_closed_case(cp: CompilerPair, case: CoherenceCase, window, cfg,
                          memo: Optional[dict] = None, steps: Optional[tuple] = None):
     """One closed-mode square, as ``evaluate_open_case``; ``steps`` are the
     campaign's ``_step_memos``, without which the case shares nothing."""
-    src_steps, tgt_steps = steps or _step_memos(cp)
+    if steps is None:
+        with _step_memos(cp) as steps:
+            return evaluate_closed_case(cp, case, window, cfg, memo, steps)
+    src_steps, tgt_steps = steps
     i2 = case.target_input
     compiled = compile_term(cp, case.subject)
     upper = translate_behavior(
@@ -351,32 +362,32 @@ def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
     if mode == "open" and not cp.open_checkable:
         raise IllFormed(f"{cp.name} is not layer-wise; use closed mode")
     window = gen.state_window(cp.target, cfg)
-    if mode == "open":
-        stream = open_cases(cp, cfg, window)
-        evaluate = partial(evaluate_open_case, campaign=_OpenCampaign(cp, window))
-    else:
-        stream = closed_cases(cp, cfg, window)
-        evaluate = partial(evaluate_closed_case, steps=_step_memos(cp))
-
     cases = inconclusive = illformed = fallback = 0
     flags: frozenset = frozenset()
     memo: dict = {}  # this campaign's fallback verdicts, see _compare
-    for case in itertools.islice(stream, cfg.samples):
-        cases += 1
-        try:
-            div, fb, case_flags = evaluate(cp, case, window, cfg, memo)
-        except IllFormed:
-            illformed += 1
-            continue
-        except IncompleteTable:
-            inconclusive += 1
-            continue
-        flags |= case_flags
-        if fb:
-            fallback += 1
-        if div is not None:
-            return Fail(case, div, cases_before=cases - 1, flags=flags)
-    exhausted = next(stream, None) is None
+    with _step_memos(cp) as steps:
+        if mode == "open":
+            stream = open_cases(cp, cfg, window)
+            evaluate = partial(evaluate_open_case, campaign=_OpenCampaign(cp, window))
+        else:
+            stream = closed_cases(cp, cfg, window)
+            evaluate = partial(evaluate_closed_case, steps=steps)
+        for case in itertools.islice(stream, cfg.samples):
+            cases += 1
+            try:
+                div, fb, case_flags = evaluate(cp, case, window, cfg, memo)
+            except IllFormed:
+                illformed += 1
+                continue
+            except IncompleteTable:
+                inconclusive += 1
+                continue
+            flags |= case_flags
+            if fb:
+                fallback += 1
+            if div is not None:
+                return Fail(case, div, cases_before=cases - 1, flags=flags)
+        exhausted = next(stream, None) is None
     return Pass(cases, exhausted, inconclusive, illformed, fallback, flags)
 
 
@@ -428,22 +439,22 @@ def check_preservation(cp: CompilerPair, cfg: CampaignConfig,
         terms = list(itertools.islice(gen.closed_terms(cp.source, cfg), 12))
         pairs = [(a, b) for a, b in itertools.combinations(terms, 2)]
         pairs = pairs[: cfg.samples]
-    src_steps, tgt_steps = _step_memos(cp)
     entries = []
-    for left, right in pairs:
-        source = check_bisim(cp.source, left, right, src_window, cfg.depth,
-                             memo=src_steps)
-        entry = PreservationEntry(left, right, source)
-        if isinstance(source, Equivalent):
-            entry.compiled_left = compile_term(cp, left)
-            entry.compiled_right = compile_term(cp, right)
-            try:
-                entry.target = check_bisim(cp.target, entry.compiled_left,
-                                           entry.compiled_right, tgt_window, cfg.depth,
-                                           memo=tgt_steps)
-            except IllFormed:
-                entry.target_illformed = True
-        entries.append(entry)
+    with _step_memos(cp) as (src_steps, tgt_steps):
+        for left, right in pairs:
+            source = check_bisim(cp.source, left, right, src_window, cfg.depth,
+                                 memo=src_steps)
+            entry = PreservationEntry(left, right, source)
+            if isinstance(source, Equivalent):
+                entry.compiled_left = compile_term(cp, left)
+                entry.compiled_right = compile_term(cp, right)
+                try:
+                    entry.target = check_bisim(cp.target, entry.compiled_left,
+                                               entry.compiled_right, tgt_window, cfg.depth,
+                                               memo=tgt_steps)
+                except IllFormed:
+                    entry.target_illformed = True
+            entries.append(entry)
     return PreservationReport(entries)
 
 
@@ -465,17 +476,20 @@ def check_context_closure(lang, p: Node, q: Node, cfg: CampaignConfig,
     points at a framework bug."""
     window = gen.state_window(lang, cfg)
     memo: dict = {}  # every (term, state) stepped so far, see extend_once
-    base = check_bisim(lang, p, q, window, cfg.depth, memo=memo)
-    if contexts is None:
-        contexts = gen.sample_contexts(lang, 3, cfg.samples, cfg.seed, cfg)
-    if isinstance(base, Distinguished):
-        return ContextClosureReport("base-distinguished", 0, base, [])
-    violations = []
-    proved: dict = {}  # pairs shown equivalent so far, see check_bisim
-    for ctx in contexts:
-        verdict = check_bisim(lang, plug(ctx, p), plug(ctx, q), window, cfg.depth,
-                              proved=proved, memo=memo)
-        if isinstance(verdict, Distinguished):
-            violations.append((ctx, verdict))
+    try:
+        base = check_bisim(lang, p, q, window, cfg.depth, memo=memo)
+        if contexts is None:
+            contexts = gen.sample_contexts(lang, 3, cfg.samples, cfg.seed, cfg)
+        if isinstance(base, Distinguished):
+            return ContextClosureReport("base-distinguished", 0, base, [])
+        violations = []
+        proved: dict = {}  # pairs shown equivalent so far, see check_bisim
+        for ctx in contexts:
+            verdict = check_bisim(lang, plug(ctx, p), plug(ctx, q), window, cfg.depth,
+                                  proved=proved, memo=memo)
+            if isinstance(verdict, Distinguished):
+                violations.append((ctx, verdict))
+    finally:
+        memo.clear()
     status = "closed" if not violations else "violation"
     return ContextClosureReport(status, len(contexts), base, violations)

@@ -221,15 +221,20 @@ def widen_entry(rng: random.Random, state, has_label: bool, cont_vars: list, cfg
 # ---------------------------------------------------------------------------
 # terms and contexts, randomly sampled
 
-def random_term(lang, rng: random.Random, cfg, size: int) -> Node:
+def random_term(lang, rng: random.Random, cfg, size: int,
+                choices: Optional[dict] = None) -> Node:
+    """A random closed term of ``size`` nodes.  ``choices`` maps each payload
+    kind met so far to its choices and may be shared across calls; filling
+    it draws nothing from ``rng``."""
+    choices = {} if choices is None else choices
     nullary = [c for c in lang.constructors if c[2] == 0]
     non_null = [c for c in lang.constructors if c[2] > 0]
     if size <= 1 or not non_null:
         tag, kinds, _ = nullary[rng.randrange(len(nullary))]
-        payload = tuple(_rand_payload(lang, k, rng, cfg) for k in kinds)
+        payload = tuple(_rand_payload(lang, k, rng, cfg, choices) for k in kinds)
         return Node(tag, (), payload)
     tag, kinds, arity = non_null[rng.randrange(len(non_null))]
-    payload = tuple(_rand_payload(lang, k, rng, cfg) for k in kinds)
+    payload = tuple(_rand_payload(lang, k, rng, cfg, choices) for k in kinds)
     budget = size - 1
     sizes = []
     for i in range(arity):
@@ -237,29 +242,33 @@ def random_term(lang, rng: random.Random, cfg, size: int) -> Node:
         take = rng.randint(1, max(1, budget - left))
         sizes.append(take)
         budget -= take
-    children = tuple(random_term(lang, rng, cfg, sz) for sz in sizes)
+    children = tuple(random_term(lang, rng, cfg, sz, choices) for sz in sizes)
     return Node(tag, children, payload)
 
 
-def _rand_payload(lang, kind: str, rng: random.Random, cfg):
-    choices = _payload_choices(lang, kind, cfg)
-    return choices[rng.randrange(len(choices))]
+def _rand_payload(lang, kind: str, rng: random.Random, cfg, choices: dict):
+    options = choices.get(kind)
+    if options is None:
+        options = choices[kind] = _payload_choices(lang, kind, cfg)
+    return options[rng.randrange(len(options))]
 
 
 def sample_contexts(lang, max_layers: int, budget: int, seed: int, cfg) -> list[Context]:
     """Deterministic pseudo-random single-hole contexts, the bare hole first."""
     rng = random.Random(seed)
     holed = [c for c in lang.constructors if c[2] > 0]
+    choices: dict = {}  # payload kind -> its choices, see random_term
     out: list[Context] = [()]
     while len(out) < budget:
         depth = rng.randint(0, max_layers)
         layers = []
         for _ in range(depth):
             tag, kinds, arity = holed[rng.randrange(len(holed))]
-            payload = tuple(_rand_payload(lang, k, rng, cfg) for k in kinds)
+            payload = tuple(_rand_payload(lang, k, rng, cfg, choices) for k in kinds)
             hole = rng.randrange(arity)
             siblings = tuple(
-                random_term(lang, rng, cfg, rng.randint(1, 3)) for _ in range(arity - 1)
+                random_term(lang, rng, cfg, rng.randint(1, 3), choices)
+                for _ in range(arity - 1)
             )
             layers.append(OneHoleLayer(tag, payload, hole, siblings))
         out.append(tuple(layers))

@@ -21,14 +21,18 @@ check shares one such table across all its contexts, so a pair that many
 plugged programs reach is explored once.
 
 ``extend_law`` remembers nothing.  ``extend_once`` is the same extension
-through a memo keyed on (term, state), which also keeps every subterm the
-rule queries and every variable's table answer.  Its caller owns the memo,
-for one rule and one set of behaviors, and it lives as long as the caller
-keeps it: one ``run``, one ``check_bisim`` call, a context-closure check
-with all its contexts, or one language of a preservation or closed-mode
-coherence campaign.  No language holds one, so no other case, campaign or
-call sees it.  Outcomes are immutable named tuples, so a remembered one is
-handed out again as it is.
+through a memo keyed on the term, which also keeps every subterm the rule
+queries and every variable's table answer.  A term's entry holds the
+(child, extension) pairs the rule receives, built once, and its outcome
+at each state met so far.  Its caller owns the memo, for one rule and one
+set of behaviors, and it lives as long as the caller keeps it: one
+``run``, one ``check_bisim`` call, a context-closure check with all its
+contexts, or one language of a preservation or closed-mode coherence
+campaign.  The stored extensions refer back to the memo, so each owner
+clears it when done instead of leaving it to the cycle collector.  No
+language holds one, so no other case, campaign or call sees it.  Outcomes
+are immutable named tuples, so a remembered one is handed out again as it
+is.
 """
 from __future__ import annotations
 
@@ -108,19 +112,30 @@ def extend_law(lang, term: OpenTerm, behaviors: dict, state: MachineState) -> St
 def extend_once(rule, behaviors: dict, memo: dict, term: OpenTerm,
                 state: MachineState) -> StepOutcome:
     """``extend_law`` through ``memo``, a dict its caller owns for this ``rule``
-    and these ``behaviors``: each (term, state) is extended once per memo."""
-    key = (term, state)
-    out = memo.get(key)
+    and these ``behaviors``: each (term, state) is extended once per memo.
+
+    ``memo`` maps a term to ``(pairs, outcomes)``.  ``pairs`` is the tuple of
+    (child, extension) pairs the rule receives, built the first time the
+    term is met, so the rule is handed the same tuple at every state; a
+    variable has None.  ``outcomes`` maps each state to its outcome; a step
+    that raises is not remembered.  The extensions refer back to ``memo``,
+    so its owner clears it when done rather than leave it to the cycle
+    collector."""
+    entry = memo.get(term)
+    if entry is None:
+        pairs = None if type(term) is Var else tuple(
+            (c, partial(extend_once, rule, behaviors, memo, c)) for c in term.children)
+        entry = memo[term] = (pairs, {})
+    pairs, outcomes = entry
+    out = outcomes.get(state)
     if out is None:
-        if type(term) is Var:
+        if pairs is None:
             if term.name not in behaviors:
                 raise IncompleteTable(f"no table for {term.name!r} at {state!r}")
             out = behaviors[term.name](state)
         else:
-            out = rule(term.tag, term.payload,
-                       tuple((c, partial(extend_once, rule, behaviors, memo, c))
-                             for c in term.children), state)
-        memo[key] = out
+            out = rule(term.tag, term.payload, pairs, state)
+        outcomes[state] = out
     return out
 
 
@@ -150,17 +165,21 @@ def run(lang, term: Node, state: MachineState, fuel: int) -> RunResult:
     back in, until it terminates or the fuel runs out."""
     if not is_closed(term):
         raise IllFormed("run requires a closed term")
-    extend = partial(extend_once, lang.rule, {}, {})
+    memo: dict = {}
+    extend = partial(extend_once, lang.rule, {}, memo)
     trace = []
     current = term
-    for _ in range(fuel):
-        out = extend(current, state)
-        trace.append((state, out))
-        state = out.state
-        if out.cont is None:
-            return RunResult(trace, True, state)
-        current = out.cont
-    return RunResult(trace, False, state, current)
+    try:
+        for _ in range(fuel):
+            out = extend(current, state)
+            trace.append((state, out))
+            state = out.state
+            if out.cont is None:
+                return RunResult(trace, True, state)
+            current = out.cont
+        return RunResult(trace, False, state, current)
+    finally:
+        memo.clear()  # see extend_once
 
 
 # --- bounded bisimilarity ---
@@ -229,7 +248,9 @@ def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
     try:
         witness = compare(p, q, depth, ())
     finally:
-        # ``compare`` refers to itself: an owned memo would await the collector
+        # ``compare`` refers to itself, and so does an ``extend_once`` memo:
+        # neither is left to the collector
+        del compare
         if owned:
             memo.clear()
     if witness is not None:

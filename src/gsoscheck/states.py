@@ -39,8 +39,12 @@ class Store:
 
 
 def clamp_negatives(s: Store) -> Store:
-    """Replace every negative cell with 0 (the nat view of an int store)."""
-    return Store(tuple((k, v) for k, v in s.cells if v > 0))
+    """Replace every negative cell with 0 (the nat view of an int store);
+    a store with none is returned as it is."""
+    for _, v in s.cells:
+        if v <= 0:
+            return Store(tuple((k, v) for k, v in s.cells if v > 0))
+    return s
 
 
 @dataclass(frozen=True)

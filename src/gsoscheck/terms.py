@@ -2,15 +2,14 @@
 
 Terms are plain immutable trees: a ``Node`` carries a constructor tag, a
 tuple of child terms and a tuple of payload values (expressions, store
-locations, instructions); its hash and its closedness are both set once,
-at construction, from its fields and its children's.  Nodes are
-hash-consed: equal terms are one shared object, so comparing two terms is
-an identity check.  The table of nodes lives for the whole process.
-``Var`` marks a program variable, so a closed program is a ``Node`` tree
-with no ``Var`` anywhere.  Which tags are legal, and with what payload
-shapes, is decided by each language definition; the tree type itself is
-untyped on purpose so that syntax-preserving compilers are the identity on
-trees.
+locations, instructions); its hash is set once, at construction, from its
+fields.  Nodes are hash-consed: equal terms are one shared object, so
+comparing two terms is an identity check.  The table of nodes lives for
+the whole process.  ``Var`` marks a program variable, so a closed program
+is a ``Node`` tree with no ``Var`` anywhere.  Which tags are legal, and
+with what payload shapes, is decided by each language definition; the
+tree type itself is untyped on purpose so that syntax-preserving
+compilers are the identity on trees.
 """
 from __future__ import annotations
 
@@ -118,12 +117,11 @@ class Node:
     object, however they were built (parsing, plugging, compiling, copying,
     unpickling), and equality is identity.  A node is immutable: assigning
     or deleting a field raises ``AttributeError``.  Its hash, the hash of
-    ``(tag, children, payload)`` as a frozen dataclass would give it, and
-    ``closed``, true when no ``Var`` lies anywhere below it, are both set
-    once, at construction, from the fields and the children's own values.
+    ``(tag, children, payload)`` as a frozen dataclass would give it, is set
+    once, at construction.
     """
 
-    __slots__ = ("tag", "children", "payload", "_hash", "closed")
+    __slots__ = ("tag", "children", "payload", "_hash")
 
     def __new__(cls, tag: str, children: tuple = (), payload: tuple = ()):
         key = (tag, children, payload)
@@ -134,7 +132,6 @@ class Node:
             _set_children(node, children)
             _set_payload(node, payload)
             _set_hash(node, hash(key))
-            _set_closed(node, all(type(k) is Node and k.closed for k in children))
             _NODES[key] = node
         return node
 
@@ -158,7 +155,7 @@ class Node:
 _NODES: dict = {}
 
 # the slots' own setters, which bypass the refusing __setattr__
-_set_tag, _set_children, _set_payload, _set_hash, _set_closed = (
+_set_tag, _set_children, _set_payload, _set_hash = (
     Node.__dict__[name].__set__ for name in Node.__slots__)
 
 
@@ -236,7 +233,14 @@ def loop(e: Expr, p: OpenTerm) -> Node:
 
 
 def is_closed(t: OpenTerm) -> bool:
-    return type(t) is Node and t.closed
+    """True when no ``Var`` lies anywhere in ``t``."""
+    pending = [t]
+    while pending:
+        t = pending.pop()
+        if type(t) is not Node:
+            return False
+        pending.extend(t.children)
+    return True
 
 
 def term_size(t: OpenTerm) -> int:

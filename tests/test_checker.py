@@ -1,8 +1,11 @@
 """Campaign behavior: the verdict table, witness soundness, stream
 determinism, preservation and context closure."""
+import gc
+import hashlib
 import itertools
 from collections import Counter
 from dataclasses import fields, replace
+from functools import partial
 
 import pytest
 
@@ -13,11 +16,11 @@ from gsoscheck.checker import (
 )
 from gsoscheck.languages import LangDef
 from gsoscheck.semantics import (
-    Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim, run,
+    Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim, extend_once, run,
 )
 from gsoscheck.states import LowState, StackState, Store
 from gsoscheck.terms import (
-    Bin, IllFormed, Lit, Loc, assign, print_term, sandbox, seq, skip, while_,
+    Bin, IllFormed, Lit, Loc, Var, assign, print_term, sandbox, seq, skip, while_,
 )
 from gsoscheck.spf import OneHoleLayer, plug
 from gsoscheck import checker, gen
@@ -439,6 +442,53 @@ def test_campaigns_leave_the_languages_as_they_were(langs, comps):
     run(langs["while-flag"], seq(a, assign(1, Lit(3))), Store.of({0: 3, 1: 2}), 50)
     check_coherence(comps["unsandbox"], CampaignConfig(mode="closed", samples=60, seed=11))
     assert snapshot() == before
+
+
+def test_owned_memos_are_not_left_to_the_cycle_collector(langs, comps):
+    # an extend_once memo refers to itself through its extensions: each
+    # owner empties its own before returning, so the collector finds none
+    a = while_(Loc(0), assign(0, Lit(0)))
+    b = while_(Bin("mul", Loc(0), Lit(2)), assign(0, Lit(0)))
+    checks = {
+        "run": lambda: run(langs["while"], seq(a, assign(1, Lit(3))), Store.of({0: 3}), 50),
+        "context closure": lambda: check_context_closure(
+            langs["while"], a, b, CampaignConfig(samples=30, seed=11)),
+        "preservation": lambda: check_preservation(
+            comps["embed-int"], CampaignConfig(samples=20, seed=11)),
+        "closed coherence": lambda: check_coherence(
+            comps["unsandbox"], CampaignConfig(mode="closed", samples=60, seed=11)),
+    }
+    debug = gc.get_debug()
+    try:
+        for name, check in checks.items():
+            gc.collect()
+            gc.garbage.clear()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            check()
+            gc.collect()
+            gc.set_debug(debug)
+            left = [o for o in gc.garbage
+                    if isinstance(o, partial) and o.func is extend_once]
+            assert not left, name
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+
+
+# sha256 of the 1000 contexts check_context_closure samples at seed 0xC0FFEE,
+# each printed plugged with ?h, one a line
+CONTEXT_DIGESTS = {
+    "while": "31e06cf1de1f8332417dfb29a6bb596e10eedbad3fed90c5d9ceaffeb7fc5d98",
+    "low-sec": "86914ff4033c1c29bdfa018ffc672522e0c5309dc2a1e34ab76d991e172f83f9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXT_DIGESTS))
+def test_sampled_contexts_are_the_recorded_ones(langs, name):
+    cfg = CampaignConfig(seed=0xC0FFEE)
+    contexts = gen.sample_contexts(langs[name], 3, 1000, cfg.seed, cfg)
+    text = "\n".join(print_term(plug(ctx, Var("h"))) for ctx in contexts)
+    assert hashlib.sha256(text.encode()).hexdigest() == CONTEXT_DIGESTS[name]
 
 
 def test_closed_low_cases_cross_out_of_range_pcs(comps):

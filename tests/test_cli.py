@@ -469,6 +469,29 @@ def test_benchmark_reports_match_expected():
                 assert bench.check_op(op, expected, seed) == [], argv
 
 
+def test_benchmark_ctx_closure_applies_the_rule_once_per_layer_and_state(monkeypatch):
+    # the benchmark's ctx-closure command line, its language's rule counted:
+    # one memo for the whole check applies it once per (layer, state)
+    from gsoscheck import cli
+    from tests.test_semantics import counting_rule
+
+    bench = _load_perfbench("run")
+    (argv,) = bench.commands("ctx-closure", 0)
+    registry, counts = cli.language_registry, []
+
+    def counting_registry(*args, **kwargs):
+        langs = dict(registry(*args, **kwargs))
+        langs["while"], applied = counting_rule(langs["while"])
+        counts.append(applied)
+        return langs
+
+    monkeypatch.setattr(cli, "language_registry", counting_registry)
+    code, report, _ = execute(list(argv))
+    assert code == 0 and report.verdict == "closed"
+    (applied,) = counts
+    assert sum(applied.values()) == len(applied) == 74_432
+
+
 def test_every_report_echoes_its_command_and_time(tmp_path):
     saved = tmp_path / "report.json"
     _, report, _ = execute(["compile", "--compiler", "sandbox", "--term", "skip"])
@@ -584,3 +607,6 @@ def test_benchmark_tracer_traces_a_pass():
     metrics = tracer.metrics()
     assert metrics["languages.rule.calls"] > 0
     assert metrics["semantics.step.calls"] == 1
+    # one count per use: the program `run` reads and runs, the pair
+    # `ctx-closure` reads, and the step; none per subterm walked
+    assert metrics["terms.is_closed.calls"] == 5

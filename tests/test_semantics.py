@@ -223,6 +223,33 @@ def test_closed_extension_agrees_with_step(langs, cfg):
             assert illformed  # frame reads at sp = 0
 
 
+def test_extend_once_hands_the_rule_one_children_tuple_per_term(langs, cfg):
+    # within one memo the rule is handed the same (child, extension) tuple
+    # for a term at every state; every tuple is kept, so no id is reused
+    base = langs["while"]
+    handed: dict = {}
+
+    def rule(tag, payload, children, s):
+        handed.setdefault(Node(tag, tuple(x for x, _ in children), payload), []).append(children)
+        return base.rule(tag, payload, children, s)
+
+    p = while_(Loc(0), assign(0, Lit(0)))
+    q = while_(Bin("mul", Loc(0), Lit(2)), assign(0, Lit(0)))
+    window = gen.state_window(base, cfg)
+    memo: dict = {}
+    try:
+        verdict = check_bisim(replace(base, rule=rule), seq(p, skip()), seq(q, skip()),
+                              window, cfg.depth, memo=memo)
+        for s in window:
+            extend_once(rule, {}, memo, seq(p, q), s)
+    finally:
+        memo.clear()
+    assert isinstance(verdict, Equivalent)
+    assert max(map(len, handed.values())) == len(window)
+    for term, tuples in handed.items():
+        assert all(t is tuples[0] for t in tuples), term
+
+
 def test_section3_context_split(langs):
     # plugging the two flag programs into (obs 1 _) ; while (var 1 - 1) skip
     # from store {0:1}: one terminates, the other diverges

@@ -52,6 +52,19 @@ def test_store_is_immutable():
     assert s == Store.of({0: 1})
 
 
+def test_clamp_negatives_returns_a_nonnegative_store_as_it_is(cfg):
+    def rebuilt(s):  # every nonpositive cell dropped into a new store
+        return Store(tuple((k, v) for k, v in s.cells if v > 0))
+
+    stores = gen.store_window(cfg, int_mode=True) + [Store.of({0: -1, 4: 2, 7: -5})]
+    assert any(v < 0 for s in stores for _, v in s.cells)
+    for s in stores:
+        if all(v >= 0 for _, v in s.cells):
+            assert clamp_negatives(s) is s
+        assert clamp_negatives(s) == rebuilt(s)
+    assert clamp_negatives(Store.of({0: -1, 1: 2})) == Store.of({1: 2})
+
+
 def test_repr_is_the_dataclass_repr():
     assert repr(Store()) == "Store(cells=())"
     assert repr(Store.of({1: 2, 0: 3})) == "Store(cells=((0, 3), (1, 2)))"
