@@ -14,21 +14,22 @@ case's window; a pass obtained this way is counted and reported.  Every
 other registered translation either matches continuations exactly or
 diverges in an observable.
 
-The fallback's verdict does not depend on the case's target input: the
-window, depth and target language are fixed per campaign.  A campaign
-therefore computes it once per (upper continuation, lower continuation,
-tables) and reuses it for every other input of the window;
-``fallback_cases`` still counts the cases that needed it.
-
-An open-mode campaign evaluates its cases one (layer, tables) group at a
-time.  Of the whole square only the behavior translation's input side sees
-the target input, so a group compiles its layer, builds its target
+Both modes evaluate their cases one group at a time, through the same
+square.  A group is the cases that differ only in the target input: an
+open-mode (layer, tables) variant over the window, or a closed term over
+its states (for a program-counter target, the pc window of its compiled
+length).  Of the whole square only the behavior translation's input side
+sees the target input, so a group compiles its subject, builds its target
 behaviors, runs the source law once per distinct preimage state and
-compiles each distinct upper continuation once, for all the window's
-inputs.  The input side itself (``pass_through``, else ``input_map``) is
-computed once per campaign, as a list aligned with the window.  A group
-lives only while its cases are evaluated; a case evaluated on its own
-gets a one-off group, which shares nothing with other cases.
+compiles each distinct upper continuation once, for all its inputs.  The
+input side itself (``pass_through``, else ``input_map``) is computed once
+per window, as a list aligned with it.  The fallback's verdict does not
+depend on the target input either, so a group computes it once per (upper
+continuation, lower continuation) and reuses it for its other inputs;
+``fallback_cases`` still counts the cases that needed it.  A case stream
+hands each case its group, which lives while the stream's cases reach it;
+a case evaluated on its own gets a one-off group, which shares nothing
+with other cases.
 
 A table answers only on the states it was sampled on.  A case whose
 square queries a table elsewhere is tallied inconclusive, never answered
@@ -38,16 +39,14 @@ A context-closure check steps its base pair and all its contexts through
 one ``extend_once`` memo and shares the pairs ``check_bisim`` has proved
 equivalent (the base pair aside), so a pair that many plugged programs
 reach is explored once; each context's verdict is the one it gets on its
-own.  Closed-mode coherence and preservation keep one memo per language.
+own.  A preservation campaign keeps one memo per language.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from functools import partial
-from typing import Iterator, Optional
+from typing import Optional
 
 from .terms import (
     IllFormed, Node, OpenTerm, instr_flatten, print_term, term_size, term_vars,
@@ -55,7 +54,7 @@ from .terms import (
 from .states import LowState, show_state
 from .semantics import (
     Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim,
-    extend_law, extend_once, first_difference,
+    extend_law, first_difference,
 )
 from .compilers import CompilerPair, compile_open, compile_term, translate_behavior
 from .spf import plug
@@ -84,13 +83,15 @@ class CampaignConfig:
 @dataclass
 class CoherenceCase:
     """Open mode: one source layer over variables plus their sampled tables.
-    Closed mode: a closed source term.  Both carry the target input; an
-    open-mode case also carries the input's index in the campaign window."""
+    Closed mode: a closed source term.  Both carry the target input; a case
+    from a stream also carries its group and the input's index among the
+    group's states."""
 
     subject: OpenTerm
     target_input: object
     tables: dict = field(default_factory=dict)
     slot: int = 0
+    group: Optional[_Group] = field(default=None, compare=False, repr=False)
 
     def describe(self) -> dict:
         out = {
@@ -169,73 +170,48 @@ def _target_behaviors(cp: CompilerPair, tables: dict) -> dict:
     }
 
 
-def _compare(cp: CompilerPair, upper: StepOutcome, upper_cont, lower: StepOutcome,
-             window, tables: dict, cfg, memo: Optional[dict],
-             steps: Optional[dict] = None) -> tuple[Optional[Divergence], bool]:
-    """Compare the two paths' outcomes; returns (divergence, used_fallback).
-    ``upper_cont`` is the compiled ``upper.cont``, so it is None just when
-    that is.  ``steps`` is the target's ``extend_once`` memo, if any."""
-    field_name = first_difference(upper, lower)
-    if field_name is not None:
-        return Divergence(field_name, upper, lower, upper_cont), False
-    if upper_cont is None or upper_cont == lower.cont:
-        return None, False
-    # syntactic mismatch: bounded behavioral comparison over the window, once
-    # per key (see the module docstring).  Tables compare by identity, so a
-    # key costs no hashing of their entries; the memo keeps its tables alive,
-    # so no identity is reused.  Only the verdict is kept; each case builds
-    # its own divergence from it.
-    memo = {} if memo is None else memo
-    key = (upper_cont, lower.cont, tuple(tables.items()))
-    verdict = memo.get(key)
-    if verdict is None:
-        verdict = check_bisim(cp.target, upper_cont, lower.cont, window,
-                              cfg.fallback_depth, behaviors=_target_behaviors(cp, tables),
-                              memo=steps)
-        memo[key] = verdict
-    if isinstance(verdict, Equivalent):
-        return None, True
-    return Divergence("continuation", upper, lower, upper_cont, lower.cont), True
-
-
 def _window_images(cp: CompilerPair, inputs) -> tuple[list, list]:
     """The behavior translation's input side over ``inputs``: the distinct
-    ``input_map`` images, and per input either the outcome ``pass_through``
-    answers it with or the index of its image among them."""
+    ``input_map`` images of all of them, in order, and per input either the
+    outcome ``pass_through`` answers it with or the index of its image."""
     index: dict = {}
     images = []
     for i2 in inputs:
+        image = index.setdefault(cp.behavior.input_map(i2), len(index))
         shortcut = cp.behavior.pass_through(i2)
-        images.append(shortcut if shortcut is not None
-                      else index.setdefault(cp.behavior.input_map(i2), len(index)))
+        images.append(image if shortcut is None else shortcut)
     return list(index), images
 
 
 class _Group:
-    """One open-mode (layer, tables) variant over a window and the work its
-    cases share (see the module docstring).  Each part is computed when a
-    case first needs it, at the point of the square where a case evaluated
-    on its own computes it, so the same exception surfaces first."""
+    """The cases of one square that differ only in the target input: an
+    open-mode (layer, tables) variant over the window, or a closed term over
+    its states.  Holds the work they share (see the module docstring).  Each
+    part is computed when a case first needs it, at the point of the square
+    where a case evaluated on its own computes it, so the same exception
+    surfaces first."""
 
-    def __init__(self, cp: CompilerPair, subject: OpenTerm, tables: dict, window_images):
-        self.cp, self.subject, self.tables = cp, subject, tables
+    def __init__(self, cp: CompilerPair, subject: OpenTerm, tables: dict, window_images,
+                 closed: bool, layer: Optional[OpenTerm] = None):
+        self.cp, self.subject, self.tables, self.closed = cp, subject, tables, closed
         self.preimages, self.images = window_images
         self.sources: list = [None] * len(self.preimages)  # source outcome per preimage
-        self.compiled: dict = {}  # source term -> compile_open of it
-        self.layer: Optional[OpenTerm] = None  # the compiled subject
+        self.compiled: dict = {}  # source term -> its compiled form
+        self.layer = layer  # the compiled subject
         self.behaviors = _target_behaviors(cp, tables)
-
-    def holds(self, case: CoherenceCase) -> bool:
-        return case.subject is self.subject and case.tables is self.tables
+        self.verdicts: dict = {}  # (upper cont, lower cont) -> fallback verdict
 
     def _compile(self, t: OpenTerm) -> OpenTerm:
         out = self.compiled.get(t)
         if out is None:
-            out = self.compiled[t] = compile_open(self.cp, t)
+            # looked up at each call, so that a rebound module name is seen
+            compile_ = compile_term if self.closed else compile_open
+            out = self.compiled[t] = compile_(self.cp, t)
         return out
 
-    def evaluate(self, case: CoherenceCase, slot: int, window, cfg, memo):
-        """The square at the window's input ``slot``, which is the case's."""
+    def evaluate(self, case: CoherenceCase, slot: int, window, cfg):
+        """The square at input ``slot`` of the group's states, which is the
+        case's target input."""
         cp, i2 = self.cp, case.target_input
         upper = self.images[slot]
         if isinstance(upper, int):
@@ -248,72 +224,52 @@ class _Group:
         if self.layer is None:
             self.layer = self._compile(self.subject)
         lower = extend_law(cp.target, self.layer, self.behaviors, i2)
-        flags = upper.flags | lower.flags
-        div, fb = _compare(cp, upper, upper_cont, lower, window, self.tables, cfg, memo)
-        return div, fb, flags
+        div, fb = self._compare(upper, upper_cont, lower, window, cfg)
+        return div, fb, upper.flags | lower.flags
+
+    def _compare(self, upper: StepOutcome, upper_cont, lower: StepOutcome,
+                 window, cfg) -> tuple[Optional[Divergence], bool]:
+        """Compare the two paths' outcomes; returns (divergence, used_fallback).
+        ``upper_cont`` is the compiled ``upper.cont``, so it is None just when
+        that is."""
+        field_name = first_difference(upper, lower)
+        if field_name is not None:
+            return Divergence(field_name, upper, lower, upper_cont), False
+        if upper_cont is None or upper_cont == lower.cont:
+            return None, False
+        # syntactic mismatch: bounded behavioral comparison over the window,
+        # once per pair of continuations (see the module docstring).  Only
+        # the verdict is kept; each case builds its own divergence from it.
+        key = (upper_cont, lower.cont)
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            verdict = self.verdicts[key] = check_bisim(
+                self.cp.target, upper_cont, lower.cont, window, cfg.fallback_depth,
+                behaviors=self.behaviors)
+        if isinstance(verdict, Equivalent):
+            return None, True
+        return Divergence("continuation", upper, lower, upper_cont, lower.cont), True
 
 
-class _OpenCampaign:
-    """An open-mode campaign's window images and the group of the variant
-    its cases have reached: a case the group does not hold starts the next
-    group, and the last one's work is dropped."""
-
-    def __init__(self, cp: CompilerPair, window):
-        self.window_images = _window_images(cp, window)
-        self.group: Optional[_Group] = None
-
-    def group_of(self, cp: CompilerPair, case: CoherenceCase) -> _Group:
-        group = self.group
-        if group is None or not group.holds(case):
-            group = self.group = _Group(cp, case.subject, case.tables, self.window_images)
-        return group
-
-
-def evaluate_open_case(cp: CompilerPair, case: CoherenceCase, window, cfg,
-                       memo: Optional[dict] = None,
-                       campaign: Optional[_OpenCampaign] = None):
+def evaluate_open_case(cp: CompilerPair, case: CoherenceCase, window, cfg):
     """One open-mode square; returns (divergence|None, used_fallback, flags).
-    ``memo`` holds the campaign's fallback verdicts.  Within a ``campaign``
-    the case is evaluated through its variant's group; without one, through
-    a one-off group, and without a memo nothing is shared with other cases.
+    A case from ``open_cases`` is evaluated through its group; one built on
+    its own gets a one-off group, which shares nothing with other cases.
     The result is the same either way."""
-    if campaign is not None:
-        return campaign.group_of(cp, case).evaluate(case, case.slot, window, cfg, memo)
+    if case.group is not None:
+        return case.group.evaluate(case, case.slot, window, cfg)
     one_off = _Group(cp, case.subject, case.tables,
-                     _window_images(cp, [case.target_input]))
-    return one_off.evaluate(case, 0, window, cfg, memo)
+                     _window_images(cp, [case.target_input]), closed=False)
+    return one_off.evaluate(case, 0, window, cfg)
 
 
-@contextmanager
-def _step_memos(cp: CompilerPair) -> Iterator[tuple[dict, dict]]:
-    """Fresh ``extend_once`` memos for the source and the target, one if
-    equal, cleared on exit (see ``extend_once``)."""
-    source: dict = {}
-    target = source if cp.target is cp.source else {}
-    try:
-        yield source, target
-    finally:
-        source.clear()
-        target.clear()
-
-
-def evaluate_closed_case(cp: CompilerPair, case: CoherenceCase, window, cfg,
-                         memo: Optional[dict] = None, steps: Optional[tuple] = None):
-    """One closed-mode square, as ``evaluate_open_case``; ``steps`` are the
-    campaign's ``_step_memos``, without which the case shares nothing."""
-    if steps is None:
-        with _step_memos(cp) as steps:
-            return evaluate_closed_case(cp, case, window, cfg, memo, steps)
-    src_steps, tgt_steps = steps
-    i2 = case.target_input
-    compiled = compile_term(cp, case.subject)
-    upper = translate_behavior(
-        cp, partial(extend_once, cp.source.rule, {}, src_steps, case.subject), i2)
-    upper_cont = compile_term(cp, upper.cont) if upper.cont is not None else None
-    lower = extend_once(cp.target.rule, {}, tgt_steps, compiled, i2)
-    flags = upper.flags | lower.flags
-    div, fb = _compare(cp, upper, upper_cont, lower, window, {}, cfg, memo, tgt_steps)
-    return div, fb, flags
+def evaluate_closed_case(cp: CompilerPair, case: CoherenceCase, window, cfg):
+    """One closed-mode square, as ``evaluate_open_case``."""
+    if case.group is not None:
+        return case.group.evaluate(case, case.slot, window, cfg)
+    one_off = _Group(cp, case.subject, {}, _window_images(cp, [case.target_input]),
+                     closed=True)
+    return one_off.evaluate(case, 0, window, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -321,35 +277,35 @@ def evaluate_closed_case(cp: CompilerPair, case: CoherenceCase, window, cfg,
 
 def open_cases(cp: CompilerPair, cfg: CampaignConfig, window):
     rng = random.Random(cfg.seed)
-    preimage = _preimage(cp, window)
+    images = _window_images(cp, window)
     for layer in gen.layer_shapes(cp.source, cfg):
         names = sorted(set(term_vars(layer)), key=str)
         variants = range(cfg.table_variants if names else 1)
         for _ in variants:
             tables = {
-                x: gen.sample_table(rng, x, preimage, cp.source.has_label, names, cfg)
+                x: gen.sample_table(rng, x, images[0], cp.source.has_label, names, cfg)
                 for x in names
             }
+            group = _Group(cp, layer, tables, images, closed=False)
             for slot, i2 in enumerate(window):
-                yield CoherenceCase(layer, i2, tables, slot)
+                yield CoherenceCase(layer, i2, tables, slot, group)
 
 
 def closed_cases(cp: CompilerPair, cfg: CampaignConfig, window):
+    images = _window_images(cp, window)
     for p in gen.closed_terms(cp.source, cfg):
-        states = window
+        states, layer = window, None
         if cp.target.state_kind == "pc":
             # pair every program with program counters from -1 to one past
             # its compiled length
-            compiled = compile_term(cp, p)
-            length = len(instr_flatten(compiled)) if compiled.tag == "instr" else term_size(compiled)
+            layer = compile_term(cp, p)
+            length = len(instr_flatten(layer)) if layer.tag == "instr" else term_size(layer)
             stores = gen.store_window(cfg, int_mode=False)
             states = [LowState(s, pc) for s in stores for pc in gen.pc_window(cfg, length)]
-        for i2 in states:
-            yield CoherenceCase(p, i2)
-
-
-def _preimage(cp: CompilerPair, window) -> list:
-    return list(dict.fromkeys(cp.behavior.input_map(i2) for i2 in window))
+        group = _Group(cp, p, {}, images if states is window else _window_images(cp, states),
+                       closed=True, layer=layer)
+        for slot, i2 in enumerate(states):
+            yield CoherenceCase(p, i2, group.tables, slot, group)
 
 
 # ---------------------------------------------------------------------------
@@ -362,32 +318,28 @@ def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
     if mode == "open" and not cp.open_checkable:
         raise IllFormed(f"{cp.name} is not layer-wise; use closed mode")
     window = gen.state_window(cp.target, cfg)
+    if mode == "open":
+        stream, evaluate = open_cases(cp, cfg, window), evaluate_open_case
+    else:
+        stream, evaluate = closed_cases(cp, cfg, window), evaluate_closed_case
     cases = inconclusive = illformed = fallback = 0
     flags: frozenset = frozenset()
-    memo: dict = {}  # this campaign's fallback verdicts, see _compare
-    with _step_memos(cp) as steps:
-        if mode == "open":
-            stream = open_cases(cp, cfg, window)
-            evaluate = partial(evaluate_open_case, campaign=_OpenCampaign(cp, window))
-        else:
-            stream = closed_cases(cp, cfg, window)
-            evaluate = partial(evaluate_closed_case, steps=steps)
-        for case in itertools.islice(stream, cfg.samples):
-            cases += 1
-            try:
-                div, fb, case_flags = evaluate(cp, case, window, cfg, memo)
-            except IllFormed:
-                illformed += 1
-                continue
-            except IncompleteTable:
-                inconclusive += 1
-                continue
-            flags |= case_flags
-            if fb:
-                fallback += 1
-            if div is not None:
-                return Fail(case, div, cases_before=cases - 1, flags=flags)
-        exhausted = next(stream, None) is None
+    for case in itertools.islice(stream, cfg.samples):
+        cases += 1
+        try:
+            div, fb, case_flags = evaluate(cp, case, window, cfg)
+        except IllFormed:
+            illformed += 1
+            continue
+        except IncompleteTable:
+            inconclusive += 1
+            continue
+        flags |= case_flags
+        if fb:
+            fallback += 1
+        if div is not None:
+            return Fail(case, div, cases_before=cases - 1, flags=flags)
+    exhausted = next(stream, None) is None
     return Pass(cases, exhausted, inconclusive, illformed, fallback, flags)
 
 
@@ -440,7 +392,10 @@ def check_preservation(cp: CompilerPair, cfg: CampaignConfig,
         pairs = [(a, b) for a, b in itertools.combinations(terms, 2)]
         pairs = pairs[: cfg.samples]
     entries = []
-    with _step_memos(cp) as (src_steps, tgt_steps):
+    # one extend_once memo per language, emptied when done (see extend_once)
+    src_steps: dict = {}
+    tgt_steps = src_steps if cp.target is cp.source else {}
+    try:
         for left, right in pairs:
             source = check_bisim(cp.source, left, right, src_window, cfg.depth,
                                  memo=src_steps)
@@ -455,6 +410,9 @@ def check_preservation(cp: CompilerPair, cfg: CampaignConfig,
                 except IllFormed:
                     entry.target_illformed = True
             entries.append(entry)
+    finally:
+        src_steps.clear()
+        tgt_steps.clear()
     return PreservationReport(entries)
 
 

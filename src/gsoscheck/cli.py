@@ -66,17 +66,16 @@ def _add_frame_len_and_json(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true")
 
 
-def _add_budget_flags(p: argparse.ArgumentParser, sampled: bool = True):
-    """The campaign budget; ``sampled=False`` leaves out ``--samples`` and
-    ``--max-term-size`` for a command that samples no cases or terms, whose
-    report still echoes their defaults."""
-    if sampled:
-        p.add_argument("--samples", type=_budget, default=CampaignConfig.samples)
-        p.add_argument("--max-term-size", type=_budget, default=CampaignConfig.max_term_size)
-    else:
-        p.set_defaults(samples=CampaignConfig.samples,
-                       max_term_size=CampaignConfig.max_term_size)
-    p.add_argument("--depth", type=_budget, default=CampaignConfig.depth)
+def _add_budget_flags(p: argparse.ArgumentParser, *reads: str):
+    """The campaign budget, with just those of ``samples``, ``max_term_size``
+    and ``depth`` that the command reads, named in ``reads``; the others
+    keep their defaults, which the report still echoes."""
+    for name in ("samples", "max_term_size", "depth"):
+        default = getattr(CampaignConfig, name)
+        if name in reads:
+            p.add_argument("--" + name.replace("_", "-"), type=_budget, default=default)
+        else:
+            p.set_defaults(**{name: default})
     p.add_argument("--seed", type=lambda v: int(v, 0), default=CampaignConfig.seed)
     p.add_argument("--store-cells", type=_budget, default=CampaignConfig.store_cells)
     p.add_argument("--max-value", type=_budget, default=CampaignConfig.max_value)
@@ -267,11 +266,9 @@ def _cmd_preserve(args) -> tuple[int, Report, list]:
             tgt = "equivalent" if isinstance(e.target, Equivalent) else "DISTINGUISHED"
             line += f"  => target {tgt}"
             if isinstance(e.target, Distinguished):
-                line += (f" at {[show_state(s) for s in e.target.path]}"
-                         f" ({e.target.reason}:"
-                         f" {e.target.left.label} vs {e.target.right.label})"
-                         if e.target.reason == "label" else
-                         f" at {[show_state(s) for s in e.target.path]} ({e.target.reason})")
+                t = e.target
+                labels = f": {t.left.label} vs {t.right.label}" if t.reason == "label" else ""
+                line += f" at {[show_state(s) for s in t.path]} ({t.reason}{labels})"
         lines.append(line)
     violations = result.violations
     witness = None
@@ -300,6 +297,8 @@ def _load_pairs(path: str, lang) -> list:
             isinstance(d, dict) and isinstance(d.get("left"), str)
             and isinstance(d.get("right"), str) for d in data):
         raise IllFormed(f"{path}: expected a list of {{left, right}} objects of terms")
+    if not data:
+        raise IllFormed(f"{path}: no pairs to check")
     return [(_program(d["left"], lang), _program(d["right"], lang)) for d in data]
 
 
@@ -532,32 +531,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coherence", help="run a coherence campaign")
     p.add_argument("--compiler", required=True)
     p.add_argument("--mode", choices=("open", "closed", "auto"), default="auto")
-    _add_budget_flags(p)
+    _add_budget_flags(p, "samples", "max_term_size")
     p.set_defaults(fn=_cmd_coherence)
 
     p = sub.add_parser("bisim", help="bounded bisimilarity of two programs")
     p.add_argument("--lang", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    _add_budget_flags(p, sampled=False)
+    _add_budget_flags(p, "depth")
     p.set_defaults(fn=_cmd_bisim)
 
     p = sub.add_parser("ctx-closure", help="contextual closure of a bisimilar pair")
     p.add_argument("--lang", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    _add_budget_flags(p)
+    _add_budget_flags(p, "samples", "depth")
     p.set_defaults(fn=_cmd_ctx_closure)
 
     p = sub.add_parser("preserve", help="bisimilarity preservation through a compiler")
     p.add_argument("--compiler", required=True)
     p.add_argument("--pairs", help="JSON file: [{left, right}, ...] in term syntax")
-    _add_budget_flags(p)
+    _add_budget_flags(p, "samples", "max_term_size", "depth")
     p.set_defaults(fn=_cmd_preserve)
 
     p = sub.add_parser("laws", help="distributive-law axiom suite")
     p.add_argument("--lang", default="all")
-    _add_budget_flags(p)
+    _add_budget_flags(p, "max_term_size")
     p.set_defaults(fn=_cmd_laws)
 
     p = sub.add_parser("demo", help="reproduce a pinned case study")

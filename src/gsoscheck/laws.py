@@ -21,6 +21,7 @@ from functools import partial
 
 from .terms import IllFormed, Node, OpenTerm, Var, print_term, subst, subterms, term_vars
 from .semantics import StepOutcome, extend_law
+from .states import LowState
 from .spf import decompositions, plug
 from . import gen
 
@@ -174,8 +175,6 @@ def run_law_suite(lang, cfg) -> dict:
     if lang.state_kind == "pc":
         # keep whole pc ranges so shifted lookups stay inside the table domain
         stores = gen.store_window(cfg, int_mode=False)[:2]
-        from .states import LowState
-
         inputs = [LowState(s, pc) for s in stores for pc in gen.pc_window(cfg)]
     else:
         inputs = gen.state_window(lang, cfg)[:8]

@@ -10,13 +10,15 @@ from functools import partial
 import pytest
 
 from gsoscheck.checker import (
-    CampaignConfig, CoherenceCase, Fail, Pass, check_coherence,
+    CampaignConfig, CoherenceCase, Divergence, Fail, Pass, check_coherence,
     check_context_closure, check_preservation, closed_cases,
     evaluate_closed_case, evaluate_open_case, open_cases,
 )
 from gsoscheck.languages import LangDef
+from gsoscheck.compilers import compile_term, translate_behavior
 from gsoscheck.semantics import (
-    Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim, extend_once, run,
+    Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim, extend_law,
+    extend_once, first_difference, run,
 )
 from gsoscheck.states import LowState, StackState, Store
 from gsoscheck.terms import (
@@ -176,7 +178,7 @@ def test_fallback_runs_once_per_continuations_and_tables(comps, monkeypatch):
     keys = set()
     for case in itertools.islice(open_cases(cp, cfg, window), cfg.samples):
         calls.clear()
-        evaluate_open_case(cp, case, window, cfg)  # no memo: nothing shared
+        evaluate_open_case(cp, replace(case, group=None), window, cfg)  # nothing shared
         keys.update((p, q, tuple(case.tables.values())) for p, q in calls)
     calls.clear()
     verdict = check_coherence(cp, cfg)
@@ -204,15 +206,20 @@ def test_out_of_domain_table_query_is_inconclusive(comps):
 
 def _per_case_campaign(cp, cfg):
     """The campaign as a loop over the case stream, each case evaluated on
-    its own with no memo: the reference for the grouped evaluation."""
+    its own, apart from the group the stream gave it: the reference for the
+    grouped evaluation.  Open-mode cases go through ``evaluate_open_case``,
+    closed-mode ones through ``_literal_closed_square``."""
     window = gen.state_window(cp.target, cfg)
-    stream = open_cases(cp, cfg, window)
+    if cfg.mode == "closed":
+        stream, evaluate = closed_cases(cp, cfg, window), _literal_closed_square
+    else:
+        stream, evaluate = open_cases(cp, cfg, window), evaluate_open_case
     cases = inconclusive = illformed = fallback = 0
     flags = frozenset()
     for case in itertools.islice(stream, cfg.samples):
         cases += 1
         try:
-            div, fb, case_flags = evaluate_open_case(cp, case, window, cfg)
+            div, fb, case_flags = evaluate(cp, replace(case, group=None), window, cfg)
         except IllFormed:
             illformed += 1
             continue
@@ -230,15 +237,27 @@ OPEN_CHECKABLE = ("embed-flag", "sandbox", "unsandbox", "embed-int", "sandbox-in
                   "embed-low-sec", "embed-stack", "embed-stack-clear")
 
 
-@pytest.mark.parametrize("seed", [CampaignConfig.seed, CampaignConfig.seed + 7])
-@pytest.mark.parametrize("name", OPEN_CHECKABLE)
-def test_group_evaluation_equals_per_case_evaluation(comps, name, seed):
-    # every budget reaches the verdict of the shipped campaign, except
-    # sandbox-int's: un-memoised, its fallback cases take seconds
-    cp = comps[name]
-    assert cp.open_checkable
-    cfg = CampaignConfig(samples=500 if name == "sandbox-int" else 6000, seed=seed)
-    grouped, alone = check_coherence(cp, cfg), _per_case_campaign(cp, cfg)
+def _literal_closed_square(cp, case, window, cfg):
+    """One closed-mode square computed as it is drawn, sharing nothing:
+    the source law then the behavior translation, against the compiler then
+    the target law, with the fallback comparison on continuations."""
+    p, i2 = case.subject, case.target_input
+    upper = translate_behavior(cp, partial(extend_law, cp.source, p, {}), i2)
+    upper_cont = compile_term(cp, upper.cont) if upper.cont is not None else None
+    lower = extend_law(cp.target, compile_term(cp, p), {}, i2)
+    flags = upper.flags | lower.flags
+    field_name = first_difference(upper, lower)
+    if field_name is not None:
+        return Divergence(field_name, upper, lower, upper_cont), False, flags
+    if upper_cont is None or upper_cont == lower.cont:
+        return None, False, flags
+    verdict = check_bisim(cp.target, upper_cont, lower.cont, window, cfg.fallback_depth)
+    if isinstance(verdict, Equivalent):
+        return None, True, flags
+    return Divergence("continuation", upper, lower, upper_cont, lower.cont), True, flags
+
+
+def _assert_same_verdict(grouped, alone):
     assert type(grouped) is type(alone)
     if isinstance(alone, Pass):
         assert grouped == alone
@@ -251,15 +270,40 @@ def test_group_evaluation_equals_per_case_evaluation(comps, name, seed):
     assert grouped.flags == alone.flags
 
 
-def test_each_group_compiles_its_layer_once_and_runs_the_source_once_per_state(
-        comps, monkeypatch):
-    # within one (layer, tables) group only the target input changes, so the
-    # layer is compiled once and the source law runs once per preimage state
-    cp, cfg = comps["embed-stack-clear"], CampaignConfig()
-    variants = []  # every group's tables, kept alive so that ids stay apart
-    layer_compiles, source_runs = Counter(), Counter()
+@pytest.mark.parametrize("seed", [CampaignConfig.seed, CampaignConfig.seed + 7])
+@pytest.mark.parametrize("name", OPEN_CHECKABLE)
+def test_group_evaluation_equals_per_case_evaluation(comps, name, seed):
+    # every budget reaches the verdict of the shipped campaign, except
+    # sandbox-int's: un-memoised, its fallback cases take seconds
+    cp = comps[name]
+    assert cp.open_checkable
+    cfg = CampaignConfig(samples=500 if name == "sandbox-int" else 6000, seed=seed)
+    _assert_same_verdict(check_coherence(cp, cfg), _per_case_campaign(cp, cfg))
+
+
+@pytest.mark.parametrize("name, seed, samples", [
+    *((name, seed, 300) for name in sorted(EXPECTED_VERDICTS) for seed in (0, 7)),
+    # 300 cases reach no fallback comparison; here 1,328 of 3,000 need it
+    ("sandbox", 0, 3000),
+])
+def test_closed_mode_equals_the_literal_square(comps, name, seed, samples):
+    cp = comps[name]
+    cfg = CampaignConfig(mode="closed", samples=samples, seed=seed)
+    _assert_same_verdict(check_coherence(cp, cfg), _per_case_campaign(cp, cfg))
+
+
+def _count_group_work(cp, cfg, monkeypatch):
+    """Run a campaign and count, per group, how often its subject is
+    compiled, and per (term, tables, state) how often the source law runs.
+    A group is told by its subject and tables, noted as its first case is
+    evaluated."""
+    closed = cfg.mode == "closed"
+    evaluate_name = "evaluate_closed_case" if closed else "evaluate_open_case"
+    compile_name = "compile_term" if closed else "compile_open"
+    variants = []  # every group's subject and tables, kept alive so that ids stay apart
+    subject_compiles, source_runs = Counter(), Counter()
     real_evaluate, real_compile, real_law = (
-        checker.evaluate_open_case, checker.compile_open, checker.extend_law)
+        getattr(checker, evaluate_name), getattr(checker, compile_name), checker.extend_law)
 
     def evaluating(cp_, case, *rest, **kwargs):
         if not variants or variants[-1][1] is not case.tables:
@@ -269,7 +313,7 @@ def test_each_group_compiles_its_layer_once_and_runs_the_source_once_per_state(
     def compiling(cp_, t):
         subject, tables = variants[-1]
         if t is subject:
-            layer_compiles[t, id(tables)] += 1
+            subject_compiles[t, id(tables)] += 1
         return real_compile(cp_, t)
 
     def extending(lang, term, behaviors, state):
@@ -277,13 +321,34 @@ def test_each_group_compiles_its_layer_once_and_runs_the_source_once_per_state(
             source_runs[term, id(behaviors), state] += 1
         return real_law(lang, term, behaviors, state)
 
-    monkeypatch.setattr(checker, "evaluate_open_case", evaluating)
-    monkeypatch.setattr(checker, "compile_open", compiling)
+    monkeypatch.setattr(checker, evaluate_name, evaluating)
+    monkeypatch.setattr(checker, compile_name, compiling)
     monkeypatch.setattr(checker, "extend_law", extending)
-    verdict = check_coherence(cp, cfg)
+    return check_coherence(cp, cfg), variants, subject_compiles, source_runs
+
+
+def test_each_group_compiles_its_layer_once_and_runs_the_source_once_per_state(
+        comps, monkeypatch):
+    # within one (layer, tables) group only the target input changes, so the
+    # layer is compiled once and the source law runs once per preimage state
+    cp, cfg = comps["embed-stack-clear"], CampaignConfig()
+    verdict, variants, layer_compiles, source_runs = _count_group_work(cp, cfg, monkeypatch)
     assert isinstance(verdict, Pass) and verdict.cases == cfg.samples
     assert len(variants) > 1
     assert layer_compiles == Counter({(subject, id(tables)): 1 for subject, tables in variants})
+    assert source_runs and max(source_runs.values()) == 1
+
+
+def test_each_closed_term_is_compiled_once_and_runs_the_source_once_per_state(
+        comps, monkeypatch):
+    # a closed-mode group is one generated term over the window: the term is
+    # compiled once, however many of its inputs are cases
+    cp, cfg = comps["sandbox"], CampaignConfig(mode="closed")
+    verdict, variants, term_compiles, source_runs = _count_group_work(cp, cfg, monkeypatch)
+    assert isinstance(verdict, Pass) and verdict.cases == cfg.samples
+    subjects = [subject for subject, _ in variants]
+    assert len(subjects) > 1 and len(set(subjects)) == len(subjects)
+    assert term_compiles == Counter({(subject, id(tables)): 1 for subject, tables in variants})
     assert source_runs and max(source_runs.values()) == 1
 
 
@@ -496,7 +561,6 @@ def test_closed_low_cases_cross_out_of_range_pcs(comps):
     cp = comps["flatten-low"]
     window = gen.state_window(cp.target, cfg)
     from gsoscheck.terms import instr_flatten
-    from gsoscheck.compilers import compile_term
 
     import itertools as it
 

@@ -108,8 +108,9 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert main(["laws", "--lang", "nosuch"]) == 2
     assert main(["preserve", "--compiler", "nosuch"]) == 2
     pairs = tmp_path / "pairs.json"
+    # an empty list would check nothing and report a preserved compiler
     for data in ([{"left": "skip"}], [["skip", "skip"]], [{"left": "skip", "right": 1}],
-                 {"left": "skip", "right": "skip"}):
+                 {"left": "skip", "right": "skip"}, []):
         pairs.write_text(json.dumps(data))
         assert main(["preserve", "--compiler", "embed-flag", "--pairs", str(pairs)]) == 2
     report = tmp_path / "report.json"
@@ -298,9 +299,14 @@ def test_preserve_cli(tmp_path, capsys):
     path.write_text(json.dumps(pairs))
     assert main(["preserve", "--compiler", "embed-flag", "--pairs", str(path)]) == 1
     out = capsys.readouterr().out
-    assert "DISTINGUISHED" in out
+    assert "  => target DISTINGUISHED at ['{0:1}'] (label: 1 vs 2)\n" in out
     assert main(["preserve", "--compiler", "sandbox", "--pairs", str(path)]) == 0
     capsys.readouterr()
+    # a distinction on anything but the label names only its reason
+    path.write_text(json.dumps([{"left": "(assign 0 (min (var 0) (lit 0)))",
+                                 "right": "(assign 0 (lit 0))"}]))
+    assert main(["preserve", "--compiler", "embed-int", "--pairs", str(path)]) == 1
+    assert "  => target DISTINGUISHED at ['{0:-1}'] (state)\n" in capsys.readouterr().out
 
 
 def test_preserve_skips_pairs_ill_formed_in_the_target():
@@ -346,10 +352,22 @@ def test_usage_error_exits_2():
                  ["bisim", "--lang", "while", "--left", "skip", "--right", "skip",
                   "--samples", "5"],
                  ["bisim", "--lang", "while", "--left", "skip", "--right", "skip",
-                  "--max-term-size", "2"]):
+                  "--max-term-size", "2"],
+                 # the fallback depth, not --depth, bounds coherence
+                 ["coherence", "--compiler", "sandbox", "--depth", "4"],
+                 ["laws", "--samples", "5"],
+                 ["laws", "--depth", "4"],
+                 ["ctx-closure", "--lang", "while", *WHILE_PAIR, "--max-term-size", "2"]):
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2, argv
+    # a flag left out still sets its default, which the report echoes
+    for argv, cfg in ((["coherence", "--compiler", "embed-flag", "--samples", "5"],
+                       CampaignConfig(samples=5)),
+                      (["laws", "--lang", "while"], CampaignConfig()),
+                      (["ctx-closure", "--lang", "while", *WHILE_PAIR, "--samples", "5"],
+                       CampaignConfig(samples=5))):
+        assert execute(argv)[1].config == asdict(cfg), argv
 
 
 WHILE_PAIR = ["--left", "(while (var 0) (assign 0 (lit 0)))",
@@ -359,7 +377,7 @@ WHILE_PAIR = ["--left", "(while (var 0) (assign 0 (lit 0)))",
 @pytest.mark.parametrize("argv", [
     ["coherence", "--compiler", "sandbox", "--samples", "-1"],
     ["coherence", "--compiler", "sandbox", "--max-term-size", "-1"],
-    ["coherence", "--compiler", "sandbox", "--depth", "-1"],
+    ["preserve", "--compiler", "sandbox", "--depth", "-1"],
     ["coherence", "--compiler", "sandbox", "--store-cells", "-1"],
     ["coherence", "--compiler", "sandbox", "--max-value", "-1"],
     ["coherence", "--compiler", "embed-stack", "--sp-max", "-1"],
