@@ -392,27 +392,22 @@ def check_preservation(cp: CompilerPair, cfg: CampaignConfig,
         pairs = [(a, b) for a, b in itertools.combinations(terms, 2)]
         pairs = pairs[: cfg.samples]
     entries = []
-    # one extend_once memo per language, emptied when done (see extend_once)
+    # one extend_once memo per language for the whole campaign
     src_steps: dict = {}
     tgt_steps = src_steps if cp.target is cp.source else {}
-    try:
-        for left, right in pairs:
-            source = check_bisim(cp.source, left, right, src_window, cfg.depth,
-                                 memo=src_steps)
-            entry = PreservationEntry(left, right, source)
-            if isinstance(source, Equivalent):
-                entry.compiled_left = compile_term(cp, left)
-                entry.compiled_right = compile_term(cp, right)
-                try:
-                    entry.target = check_bisim(cp.target, entry.compiled_left,
-                                               entry.compiled_right, tgt_window, cfg.depth,
-                                               memo=tgt_steps)
-                except IllFormed:
-                    entry.target_illformed = True
-            entries.append(entry)
-    finally:
-        src_steps.clear()
-        tgt_steps.clear()
+    for left, right in pairs:
+        source = check_bisim(cp.source, left, right, src_window, cfg.depth, memo=src_steps)
+        entry = PreservationEntry(left, right, source)
+        if isinstance(source, Equivalent):
+            entry.compiled_left = compile_term(cp, left)
+            entry.compiled_right = compile_term(cp, right)
+            try:
+                entry.target = check_bisim(cp.target, entry.compiled_left,
+                                           entry.compiled_right, tgt_window, cfg.depth,
+                                           memo=tgt_steps)
+            except IllFormed:
+                entry.target_illformed = True
+        entries.append(entry)
     return PreservationReport(entries)
 
 
@@ -431,23 +426,21 @@ def check_context_closure(lang, p: Node, q: Node, cfg: CampaignConfig,
                           contexts: Optional[list] = None) -> ContextClosureReport:
     """Plug a bisimilar pair into sampled single-hole contexts; any context
     distinguishing them falsifies contextual closure at this scale and
-    points at a framework bug."""
+    points at a framework bug.  A pair that is not bisimilar is reported as
+    it is, before any context is sampled."""
     window = gen.state_window(lang, cfg)
     memo: dict = {}  # every (term, state) stepped so far, see extend_once
-    try:
-        base = check_bisim(lang, p, q, window, cfg.depth, memo=memo)
-        if contexts is None:
-            contexts = gen.sample_contexts(lang, 3, cfg.samples, cfg.seed, cfg)
-        if isinstance(base, Distinguished):
-            return ContextClosureReport("base-distinguished", 0, base, [])
-        violations = []
-        proved: dict = {}  # pairs shown equivalent so far, see check_bisim
-        for ctx in contexts:
-            verdict = check_bisim(lang, plug(ctx, p), plug(ctx, q), window, cfg.depth,
-                                  proved=proved, memo=memo)
-            if isinstance(verdict, Distinguished):
-                violations.append((ctx, verdict))
-    finally:
-        memo.clear()
+    base = check_bisim(lang, p, q, window, cfg.depth, memo=memo)
+    if isinstance(base, Distinguished):
+        return ContextClosureReport("base-distinguished", 0, base, [])
+    if contexts is None:
+        contexts = gen.sample_contexts(lang, 3, cfg.samples, cfg.seed, cfg)
+    violations = []
+    proved: dict = {}  # pairs shown equivalent so far, see check_bisim
+    for ctx in contexts:
+        verdict = check_bisim(lang, plug(ctx, p), plug(ctx, q), window, cfg.depth,
+                              proved=proved, memo=memo)
+        if isinstance(verdict, Distinguished):
+            violations.append((ctx, verdict))
     status = "closed" if not violations else "violation"
     return ContextClosureReport(status, len(contexts), base, violations)

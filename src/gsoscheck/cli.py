@@ -493,7 +493,10 @@ def _cmd_replay(args) -> tuple[int, Report, list]:
     try:  # a command that argparse ends (help, a bad flag) or a replay compares nothing
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             rerun = build_parser().parse_args(saved.command).fn
-    except SystemExit:
+    except SystemExit as end:
+        if end.code:  # argparse has printed why on standard error
+            raise IllFormed(
+                f"the saved command does not parse: {' '.join(saved.command)}") from None
         rerun = None
     if rerun in (None, _cmd_replay):
         raise IllFormed(f"the saved command runs no campaign: {' '.join(saved.command)}")

@@ -22,17 +22,17 @@ plugged programs reach is explored once.
 
 ``extend_law`` remembers nothing.  ``extend_once`` is the same extension
 through a memo keyed on the term, which also keeps every subterm the rule
-queries and every variable's table answer.  A term's entry holds the
-(child, extension) pairs the rule receives, built once, and its outcome
-at each state met so far.  Its caller owns the memo, for one rule and one
-set of behaviors, and it lives as long as the caller keeps it: one
-``run``, one ``check_bisim`` call, a context-closure check with all its
-contexts, or one language of a preservation or closed-mode coherence
-campaign.  The stored extensions refer back to the memo, so each owner
-clears it when done instead of leaving it to the cycle collector.  No
-language holds one, so no other case, campaign or call sees it.  Outcomes
-are immutable named tuples, so a remembered one is handed out again as it
-is.
+queries and every variable's table answer.  A term's entry holds its
+outcome at each state met so far and what it is stepped by: for a node,
+the rule and the (child, child entry) pairs the rule receives, built
+once; for a variable, its table.  Its caller owns the memo, for one rule
+and one set of behaviors, and it lives as long as the caller keeps it:
+one ``run``, one ``check_bisim`` call, a context-closure check with all
+its contexts, or one language of a preservation campaign.  An entry
+refers to its children's entries and never to the memo, so a memo is
+freed as soon as its owner drops it.  No language holds one, so no other
+case, campaign or call sees it.  Outcomes are immutable named tuples, so
+a remembered one is handed out again as it is.
 """
 from __future__ import annotations
 
@@ -109,34 +109,47 @@ def extend_law(lang, term: OpenTerm, behaviors: dict, state: MachineState) -> St
     return lang.rule(term.tag, term.payload, tuple(pairs), state)
 
 
+class _Entry(dict):
+    """A term's entry in an ``extend_once`` memo: its outcome at each state
+    met so far, stepped on a miss.  A node's ``rule`` is handed ``pairs``,
+    its (child, child entry lookup) pairs; a variable's ``rule`` is its
+    table, None when it has none.  A step that raises leaves no outcome."""
+
+    __slots__ = ("term", "rule", "pairs")
+
+    def __init__(self, rule, behaviors: dict, memo: dict, term: OpenTerm):
+        self.term, self.rule, self.pairs = term, rule, None
+        if type(term) is Var:
+            self.rule = behaviors.get(term.name)
+        else:
+            self.pairs = tuple(
+                (c, (memo[c] if c in memo else _Entry(rule, behaviors, memo, c)).__getitem__)
+                for c in term.children)
+        memo[term] = self
+
+    def __missing__(self, state: MachineState) -> StepOutcome:
+        term = self.term
+        if self.pairs is not None:
+            out = self.rule(term.tag, term.payload, self.pairs, state)
+        elif self.rule is None:
+            raise IncompleteTable(f"no table for {term.name!r} at {state!r}")
+        else:
+            out = self.rule(state)
+        self[state] = out
+        return out
+
+
 def extend_once(rule, behaviors: dict, memo: dict, term: OpenTerm,
                 state: MachineState) -> StepOutcome:
     """``extend_law`` through ``memo``, a dict its caller owns for this ``rule``
     and these ``behaviors``: each (term, state) is extended once per memo.
-
-    ``memo`` maps a term to ``(pairs, outcomes)``.  ``pairs`` is the tuple of
-    (child, extension) pairs the rule receives, built the first time the
-    term is met, so the rule is handed the same tuple at every state; a
-    variable has None.  ``outcomes`` maps each state to its outcome; a step
-    that raises is not remembered.  The extensions refer back to ``memo``,
-    so its owner clears it when done rather than leave it to the cycle
-    collector."""
+    ``memo`` maps each term met, and each of its subterms, to its entry, so
+    the rule is handed the same pairs for a term at every state.  A step
+    that raises is not remembered."""
     entry = memo.get(term)
     if entry is None:
-        pairs = None if type(term) is Var else tuple(
-            (c, partial(extend_once, rule, behaviors, memo, c)) for c in term.children)
-        entry = memo[term] = (pairs, {})
-    pairs, outcomes = entry
-    out = outcomes.get(state)
-    if out is None:
-        if pairs is None:
-            if term.name not in behaviors:
-                raise IncompleteTable(f"no table for {term.name!r} at {state!r}")
-            out = behaviors[term.name](state)
-        else:
-            out = rule(term.tag, term.payload, pairs, state)
-        outcomes[state] = out
-    return out
+        entry = _Entry(rule, behaviors, memo, term)
+    return entry[state]
 
 
 # --- closed terms ---
@@ -165,21 +178,17 @@ def run(lang, term: Node, state: MachineState, fuel: int) -> RunResult:
     back in, until it terminates or the fuel runs out."""
     if not is_closed(term):
         raise IllFormed("run requires a closed term")
-    memo: dict = {}
-    extend = partial(extend_once, lang.rule, {}, memo)
+    extend = partial(extend_once, lang.rule, {}, {})
     trace = []
     current = term
-    try:
-        for _ in range(fuel):
-            out = extend(current, state)
-            trace.append((state, out))
-            state = out.state
-            if out.cont is None:
-                return RunResult(trace, True, state)
-            current = out.cont
-        return RunResult(trace, False, state, current)
-    finally:
-        memo.clear()  # see extend_once
+    for _ in range(fuel):
+        out = extend(current, state)
+        trace.append((state, out))
+        state = out.state
+        if out.cont is None:
+            return RunResult(trace, True, state)
+        current = out.cont
+    return RunResult(trace, False, state, current)
 
 
 # --- bounded bisimilarity ---
@@ -201,6 +210,28 @@ class Distinguished:
 BisimResult = Equivalent | Distinguished
 
 
+def compare(extend, inputs: list, seen: dict, proved: dict, a: OpenTerm, b: OpenTerm,
+            d: int, path: tuple) -> Optional[Distinguished]:
+    """``check_bisim``'s exploration of (a, b) with ``d`` levels left: the
+    first difference found after ``path``, else None."""
+    if a == b or d <= 0 or seen.get((a, b), 0) >= d or proved.get((a, b), 0) >= d:
+        return None
+    seen[a, b] = d
+    pending = []
+    for s in inputs:
+        oa, ob = extend(a, s), extend(b, s)
+        reason = first_difference(oa, ob)
+        if reason is not None:
+            return Distinguished(path + (s,), oa, ob, reason)
+        if oa.cont is not None:
+            pending.append((s, oa.cont, ob.cont))
+    for s, ca, cb in pending:
+        found = compare(extend, inputs, seen, proved, ca, cb, d - 1, path + (s,))
+        if found is not None:
+            return found
+    return None
+
+
 def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
                 behaviors: Optional[dict] = None,
                 proved: Optional[dict] = None, memo: Optional[dict] = None) -> BisimResult:
@@ -220,39 +251,9 @@ def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
     """
     inputs = list(inputs)
     proved = {} if proved is None else proved
-    # pair -> the most remaining depth it has been explored with; a pair met
-    # again with more depth left is explored again
-    seen: dict = {}
-    owned = memo is None
-    memo = {} if owned else memo
-    extend = partial(extend_once, lang.rule, behaviors or {}, memo)
-
-    def compare(a, b, d, path):
-        if a == b or d <= 0 or seen.get((a, b), 0) >= d or proved.get((a, b), 0) >= d:
-            return None
-        seen[a, b] = d
-        pending = []
-        for s in inputs:
-            oa, ob = extend(a, s), extend(b, s)
-            reason = first_difference(oa, ob)
-            if reason is not None:
-                return Distinguished(path + (s,), oa, ob, reason)
-            if oa.cont is not None:
-                pending.append((s, oa.cont, ob.cont))
-        for s, ca, cb in pending:
-            found = compare(ca, cb, d - 1, path + (s,))
-            if found is not None:
-                return found
-        return None
-
-    try:
-        witness = compare(p, q, depth, ())
-    finally:
-        # ``compare`` refers to itself, and so does an ``extend_once`` memo:
-        # neither is left to the collector
-        del compare
-        if owned:
-            memo.clear()
+    seen: dict = {}  # pair -> the most depth left it was explored with
+    extend = partial(extend_once, lang.rule, behaviors or {}, {} if memo is None else memo)
+    witness = compare(extend, inputs, seen, proved, p, q, depth, ())
     if witness is not None:
         return witness
     # each pair was explored to completion with the depth it records, more

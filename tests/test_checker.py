@@ -3,6 +3,7 @@ determinism, preservation and context closure."""
 import gc
 import hashlib
 import itertools
+import json
 from collections import Counter
 from dataclasses import fields, replace
 from functools import partial
@@ -25,7 +26,8 @@ from gsoscheck.terms import (
     Bin, IllFormed, Lit, Loc, Var, assign, print_term, sandbox, seq, skip, while_,
 )
 from gsoscheck.spf import OneHoleLayer, plug
-from gsoscheck import checker, gen
+from gsoscheck import checker, gen, semantics
+from gsoscheck.cli import execute
 
 EXPECTED_VERDICTS = {
     "embed-flag": Fail,
@@ -509,35 +511,54 @@ def test_campaigns_leave_the_languages_as_they_were(langs, comps):
     assert snapshot() == before
 
 
-def test_owned_memos_are_not_left_to_the_cycle_collector(langs, comps):
-    # an extend_once memo refers to itself through its extensions: each
-    # owner empties its own before returning, so the collector finds none
-    a = while_(Loc(0), assign(0, Lit(0)))
-    b = while_(Bin("mul", Loc(0), Lit(2)), assign(0, Lit(0)))
-    checks = {
-        "run": lambda: run(langs["while"], seq(a, assign(1, Lit(3))), Store.of({0: 3}), 50),
-        "context closure": lambda: check_context_closure(
-            langs["while"], a, b, CampaignConfig(samples=30, seed=11)),
-        "preservation": lambda: check_preservation(
-            comps["embed-int"], CampaignConfig(samples=20, seed=11)),
-        "closed coherence": lambda: check_coherence(
-            comps["unsandbox"], CampaignConfig(mode="closed", samples=60, seed=11)),
-    }
+def _collected_memo_parts(action) -> list:
+    """The ``extend_once`` memo entries and extensions that the cycle
+    collector, rather than reference counting, would free after ``action``."""
     debug = gc.get_debug()
     try:
-        for name, check in checks.items():
-            gc.collect()
-            gc.garbage.clear()
-            gc.set_debug(gc.DEBUG_SAVEALL)
-            check()
-            gc.collect()
-            gc.set_debug(debug)
-            left = [o for o in gc.garbage
-                    if isinstance(o, partial) and o.func is extend_once]
-            assert not left, name
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        action()
+        gc.collect()
+        gc.set_debug(debug)
+        return [o for o in gc.garbage
+                if isinstance(o, semantics._Entry)
+                or isinstance(getattr(o, "__self__", None), semantics._Entry)
+                or isinstance(o, partial) and o.func is extend_once]
     finally:
         gc.set_debug(debug)
         gc.garbage.clear()
+
+
+def test_owned_memos_are_not_left_to_the_cycle_collector(langs, tmp_path):
+    # a memo entry refers to its children's entries, never to the memo, so
+    # every command's memos go when it returns, and no owner clears them
+    a, b = "(while (var 0) (assign 0 (lit 0)))", "(while (mul (var 0) (lit 2)) (assign 0 (lit 0)))"
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([{"left": a, "right": b}]))
+    commands = [
+        ["run", "--lang", "while", "--term", f"(seq {a} (assign 1 (lit 3)))",
+         "--input", "{0: 3}"],
+        ["ctx-closure", "--lang", "while", "--left", a, "--right", b, "--samples", "30"],
+        ["preserve", "--compiler", "embed-int", "--samples", "20"],
+        ["preserve", "--compiler", "sandbox", "--pairs", str(pairs)],
+        ["bisim", "--lang", "while", "--left", a, "--right", b],
+        # both campaigns have cases that need the fallback bisimulation
+        ["coherence", "--compiler", "sandbox", "--mode", "closed"],
+        ["coherence", "--compiler", "sandbox", "--mode", "open"],
+    ]
+    reports = []
+    for argv in commands:
+        assert _collected_memo_parts(lambda: reports.append(execute(argv)[1])) == [], argv
+    assert all(r.tallies["fallback_cases"] > 0 for r in reports[-2:])
+
+    def leaky():
+        memo: dict = {}
+        extend_once(langs["while"].rule, {}, memo, seq(skip(), skip()), Store.of({}))
+        memo[None] = memo  # a memo that refers to itself is left to the collector
+
+    assert _collected_memo_parts(leaky)
 
 
 # sha256 of the 1000 contexts check_context_closure samples at seed 0xC0FFEE,
@@ -583,6 +604,20 @@ def test_context_closure_base_distinguished(langs):
     b = while_(Bin("mul", Loc(0), Lit(2)), assign(0, Lit(0)))
     report = check_context_closure(langs["while-flag"], a, b, cfg)
     assert report.status == "base-distinguished"
+
+
+def test_context_closure_samples_no_context_for_a_distinguished_base(langs, monkeypatch):
+    # the report of a distinguished base pair reads no context, so none is drawn
+    def sample_contexts(*args):
+        raise AssertionError("contexts sampled for a distinguished base pair")
+
+    monkeypatch.setattr(gen, "sample_contexts", sample_contexts)
+    lang, cfg = langs["while"], CampaignConfig()
+    report = check_context_closure(lang, skip(), assign(0, Lit(1)), cfg)
+    assert report.status == "base-distinguished" and report.contexts_checked == 0
+    assert report.base == check_bisim(lang, skip(), assign(0, Lit(1)),
+                                      gen.state_window(lang, cfg), cfg.depth)
+    assert report.violations == []
 
 
 def test_context_closure_explicit_flag_context(langs):

@@ -275,6 +275,20 @@ def test_replay_rejects_a_command_that_argparse_ends(tmp_path, capsys, command):
     assert captured.out == "" and "runs no campaign" in captured.err
 
 
+def test_replay_names_a_saved_command_that_no_longer_parses(tmp_path, capsys):
+    # coherence takes no --depth: argparse's own error says so, and the
+    # replay's names the parse, not a missing campaign
+    path = tmp_path / "old.json"
+    command = ["coherence", "--compiler", "embed-flag", "--depth", "4"]
+    path.write_text(json.dumps({"command": command, "verdict": "fail"}))
+    assert main(["replay", "--report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --depth 4" in err
+    assert ("error: the saved command does not parse: coherence --compiler embed-flag"
+            " --depth 4") in err
+    assert "runs no campaign" not in err
+
+
 def test_bisim_cli(capsys):
     a = "(while (var 0) (assign 0 (lit 0)))"
     b = "(while (mul (var 0) (lit 2)) (assign 0 (lit 0)))"

@@ -67,17 +67,21 @@ def _defined(module) -> dict:
     path = inspect.getsourcefile(module)
     out = {}
 
-    def visit(code):
+    def visit(code, prefix):
+        # ``prefix`` qualifies the names defined in ``code`` as ``__qualname__``
+        # does: ``Class.`` in a class body, ``outer.<locals>.`` in a function
         for const in code.co_consts:
             if not inspect.iscode(const) or const.co_name.startswith("<"):
                 continue
+            qualname = prefix + const.co_name
             if const.co_flags & inspect.CO_NEWLOCALS:  # a function, not a class body
-                out[f"{module.__name__.split('.')[-1]}.{const.co_qualname}"] = (
-                    const.co_filename, const.co_firstlineno, const.co_name)
-            visit(const)
+                out[qualname] = (const.co_filename, const.co_firstlineno, const.co_name)
+                visit(const, qualname + ".<locals>.")
+            else:
+                visit(const, qualname + ".")
 
     with open(path) as f:
-        visit(compile(f.read(), path, "exec"))
+        visit(compile(f.read(), path, "exec"), module.__name__.split(".")[-1] + ".")
     return out
 
 

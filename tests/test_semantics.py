@@ -13,7 +13,7 @@ from gsoscheck.semantics import (
     BehaviorTable, Distinguished, Equivalent, IncompleteTable, StepOutcome,
     check_bisim, extend_law, extend_once, first_difference, run, step,
 )
-from gsoscheck.states import FrameState, LowState, Store
+from gsoscheck.states import FrameState, LowState, StackState, Store
 from gsoscheck.terms import (
     Bin, IllFormed, Lit, Loc, Node, Var, assign, frame, obs, parse_term,
     sandbox, seq, skip, while_,
@@ -237,17 +237,43 @@ def test_extend_once_hands_the_rule_one_children_tuple_per_term(langs, cfg):
     q = while_(Bin("mul", Loc(0), Lit(2)), assign(0, Lit(0)))
     window = gen.state_window(base, cfg)
     memo: dict = {}
-    try:
-        verdict = check_bisim(replace(base, rule=rule), seq(p, skip()), seq(q, skip()),
-                              window, cfg.depth, memo=memo)
-        for s in window:
-            extend_once(rule, {}, memo, seq(p, q), s)
-    finally:
-        memo.clear()
+    verdict = check_bisim(replace(base, rule=rule), seq(p, skip()), seq(q, skip()),
+                          window, cfg.depth, memo=memo)
+    for s in window:
+        extend_once(rule, {}, memo, seq(p, q), s)
     assert isinstance(verdict, Equivalent)
     assert max(map(len, handed.values())) == len(window)
     for term, tuples in handed.items():
         assert all(t is tuples[0] for t in tuples), term
+
+
+def test_a_missing_table_raises_at_every_query_of_a_shared_memo(langs):
+    # a term's entry, and its children's, outlive a step that raises; the
+    # variable without a table raises again, and the rest of the memo answers
+    lang = langs["while"]
+    x = BehaviorTable("x", {Store.of({}): (None, Store.of({0: 1}), "x")}, False)
+    behaviors, memo = {"x": x}, {}
+    s = Store.of({})
+    for _ in range(2):
+        for t in (seq(Var("y"), skip()), Var("y")):
+            with pytest.raises(IncompleteTable, match="no table for 'y'"):
+                extend_once(lang.rule, behaviors, memo, t, s)
+    for t in (seq(Var("x"), Var("y")), seq(skip(), Var("y")), skip()):
+        assert extend_once(lang.rule, behaviors, memo, t, s) == extend_law(lang, t, behaviors, s)
+
+
+def test_an_illformed_step_is_not_remembered_in_a_shared_memo(langs):
+    # a frame read at sp = 0 raises each time it is queried; the same term
+    # and memo answer at sp = 1
+    lang = langs["stack"]
+    t = seq(while_(Loc(0), assign(1, Loc(0))), skip())
+    memo: dict = {}
+    empty = StackState(Store.of({0: 1}), 0)
+    for _ in range(2):
+        with pytest.raises(IllFormed, match="sp = 0"):
+            extend_once(lang.rule, {}, memo, t, empty)
+    live = StackState(Store.of({0: 1}), 1)
+    assert extend_once(lang.rule, {}, memo, t, live) == extend_law(lang, t, {}, live)
 
 
 def test_section3_context_split(langs):
