@@ -22,8 +22,8 @@ length).  Of the whole square only the behavior translation's input side
 sees the target input, so a group compiles its subject, builds its target
 behaviors, runs the source law once per distinct preimage state and
 compiles each distinct upper continuation once, for all its inputs.  The
-input side itself (``pass_through``, else ``input_map``) is computed once
-per window, as a list aligned with it.  The fallback's verdict does not
+input side itself, ``input_map``, is computed once per window, as a list
+of image indices aligned with it.  The fallback's verdict does not
 depend on the target input either, so a group computes it once per (upper
 continuation, lower continuation) and reuses it for its other inputs;
 ``fallback_cases`` still counts the cases that needed it.  A case stream
@@ -172,14 +172,10 @@ def _target_behaviors(cp: CompilerPair, tables: dict) -> dict:
 
 def _window_images(cp: CompilerPair, inputs) -> tuple[list, list]:
     """The behavior translation's input side over ``inputs``: the distinct
-    ``input_map`` images of all of them, in order, and per input either the
-    outcome ``pass_through`` answers it with or the index of its image."""
+    ``input_map`` images of all of them, in order, and per input the index
+    of its image."""
     index: dict = {}
-    images = []
-    for i2 in inputs:
-        image = index.setdefault(cp.behavior.input_map(i2), len(index))
-        shortcut = cp.behavior.pass_through(i2)
-        images.append(image if shortcut is None else shortcut)
+    images = [index.setdefault(cp.behavior.input_map(i2), len(index)) for i2 in inputs]
     return list(index), images
 
 
@@ -212,14 +208,12 @@ class _Group:
     def evaluate(self, case: CoherenceCase, slot: int, window, cfg):
         """The square at input ``slot`` of the group's states, which is the
         case's target input."""
-        cp, i2 = self.cp, case.target_input
-        upper = self.images[slot]
-        if isinstance(upper, int):
-            o1 = self.sources[upper]
-            if o1 is None:
-                o1 = self.sources[upper] = extend_law(
-                    cp.source, self.subject, self.tables, self.preimages[upper])
-            upper = cp.behavior.output_map(i2, o1)
+        cp, i2, image = self.cp, case.target_input, self.images[slot]
+        o1 = self.sources[image]
+        if o1 is None:
+            o1 = self.sources[image] = extend_law(
+                cp.source, self.subject, self.tables, self.preimages[image])
+        upper = cp.behavior.output_map(i2, o1)
         upper_cont = self._compile(upper.cont) if upper.cont is not None else None
         if self.layer is None:
             self.layer = self._compile(self.subject)
@@ -422,8 +416,7 @@ class ContextClosureReport:
     violations: list
 
 
-def check_context_closure(lang, p: Node, q: Node, cfg: CampaignConfig,
-                          contexts: Optional[list] = None) -> ContextClosureReport:
+def check_context_closure(lang, p: Node, q: Node, cfg: CampaignConfig) -> ContextClosureReport:
     """Plug a bisimilar pair into sampled single-hole contexts; any context
     distinguishing them falsifies contextual closure at this scale and
     points at a framework bug.  A pair that is not bisimilar is reported as
@@ -433,8 +426,7 @@ def check_context_closure(lang, p: Node, q: Node, cfg: CampaignConfig,
     base = check_bisim(lang, p, q, window, cfg.depth, memo=memo)
     if isinstance(base, Distinguished):
         return ContextClosureReport("base-distinguished", 0, base, [])
-    if contexts is None:
-        contexts = gen.sample_contexts(lang, 3, cfg.samples, cfg.seed, cfg)
+    contexts = gen.sample_contexts(lang, cfg)
     violations = []
     proved: dict = {}  # pairs shown equivalent so far, see check_bisim
     for ctx in contexts:

@@ -35,12 +35,12 @@ class WholeTerm:
 
 @dataclass
 class BehaviorTranslation:
-    """Input-side state map, output-side outcome map, and the inputs the
-    translation answers without consulting the source behavior at all."""
+    """Input-side state map and output-side outcome map: a target input i2
+    is answered with ``output_map(i2, f(input_map(i2)))`` for the source
+    behavior f, at every input."""
 
-    input_map: Callable
+    input_map: Callable  # target input -> source input
     output_map: Callable  # (target input, source StepOutcome) -> target StepOutcome
-    pass_through: Callable = lambda i2: None  # target input -> StepOutcome | None
 
 
 @dataclass
@@ -79,14 +79,12 @@ def compile_term(cp: CompilerPair, p: Node) -> Node:
 
 
 def translate_behavior(cp: CompilerPair, f: Callable, i2) -> StepOutcome:
-    """Run the source behavior through the translation at a target input.
+    """Run the source behavior f through the translation at a target input:
+    ``output_map(i2, f(input_map(i2)))``, f consulted at every input.
 
     The returned outcome's continuation is still a source term; callers
     compile it when they need the target-side term.
     """
-    shortcut = cp.behavior.pass_through(i2)
-    if shortcut is not None:
-        return shortcut
     o1 = f(cp.behavior.input_map(i2))
     return cp.behavior.output_map(i2, o1)
 
@@ -118,17 +116,16 @@ def _b_int() -> BehaviorTranslation:
 
 
 def _b_low() -> BehaviorTranslation:
-    def pass_through(i2: LowState):
-        if i2.pc != 0:
-            return StepOutcome(LowState(i2.store, i2.pc))
-        return None
-
+    # off its start (pc != 0) a program terminates where it stands, as the
+    # Low rules do, whatever the source outcome
     def output_map(i2: LowState, o: StepOutcome):
+        if i2.pc != 0:
+            return StepOutcome(i2)
         if o.cont is None:
             return StepOutcome(LowState(o.state, 1), cont=None, flags=o.flags)
         return StepOutcome(LowState(o.state, 0), cont=o.cont, flags=o.flags)
 
-    return BehaviorTranslation(lambda i2: i2.store, output_map, pass_through)
+    return BehaviorTranslation(lambda i2: i2.store, output_map)
 
 
 def div_blocks(s: Store, sp: int, L: int) -> FrameState:

@@ -10,7 +10,9 @@ import itertools
 import random
 from typing import Iterator, Optional
 
-from .terms import Bin, Br, Expr, IAssign, Lit, Loc, Node, Nop, Stop, Un, Var
+from .terms import (
+    BIN_OPS, UN_OPS, Bin, Br, Expr, IAssign, Lit, Loc, Node, Nop, Stop, Un, Var,
+)
 from .states import FrameState, LowState, StackState, Store
 from .semantics import BehaviorTable
 from .spf import Context, OneHoleLayer
@@ -33,9 +35,10 @@ def expr_stream(cfg, int_mode: bool, n_locs: Optional[int] = None) -> Iterator[E
     size = 2
     while True:
         level: list[Expr] = []
-        for e in by_size[size - 1]:
-            level.append(Un("not", e))
-        for op in ("add", "sub", "mul", "lt", "eq", "min"):
+        for op in UN_OPS:
+            for e in by_size[size - 1]:
+                level.append(Un(op, e))
+        for op in BIN_OPS:
             for ls in range(1, size - 1):
                 rs = size - 1 - ls
                 if rs < 1 or ls >= len(by_size) or rs >= len(by_size):
@@ -130,13 +133,13 @@ def state_window(lang, cfg) -> list:
 # ---------------------------------------------------------------------------
 # one-layer shapes and closed terms
 
-def _payload_choices(lang, kind: str, cfg, expr_cap: Optional[int] = None) -> list:
+def _payload_choices(lang, kind: str, cfg) -> list:
     n_locs = min(cfg.store_cells, lang.L) if lang.state_kind in ("frames", "sp") else cfg.store_cells
     match kind:
         case "loc":
             return list(range(n_locs))
         case "expr":
-            return exprs(cfg, lang.state_kind == "int-store", expr_cap, n_locs)
+            return exprs(cfg, lang.state_kind == "int-store", n_locs=n_locs)
         case "nat":
             return list(range(cfg.store_cells))
         case "inst":
@@ -160,10 +163,9 @@ def layer_shapes(lang, cfg) -> list[Node]:
     return out
 
 
-def closed_terms(lang, cfg, max_size: Optional[int] = None,
-                 expr_cap: Optional[int] = None) -> Iterator[Node]:
-    """Closed well-formed terms in increasing size (node count)."""
-    max_size = max_size if max_size is not None else cfg.max_term_size
+def closed_terms(lang, cfg) -> Iterator[Node]:
+    """Closed well-formed terms in increasing size (node count), up to
+    ``cfg.max_term_size``."""
     by_size: dict[int, list[Node]] = {}
 
     def build(size: int) -> list[Node]:
@@ -171,7 +173,7 @@ def closed_terms(lang, cfg, max_size: Optional[int] = None,
             return by_size[size]
         level = []
         for tag, kinds, arity in lang.constructors:
-            payloads = [_payload_choices(lang, k, cfg, expr_cap) for k in kinds]
+            payloads = [_payload_choices(lang, k, cfg) for k in kinds]
             combos = list(itertools.product(*payloads)) if payloads else [()]
             if arity == 0 and size == 1:
                 for combo in combos:
@@ -189,7 +191,7 @@ def closed_terms(lang, cfg, max_size: Optional[int] = None,
         by_size[size] = level
         return level
 
-    for size in range(1, max_size + 1):
+    for size in range(1, cfg.max_term_size + 1):
         yield from build(size)
 
 
@@ -220,6 +222,9 @@ def widen_entry(rng: random.Random, state, has_label: bool, cont_vars: list, cfg
 
 # ---------------------------------------------------------------------------
 # terms and contexts, randomly sampled
+
+CONTEXT_LAYERS = 3  # the most layers a sampled context has
+
 
 def random_term(lang, rng: random.Random, cfg, size: int,
                 choices: Optional[dict] = None) -> Node:
@@ -253,14 +258,15 @@ def _rand_payload(lang, kind: str, rng: random.Random, cfg, choices: dict):
     return options[rng.randrange(len(options))]
 
 
-def sample_contexts(lang, max_layers: int, budget: int, seed: int, cfg) -> list[Context]:
-    """Deterministic pseudo-random single-hole contexts, the bare hole first."""
-    rng = random.Random(seed)
+def sample_contexts(lang, cfg) -> list[Context]:
+    """``cfg.samples`` pseudo-random single-hole contexts of at most
+    ``CONTEXT_LAYERS`` layers, drawn from ``cfg.seed``, the bare hole first."""
+    rng = random.Random(cfg.seed)
     holed = [c for c in lang.constructors if c[2] > 0]
     choices: dict = {}  # payload kind -> its choices, see random_term
     out: list[Context] = [()]
-    while len(out) < budget:
-        depth = rng.randint(0, max_layers)
+    while len(out) < cfg.samples:
+        depth = rng.randint(0, CONTEXT_LAYERS)
         layers = []
         for _ in range(depth):
             tag, kinds, arity = holed[rng.randrange(len(holed))]
@@ -272,4 +278,4 @@ def sample_contexts(lang, max_layers: int, budget: int, seed: int, cfg) -> list[
             )
             layers.append(OneHoleLayer(tag, payload, hole, siblings))
         out.append(tuple(layers))
-    return out[:budget]
+    return out[:cfg.samples]

@@ -157,12 +157,12 @@ def check_copoint_law(lang, cfg, inputs) -> int:
     return checked
 
 
-def check_plug_roundtrip(lang, cfg, max_size=None) -> int:
+def check_plug_roundtrip(lang, cfg) -> int:
     """plug inverts the brute-force splitter on every generated term; also
     checks the hole law."""
     small = replace(cfg, exprs_per_slot=2)
     checked = 0
-    for t in gen.closed_terms(lang, small, max_size or cfg.max_term_size):
+    for t in gen.closed_terms(lang, small):
         assert plug((), t) == t
         for ctx, sub in decompositions(t):
             if plug(ctx, sub) != t:

@@ -389,7 +389,7 @@ def test_closed_stream_smallest_first(comps):
 
 
 def test_generated_size_one_terms(langs, cfg):
-    got = list(gen.closed_terms(langs["while"], cfg, 1))
+    got = list(gen.closed_terms(langs["while"], replace(cfg, max_term_size=1)))
     assert skip() in got
     locs = {t.payload[0] for t in got if t.tag == "assign"}
     assert locs == {0, 1}
@@ -457,8 +457,8 @@ def test_context_closure_shares_proved_pairs_without_changing_the_report(langs):
                                        (langs["while"], 20, "closed", 0)):
         cfg = CampaignConfig(samples=400, depth=depth)
         window = gen.state_window(lang, cfg)
-        contexts = gen.sample_contexts(lang, 3, cfg.samples, cfg.seed, cfg)
-        report = check_context_closure(lang, a, b, cfg, contexts)
+        contexts = gen.sample_contexts(lang, cfg)
+        report = check_context_closure(lang, a, b, cfg)
         alone = [(ctx, check_bisim(lang, plug(ctx, a), plug(ctx, b), window, cfg.depth))
                  for ctx in contexts]
         assert report.status == status
@@ -482,8 +482,8 @@ def test_context_closure_steps_each_layer_once_across_its_contexts(langs):
     for base in (_seq_peeking_while(langs), langs["while"]):
         lang, applied = counting_rule(base)
         window = gen.state_window(base, cfg)
-        contexts = gen.sample_contexts(base, 3, cfg.samples, cfg.seed, cfg)
-        report = check_context_closure(lang, a, b, cfg, contexts)
+        contexts = gen.sample_contexts(base, cfg)
+        report = check_context_closure(lang, a, b, cfg)
         assert applied and max(applied.values()) == 1
         fresh = [(ctx, check_bisim(base, plug(ctx, a), plug(ctx, b), window, cfg.depth))
                  for ctx in contexts]
@@ -572,9 +572,30 @@ CONTEXT_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(CONTEXT_DIGESTS))
 def test_sampled_contexts_are_the_recorded_ones(langs, name):
     cfg = CampaignConfig(seed=0xC0FFEE)
-    contexts = gen.sample_contexts(langs[name], 3, 1000, cfg.seed, cfg)
+    contexts = gen.sample_contexts(langs[name], cfg)
     text = "\n".join(print_term(plug(ctx, Var("h"))) for ctx in contexts)
     assert hashlib.sha256(text.encode()).hexdigest() == CONTEXT_DIGESTS[name]
+
+
+# sha256 of the closed terms gen.closed_terms yields, printed one a line, at
+# the default config and with the budgets max_term_size=4, exprs_per_slot=2
+CLOSED_TERM_DIGESTS = {
+    ("while", "default"): "a23157fa84b01f576eb8f8d07dba1c61ce61a4ff1723cda4ef1b235f855ae903",
+    ("while-b", "default"): "b66889cda667f52e1b5a38a3dcee4cefe892e7f60abfcdbdcfba02d8d18a5494",
+    ("low-sec", "default"): "944ec7121cc56bfdd61931b58e0dcac92868fa2e2a506f28bf9ab2fd63b8c8f5",
+    ("while", "small"): "1a5a7b18ddae3ef86c81b31bc0bb8fc46c261f3bb8eed27833615a86885ccf19",
+    ("while-b", "small"): "a69926c90502dc83d680821fd4e635877ebbe2dafe5c742e21f9e88e0fa1c21c",
+    ("low-sec", "small"): "2c5ce2c17911820dc05b6543c021d8721e9736897de774091491d0063eb8b171",
+}
+
+
+@pytest.mark.parametrize("name,budget", sorted(CLOSED_TERM_DIGESTS))
+def test_closed_terms_are_the_recorded_ones(langs, name, budget):
+    cfg = CampaignConfig()
+    if budget == "small":
+        cfg = replace(cfg, max_term_size=4, exprs_per_slot=2)
+    text = "\n".join(print_term(t) for t in gen.closed_terms(langs[name], cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == CLOSED_TERM_DIGESTS[name, budget]
 
 
 def test_closed_low_cases_cross_out_of_range_pcs(comps):
@@ -643,9 +664,10 @@ def test_stack_campaign_flags_totalizations(comps):
 def test_passing_compilers_preserve_bisimilarity(comps):
     # coherent pairs must carry bisimilar source pairs to bisimilar targets
     cfg = CampaignConfig()
+    small = replace(cfg, max_term_size=4, exprs_per_slot=2)
     for name in ("sandbox", "sandbox-int", "embed-low-sec", "embed-stack-clear"):
         cp = comps[name]
-        terms = list(itertools.islice(gen.closed_terms(cp.source, cfg, 4, expr_cap=2), 20))
+        terms = list(itertools.islice(gen.closed_terms(cp.source, small), 20))
         pairs = [(a, b) for a, b in itertools.combinations(terms, 2)]
         rep = check_preservation(cp, cfg, pairs)
         eq_pairs = sum(1 for e in rep.entries if isinstance(e.source, Equivalent))

@@ -1,6 +1,7 @@
 """Translation pairs: syntax images, behavior clauses, monad-law conformance
 and the flattening arithmetic."""
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -50,7 +51,8 @@ def test_unsandbox_strips_all_sandboxes(comps):
 
 
 def test_unsandbox_inverts_sandboxing(comps, cfg, langs):
-    for t in itertools.islice(gen.closed_terms(langs["while"], cfg, 4, expr_cap=2), 80):
+    small = replace(cfg, max_term_size=4, exprs_per_slot=2)
+    for t in itertools.islice(gen.closed_terms(langs["while"], small), 80):
         boxed = compile_term(comps["sandbox"], t)
         assert compile_term(comps["unsandbox"], boxed) == t
 
@@ -85,7 +87,8 @@ def test_flatten_concatenates_sequencing(comps):
 def test_flatten_branch_arithmetic(comps, langs, cfg):
     # forward offset = body length + 2, backward = -(body length + 1),
     # for every while subterm
-    for t in itertools.islice(gen.closed_terms(langs["while"], cfg, 4, expr_cap=2), 150):
+    small = replace(cfg, max_term_size=4, exprs_per_slot=2)
+    for t in itertools.islice(gen.closed_terms(langs["while"], small), 150):
         for sub in subterms(t):
             if sub.tag != "while":
                 continue
@@ -100,10 +103,11 @@ def test_flatten_branch_arithmetic(comps, langs, cfg):
 def test_layer_maps_satisfy_monad_law(comps, cfg):
     # compiling a term equals compiling its top layer over the compiled
     # children (sigma . mu = mu . sigma* . sigma)
+    small = replace(cfg, max_term_size=4, exprs_per_slot=2)
     for name, cp in comps.items():
         if not cp.open_checkable:
             continue
-        for t in itertools.islice(gen.closed_terms(cp.source, cfg, 4, expr_cap=2), 60):
+        for t in itertools.islice(gen.closed_terms(cp.source, small), 60):
             whole = compile_term(cp, t)
             layered = cp.syntax.fn(
                 t.tag, t.payload, tuple(compile_term(cp, c) for c in t.children))
@@ -139,9 +143,33 @@ def test_behavior_low_clauses(comps):
     # pc 0, step: stays at pc 0 with the source continuation
     out = translate_behavior(cp, stepping, LowState(s, 0))
     assert out.state == LowState(s, 0) and out.cont == skip()
-    # pc != 0: answered without consulting the source behavior
-    out = translate_behavior(cp, None, LowState(s, 3))
+    # pc != 0: the program terminates where it stands, whatever the source
+    # outcome, here a labelled and flagged step with a continuation
+    def flagged(store):
+        return StepOutcome(store.set(0, 1), label=2, cont=skip(), flags=frozenset({"probe"}))
+
+    out = translate_behavior(cp, flagged, LowState(s, 3))
     assert out == StepOutcome(LowState(s, 3))
+
+
+def test_behavior_translation_is_its_two_maps(comps, cfg):
+    # at every input of every target window: the output map of the source
+    # outcome at the input map's image, the source consulted each time
+    def outcome(state):
+        return StepOutcome(state, label=1, cont=skip(), flags=frozenset({"probe"}))
+
+    for name, cp in comps.items():
+        window = gen.state_window(cp.target, cfg)
+        consulted = []
+
+        def source(state):
+            consulted.append(state)
+            return outcome(state)
+
+        for i2 in window:
+            want = cp.behavior.output_map(i2, outcome(cp.behavior.input_map(i2)))
+            assert translate_behavior(cp, source, i2) == want, (name, i2)
+        assert consulted == [cp.behavior.input_map(i2) for i2 in window], name
 
 
 def test_behavior_int_clamps_input(comps):
@@ -186,7 +214,8 @@ def test_whole_term_compiler_rejects_open_use(comps):
 
 
 def test_compiled_terms_validate_in_target(comps, cfg):
+    small = replace(cfg, max_term_size=3, exprs_per_slot=2)
     for name, cp in comps.items():
-        terms = itertools.islice(gen.closed_terms(cp.source, cfg, 3, expr_cap=2), 40)
+        terms = itertools.islice(gen.closed_terms(cp.source, small), 40)
         for t in terms:
             cp.target.validate(compile_term(cp, t))

@@ -13,7 +13,7 @@ import pstats
 
 from gsoscheck.cli import execute
 
-MODULES = ("checker", "semantics", "gen", "spf", "laws", "compilers")
+MODULES = ("checker", "semantics", "gen", "spf", "laws", "compilers", "languages", "states")
 
 OPEN_CHECKABLE = ("embed-flag", "sandbox", "unsandbox", "embed-int", "sandbox-int",
                   "embed-low-sec", "embed-stack", "embed-stack-clear")
@@ -49,7 +49,11 @@ def _command_lines(tmp_path) -> list:
         ["ctx-closure", "--lang", "while", *WHILE_PAIR, "--samples", "20"],
         ["run", "--lang", "while", "--term", "(seq skip skip)", "--input", "{}",
          "--trace"],
+        ["run", "--lang", "low", "--term", "(instr (nop) (stop))", "--input", "({0: 1}, 0)"],
+        ["run", "--lang", "while-b", "--term", "(seq frame return)", "--input", "[[1, 2]]"],
         ["demo", "fig6"],
+        ["demo", "fig9"],
+        ["demo", "fig10"],
         ["demo", "sec6-fail"],
         ["demo", "example1"],
         ["demo", "sec3-context"],

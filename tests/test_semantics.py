@@ -52,7 +52,7 @@ def reference_while_step(t: Node, cells: dict):
 def test_step_matches_reference_while(langs, cfg):
     lang = langs["while"]
     stores = gen.store_window(cfg, int_mode=False)
-    for t in gen.closed_terms(lang, cfg, 4, expr_cap=3):
+    for t in gen.closed_terms(lang, replace(cfg, max_term_size=4, exprs_per_slot=3)):
         for s in stores:
             got = step(lang, t, s)
             cells, cont = reference_while_step(t, dict(s.cells))
@@ -185,7 +185,8 @@ def test_check_bisim_distinguishes_labels(langs, cfg):
 def test_check_bisim_symmetry_and_transitivity_spot(langs, cfg):
     lang = langs["while"]
     window = gen.store_window(cfg, int_mode=False)
-    terms = list(itertools.islice(gen.closed_terms(lang, cfg, 3, expr_cap=2), 12))
+    small = replace(cfg, max_term_size=3, exprs_per_slot=2)
+    terms = list(itertools.islice(gen.closed_terms(lang, small), 12))
     for a, b in itertools.combinations(terms[:8], 2):
         ab = check_bisim(lang, a, b, window, 10)
         ba = check_bisim(lang, b, a, window, 10)
@@ -202,11 +203,12 @@ def test_closed_extension_agrees_with_step(langs, cfg):
     # operational model: step, and extend_once through one memo per language,
     # which shares entries between terms and their subterms, against
     # extend_law in every language; all raise IllFormed on the same pairs
+    small = replace(cfg, max_term_size=4, exprs_per_slot=2)
     for name, lang in langs.items():
         memo: dict = {}
         window = gen.state_window(lang, cfg)
         illformed = 0
-        for t in itertools.islice(gen.closed_terms(lang, cfg, 4, expr_cap=2), 120):
+        for t in itertools.islice(gen.closed_terms(lang, small), 120):
             for s in window:
                 try:
                     want = extend_law(lang, t, {}, s)

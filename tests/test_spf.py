@@ -1,5 +1,6 @@
 """Functor derivatives, contexts and plugging."""
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -128,7 +129,7 @@ def test_plug_flag_context_example():
 def test_plug_unplug_round_trip(langs, cfg):
     for lang in langs.values():
         count = 0
-        for t in gen.closed_terms(lang, cfg, 4, expr_cap=2):
+        for t in gen.closed_terms(lang, replace(cfg, max_term_size=4, exprs_per_slot=2)):
             for ctx, sub in decompositions(t):
                 assert plug(ctx, sub) == t
                 count += 1
@@ -137,8 +138,9 @@ def test_plug_unplug_round_trip(langs, cfg):
 
 def test_sample_contexts_deterministic_and_pluggable(langs, cfg):
     lang = langs["while"]
-    first = gen.sample_contexts(lang, 2, 100, 42, cfg)
-    second = gen.sample_contexts(lang, 2, 100, 42, cfg)
+    small = replace(cfg, samples=100, seed=42)
+    first = gen.sample_contexts(lang, small)
+    second = gen.sample_contexts(lang, small)
     assert first == second
     assert first[0] == ()  # the bare hole is always included
     assert len(first) == 100
@@ -149,4 +151,8 @@ def test_sample_contexts_deterministic_and_pluggable(langs, cfg):
 
 
 def test_sample_contexts_zero_layers(langs, cfg):
-    assert gen.sample_contexts(langs["while"], 0, 1, 7, cfg) == [()]
+    # a one-context sample is the zero-layer context, the bare hole; a full
+    # sample draws every depth from zero to CONTEXT_LAYERS and none deeper
+    assert gen.sample_contexts(langs["while"], replace(cfg, samples=1, seed=7)) == [()]
+    depths = {len(ctx) for ctx in gen.sample_contexts(langs["while"], cfg)}
+    assert depths == set(range(gen.CONTEXT_LAYERS + 1))

@@ -3,6 +3,7 @@ closedness."""
 import copy
 import itertools
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -39,8 +40,8 @@ def test_equal_trees_built_apart_are_equal():
 
 
 def test_equal_terms_are_one_object_however_built(langs, comps, cfg):
-    lang = langs["while"]
-    terms = list(itertools.islice(gen.closed_terms(lang, cfg, 3, expr_cap=2), 60))
+    lang, small = langs["while"], replace(cfg, max_term_size=3, exprs_per_slot=2)
+    terms = list(itertools.islice(gen.closed_terms(lang, small), 60))
     terms.append(parse_term("(seq (while (lt (var 0) (lit 2)) (assign 1 (lit 1))) skip)"))
     assert len(terms) > 1
     for t in terms:
@@ -56,17 +57,18 @@ def test_equal_terms_are_one_object_however_built(langs, comps, cfg):
             assert u is t, print_term(t)
             assert hash(u) == hash((t.tag, t.children, t.payload))
     # generating again yields the same objects
-    again = list(itertools.islice(gen.closed_terms(lang, cfg, 3, expr_cap=2), 60))
+    again = list(itertools.islice(gen.closed_terms(lang, small), 60))
     assert all(u is t for u, t in zip(again, terms))
 
 
 def test_closed_agrees_with_a_recursive_walk(langs, cfg):
+    small = replace(cfg, max_term_size=3, exprs_per_slot=2)
     for lang in langs.values():
-        closed = list(itertools.islice(gen.closed_terms(lang, cfg, 3, expr_cap=2), 40))
+        closed = list(itertools.islice(gen.closed_terms(lang, small), 40))
         layers = gen.layer_shapes(lang, cfg)
         # open terms with a variable up to three layers down, beside closed
         # siblings
-        contexts = gen.sample_contexts(lang, 3, 40, 7, cfg)
+        contexts = gen.sample_contexts(lang, replace(cfg, samples=40, seed=7))
         deep = [plug(ctx, Var("h")) for ctx in contexts if ctx]
         assert deep and not any(is_closed(t) for t in deep)
         for t in closed + layers + deep:
@@ -75,8 +77,9 @@ def test_closed_agrees_with_a_recursive_walk(langs, cfg):
 
 
 def test_every_generated_term_is_valid_and_reads_back_from_its_print(langs, cfg):
+    small = replace(cfg, max_term_size=3, exprs_per_slot=2)
     terms = [(lang, t) for lang in langs.values()
-             for t in [*gen.closed_terms(lang, cfg, 3, expr_cap=2), *gen.layer_shapes(lang, cfg)]]
+             for t in [*gen.closed_terms(lang, small), *gen.layer_shapes(lang, cfg)]]
     assert len(terms) == 1801
     for lang, t in terms:
         lang.validate(t)
