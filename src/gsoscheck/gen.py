@@ -51,12 +51,12 @@ def expr_stream(cfg, int_mode: bool, n_locs: Optional[int] = None) -> Iterator[E
         size += 1
 
 
-def exprs(cfg, int_mode: bool, cap: Optional[int] = None, n_locs: Optional[int] = None) -> list:
-    cap = cap if cap is not None else cfg.exprs_per_slot
+def exprs(cfg, int_mode: bool, n_locs: Optional[int] = None) -> list:
+    """The first ``cfg.exprs_per_slot`` expressions of the stream, at least one."""
     out = []
     for e in expr_stream(cfg, int_mode, n_locs):
         out.append(e)
-        if len(out) >= cap:
+        if len(out) >= cfg.exprs_per_slot:
             return out
     return out
 
@@ -143,7 +143,7 @@ def _payload_choices(lang, kind: str, cfg) -> list:
         case "nat":
             return list(range(cfg.store_cells))
         case "inst":
-            base = exprs(cfg, False, 2, n_locs)
+            base = list(itertools.islice(expr_stream(cfg, False, n_locs), 2))
             out: list = [Nop(), Stop()]
             out += [IAssign(l, base[1]) for l in range(n_locs)]
             out += [Br(base[0], 2), Br(base[1], -1)]

@@ -15,10 +15,12 @@ multiplication step of the extension.
 
 Two outcomes are told apart by ``first_difference``, on label, then
 output state, then termination; ``check_bisim`` and the coherence check
-both use it.  ``check_bisim`` can share the pairs it has proved equivalent
-with later calls over the same language and inputs; a context-closure
-check shares one such table across all its contexts, so a pair that many
-plugged programs reach is explored once.
+both use it.  ``check_bisim`` steps a pair at every input and then
+explores each distinct continuation pair once per level, after the first
+input in window order that reaches it.  It can share the pairs it has
+proved equivalent with later calls over the same language and inputs; a
+context-closure check shares one such table across all its contexts, so a
+pair that many plugged programs reach is explored once.
 
 ``extend_law`` remembers nothing.  ``extend_once`` is the same extension
 through a memo keyed on the term, which also keeps every subterm the rule
@@ -139,6 +141,13 @@ class _Entry(dict):
         return out
 
 
+def memo_entry(rule, behaviors: dict, memo: dict, term: OpenTerm) -> _Entry:
+    """``term``'s entry in ``memo``, made with its subterms' on first use;
+    indexing it by a state extends ``term`` there, as ``extend_once`` does."""
+    entry = memo.get(term)
+    return _Entry(rule, behaviors, memo, term) if entry is None else entry
+
+
 def extend_once(rule, behaviors: dict, memo: dict, term: OpenTerm,
                 state: MachineState) -> StepOutcome:
     """``extend_law`` through ``memo``, a dict its caller owns for this ``rule``
@@ -146,10 +155,7 @@ def extend_once(rule, behaviors: dict, memo: dict, term: OpenTerm,
     ``memo`` maps each term met, and each of its subterms, to its entry, so
     the rule is handed the same pairs for a term at every state.  A step
     that raises is not remembered."""
-    entry = memo.get(term)
-    if entry is None:
-        entry = _Entry(rule, behaviors, memo, term)
-    return entry[state]
+    return memo_entry(rule, behaviors, memo, term)[state]
 
 
 # --- closed terms ---
@@ -210,23 +216,27 @@ class Distinguished:
 BisimResult = Equivalent | Distinguished
 
 
-def compare(extend, inputs: list, seen: dict, proved: dict, a: OpenTerm, b: OpenTerm,
+def compare(entry, inputs: list, seen: dict, proved: dict, a: OpenTerm, b: OpenTerm,
             d: int, path: tuple) -> Optional[Distinguished]:
     """``check_bisim``'s exploration of (a, b) with ``d`` levels left: the
-    first difference found after ``path``, else None."""
+    first difference found after ``path``, else None.  ``entry`` gives a
+    term's ``extend_once`` memo entry.  Each continuation pair is explored
+    once, after the first input that reaches it: a later visit at the same
+    depth would find it in ``seen`` and return None."""
     if a == b or d <= 0 or seen.get((a, b), 0) >= d or proved.get((a, b), 0) >= d:
         return None
     seen[a, b] = d
-    pending = []
+    ea, eb = entry(a), entry(b)
+    pending: dict = {}  # continuation pair -> the first input reaching it
     for s in inputs:
-        oa, ob = extend(a, s), extend(b, s)
+        oa, ob = ea[s], eb[s]
         reason = first_difference(oa, ob)
         if reason is not None:
             return Distinguished(path + (s,), oa, ob, reason)
         if oa.cont is not None:
-            pending.append((s, oa.cont, ob.cont))
-    for s, ca, cb in pending:
-        found = compare(extend, inputs, seen, proved, ca, cb, d - 1, path + (s,))
+            pending.setdefault((oa.cont, ob.cont), s)
+    for (ca, cb), s in pending.items():
+        found = compare(entry, inputs, seen, proved, ca, cb, d - 1, path + (s,))
         if found is not None:
             return found
     return None
@@ -239,6 +249,9 @@ def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
     every level, recursing on continuations.  A Distinguished verdict is a
     real inequivalence; Equivalent(depth) means every pair reached was
     explored to the depth it had left, so it speaks to the given bound.
+    The continuation pairs of one level are explored in the order of the
+    first input reaching each, once per pair: the witness's ``path`` goes
+    through that first input.
 
     ``proved`` maps pairs to a depth they are known to be equivalent to over
     the same ``lang``, ``inputs`` and ``behaviors``; a pair needing no more
@@ -252,8 +265,8 @@ def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
     inputs = list(inputs)
     proved = {} if proved is None else proved
     seen: dict = {}  # pair -> the most depth left it was explored with
-    extend = partial(extend_once, lang.rule, behaviors or {}, {} if memo is None else memo)
-    witness = compare(extend, inputs, seen, proved, p, q, depth, ())
+    entry = partial(memo_entry, lang.rule, behaviors or {}, {} if memo is None else memo)
+    witness = compare(entry, inputs, seen, proved, p, q, depth, ())
     if witness is not None:
         return witness
     # each pair was explored to completion with the depth it records, more

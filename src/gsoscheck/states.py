@@ -3,16 +3,18 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .terms import IllFormed
 
 
-@dataclass(frozen=True)
-class Store:
+class Store(NamedTuple):
     """Finitely-supported map from cell index to value, default 0.
 
     Equality and hashing are support-wise: writing 0 to a cell is the same
-    as never touching it.
+    as never touching it.  A store is a named tuple, so both run in C, on
+    the one field tuple.  The other states are frozen dataclasses, which
+    are never equal to a store or to a state of another kind.
     """
 
     cells: tuple = ()  # sorted ((index, value), ...) with value != 0

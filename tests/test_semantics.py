@@ -3,10 +3,11 @@ interpreter, plus bounded bisimilarity."""
 import itertools
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
-from gsoscheck import checker
+from gsoscheck import checker, semantics
 from gsoscheck.checker import CampaignConfig, Pass, check_coherence
 from gsoscheck.languages import LangDef
 from gsoscheck.semantics import (
@@ -19,7 +20,8 @@ from gsoscheck.terms import (
     sandbox, seq, skip, while_,
 )
 from gsoscheck import gen
-from gsoscheck.cli import EXAMPLE1_SOURCE
+from gsoscheck.cli import EXAMPLE1_SOURCE, execute
+from gsoscheck.spf import plug
 
 
 # --- an independent small-step reference for the plain store machine ---
@@ -441,3 +443,98 @@ def test_bisim_applies_the_rule_once_per_layer_and_state(langs, fallback_calls):
         check_bisim(counted, p, q, inputs, depth, behaviors)
         assert applied and max(applied.values()) == 1
     assert queried and max(queried.values()) == 1
+
+
+# --- check_bisim explores each continuation pair once per level ---
+
+BENCH_LEFT = "(while (var 0) (assign 0 (lit 0)))"
+BENCH_RIGHT = "(while (mul (var 0) (lit 2)) (assign 0 (lit 0)))"
+
+
+def per_input_bisim(lang, p, q, inputs, depth, behaviors=None, proved=None, memo=None):
+    """``check_bisim`` with the per-input exploration, kept as a literal
+    reference: each input is stepped through ``extend_once``, and the
+    continuation pair it reaches is explored, repeats included."""
+    inputs = list(inputs)
+    proved = {} if proved is None else proved
+    seen: dict = {}
+    extend = partial(extend_once, lang.rule, behaviors or {}, {} if memo is None else memo)
+
+    def compare(a, b, d, path):
+        if a == b or d <= 0 or seen.get((a, b), 0) >= d or proved.get((a, b), 0) >= d:
+            return None
+        seen[a, b] = d
+        pending = []
+        for s in inputs:
+            oa, ob = extend(a, s), extend(b, s)
+            reason = first_difference(oa, ob)
+            if reason is not None:
+                return Distinguished(path + (s,), oa, ob, reason)
+            if oa.cont is not None:
+                pending.append((s, oa.cont, ob.cont))
+        for s, ca, cb in pending:
+            found = compare(ca, cb, d - 1, path + (s,))
+            if found is not None:
+                return found
+        return None
+
+    witness = compare(p, q, depth, ())
+    if witness is not None:
+        return witness
+    proved.update(seen)
+    return Equivalent(depth, len(inputs))
+
+
+def explorations(bisim, lang, pairs, inputs, depth, behaviors=None):
+    """``bisim`` on each pair in turn through one memo and one ``proved``
+    dict: the verdicts, ``proved`` and the outcomes in every memo entry."""
+    proved, memo = {}, {}
+    verdicts = [bisim(lang, p, q, inputs, depth, behaviors, proved, memo) for p, q in pairs]
+    return verdicts, proved, {t: dict(entry) for t, entry in memo.items()}
+
+
+def test_bisim_explores_as_the_per_input_reference(langs, cfg, fallback_calls):
+    lang = langs["while"]
+    window = gen.state_window(lang, cfg)
+    # the benchmark's ctx-closure pair and its first 200 contexts at seed 0
+    left, right = parse_term(BENCH_LEFT), parse_term(BENCH_RIGHT)
+    pairs = [(left, right)] + [(plug(ctx, left), plug(ctx, right))
+                               for ctx in gen.sample_contexts(lang, cfg)[:200]]
+    got = explorations(check_bisim, lang, pairs, window, cfg.depth)
+    assert got == explorations(per_input_bisim, lang, pairs, window, cfg.depth)
+    assert all(isinstance(v, Equivalent) for v in got[0]) and got[1]
+    # the fallback pairs of the benchmark's coherence-fallback campaigns
+    for lang, p, q, inputs, depth, behaviors in fallback_calls:
+        assert (explorations(check_bisim, lang, [(p, q)], inputs, depth, behaviors)
+                == explorations(per_input_bisim, lang, [(p, q)], inputs, depth, behaviors))
+    # a loop on cell 0 whose body sets cell 1 to 1 or to 2: every input with
+    # cell 0 set reaches the same continuation pair, which the first of
+    # them tells apart
+    lang = langs["while"]
+    p, q = while_(Loc(0), assign(1, Lit(1))), while_(Loc(0), assign(1, Lit(2)))
+    reached = Counter((extend_law(lang, p, {}, s).cont, extend_law(lang, q, {}, s).cont)
+                      for s in window if s.get(0))
+    assert len(reached) == 1 and sum(reached.values()) > 1
+    got = explorations(check_bisim, lang, [(p, q)], window, cfg.depth)
+    assert got == explorations(per_input_bisim, lang, [(p, q)], window, cfg.depth)
+    (verdict,), proved, _ = got
+    first = next(s for s in window if s.get(0))
+    assert verdict.path == (first, window[0]) and verdict.reason == "state"
+    assert proved == {}
+
+
+def test_ctx_closure_explores_each_continuation_pair_once(monkeypatch):
+    calls = Counter()
+    real = semantics.compare
+
+    def counting(*args):
+        calls["compare"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(semantics, "compare", counting)
+    code, _, lines = execute(["ctx-closure", "--lang", "while", "--left", BENCH_LEFT,
+                              "--right", BENCH_RIGHT, "--samples", "1000"])
+    assert code == 0 and lines[0] == "status: closed over 1000 context(s)"
+    # one call per distinct continuation pair that an explored pair reaches;
+    # one call per input reaching such a pair made 29,881
+    assert 0 < calls["compare"] <= 3245

@@ -6,7 +6,9 @@ import pickle
 import pytest
 
 from gsoscheck import gen
-from gsoscheck.states import LowState, Store, clamp_negatives, parse_state
+from gsoscheck.states import (
+    FrameState, LowState, StackState, Store, clamp_negatives, parse_state,
+)
 
 
 def test_hash_is_the_field_tuple_hash():
@@ -68,3 +70,21 @@ def test_clamp_negatives_returns_a_nonnegative_store_as_it_is(cfg):
 def test_repr_is_the_dataclass_repr():
     assert repr(Store()) == "Store(cells=())"
     assert repr(Store.of({1: 2, 0: 3})) == "Store(cells=((0, 3), (1, 2)))"
+
+
+def test_a_store_never_equals_another_state_kind(langs, cfg):
+    s = Store.of({0: 1})
+    assert Store() != FrameState() and FrameState() != Store()
+    assert LowState(s, 1) != StackState(s, 1) and StackState(s, 1) != LowState(s, 1)
+    # a frame stack with the same field tuple as a store is still no store
+    assert Store(((0, 1),)) != FrameState(((0, 1),))
+    states = {type(u): set() for u in (Store(), LowState(s, 0), StackState(s, 0), FrameState())}
+    for lang in langs.values():
+        for u in gen.state_window(lang, cfg):
+            states[type(u)].add(u)
+    assert all(states.values())
+    for kind, of_kind in states.items():
+        for other, of_other in states.items():
+            if kind is not other:
+                for u in of_kind:
+                    assert all(u != v for v in of_other), (u, other)
