@@ -51,7 +51,7 @@ from typing import Optional
 from .terms import (
     IllFormed, Node, OpenTerm, instr_flatten, print_term, term_size, term_vars,
 )
-from .states import LowState, show_state
+from .states import show_state
 from .semantics import (
     Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim,
     extend_law, first_difference,
@@ -294,8 +294,7 @@ def closed_cases(cp: CompilerPair, cfg: CampaignConfig, window):
             # its compiled length
             layer = compile_term(cp, p)
             length = len(instr_flatten(layer)) if layer.tag == "instr" else term_size(layer)
-            stores = gen.store_window(cfg, int_mode=False)
-            states = [LowState(s, pc) for s in stores for pc in gen.pc_window(cfg, length)]
+            states = gen.pc_states(cfg, gen.store_window(cfg, int_mode=False), length)
         group = _Group(cp, p, {}, images if states is window else _window_images(cp, states),
                        closed=True, layer=layer)
         for slot, i2 in enumerate(states):
@@ -346,8 +345,6 @@ class PreservationEntry:
     right: Node
     source: object  # BisimResult
     target: Optional[object] = None  # BisimResult when source is Equivalent
-    compiled_left: Optional[Node] = None
-    compiled_right: Optional[Node] = None
     target_illformed: bool = False  # the target check hit an ill-formed state
 
     @property
@@ -393,11 +390,9 @@ def check_preservation(cp: CompilerPair, cfg: CampaignConfig,
         source = check_bisim(cp.source, left, right, src_window, cfg.depth, memo=src_steps)
         entry = PreservationEntry(left, right, source)
         if isinstance(source, Equivalent):
-            entry.compiled_left = compile_term(cp, left)
-            entry.compiled_right = compile_term(cp, right)
             try:
-                entry.target = check_bisim(cp.target, entry.compiled_left,
-                                           entry.compiled_right, tgt_window, cfg.depth,
+                entry.target = check_bisim(cp.target, compile_term(cp, left),
+                                           compile_term(cp, right), tgt_window, cfg.depth,
                                            memo=tgt_steps)
             except IllFormed:
                 entry.target_illformed = True

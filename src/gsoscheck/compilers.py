@@ -33,7 +33,7 @@ class WholeTerm:
     fn: Callable[[Node], Node]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BehaviorTranslation:
     """Input-side state map and output-side outcome map: a target input i2
     is answered with ``output_map(i2, f(input_map(i2)))`` for the source
@@ -91,41 +91,33 @@ def translate_behavior(cp: CompilerPair, f: Callable, i2) -> StepOutcome:
 
 # --- behavior translations -------------------------------------------------
 
-def _b_flag() -> BehaviorTranslation:
-    # label the unlabelled with the designated value 0
-    return BehaviorTranslation(
-        input_map=lambda s: s,
-        output_map=lambda i2, o: StepOutcome(o.state, label=0, cont=o.cont, flags=o.flags),
-    )
+# label the unlabelled with the designated value 0
+_B_FLAG = BehaviorTranslation(
+    input_map=lambda s: s,
+    output_map=lambda i2, o: StepOutcome(o.state, label=0, cont=o.cont, flags=o.flags),
+)
+
+_B_IDENTITY = BehaviorTranslation(input_map=lambda s: s, output_map=lambda i2, o: o)
+
+# run the source on the store with negatives forgotten; include the
+# nat-valued result back into the int store
+_B_INT = BehaviorTranslation(
+    input_map=clamp_negatives,
+    output_map=lambda i2, o: StepOutcome(o.state, cont=o.cont, flags=o.flags),
+)
 
 
-def _b_identity() -> BehaviorTranslation:
-    return BehaviorTranslation(
-        input_map=lambda s: s,
-        output_map=lambda i2, o: o,
-    )
-
-
-def _b_int() -> BehaviorTranslation:
-    # run the source on the store with negatives forgotten; include the
-    # nat-valued result back into the int store
-    return BehaviorTranslation(
-        input_map=clamp_negatives,
-        output_map=lambda i2, o: StepOutcome(o.state, cont=o.cont, flags=o.flags),
-    )
-
-
-def _b_low() -> BehaviorTranslation:
+def _low_output(i2: LowState, o: StepOutcome) -> StepOutcome:
     # off its start (pc != 0) a program terminates where it stands, as the
     # Low rules do, whatever the source outcome
-    def output_map(i2: LowState, o: StepOutcome):
-        if i2.pc != 0:
-            return StepOutcome(i2)
-        if o.cont is None:
-            return StepOutcome(LowState(o.state, 1), cont=None, flags=o.flags)
-        return StepOutcome(LowState(o.state, 0), cont=o.cont, flags=o.flags)
+    if i2.pc != 0:
+        return StepOutcome(i2)
+    if o.cont is None:
+        return StepOutcome(LowState(o.state, 1), cont=None, flags=o.flags)
+    return StepOutcome(LowState(o.state, 0), cont=o.cont, flags=o.flags)
 
-    return BehaviorTranslation(lambda i2: i2.store, output_map)
+
+_B_LOW = BehaviorTranslation(lambda i2: i2.store, _low_output)
 
 
 def div_blocks(s: Store, sp: int, L: int) -> FrameState:
@@ -226,13 +218,13 @@ def compiler_registry(L: int = 2) -> dict[str, CompilerPair]:
         return CompilerPair(name, langs[src], langs[tgt], syntax, behavior)
 
     pairs = [
-        pair("embed-flag", "while", "while-flag", LayerMap(_identity_layer), _b_flag()),
-        pair("sandbox", "while", "while-sec", LayerMap(_sandbox_layer), _b_flag()),
-        pair("unsandbox", "while-sec", "while-sec", LayerMap(_unsandbox_layer), _b_identity()),
-        pair("embed-int", "while", "while-int", LayerMap(_identity_layer), _b_int()),
-        pair("sandbox-int", "while", "while-int", LayerMap(_isandbox_layer), _b_int()),
-        pair("flatten-low", "while", "low", WholeTerm(flatten_to_low), _b_low()),
-        pair("embed-low-sec", "while", "low-sec", LayerMap(_secure_low_layer), _b_low()),
+        pair("embed-flag", "while", "while-flag", LayerMap(_identity_layer), _B_FLAG),
+        pair("sandbox", "while", "while-sec", LayerMap(_sandbox_layer), _B_FLAG),
+        pair("unsandbox", "while-sec", "while-sec", LayerMap(_unsandbox_layer), _B_IDENTITY),
+        pair("embed-int", "while", "while-int", LayerMap(_identity_layer), _B_INT),
+        pair("sandbox-int", "while", "while-int", LayerMap(_isandbox_layer), _B_INT),
+        pair("flatten-low", "while", "low", WholeTerm(flatten_to_low), _B_LOW),
+        pair("embed-low-sec", "while", "low-sec", LayerMap(_secure_low_layer), _B_LOW),
         pair("embed-stack", "while-b", "stack", LayerMap(_identity_layer), _b_stack(L)),
         pair("embed-stack-clear", "while-b", "stack-clear", LayerMap(_identity_layer),
              _b_stack(L)),

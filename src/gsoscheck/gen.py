@@ -40,11 +40,8 @@ def expr_stream(cfg, int_mode: bool, n_locs: Optional[int] = None) -> Iterator[E
                 level.append(Un(op, e))
         for op in BIN_OPS:
             for ls in range(1, size - 1):
-                rs = size - 1 - ls
-                if rs < 1 or ls >= len(by_size) or rs >= len(by_size):
-                    continue
                 for a in by_size[ls]:
-                    for b in by_size[rs]:
+                    for b in by_size[size - 1 - ls]:
                         level.append(Bin(op, a, b))
         by_size.append(level)
         yield from level
@@ -53,12 +50,8 @@ def expr_stream(cfg, int_mode: bool, n_locs: Optional[int] = None) -> Iterator[E
 
 def exprs(cfg, int_mode: bool, n_locs: Optional[int] = None) -> list:
     """The first ``cfg.exprs_per_slot`` expressions of the stream, at least one."""
-    out = []
-    for e in expr_stream(cfg, int_mode, n_locs):
-        out.append(e)
-        if len(out) >= cfg.exprs_per_slot:
-            return out
-    return out
+    return list(itertools.islice(expr_stream(cfg, int_mode, n_locs),
+                                 max(1, cfg.exprs_per_slot)))
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +70,11 @@ def store_window(cfg, int_mode: bool) -> list[Store]:
 def pc_window(cfg, length: Optional[int] = None) -> list[int]:
     top = (length if length is not None else cfg.sp_max) + 1
     return list(range(-1, top + 1))
+
+
+def pc_states(cfg, stores: list[Store], length: Optional[int] = None) -> list[LowState]:
+    """Every store paired with every program counter of ``pc_window``."""
+    return [LowState(s, pc) for s in stores for pc in pc_window(cfg, length)]
 
 
 def _wide_stores(cfg, rng: random.Random, n_cells: int, count: int) -> list[Store]:
@@ -121,8 +119,7 @@ def state_window(lang, cfg) -> list:
         case "int-store":
             return store_window(cfg, int_mode=True)
         case "pc":
-            stores = store_window(cfg, int_mode=False)
-            return [LowState(s, pc) for s in stores for pc in pc_window(cfg)]
+            return pc_states(cfg, store_window(cfg, int_mode=False))
         case "sp":
             return stack_window(cfg)
         case "frames":

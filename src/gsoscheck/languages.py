@@ -10,9 +10,11 @@ assignment).  Frame machines: ``while-b`` (stack of private frames),
 ``stack`` (one store partitioned by a stack pointer) and ``stack-clear``
 (stack with the zeroing frame rule).
 
-Every language but the two counter machines shares the skip/assign/seq/while
-rules of ``structured_rule``; it differs only in how cells are read and
-written, whether transitions are labelled, and its extra constructors.
+Every structured language shares the skip/assign/seq/while rules of
+``structured_rule``; it differs only in how cells are read and written,
+whether transitions are labelled, and its extra constructors.  The two
+counter machines share the program-counter discipline of ``counter_rule``;
+``low-sec`` adds its structured constructors to ``low`` the same way.
 """
 from __future__ import annotations
 
@@ -292,76 +294,66 @@ def _stack_extras(L: int, clearing: bool) -> dict:
 
 # --- the counter machines ---------------------------------------------------
 
-def _inst_step(i: Inst, s: Store, same: Node) -> StepOutcome:
+def _inst_step(i: Inst, s: Store, same: Node, halt_past: bool) -> StepOutcome:
     """Fig-style dispatch of the head instruction at pc 0; ``same`` is the
-    unchanged program re-used as the continuation."""
+    unchanged program re-used as the continuation.  With ``halt_past`` (a
+    ``low-sec`` singleton) stop and the one-step assignment terminate past
+    the single statement (pc 1), mirroring the source machine."""
     match i:
         case Stop():
-            return StepOutcome(LowState(s, 0))
+            return StepOutcome(LowState(s, 1 if halt_past else 0))
         case Nop():
             return StepOutcome(LowState(s, 1), cont=same)
         case IAssign(l, e):
-            return StepOutcome(LowState(s.set(l, evaluate(e, Store.get, s)), 1), cont=same)
+            return StepOutcome(LowState(s.set(l, evaluate(e, Store.get, s)), 1),
+                               cont=None if halt_past else same)
         case Br(e, z):
             v = evaluate(e, Store.get, s)
             return StepOutcome(LowState(s, 1 if v == 0 else z), cont=same)
     raise IllFormed(f"not an instruction: {i!r}")
 
 
-def _low_rule(tag, payload, children, st: LowState) -> StepOutcome:
-    if tag != "instr":
-        raise IllFormed(f"no low rule for {tag}")
-    s, pc = st.store, st.pc
-    (i,) = payload
-    if not children:  # singleton instruction
+def _sseq_rule(payload, children, st: LowState) -> StepOutcome:
+    # the chain continues at pc 0 whatever pc the premise ends at
+    (_, fx), (y, _) = children
+    o = fx(st)
+    cont = y if o.cont is None else sseq(o.cont, y)
+    return StepOutcome(LowState(o.state.store, 0), cont=cont, flags=o.flags)
+
+
+def _loop_rule(payload, children, st: LowState) -> StepOutcome:
+    (e,) = payload
+    (x, _) = children[0]
+    cont = sseq(x, loop(e, x)) if evaluate(e, Store.get, st.store) != 0 else instr(Stop())
+    return StepOutcome(st, cont=cont)
+
+
+def counter_rule(name: str, structured: bool) -> Callable:
+    """The rule function of a counter machine.  At pc > 0 an ``instr`` with
+    a tail steps its tail at pc - 1 and shifts the result by one; any other
+    layer off pc 0 terminates where it stands; at pc 0 the layer's own rule
+    runs.  A ``structured`` machine (``low-sec``) adds ``sseq`` and ``loop``
+    and halts its singleton stop and assignment past the statement."""
+    extras = {"sseq": _sseq_rule, "loop": _loop_rule} if structured else {}
+
+    def rule(tag, payload, children, st: LowState) -> StepOutcome:
+        if tag != "instr" and tag not in extras:
+            raise IllFormed(f"no {name} rule for {tag}")
+        pc = st.pc
+        if pc > 0 and tag == "instr" and children:
+            o = children[0][1](LowState(st.store, pc - 1))
+            cont = None if o.cont is None else instr(payload[0], o.cont)
+            return StepOutcome(LowState(o.state.store, o.state.pc + 1), cont=cont,
+                               flags=o.flags)
         if pc != 0:
-            return StepOutcome(LowState(s, pc))
-        return _inst_step(i, s, instr(i))
-    (x, fx) = children[0]
-    if pc < 0:
-        return StepOutcome(LowState(s, pc))
-    if pc == 0:
-        return _inst_step(i, s, instr(i, x))
-    o = fx(LowState(s, pc - 1))
-    shifted = LowState(o.state.store, o.state.pc + 1)
-    if o.cont is None:
-        return StepOutcome(shifted, flags=o.flags)
-    return StepOutcome(shifted, cont=instr(i, o.cont), flags=o.flags)
+            return StepOutcome(st)
+        if tag != "instr":
+            return extras[tag](payload, children, st)
+        tail = children[0][0] if children else None
+        return _inst_step(payload[0], st.store, instr(payload[0], tail),
+                          structured and tail is None)
 
-
-def _lowsec_rule(tag, payload, children, st: LowState) -> StepOutcome:
-    s, pc = st.store, st.pc
-    match tag:
-        case "instr" if not children:
-            if pc != 0:
-                return StepOutcome(LowState(s, pc))
-            # stop and the one-step assignment terminate, landing past the
-            # single statement (pc 1), mirroring the source machine
-            match payload[0]:
-                case Stop():
-                    return StepOutcome(LowState(s, 1))
-                case IAssign(l, e):
-                    return StepOutcome(LowState(s.set(l, evaluate(e, Store.get, s)), 1))
-            return _inst_step(payload[0], s, instr(payload[0]))
-        case "instr":
-            return _low_rule(tag, payload, children, st)
-        case "sseq":
-            (x, fx), (y, _) = children
-            if pc != 0:
-                return StepOutcome(LowState(s, pc))
-            o = fx(LowState(s, 0))
-            out = LowState(o.state.store, 0)
-            cont = y if o.cont is None else sseq(o.cont, y)
-            return StepOutcome(out, cont=cont, flags=o.flags)
-        case "loop":
-            (e,) = payload
-            (x, _) = children[0]
-            if pc != 0:
-                return StepOutcome(LowState(s, pc))
-            if evaluate(e, Store.get, s) == 0:
-                return StepOutcome(LowState(s, 0), cont=instr(Stop()))
-            return StepOutcome(LowState(s, 0), cont=sseq(x, loop(e, x)))
-    raise IllFormed(f"no low-sec rule for {tag}")
+    return rule
 
 
 # --- the registry ---------------------------------------------------------
@@ -397,9 +389,9 @@ def language_registry(L: int = 2) -> dict[str, LangDef]:
                    extras={"obs": _obs_rule, "sandbox": _sandbox_rule}),
         structured("while-int", (("isandbox", (), 1),), "int-store", False, nat=False,
                    extras={"isandbox": _isandbox_rule}),
-        LangDef("low", _LOW_CONS, "pc", False, _low_rule, L),
+        LangDef("low", _LOW_CONS, "pc", False, counter_rule("low", False), L),
         LangDef("low-sec", _LOW_CONS + (("sseq", (), 2), ("loop", ("expr",), 1)),
-                "pc", False, _lowsec_rule, L),
+                "pc", False, counter_rule("low-sec", True), L),
         structured("while-b", frame_cons, "frames", False, *frame_cells(L),
                    empty_flags=_whileb_empty, extras=_whileb_extras(L)),
         structured("stack", frame_cons, "sp", False, *block_cells(L),

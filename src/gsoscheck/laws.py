@@ -21,7 +21,6 @@ from functools import partial
 
 from .terms import IllFormed, Node, OpenTerm, Var, print_term, subst, subterms, term_vars
 from .semantics import StepOutcome, extend_law
-from .states import LowState
 from .spf import decompositions, plug
 from . import gen
 
@@ -174,8 +173,7 @@ def check_plug_roundtrip(lang, cfg) -> int:
 def run_law_suite(lang, cfg) -> dict:
     if lang.state_kind == "pc":
         # keep whole pc ranges so shifted lookups stay inside the table domain
-        stores = gen.store_window(cfg, int_mode=False)[:2]
-        inputs = [LowState(s, pc) for s in stores for pc in gen.pc_window(cfg)]
+        inputs = gen.pc_states(cfg, gen.store_window(cfg, int_mode=False)[:2])
     else:
         inputs = gen.state_window(lang, cfg)[:8]
     return {

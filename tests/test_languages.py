@@ -1,6 +1,8 @@
 """Expression evaluators against an independent oracle, plus the concrete
 rule sets of the registry."""
+import hashlib
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +11,7 @@ from gsoscheck.semantics import step
 from gsoscheck.states import FrameState, LowState, StackState, Store
 from gsoscheck.terms import (
     Bin, Br, IAssign, IllFormed, Lit, Loc, Node, Nop, Stop, Un, assign, frame,
-    instr, instr_list, loop, parse_term, ret, seq, skip, sseq, while_,
+    instr, instr_list, loop, parse_term, print_term, ret, seq, skip, sseq, while_,
 )
 from gsoscheck import gen
 
@@ -289,3 +291,28 @@ def test_validation_checks_payload_kinds(lang, term, langs):
     # a payload must match its constructor's kinds, in number and in shape
     with pytest.raises(IllFormed):
         langs[lang].validate(term)
+
+
+# sha256 of every step of the counter machines' small closed terms
+# (max_term_size=3, exprs_per_slot=2) from each LowState of the first four
+# window stores and the default pc window, one outcome a line:
+# state|label|flags|continuation, or "terminated" for no continuation
+COUNTER_STEP_DIGESTS = {
+    "low": (6192, "efc3cc0e0fd7e2daa009f44cb720220e55f21cc39857ad077ed2447092890d88"),
+    "low-sec": (11376, "428fb0213f7e4fd9944e3efa8a8183df33eaf55fbec5763e2767ddb5bb58807e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTER_STEP_DIGESTS))
+def test_counter_machine_steps_are_the_recorded_ones(langs, cfg, name):
+    lang = langs[name]
+    states = [LowState(s, pc) for s in gen.store_window(cfg, int_mode=False)[:4]
+              for pc in gen.pc_window(cfg)]
+    lines = []
+    for t in gen.closed_terms(lang, replace(cfg, max_term_size=3, exprs_per_slot=2)):
+        for st in states:
+            o = step(lang, t, st)
+            cont = "terminated" if o.cont is None else print_term(o.cont)
+            lines.append(f"{o.state.show()}|{o.label}|{sorted(o.flags)}|{cont}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == COUNTER_STEP_DIGESTS[name]
