@@ -36,7 +36,7 @@ square queries a table elsewhere is tallied inconclusive, never answered
 with an invented entry.
 
 A context-closure check steps its base pair and all its contexts through
-one ``extend_once`` memo and shares the pairs ``check_bisim`` has proved
+one ``memo_entry`` memo and shares the pairs ``check_bisim`` has proved
 equivalent (the base pair aside), so a pair that many plugged programs
 reach is explored once; each context's verdict is the one it gets on its
 own.  A preservation campaign keeps one memo per language.
@@ -383,7 +383,7 @@ def check_preservation(cp: CompilerPair, cfg: CampaignConfig,
         pairs = [(a, b) for a, b in itertools.combinations(terms, 2)]
         pairs = pairs[: cfg.samples]
     entries = []
-    # one extend_once memo per language for the whole campaign
+    # one memo_entry memo per language for the whole campaign
     src_steps: dict = {}
     tgt_steps = src_steps if cp.target is cp.source else {}
     for left, right in pairs:
@@ -417,7 +417,7 @@ def check_context_closure(lang, p: Node, q: Node, cfg: CampaignConfig) -> Contex
     points at a framework bug.  A pair that is not bisimilar is reported as
     it is, before any context is sampled."""
     window = gen.state_window(lang, cfg)
-    memo: dict = {}  # every (term, state) stepped so far, see extend_once
+    memo: dict = {}  # every (term, state) stepped so far, see memo_entry
     base = check_bisim(lang, p, q, window, cfg.depth, memo=memo)
     if isinstance(base, Distinguished):
         return ContextClosureReport("base-distinguished", 0, base, [])

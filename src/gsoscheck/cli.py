@@ -34,11 +34,6 @@ from .laws import run_law_suite
 from .reports import Report, load_report, read_json
 from . import gen
 
-DEMOS = (
-    "fig3", "fig4", "fig5", "fig6", "fig8", "fig9", "fig10",
-    "sec6-fail", "sec6-pass", "example1", "sec3-context",
-)
-
 
 def _count(text: str, least: int = 0) -> int:
     """A count from the command line: a natural number of at least
@@ -52,6 +47,15 @@ def _count(text: str, least: int = 0) -> int:
     if value < least:
         raise argparse.ArgumentTypeError(f"must be at least {least}: {value}")
     return value
+
+
+def _seed(text: str) -> int:
+    """A seed from the command line: an integer literal in any base, as
+    ``0xC0FFEE``; anything else is a usage error."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed value: {text!r}") from None
 
 
 # a budget of 0 samples, term size or depth would check nothing and pass;
@@ -76,7 +80,7 @@ def _add_budget_flags(p: argparse.ArgumentParser, *reads: str):
             p.add_argument("--" + name.replace("_", "-"), type=_budget, default=default)
         else:
             p.set_defaults(**{name: default})
-    p.add_argument("--seed", type=lambda v: int(v, 0), default=CampaignConfig.seed)
+    p.add_argument("--seed", type=_seed, default=CampaignConfig.seed)
     p.add_argument("--store-cells", type=_budget, default=CampaignConfig.store_cells)
     p.add_argument("--max-value", type=_budget, default=CampaignConfig.max_value)
     p.add_argument("--sp-max", type=_count, default=CampaignConfig.sp_max)
@@ -563,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_laws)
 
     p = sub.add_parser("demo", help="reproduce a pinned case study")
-    p.add_argument("name", choices=DEMOS)
+    p.add_argument("name", choices=tuple(DEMO_FNS))
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_demo)
 

@@ -22,19 +22,20 @@ proved equivalent with later calls over the same language and inputs; a
 context-closure check shares one such table across all its contexts, so a
 pair that many plugged programs reach is explored once.
 
-``extend_law`` remembers nothing.  ``extend_once`` is the same extension
-through a memo keyed on the term, which also keeps every subterm the rule
-queries and every variable's table answer.  A term's entry holds its
-outcome at each state met so far and what it is stepped by: for a node,
-the rule and the (child, child entry) pairs the rule receives, built
-once; for a variable, its table.  Its caller owns the memo, for one rule
-and one set of behaviors, and it lives as long as the caller keeps it:
-one ``run``, one ``check_bisim`` call, a context-closure check with all
-its contexts, or one language of a preservation campaign.  An entry
-refers to its children's entries and never to the memo, so a memo is
-freed as soon as its owner drops it.  No language holds one, so no other
-case, campaign or call sees it.  Outcomes are immutable named tuples, so
-a remembered one is handed out again as it is.
+``extend_law`` remembers nothing.  ``memo_entry`` gives the same
+extension through a memo keyed on the term: a term's entry, indexed by a
+state, extends the term there once per memo.  The memo also keeps every
+subterm the rule queries and every variable's table answer.  A term's
+entry holds its outcome at each state met so far and what it is stepped
+by: for a node, the rule and the (child, child entry) pairs the rule
+receives, built once; for a variable, its table.  Its caller owns the
+memo, for one rule and one set of behaviors, and it lives as long as the
+caller keeps it: one ``run``, one ``check_bisim`` call, a context-closure
+check with all its contexts, or one language of a preservation campaign.
+An entry refers to its children's entries and never to the memo, so a
+memo is freed as soon as its owner drops it.  No language holds one, so
+no other case, campaign or call sees it.  Outcomes are immutable named
+tuples, so a remembered one is handed out again as it is.
 """
 from __future__ import annotations
 
@@ -112,7 +113,7 @@ def extend_law(lang, term: OpenTerm, behaviors: dict, state: MachineState) -> St
 
 
 class _Entry(dict):
-    """A term's entry in an ``extend_once`` memo: its outcome at each state
+    """A term's entry in a ``memo_entry`` memo: its outcome at each state
     met so far, stepped on a miss.  A node's ``rule`` is handed ``pairs``,
     its (child, child entry lookup) pairs; a variable's ``rule`` is its
     table, None when it has none.  A step that raises leaves no outcome."""
@@ -142,20 +143,13 @@ class _Entry(dict):
 
 
 def memo_entry(rule, behaviors: dict, memo: dict, term: OpenTerm) -> _Entry:
-    """``term``'s entry in ``memo``, made with its subterms' on first use;
-    indexing it by a state extends ``term`` there, as ``extend_once`` does."""
+    """``term``'s entry in ``memo``, a dict its caller owns for this ``rule``
+    and these ``behaviors``, made with its subterms' on first use.  Indexing
+    it by a state gives ``extend_law``'s outcome there, extended once per
+    memo; the rule is handed the same pairs for a term at every state.  A
+    step that raises is not remembered."""
     entry = memo.get(term)
     return _Entry(rule, behaviors, memo, term) if entry is None else entry
-
-
-def extend_once(rule, behaviors: dict, memo: dict, term: OpenTerm,
-                state: MachineState) -> StepOutcome:
-    """``extend_law`` through ``memo``, a dict its caller owns for this ``rule``
-    and these ``behaviors``: each (term, state) is extended once per memo.
-    ``memo`` maps each term met, and each of its subterms, to its entry, so
-    the rule is handed the same pairs for a term at every state.  A step
-    that raises is not remembered."""
-    return memo_entry(rule, behaviors, memo, term)[state]
 
 
 # --- closed terms ---
@@ -184,11 +178,11 @@ def run(lang, term: Node, state: MachineState, fuel: int) -> RunResult:
     back in, until it terminates or the fuel runs out."""
     if not is_closed(term):
         raise IllFormed("run requires a closed term")
-    extend = partial(extend_once, lang.rule, {}, {})
+    entry = partial(memo_entry, lang.rule, {}, {})
     trace = []
     current = term
     for _ in range(fuel):
-        out = extend(current, state)
+        out = entry(current)[state]
         trace.append((state, out))
         state = out.state
         if out.cont is None:
@@ -220,9 +214,9 @@ def compare(entry, inputs: list, seen: dict, proved: dict, a: OpenTerm, b: OpenT
             d: int, path: tuple) -> Optional[Distinguished]:
     """``check_bisim``'s exploration of (a, b) with ``d`` levels left: the
     first difference found after ``path``, else None.  ``entry`` gives a
-    term's ``extend_once`` memo entry.  Each continuation pair is explored
-    once, after the first input that reaches it: a later visit at the same
-    depth would find it in ``seen`` and return None."""
+    term's memo entry, as ``memo_entry`` does.  Each continuation pair is
+    explored once, after the first input that reaches it: a later visit at
+    the same depth would find it in ``seen`` and return None."""
     if a == b or d <= 0 or seen.get((a, b), 0) >= d or proved.get((a, b), 0) >= d:
         return None
     seen[a, b] = d
@@ -259,7 +253,7 @@ def check_bisim(lang, p: OpenTerm, q: OpenTerm, inputs, depth: int,
     every pair this call explored is added with its depth.  Only pairs that
     cannot be told apart within the depth left are skipped, so a
     Distinguished verdict is the one found without ``proved``.  ``memo`` is
-    an ``extend_once`` memo for ``lang`` and ``behaviors`` that the caller
+    a ``memo_entry`` memo for ``lang`` and ``behaviors`` that the caller
     keeps; without one the call uses its own.
     """
     inputs = list(inputs)

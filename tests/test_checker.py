@@ -19,7 +19,7 @@ from gsoscheck.languages import LangDef
 from gsoscheck.compilers import compile_term, translate_behavior
 from gsoscheck.semantics import (
     Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim, extend_law,
-    extend_once, first_difference, run,
+    first_difference, memo_entry, run,
 )
 from gsoscheck.states import LowState, StackState, Store
 from gsoscheck.terms import (
@@ -512,7 +512,7 @@ def test_campaigns_leave_the_languages_as_they_were(langs, comps):
 
 
 def _collected_memo_parts(action) -> list:
-    """The ``extend_once`` memo entries and extensions that the cycle
+    """The memo entries and ``memo_entry`` partials that the cycle
     collector, rather than reference counting, would free after ``action``."""
     debug = gc.get_debug()
     try:
@@ -525,7 +525,7 @@ def _collected_memo_parts(action) -> list:
         return [o for o in gc.garbage
                 if isinstance(o, semantics._Entry)
                 or isinstance(getattr(o, "__self__", None), semantics._Entry)
-                or isinstance(o, partial) and o.func is extend_once]
+                or isinstance(o, partial) and o.func is memo_entry]
     finally:
         gc.set_debug(debug)
         gc.garbage.clear()
@@ -555,7 +555,7 @@ def test_owned_memos_are_not_left_to_the_cycle_collector(langs, tmp_path):
 
     def leaky():
         memo: dict = {}
-        extend_once(langs["while"].rule, {}, memo, seq(skip(), skip()), Store.of({}))
+        memo_entry(langs["while"].rule, {}, memo, seq(skip(), skip()))[Store.of({})]
         memo[None] = memo  # a memo that refers to itself is left to the collector
 
     assert _collected_memo_parts(leaky)

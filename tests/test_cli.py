@@ -432,6 +432,13 @@ def test_zero_budget_exits_2(argv, capsys):
     assert "must be at least 1: 0" in capsys.readouterr().err
 
 
+def test_bad_seed_exits_2_naming_the_seed(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["coherence", "--compiler", "sandbox", "--seed", "xyz"])
+    assert e.value.code == 2
+    assert "argument --seed: invalid seed value: 'xyz'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["coherence", "--compiler", "embed-stack"],
     ["coherence", "--compiler", "embed-stack-clear"],
@@ -461,6 +468,54 @@ def test_threads_flag_does_not_change_the_report():
         reports.append({k: v for k, v in asdict(report).items()
                         if k not in ("command", "wall_time_s")})
     assert reports[0] == reports[1]
+
+
+# runs each command line of the JSON list in argv[1]; prints, per line, its
+# exit code, its text lines and its --json report without the wall time
+_REPORTS_SCRIPT = """
+import json, sys
+from gsoscheck.cli import execute
+out = []
+for argv in json.loads(sys.argv[1]):
+    code, report, lines = execute(argv)
+    fields = json.loads(report.to_json())
+    del fields["wall_time_s"]
+    out.append([code, lines, fields])
+json.dump(out, sys.stdout)
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # string hashes, and so the order of any set of strings, change with
+    # PYTHONHASHSEED, and node hashes are object identities, which may differ
+    # from run to run: neither may reach an exit code, a line or a report
+    argvs = [
+        ["coherence", "--compiler", "sandbox"],  # needs the fallback bisimulation
+        ["coherence", "--compiler", "unsandbox"],
+        ["coherence", "--compiler", "flatten-low", "--mode", "closed"],
+        ["ctx-closure", "--lang", "while", *WHILE_PAIR, "--samples", "200"],
+        ["preserve", "--compiler", "embed-flag"],
+        ["laws", "--lang", "while-sec"],
+        ["bisim", "--lang", "while", *WHILE_PAIR],
+        ["bisim", "--lang", "while-flag", *WHILE_PAIR, "--depth", "4"],
+        ["demo", "fig6"],
+    ]
+    src = str(Path(gsoscheck.__file__).resolve().parents[1])
+    procs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", _REPORTS_SCRIPT, json.dumps(argvs)],
+            stdout=subprocess.PIPE, text=True, env=env))
+    outs = []
+    for proc in procs:
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        outs.append(json.loads(out))
+    assert [code for code, _, _ in outs[0]] == [0, 1, 1, 0, 1, 0, 0, 1, 0]
+    for argv, a, b in zip(argvs, *outs):
+        assert a == b, argv
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -551,10 +606,10 @@ def test_every_report_echoes_its_command_and_time(tmp_path):
 def test_all_demos_under_a_minute(capsys):
     import time
 
-    from gsoscheck.cli import DEMOS
+    from gsoscheck.cli import DEMO_FNS
 
     t0 = time.monotonic()
-    for name in DEMOS:
+    for name in DEMO_FNS:
         assert main(["demo", name]) == 0, name
     capsys.readouterr()
     assert time.monotonic() - t0 < 60

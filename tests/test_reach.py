@@ -24,7 +24,7 @@ WHILE_PAIR = ["--left", "(while (var 0) (assign 0 (lit 0)))",
 ALLOWED = {
     "gen.widen_entry": "bound by name by the benchmark's tracer, which still counts it",
     "semantics.step": "the public one-step API, bound by name by the benchmark's tracer;"
-                      " commands step through extend_once",
+                      " commands step through memo_entry",
     "spf.derive": "the symbolic syntax functor, held to decompositions by criterion 13",
     "spf.count_positions": "the symbolic syntax functor, held to decompositions by criterion 13",
     "spf.language_spf": "the symbolic syntax functor, held to decompositions by criterion 13",

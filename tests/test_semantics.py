@@ -12,7 +12,7 @@ from gsoscheck.checker import CampaignConfig, Pass, check_coherence
 from gsoscheck.languages import LangDef
 from gsoscheck.semantics import (
     BehaviorTable, Distinguished, Equivalent, IncompleteTable, StepOutcome,
-    check_bisim, extend_law, extend_once, first_difference, run, step,
+    check_bisim, extend_law, first_difference, memo_entry, run, step,
 )
 from gsoscheck.states import FrameState, LowState, StackState, Store
 from gsoscheck.terms import (
@@ -202,7 +202,7 @@ def test_check_bisim_symmetry_and_transitivity_spot(langs, cfg):
 
 def test_closed_extension_agrees_with_step(langs, cfg):
     # the inductive extension restricted to closed terms is the one-step
-    # operational model: step, and extend_once through one memo per language,
+    # operational model: step, and memo entries in one memo per language,
     # which shares entries between terms and their subterms, against
     # extend_law in every language; all raise IllFormed on the same pairs
     small = replace(cfg, max_term_size=4, exprs_per_slot=2)
@@ -218,16 +218,16 @@ def test_closed_extension_agrees_with_step(langs, cfg):
                     with pytest.raises(IllFormed):
                         step(lang, t, s)
                     with pytest.raises(IllFormed):
-                        extend_once(lang.rule, {}, memo, t, s)
+                        memo_entry(lang.rule, {}, memo, t)[s]
                     illformed += 1
                     continue
                 assert step(lang, t, s) == want, (name, t, s)
-                assert extend_once(lang.rule, {}, memo, t, s) == want, (name, t, s)
+                assert memo_entry(lang.rule, {}, memo, t)[s] == want, (name, t, s)
         if name in ("stack", "stack-clear"):
             assert illformed  # frame reads at sp = 0
 
 
-def test_extend_once_hands_the_rule_one_children_tuple_per_term(langs, cfg):
+def test_memo_entry_hands_the_rule_one_children_tuple_per_term(langs, cfg):
     # within one memo the rule is handed the same (child, extension) tuple
     # for a term at every state; every tuple is kept, so no id is reused
     base = langs["while"]
@@ -244,7 +244,7 @@ def test_extend_once_hands_the_rule_one_children_tuple_per_term(langs, cfg):
     verdict = check_bisim(replace(base, rule=rule), seq(p, skip()), seq(q, skip()),
                           window, cfg.depth, memo=memo)
     for s in window:
-        extend_once(rule, {}, memo, seq(p, q), s)
+        memo_entry(rule, {}, memo, seq(p, q))[s]
     assert isinstance(verdict, Equivalent)
     assert max(map(len, handed.values())) == len(window)
     for term, tuples in handed.items():
@@ -261,9 +261,9 @@ def test_a_missing_table_raises_at_every_query_of_a_shared_memo(langs):
     for _ in range(2):
         for t in (seq(Var("y"), skip()), Var("y")):
             with pytest.raises(IncompleteTable, match="no table for 'y'"):
-                extend_once(lang.rule, behaviors, memo, t, s)
+                memo_entry(lang.rule, behaviors, memo, t)[s]
     for t in (seq(Var("x"), Var("y")), seq(skip(), Var("y")), skip()):
-        assert extend_once(lang.rule, behaviors, memo, t, s) == extend_law(lang, t, behaviors, s)
+        assert memo_entry(lang.rule, behaviors, memo, t)[s] == extend_law(lang, t, behaviors, s)
 
 
 def test_an_illformed_step_is_not_remembered_in_a_shared_memo(langs):
@@ -275,9 +275,9 @@ def test_an_illformed_step_is_not_remembered_in_a_shared_memo(langs):
     empty = StackState(Store.of({0: 1}), 0)
     for _ in range(2):
         with pytest.raises(IllFormed, match="sp = 0"):
-            extend_once(lang.rule, {}, memo, t, empty)
+            memo_entry(lang.rule, {}, memo, t)[empty]
     live = StackState(Store.of({0: 1}), 1)
-    assert extend_once(lang.rule, {}, memo, t, live) == extend_law(lang, t, {}, live)
+    assert memo_entry(lang.rule, {}, memo, t)[live] == extend_law(lang, t, {}, live)
 
 
 def test_section3_context_split(langs):
@@ -453,12 +453,12 @@ BENCH_RIGHT = "(while (mul (var 0) (lit 2)) (assign 0 (lit 0)))"
 
 def per_input_bisim(lang, p, q, inputs, depth, behaviors=None, proved=None, memo=None):
     """``check_bisim`` with the per-input exploration, kept as a literal
-    reference: each input is stepped through ``extend_once``, and the
+    reference: each input is stepped through a ``memo_entry`` memo, and the
     continuation pair it reaches is explored, repeats included."""
     inputs = list(inputs)
     proved = {} if proved is None else proved
     seen: dict = {}
-    extend = partial(extend_once, lang.rule, behaviors or {}, {} if memo is None else memo)
+    entry = partial(memo_entry, lang.rule, behaviors or {}, {} if memo is None else memo)
 
     def compare(a, b, d, path):
         if a == b or d <= 0 or seen.get((a, b), 0) >= d or proved.get((a, b), 0) >= d:
@@ -466,7 +466,7 @@ def per_input_bisim(lang, p, q, inputs, depth, behaviors=None, proved=None, memo
         seen[a, b] = d
         pending = []
         for s in inputs:
-            oa, ob = extend(a, s), extend(b, s)
+            oa, ob = entry(a)[s], entry(b)[s]
             reason = first_difference(oa, ob)
             if reason is not None:
                 return Distinguished(path + (s,), oa, ob, reason)
