@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, replace
-from functools import partial
+from functools import cache, partial
 
 from .terms import (
     Bin, IllFormed, Lit, Loc, Node, assign, is_closed, parse_term, print_term,
@@ -516,7 +516,10 @@ def _cmd_replay(args) -> tuple[int, Report, list]:
 # ---------------------------------------------------------------------------
 # wiring
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later command line of the process; parsing leaves it unchanged."""
     top = argparse.ArgumentParser(prog="gsoscheck")
     sub = top.add_subparsers(dest="cmd", required=True)
 

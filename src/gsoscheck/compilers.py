@@ -7,6 +7,7 @@ whole-term recursion and is checked in closed mode only.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -131,14 +132,15 @@ def div_blocks(s: Store, sp: int, L: int) -> FrameState:
 
 def override_blocks(frames: tuple, s: Store, L: int) -> Store:
     """Lay the frames back down ascending from offset 0, keeping the part of
-    the store beyond the active stack."""
-    cells = dict(s.cells)
-    k = len(frames)
-    for i in range(k):
-        frame = frames[k - 1 - i]  # block i is the (k-1-i)-th newest
-        for j in range(L):
-            cells[L * i + j] = frame[j]
-    return Store.of(cells)
+    the store beyond the active stack.  The cell tuple is built already
+    sorted: the nonzero ``frame[j]`` at index ``L*i + j``, block i being the
+    (k-1-i)-th newest of k frames, then the cells of ``s`` at index ``L*k``
+    and above (a stack store's indices are natural numbers)."""
+    cells = [(L * i + j, frame[j])
+             for i, frame in enumerate(reversed(frames))
+             for j in range(L) if frame[j] != 0]
+    cells += s.cells[bisect_left(s.cells, (L * len(frames),)):]
+    return Store(tuple(cells))
 
 
 def _b_stack(L: int) -> BehaviorTranslation:

@@ -279,9 +279,9 @@ def _whileb_extras(L: int) -> dict:
 def _stack_extras(L: int, clearing: bool) -> dict:
     def push(payload, children, st: StackState) -> StepOutcome:
         s, sp = st.store, st.sp
-        if clearing:
-            for i in range(L * sp, L * (sp + 1)):
-                s = s.set(i, 0)
+        if clearing:  # zero the fresh block sp in one pass over the cells
+            lo, hi = L * sp, L * (sp + 1)
+            s = Store(tuple(c for c in s.cells if not lo <= c[0] < hi))
         return StepOutcome(StackState(s, sp + 1))
 
     def pop(payload, children, st: StackState) -> StepOutcome:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -13,7 +14,9 @@ class Store(NamedTuple):
 
     Equality and hashing are support-wise: writing 0 to a cell is the same
     as never touching it.  A store is a named tuple, so both run in C, on
-    the one field tuple.  The other states are frozen dataclasses, which
+    the one field tuple.  ``set`` writes into the sorted cell tuple: it
+    drops the old cell and inserts the new one in index order, with no
+    dict and no sort.  The other states are frozen dataclasses, which
     are never equal to a store or to a state of another kind.
     """
 
@@ -31,9 +34,12 @@ class Store(NamedTuple):
         return 0
 
     def set(self, l: int, v: int) -> "Store":
-        items = {k: w for k, w in self.cells}
-        items[l] = v
-        return Store.of(items)
+        cells = self.cells
+        i = bisect_left(cells, (l,))  # the first cell at index l or above
+        j = i + 1 if i < len(cells) and cells[i][0] == l else i
+        if v == 0:
+            return Store(cells[:i] + cells[j:])
+        return Store(cells[:i] + ((l, v),) + cells[j:])
 
     def show(self) -> str:
         inner = ", ".join(f"{k}:{v}" for k, v in self.cells)

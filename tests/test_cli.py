@@ -470,8 +470,20 @@ def test_threads_flag_does_not_change_the_report():
     assert reports[0] == reports[1]
 
 
-# runs each command line of the JSON list in argv[1]; prints, per line, its
-# exit code, its text lines and its --json report without the wall time
+def test_the_parser_is_built_once_and_keeps_no_state_between_command_lines():
+    assert build_parser() is build_parser()
+    # five cases miss embed-flag's label leak, which the default 1000 find
+    runs = []
+    for argv in (["coherence", "--compiler", "embed-flag", "--samples", "5"],
+                 ["coherence", "--compiler", "embed-flag"]):
+        code, report, _ = execute(argv)
+        runs.append((code, report.config["samples"]))
+    assert runs == [(0, 5), (1, 1000)]
+
+
+# runs each command line of the JSON list in argv[1]; prints the order of
+# the string set {"x0", "x1"} and, per line, its exit code, its text lines
+# and its --json report without the wall time
 _REPORTS_SCRIPT = """
 import json, sys
 from gsoscheck.cli import execute
@@ -481,7 +493,7 @@ for argv in json.loads(sys.argv[1]):
     fields = json.loads(report.to_json())
     del fields["wall_time_s"]
     out.append([code, lines, fields])
-json.dump(out, sys.stdout)
+json.dump([list({"x0", "x1"}), out], sys.stdout)
 """
 
 
@@ -502,17 +514,22 @@ def test_reports_do_not_depend_on_the_hash_seed():
     ]
     src = str(Path(gsoscheck.__file__).resolve().parents[1])
     procs = []
-    for seed in ("0", "12345"):
+    # seed 2 iterates both {"x0", "x1"} and {"x0", "x1", "x2"} in another
+    # order than seed 0, so an order that reaches a report shows
+    for seed in ("0", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         procs.append(subprocess.Popen(
             [sys.executable, "-c", _REPORTS_SCRIPT, json.dumps(argvs)],
             stdout=subprocess.PIPE, text=True, env=env))
-    outs = []
+    orders, outs = [], []
     for proc in procs:
         out, _ = proc.communicate(timeout=120)
         assert proc.returncode == 0
-        outs.append(json.loads(out))
+        order, results = json.loads(out)
+        orders.append(order)
+        outs.append(results)
+    assert orders[0] != orders[1]  # the two processes order string sets apart
     assert [code for code, _, _ in outs[0]] == [0, 1, 1, 0, 1, 0, 0, 1, 0]
     for argv, a, b in zip(argvs, *outs):
         assert a == b, argv

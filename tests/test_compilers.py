@@ -199,13 +199,39 @@ def test_behavior_stack_frame_clause(comps):
     assert out.cont is None
 
 
-def test_div_and_override_are_inverse_on_blocks():
+def test_div_and_override_are_inverse_on_blocks(cfg):
     s = Store.of({0: 1, 1: 2, 2: 3, 3: 4, 4: 9})
     for sp in (0, 1, 2):
         m = div_blocks(s, sp, 2)
         assert len(m.frames) == sp
         assert override_blocks(m.frames, s, 2) == s
     assert div_blocks(s, 2, 2) == FrameState(((3, 4), (1, 2)))
+    for st in gen.stack_window(cfg):  # put-get on every stack-window state
+        frames = div_blocks(st.store, st.sp, cfg.L).frames
+        assert override_blocks(frames, st.store, cfg.L) == st.store, st.show()
+
+
+def _dict_override_blocks(frames: tuple, s: Store, L: int) -> Store:
+    # the dict definition that override_blocks replaced
+    cells = dict(s.cells)
+    k = len(frames)
+    for i in range(k):
+        frame = frames[k - 1 - i]
+        for j in range(L):
+            cells[L * i + j] = frame[j]
+    return Store.of(cells)
+
+
+def test_override_blocks_matches_the_dict_definition(cfg):
+    # every stack-window store under every frames-window stack
+    stores = list(dict.fromkeys(st.store for st in gen.stack_window(cfg)))
+    stacks = gen.frames_window(cfg)
+    assert len(stores) > 20 and len(stacks) > 20
+    for s in stores:
+        for m in stacks:
+            got = override_blocks(m.frames, s, cfg.L)
+            assert got.cells == _dict_override_blocks(m.frames, s, cfg.L).cells, (
+                s.show(), m.show())
 
 
 def test_whole_term_compiler_rejects_open_use(comps):

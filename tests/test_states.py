@@ -43,6 +43,29 @@ def test_equal_stores_are_equal_however_built(cfg):
     assert {LowState(Store.of({0: 1}), 2): 1}[LowState(Store.of({0: 1}).set(1, 0), 2)] == 1
 
 
+def _dict_set(s: Store, l: int, v: int) -> Store:
+    # the dict definition that Store.set replaced
+    items = {k: w for k, w in s.cells}
+    items[l] = v
+    return Store.of(items)
+
+
+def test_set_matches_the_dict_definition(cfg):
+    # every store of the int-store window and 8 wide stores, cells 0-7,
+    # values -3..3: set writes into the sorted tuple what a dict rebuild would
+    stores = gen.store_window(cfg, int_mode=True)
+    # the stack window's stores beyond its nat window are its 8 wide ones
+    nat = set(gen.store_window(cfg, int_mode=False))
+    wide = [s for s in dict.fromkeys(st.store for st in gen.stack_window(cfg)) if s not in nat]
+    assert len(wide) == 8 and all(max(dict(s.cells)) < 8 for s in wide)
+    stores += wide
+    for s in stores:
+        for l in range(8):
+            for v in range(-3, 4):
+                got = s.set(l, v)
+                assert got.cells == _dict_set(s, l, v).cells, (s.show(), l, v)
+
+
 def test_store_is_immutable():
     s = Store.of({0: 1})
     with pytest.raises(AttributeError):
