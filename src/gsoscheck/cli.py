@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: run, compile, coherence, bisim, ctx-closure, preserve, laws,
-demo, replay.  Exit codes: 0 pass/reproduced, 1 counterexample or expected
-verdict missed, 2 usage or parse errors.  All campaigns are deterministic
+demo, replay.  Exit codes: 1 for a verdict in ``FAILING_VERDICTS`` (a
+counterexample or an expected verdict missed), 0 for any other verdict, 2
+for usage or parse errors.  All campaigns are deterministic
 per (config, seed); the seed is ``--seed`` or, without it, the default
 ``CampaignConfig.seed``.
 """
@@ -64,6 +65,15 @@ def _seed(text: str) -> int:
 # leaked nonzero value can show
 _budget = partial(_count, least=1)
 
+# each CampaignConfig field a command line sets, with its parser, in flag
+# order; a command takes the first three only when it reads them
+_BUDGETS = {"samples": _budget, "max_term_size": _budget, "depth": _budget, "seed": _seed,
+            "store_cells": _budget, "max_value": _budget, "sp_max": _count}
+_PER_COMMAND = tuple(_BUDGETS)[:3]
+
+FAILING_VERDICTS = frozenset({"fail", "distinguished", "base-distinguished", "violation",
+                              "mismatch", "differs"})
+
 
 def _add_frame_len_and_json(p: argparse.ArgumentParser):
     p.add_argument("--frame-len", type=_budget, default=CampaignConfig.L)
@@ -74,32 +84,19 @@ def _add_budget_flags(p: argparse.ArgumentParser, *reads: str):
     """The campaign budget, with just those of ``samples``, ``max_term_size``
     and ``depth`` that the command reads, named in ``reads``; the others
     keep their defaults, which the report still echoes."""
-    for name in ("samples", "max_term_size", "depth"):
+    for name, parse in _BUDGETS.items():
         default = getattr(CampaignConfig, name)
-        if name in reads:
-            p.add_argument("--" + name.replace("_", "-"), type=_budget, default=default)
+        if name in reads or name not in _PER_COMMAND:
+            p.add_argument("--" + name.replace("_", "-"), type=parse, default=default)
         else:
             p.set_defaults(**{name: default})
-    p.add_argument("--seed", type=_seed, default=CampaignConfig.seed)
-    p.add_argument("--store-cells", type=_budget, default=CampaignConfig.store_cells)
-    p.add_argument("--max-value", type=_budget, default=CampaignConfig.max_value)
-    p.add_argument("--sp-max", type=_count, default=CampaignConfig.sp_max)
     # ignored: perfbench/run.py still appends --threads 1 to every command line
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     _add_frame_len_and_json(p)
 
 
 def _config(args) -> CampaignConfig:
-    return CampaignConfig(
-        store_cells=args.store_cells,
-        max_value=args.max_value,
-        max_term_size=args.max_term_size,
-        depth=args.depth,
-        samples=args.samples,
-        L=args.frame_len,
-        sp_max=args.sp_max,
-        seed=args.seed,
-    )
+    return CampaignConfig(L=args.frame_len, **{name: getattr(args, name) for name in _BUDGETS})
 
 
 def _lookup(registry: dict, kind: str, name: str):
@@ -123,7 +120,7 @@ def _program(text: str, lang, closed: bool = True) -> Node:
 # ---------------------------------------------------------------------------
 # plain commands
 
-def _cmd_run(args) -> tuple[int, Report, list]:
+def _cmd_run(args) -> tuple[Report, list]:
     lang = _lookup(language_registry(args.frame_len), "language", args.lang)
     term = _program(args.term, lang)
     state = parse_state(lang.state_kind, args.input, lang.L)
@@ -150,10 +147,10 @@ def _cmd_run(args) -> tuple[int, Report, list]:
         verdict = "out-of-fuel"
     report = Report(config={"fuel": args.fuel}, verdict=verdict,
                     witness={"final": show_state(result.final), "steps": result.steps})
-    return 0, report, lines
+    return report, lines
 
 
-def _cmd_compile(args) -> tuple[int, Report, list]:
+def _cmd_compile(args) -> tuple[Report, list]:
     cp = _lookup(compiler_registry(L=args.frame_len), "compiler", args.compiler)
     # a layer map also translates open terms
     term = _program(args.term, cp.source, closed=not cp.open_checkable)
@@ -161,10 +158,10 @@ def _cmd_compile(args) -> tuple[int, Report, list]:
     low = cp.target.state_kind == "pc" and isinstance(out, Node) and out.tag == "instr"
     text = show_low(out) if low else print_term(out)
     report = Report(config={}, verdict="compiled", witness={"target": text})
-    return 0, report, [text]
+    return report, [text]
 
 
-def _cmd_coherence(args) -> tuple[int, Report, list]:
+def _cmd_coherence(args) -> tuple[Report, list]:
     cp = _lookup(compiler_registry(L=args.frame_len), "compiler", args.compiler)
     cfg = replace(_config(args), mode=args.mode)
     verdict = check_coherence(cp, cfg)
@@ -184,7 +181,7 @@ def _cmd_coherence(args) -> tuple[int, Report, list]:
             lines.append(f"note: {verdict.illformed} ill-formed case(s) skipped")
         if verdict.flags:
             lines.append("note: totalized rules exercised: " + ", ".join(sorted(verdict.flags)))
-        return 0, Report(config=cfg.echo(), verdict="pass", tallies=_tallies(verdict)), lines
+        return Report(config=cfg.echo(), verdict="pass", tallies=_tallies(verdict)), lines
     witness = verdict.describe()
     lines = [
         f"FAIL {cp.name} after {verdict.cases_before} passing case(s)",
@@ -196,7 +193,7 @@ def _cmd_coherence(args) -> tuple[int, Report, list]:
     report = Report(config=cfg.echo(), verdict="fail", witness=witness,
                     tallies={"cases_before": verdict.cases_before,
                              "flags": sorted(verdict.flags)})
-    return 1, report, lines
+    return report, lines
 
 
 def _tallies(verdict: Pass) -> dict:
@@ -209,7 +206,7 @@ def _show_outcome(d: dict) -> str:
     return f"{d['state']}{label}{cont}"
 
 
-def _cmd_bisim(args) -> tuple[int, Report, list]:
+def _cmd_bisim(args) -> tuple[Report, list]:
     lang = _lookup(language_registry(args.frame_len), "language", args.lang)
     cfg = _config(args)
     left, right = _program(args.left, lang), _program(args.right, lang)
@@ -217,28 +214,25 @@ def _cmd_bisim(args) -> tuple[int, Report, list]:
     verdict = check_bisim(lang, left, right, window, cfg.depth)
     if isinstance(verdict, Equivalent):
         lines = [f"EQUIVALENT to depth {verdict.depth} over {verdict.inputs} input(s)"]
-        report = Report(config=cfg.echo(), verdict="equivalent",
-                        tallies={"depth": verdict.depth, "inputs": verdict.inputs})
-        return 0, report, lines
+        return Report(config=cfg.echo(), verdict="equivalent",
+                      tallies={"depth": verdict.depth, "inputs": verdict.inputs}), lines
+    witness = {
+        "path": [show_state(s) for s in verdict.path],
+        "reason": verdict.reason,
+        "left": describe_outcome(verdict.left),
+        "right": describe_outcome(verdict.right),
+    }
     lines = [
         "DISTINGUISHED",
-        f"  input path: {[show_state(s) for s in verdict.path]}",
+        f"  input path: {witness['path']}",
         f"  reason: {verdict.reason}",
-        f"  left:  {_show_outcome(describe_outcome(verdict.left))}",
-        f"  right: {_show_outcome(describe_outcome(verdict.right))}",
+        f"  left:  {_show_outcome(witness['left'])}",
+        f"  right: {_show_outcome(witness['right'])}",
     ]
-    report = Report(
-        config=cfg.echo(), verdict="distinguished",
-        witness={
-            "path": [show_state(s) for s in verdict.path],
-            "reason": verdict.reason,
-            "left": describe_outcome(verdict.left),
-            "right": describe_outcome(verdict.right),
-        })
-    return 1, report, lines
+    return Report(config=cfg.echo(), verdict="distinguished", witness=witness), lines
 
 
-def _cmd_ctx_closure(args) -> tuple[int, Report, list]:
+def _cmd_ctx_closure(args) -> tuple[Report, list]:
     lang = _lookup(language_registry(args.frame_len), "language", args.lang)
     cfg = _config(args)
     left, right = _program(args.left, lang), _program(args.right, lang)
@@ -252,10 +246,10 @@ def _cmd_ctx_closure(args) -> tuple[int, Report, list]:
     report = Report(config=cfg.echo(), verdict=report_obj.status, witness=witness,
                     tallies={"contexts": report_obj.contexts_checked,
                              "violations": len(report_obj.violations)})
-    return (0 if report_obj.status == "closed" else 1), report, lines
+    return report, lines
 
 
-def _cmd_preserve(args) -> tuple[int, Report, list]:
+def _cmd_preserve(args) -> tuple[Report, list]:
     cp = _lookup(compiler_registry(L=args.frame_len), "compiler", args.compiler)
     cfg = _config(args)
     pairs = _load_pairs(args.pairs, cp.source) if args.pairs else None
@@ -292,7 +286,7 @@ def _cmd_preserve(args) -> tuple[int, Report, list]:
                     witness=witness,
                     tallies={"pairs": len(result.entries), "violations": len(violations),
                              "illformed": result.illformed})
-    return (1 if violations else 0), report, lines
+    return report, lines
 
 
 def _load_pairs(path: str, lang) -> list:
@@ -306,7 +300,7 @@ def _load_pairs(path: str, lang) -> list:
     return [(_program(d["left"], lang), _program(d["right"], lang)) for d in data]
 
 
-def _cmd_laws(args) -> tuple[int, Report, list]:
+def _cmd_laws(args) -> tuple[Report, list]:
     langs = language_registry(args.frame_len)
     cfg = _config(args)
     names = [args.lang] if args.lang != "all" else list(langs)
@@ -320,7 +314,7 @@ def _cmd_laws(args) -> tuple[int, Report, list]:
             f" multiplication {outcome['multiplication']},"
             f" plug round-trip {outcome['plug_roundtrip']} -- ok"
         )
-    return 0, Report(config=cfg.echo(), verdict="pass", tallies=tallies), lines
+    return Report(config=cfg.echo(), verdict="pass", tallies=tallies), lines
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +466,7 @@ DEMO_FNS = {
 }
 
 
-def _cmd_demo(args) -> tuple[int, Report, list]:
+def _cmd_demo(args) -> tuple[Report, list]:
     ok, payload, cfg, expectation = DEMO_FNS[args.name]()
     lines = [f"demo {args.name}: {'reproduced' if ok else 'NOT REPRODUCED'} -- {expectation}"]
     witness = None
@@ -489,10 +483,10 @@ def _cmd_demo(args) -> tuple[int, Report, list]:
         lines.append(f"  {payload}")
     report = Report(config=cfg.echo(), verdict="reproduced" if ok else "mismatch",
                     witness=witness)
-    return (0 if ok else 1), report, lines
+    return report, lines
 
 
-def _cmd_replay(args) -> tuple[int, Report, list]:
+def _cmd_replay(args) -> tuple[Report, list]:
     saved = load_report(args.report)
     try:  # a command that argparse ends (help, a bad flag) or a replay compares nothing
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -504,13 +498,13 @@ def _cmd_replay(args) -> tuple[int, Report, list]:
         rerun = None
     if rerun in (None, _cmd_replay):
         raise IllFormed(f"the saved command runs no campaign: {' '.join(saved.command)}")
-    code, fresh, _ = execute(list(saved.command))
+    _, fresh, _ = execute(list(saved.command))
     same = saved.matches(fresh)
     lines = [f"replay of {' '.join(saved.command)}: {'identical' if same else 'DIFFERS'}"]
     report = Report(config=saved.config,
                     verdict="identical" if same else "differs",
                     witness=None if same else {"fresh": fresh.verdict, "saved": saved.verdict})
-    return (0 if same else 1), report, lines
+    return report, lines
 
 
 # ---------------------------------------------------------------------------
@@ -582,29 +576,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def execute(argv: list) -> tuple[int, Report, list]:
-    """Run one command line; its report echoes ``argv`` and the wall time of
-    the whole command, parsing included."""
+    """Run one command line: its exit code, its report and its lines.  The
+    report echoes ``argv`` and the wall time of the whole command, parsing
+    included; the code is 1 for a verdict in ``FAILING_VERDICTS``, else 0;
+    under ``--json``, however abbreviated, the one line is the report."""
     started = time.monotonic()
     args = build_parser().parse_args(argv)
-    code, report, lines = args.fn(args)
+    report, lines = args.fn(args)
     report.command = list(argv)
     report.wall_time_s = time.monotonic() - started
-    return code, report, lines
+    if args.json:
+        lines = [report.to_json()]
+    return int(report.verdict in FAILING_VERDICTS), report, lines
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        code, report, lines = execute(argv)
+        code, _, lines = execute(list(sys.argv[1:] if argv is None else argv))
     except IllFormed as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
-        if "--json" in argv:
-            print(report.to_json())
-        else:
-            for line in lines:
-                print(line)
+        for line in lines:
+            print(line)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed standard output early, as `| head` does: the rest

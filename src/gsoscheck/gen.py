@@ -155,7 +155,7 @@ def layer_shapes(lang, cfg) -> list[Node]:
     for tag, kinds, arity in lang.constructors:
         payloads = [_payload_choices(lang, k, cfg) for k in kinds]
         children = tuple(Var(f"x{i}") for i in range(arity))
-        for combo in itertools.product(*payloads) if payloads else [()]:
+        for combo in itertools.product(*payloads):
             out.append(Node(tag, children, tuple(combo)))
     return out
 
@@ -171,7 +171,7 @@ def closed_terms(lang, cfg) -> Iterator[Node]:
         level = []
         for tag, kinds, arity in lang.constructors:
             payloads = [_payload_choices(lang, k, cfg) for k in kinds]
-            combos = list(itertools.product(*payloads)) if payloads else [()]
+            combos = list(itertools.product(*payloads))
             if arity == 0 and size == 1:
                 for combo in combos:
                     level.append(Node(tag, (), tuple(combo)))

@@ -25,11 +25,6 @@ from .spf import decompositions, plug
 from . import gen
 
 
-def _is_nested(name) -> bool:
-    """Outer variables ("t", u) stand for the inner open term u."""
-    return isinstance(name, tuple) and len(name) == 2 and name[0] == "t"
-
-
 def _nested_behavior(lang, tables, inner, state) -> StepOutcome:
     """The behavior of the outer variable ("t", inner): run the inner open
     term and re-inject its continuation as an outer variable."""
@@ -39,14 +34,9 @@ def _nested_behavior(lang, tables, inner, state) -> StepOutcome:
 
 
 def _flatten_nested(t: OpenTerm) -> OpenTerm:
-    """Collapse Var(('t', u)) back to the inner term u (the mu step)."""
-    if isinstance(t, Var):
-        if _is_nested(t.name):
-            return t.name[1]
-        return t
-    if not t.children:
-        return t
-    return Node(t.tag, tuple(_flatten_nested(c) for c in t.children), t.payload)
+    """Collapse each outer variable ("t", u) back to the inner open term u
+    it stands for (the mu step); a nested term has no other variables."""
+    return subst(t, {x: x[1] for x in term_vars(t)})
 
 
 def _outcome_key(o: StepOutcome):

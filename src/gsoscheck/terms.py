@@ -473,9 +473,37 @@ def _build_term(sx):
     return Node(tag, tuple(map(_build_term, items[n:])), tuple(values[:n]))
 
 
+# the deepest program parse_term reads, in open parentheses and in nodes on
+# a path down its term (an `instr` list has one per instruction); about a
+# third of the 329 nested `seq`s on which `run` runs out of stack
+MAX_DEPTH = 100
+
+
+def _term_depth(t: OpenTerm) -> int:
+    """The most nodes on a path down from ``t``, counted without recursion."""
+    deepest, pending = 0, [(t, 1)]
+    while pending:
+        t, depth = pending.pop()
+        deepest = max(deepest, depth)
+        if type(t) is Node:
+            pending.extend((c, depth + 1) for c in t.children)
+    return deepest
+
+
 def parse_term(text: str) -> Node:
+    """The term ``text`` denotes; every program from outside is read here,
+    and one nested deeper than ``MAX_DEPTH`` is ill-formed, so that the
+    semantics' recursion over it stays far from the stack limit."""
     tokens = _tokenize(text)
+    depth = 0
+    for tok in tokens:  # before _read recurses once per parenthesis
+        depth += (tok == "(") - (tok == ")")
+        if depth > MAX_DEPTH:
+            raise IllFormed(f"program text nested deeper than {MAX_DEPTH} parentheses")
     sx, pos = _read(tokens, 0)
     if pos != len(tokens):
         raise IllFormed(f"trailing input: {' '.join(tokens[pos:])}")
-    return _build_term(sx)
+    term = _build_term(sx)
+    if _term_depth(term) > MAX_DEPTH:
+        raise IllFormed(f"program nested deeper than {MAX_DEPTH} nodes")
+    return term

@@ -470,6 +470,168 @@ def test_threads_flag_does_not_change_the_report():
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--lang", "while", "--term", "skip", "--input", "{}"],
+    ["coherence", "--compiler", "embed-flag", "--samples", "50"],
+], ids=lambda argv: argv[0])
+def test_an_abbreviated_json_flag_prints_the_report(argv, capsys):
+    # argparse takes --js for --json, as it takes any unambiguous prefix
+    reports = []
+    for flag in ("--json", "--js"):
+        main(argv + [flag])
+        fields = json.loads(capsys.readouterr().out)
+        assert fields.pop("command") == argv + [flag]
+        del fields["wall_time_s"]
+        reports.append(fields)
+    assert reports[0] == reports[1]
+
+
+def _nested_seqs(depth, leftmost):
+    """``depth`` nodes on the longest path: nested `seq`s over `skip`s."""
+    term = "skip"
+    for _ in range(depth - 1):
+        term = f"(seq {term} skip)" if leftmost else f"(seq skip {term})"
+    return term
+
+
+def _flat_low(length):
+    return "(instr" + " (nop)" * (length - 1) + " (stop))"
+
+
+@pytest.mark.parametrize("argv", [
+    *(["run", "--lang", "while", "--term", _nested_seqs(400, leftmost), "--input", "{}"]
+      for leftmost in (False, True)),
+    ["bisim", "--lang", "while", "--left", "skip", "--right", _nested_seqs(400, False)],
+    ["compile", "--compiler", "sandbox", "--term", _nested_seqs(400, True)],
+    ["run", "--lang", "low", "--term", _flat_low(400), "--input", "({}, 0)"],
+], ids=["run-right", "run-left", "bisim-right", "compile-left", "run-flat-low"])
+def test_a_program_nested_too_deep_exits_2(argv, capsys):
+    # past about 329 levels these ran out of stack with a traceback and exit 1
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_a_program_at_the_depth_bound_still_runs(capsys):
+    from gsoscheck.terms import MAX_DEPTH
+
+    right, left = _nested_seqs(MAX_DEPTH, False), _nested_seqs(MAX_DEPTH, True)
+    for argv in (["run", "--lang", "while", "--term", right, "--input", "{}"],
+                 ["run", "--lang", "low", "--term", _flat_low(MAX_DEPTH), "--input", "({}, 0)"],
+                 ["bisim", "--lang", "while", "--left", left, "--right", right],
+                 ["compile", "--compiler", "sandbox", "--term", left]):
+        assert main(argv) == 0, argv[:2]
+    assert capsys.readouterr().err == ""
+
+
+# each subcommand's options in order, -h aside: option strings, dest,
+# default, required, choices and whether the help is suppressed
+OPTIONS = {
+    "run": [
+        (("--lang",), "lang", None, True, None, False),
+        (("--term",), "term", None, True, None, False),
+        (("--input",), "input", None, True, None, False),
+        (("--fuel",), "fuel", 10000, False, None, False),
+        (("--trace",), "trace", False, False, None, False),
+        (("--frame-len",), "frame_len", 2, False, None, False),
+        (("--json",), "json", False, False, None, False),
+    ],
+    "compile": [
+        (("--compiler",), "compiler", None, True, None, False),
+        (("--term",), "term", None, True, None, False),
+        (("--frame-len",), "frame_len", 2, False, None, False),
+        (("--json",), "json", False, False, None, False),
+    ],
+    "coherence": [
+        (("--compiler",), "compiler", None, True, None, False),
+        (("--mode",), "mode", "auto", False, ("open", "closed", "auto"), False),
+        (("--samples",), "samples", 1000, False, None, False),
+        (("--max-term-size",), "max_term_size", 4, False, None, False),
+        (("--seed",), "seed", 12648430, False, None, False),
+        (("--store-cells",), "store_cells", 2, False, None, False),
+        (("--max-value",), "max_value", 3, False, None, False),
+        (("--sp-max",), "sp_max", 3, False, None, False),
+        (("--threads",), "threads", None, False, None, True),
+        (("--frame-len",), "frame_len", 2, False, None, False),
+        (("--json",), "json", False, False, None, False),
+    ],
+    "bisim": [
+        (("--lang",), "lang", None, True, None, False),
+        (("--left",), "left", None, True, None, False),
+        (("--right",), "right", None, True, None, False),
+        (("--depth",), "depth", 20, False, None, False),
+        (("--seed",), "seed", 12648430, False, None, False),
+        (("--store-cells",), "store_cells", 2, False, None, False),
+        (("--max-value",), "max_value", 3, False, None, False),
+        (("--sp-max",), "sp_max", 3, False, None, False),
+        (("--threads",), "threads", None, False, None, True),
+        (("--frame-len",), "frame_len", 2, False, None, False),
+        (("--json",), "json", False, False, None, False),
+    ],
+    "ctx-closure": [
+        (("--lang",), "lang", None, True, None, False),
+        (("--left",), "left", None, True, None, False),
+        (("--right",), "right", None, True, None, False),
+        (("--samples",), "samples", 1000, False, None, False),
+        (("--depth",), "depth", 20, False, None, False),
+        (("--seed",), "seed", 12648430, False, None, False),
+        (("--store-cells",), "store_cells", 2, False, None, False),
+        (("--max-value",), "max_value", 3, False, None, False),
+        (("--sp-max",), "sp_max", 3, False, None, False),
+        (("--threads",), "threads", None, False, None, True),
+        (("--frame-len",), "frame_len", 2, False, None, False),
+        (("--json",), "json", False, False, None, False),
+    ],
+    "preserve": [
+        (("--compiler",), "compiler", None, True, None, False),
+        (("--pairs",), "pairs", None, False, None, False),
+        (("--samples",), "samples", 1000, False, None, False),
+        (("--max-term-size",), "max_term_size", 4, False, None, False),
+        (("--depth",), "depth", 20, False, None, False),
+        (("--seed",), "seed", 12648430, False, None, False),
+        (("--store-cells",), "store_cells", 2, False, None, False),
+        (("--max-value",), "max_value", 3, False, None, False),
+        (("--sp-max",), "sp_max", 3, False, None, False),
+        (("--threads",), "threads", None, False, None, True),
+        (("--frame-len",), "frame_len", 2, False, None, False),
+        (("--json",), "json", False, False, None, False),
+    ],
+    "laws": [
+        (("--lang",), "lang", "all", False, None, False),
+        (("--max-term-size",), "max_term_size", 4, False, None, False),
+        (("--seed",), "seed", 12648430, False, None, False),
+        (("--store-cells",), "store_cells", 2, False, None, False),
+        (("--max-value",), "max_value", 3, False, None, False),
+        (("--sp-max",), "sp_max", 3, False, None, False),
+        (("--threads",), "threads", None, False, None, True),
+        (("--frame-len",), "frame_len", 2, False, None, False),
+        (("--json",), "json", False, False, None, False),
+    ],
+    "demo": [
+        ((), "name", None, True, ("fig3", "fig4", "fig5", "fig6", "fig8", "fig9", "fig10",
+                                  "sec6-fail", "sec6-pass", "example1", "sec3-context"), False),
+        (("--json",), "json", False, False, None, False),
+    ],
+    "replay": [
+        (("--report",), "report", None, True, None, False),
+        (("--json",), "json", False, False, None, False),
+    ],
+}
+
+
+def test_every_subcommand_keeps_its_options_in_order():
+    import argparse
+
+    (commands,) = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    assert {
+        name: [(tuple(a.option_strings), a.dest, a.default, a.required,
+                None if a.choices is None else tuple(a.choices), a.help == argparse.SUPPRESS)
+               for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        for name, p in commands.choices.items()
+    } == OPTIONS
+
+
 def test_the_parser_is_built_once_and_keeps_no_state_between_command_lines():
     assert build_parser() is build_parser()
     # five cases miss embed-flag's label leak, which the default 1000 find

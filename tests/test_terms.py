@@ -11,8 +11,8 @@ from gsoscheck import gen
 from gsoscheck.compilers import compile_open
 from gsoscheck.spf import decompositions, plug
 from gsoscheck.terms import (
-    Bin, Br, IAssign, Lit, Loc, Node, Nop, Stop, Un, Var, assign, frame, instr,
-    instr_list, is_closed, isandbox, loop, obs, parse_term, print_term, ret,
+    MAX_DEPTH, Bin, Br, IAssign, IllFormed, Lit, Loc, Node, Nop, Stop, Un, Var, assign,
+    frame, instr, instr_list, is_closed, isandbox, loop, obs, parse_term, print_term, ret,
     sandbox, seq, skip, sseq, while_,
 )
 
@@ -139,3 +139,18 @@ def test_repr_is_the_dataclass_repr():
     assert repr(t) == (
         "Node(tag='seq', children=(Node(tag='skip', children=(), payload=()), "
         "Node(tag='while', children=(Var(name='x'),), payload=(Lit(n=1),))), payload=())")
+
+
+def test_parse_term_refuses_a_program_deeper_than_the_bound():
+    # text nested past the stack of the reader, and a flat `instr` list as
+    # long as a nest is deep, are ill-formed, not a RecursionError
+    with pytest.raises(IllFormed, match="text nested deeper than 100 parentheses"):
+        parse_term("(assign 0 " + "(not " * 2000 + "(lit 0)" + ")" * 2001)
+    for text in ("(sandbox " * MAX_DEPTH + "skip" + ")" * MAX_DEPTH,
+                 "(instr" + " (nop)" * MAX_DEPTH + " (stop))"):
+        with pytest.raises(IllFormed, match="program nested deeper than 100 nodes"):
+            parse_term(text)
+    # a term of exactly MAX_DEPTH nodes on its longest path reads
+    assert parse_term("(instr" + " (nop)" * (MAX_DEPTH - 1) + " (stop))").tag == "instr"
+    nest = MAX_DEPTH - 1
+    assert parse_term("(sandbox " * nest + "?x" + ")" * nest).tag == "sandbox"
