@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import sys
 import time
@@ -18,10 +19,9 @@ from dataclasses import asdict, replace
 from functools import cache, partial
 
 from .terms import (
-    Bin, IllFormed, Lit, Loc, Node, assign, is_closed, parse_term, print_term,
-    show_low, skip, while_,
+    MAX_DEPTH, IllFormed, Node, is_closed, parse_term, print_term, show_low, subst, term_depth,
 )
-from .states import LowState, Store, parse_state, show_state
+from .states import parse_state, show_state
 from .semantics import Distinguished, Equivalent, check_bisim, run as run_term
 from .languages import language_registry
 from .compilers import compiler_registry, compile_term
@@ -30,7 +30,6 @@ from .checker import (
     check_context_closure, check_preservation, evaluate_closed_case,
     evaluate_open_case, describe_outcome,
 )
-from .spf import OneHoleLayer, plug
 from .laws import run_law_suite
 from .reports import Report, load_report, read_json
 from . import gen
@@ -252,7 +251,7 @@ def _cmd_ctx_closure(args) -> tuple[Report, list]:
 def _cmd_preserve(args) -> tuple[Report, list]:
     cp = _lookup(compiler_registry(L=args.frame_len), "compiler", args.compiler)
     cfg = _config(args)
-    pairs = _load_pairs(args.pairs, cp.source) if args.pairs else None
+    pairs = _load_pairs(args.pairs, cp) if args.pairs else None
     result = check_preservation(cp, cfg, pairs)
     lines = []
     for e in result.entries:
@@ -289,7 +288,9 @@ def _cmd_preserve(args) -> tuple[Report, list]:
     return report, lines
 
 
-def _load_pairs(path: str, lang) -> list:
+def _load_pairs(path: str, cp) -> list:
+    """The pairs of a ``--pairs`` file; one compiling deeper than ``MAX_DEPTH``
+    is a usage error, one not compiling is left to ``check_preservation``."""
     data = read_json(path)
     if not isinstance(data, list) or not all(
             isinstance(d, dict) and isinstance(d.get("left"), str)
@@ -297,7 +298,16 @@ def _load_pairs(path: str, lang) -> list:
         raise IllFormed(f"{path}: expected a list of {{left, right}} objects of terms")
     if not data:
         raise IllFormed(f"{path}: no pairs to check")
-    return [(_program(d["left"], lang), _program(d["right"], lang)) for d in data]
+    pairs = [(_program(d["left"], cp.source), _program(d["right"], cp.source)) for d in data]
+    for i, p in enumerate(p for pair in pairs for p in pair):
+        try:
+            deep = term_depth(compile_term(cp, p)) > MAX_DEPTH
+        except IllFormed:
+            continue
+        if deep:
+            raise IllFormed(f"{path}: pair {i // 2} compiles to a program nested deeper"
+                            f" than {MAX_DEPTH} nodes")
+    return pairs
 
 
 def _cmd_laws(args) -> tuple[Report, list]:
@@ -320,147 +330,103 @@ def _cmd_laws(args) -> tuple[Report, list]:
 # ---------------------------------------------------------------------------
 # demos: pinned configurations reproducing the case studies
 
-def _demo_label_leak(compiler: str, samples: int, tag: str, expectation: str):
-    cfg = CampaignConfig(samples=samples)
-    verdict = check_coherence(compiler_registry()[compiler], cfg)
-    ok = (
-        isinstance(verdict, Fail)
-        and verdict.case.subject.tag == tag
-        and verdict.divergence.field_name == "label"
-        and verdict.divergence.upper.label == 0
-        and verdict.divergence.lower.label not in (0, None)
-    )
-    return ok, verdict, cfg, expectation
+def _label_leak(tag: str):
+    """A failure on a ``tag`` layer, labelled 0 upstairs and otherwise below."""
+    return lambda v, cfg: (isinstance(v, Fail) and v.case.subject.tag == tag
+                           and v.divergence.field_name == "label" and v.divergence.upper.label == 0
+                           and v.divergence.lower.label not in (0, None))
 
 
-def _demo_exhaustive_pass(compiler: str, samples: int, expectation: str):
-    cfg = CampaignConfig(samples=samples)
-    verdict = check_coherence(compiler_registry()[compiler], cfg)
-    ok = isinstance(verdict, Pass) and verdict.exhausted and verdict.inconclusive == 0
-    return ok, verdict, cfg, expectation
+def _exhausted(v, cfg) -> bool:
+    return isinstance(v, Pass) and v.exhausted and v.inconclusive == 0
 
 
-def _demo_fig6():
-    cp = compiler_registry()["flatten-low"]
-    cfg = CampaignConfig(mode="closed")
-    pinned = CoherenceCase(
-        while_(Lit(0), assign(0, Lit(0))),
-        LowState(Store.of({0: 3}), 1),
-    )
-    window = gen.state_window(cp.target, cfg)
-    div, _, _ = evaluate_closed_case(cp, pinned, window, cfg)
-    ok = (
-        div is not None
-        and div.upper.cont is None
-        and div.upper.state == LowState(Store.of({0: 3}), 1)
-        and div.lower.cont is not None
-        and div.lower.state == LowState(Store.of({}), 2)
-    )
-    campaign = check_coherence(cp, cfg)
-    ok = ok and isinstance(campaign, Fail)
-    return ok, campaign if isinstance(campaign, Fail) else div, cfg, (
-        "the flattening compiler is not a coalgebra homomorphism: pinned loop"
-        " at pc 1 terminates upstairs but steps into the dead body downstairs")
+def _frame_leak(v, cfg) -> bool:
+    inp = v.case.target_input if isinstance(v, Fail) else None
+    return (inp is not None and v.case.subject.tag == "frame" and inp.sp == 0
+            and any(inp.store.get(i) != 0 for i in range(cfg.L))
+            and v.divergence.field_name == "state" and v.divergence.lower.state.store == inp.store)
 
 
-def _demo_fig9():
-    cp = compiler_registry()["embed-stack"]
-    cfg = CampaignConfig(samples=10_000)
+def _coherence_demo(compiler: str, cfg: CampaignConfig, claim, expectation: str,
+                    pinned: str | None = None):
+    """Reproduced when ``claim(verdict, cfg)`` holds of the campaign and the
+    ``pinned`` witness text, evaluated alone first, gives its very divergence."""
+    cp = compiler_registry()[compiler]
+    ok = True
+    if pinned is not None:
+        witness = json.loads(pinned)
+        case = CoherenceCase(_program(witness["case"]["term"], cp.source),
+                             parse_state(cp.target.state_kind, witness["case"]["input"], cfg.L))
+        closed = cfg.mode == "closed" or not cp.open_checkable
+        evaluate = evaluate_closed_case if closed else evaluate_open_case
+        div, _, _ = evaluate(cp, case, gen.state_window(cp.target, cfg), cfg)
+        ok = div is not None and div.describe() == witness["divergence"]
     verdict = check_coherence(cp, cfg)
-    ok = False
-    if isinstance(verdict, Fail):
-        case = verdict.case
-        inp = case.target_input
-        block0 = [inp.store.get(i) for i in range(cfg.L)]
-        ok = (
-            case.subject.tag == "frame"
-            and inp.sp == 0
-            and any(v != 0 for v in block0)
-            and verdict.divergence.field_name == "state"
-            and verdict.divergence.lower.state.store == inp.store
-        )
-    return ok, verdict, cfg, (
-        "plain stack allocation must leak the uncleared block at sp 0")
+    return ok and claim(verdict, cfg), verdict, cfg, expectation
 
 
-def _demo_sec6_fail():
-    cp = compiler_registry()["embed-int"]
-    cfg = CampaignConfig(samples=4000)
-    pinned = CoherenceCase(
-        assign(0, Bin("min", Loc(0), Lit(0))),
-        Store.of({0: -1}),
-    )
-    window = gen.state_window(cp.target, cfg)
-    div, _, _ = evaluate_open_case(cp, pinned, window, cfg)
-    pinned_ok = (
-        div is not None
-        and div.field_name == "state"
-        and div.upper.state == Store.of({})
-        and div.lower.state == Store.of({0: -1})
-    )
-    campaign = check_coherence(cp, cfg)
-    campaign_ok = isinstance(campaign, Fail) and any(
-        v < 0 for _, v in campaign.case.target_input.cells
-    )
-    return pinned_ok and campaign_ok, campaign, cfg, (
-        "identity compilation into the int machine must fail on a negative store;"
-        " the pinned min-assignment diverges -1 vs 0")
-
-
-EXAMPLE1_SOURCE = while_(
-    Bin("lt", Loc(0), Lit(2)),
-    assign(1, Bin("add", Loc(1), Lit(1))),
-)
+EXAMPLE1_SOURCE = parse_term("(while (lt (var 0) (lit 2)) (assign 1 (add (var 1) (lit 1))))")
 EXAMPLE1_COMPILED = "br !(var 0 < 2) 3 ;; assign 1 (var 1 + 1) ;; br (lit 1) -2"
 
 
 def _demo_example1():
-    out = compile_term(compiler_registry()["flatten-low"], EXAMPLE1_SOURCE)
-    text = show_low(out)
-    ok = text == EXAMPLE1_COMPILED
-    return ok, text, CampaignConfig(), "the loop compiles to the exact three-instruction sequence"
+    text = show_low(compile_term(compiler_registry()["flatten-low"], EXAMPLE1_SOURCE))
+    return (text == EXAMPLE1_COMPILED, text, CampaignConfig(),
+            "the loop compiles to the exact three-instruction sequence")
 
 
 def _demo_sec3_context():
-    langs = language_registry()
-    flag = langs["while-flag"]
-    a = while_(Loc(0), assign(0, Lit(0)))
-    b = while_(Bin("mul", Loc(0), Lit(2)), assign(0, Lit(0)))
-    diverge_check = while_(Bin("sub", Loc(1), Lit(1)), skip())
-    ctx = (
-        OneHoleLayer("seq", (), 0, (diverge_check,)),
-        OneHoleLayer("obs", (1,), 0, ()),
-    )
-    store = Store.of({0: 1})
-    fuel = 10_000
-    run_a = run_term(flag, plug(ctx, a), store, fuel)
-    run_b = run_term(flag, plug(ctx, b), store, fuel)
-    ok = run_a.terminated and not run_b.terminated
-    payload = {
-        "context": "(seq (obs 1 _) (while (sub (var 1) (lit 1)) skip))",
-        "plugged_a": {"terminated": run_a.terminated, "steps": run_a.steps},
-        "plugged_b": {"terminated": run_b.terminated, "steps": run_b.steps},
-    }
-    return ok, payload, CampaignConfig(), (
+    flag = language_registry()["while-flag"]
+    context = "(seq (obs 1 ?hole) (while (sub (var 1) (lit 1)) skip))"
+    ctx = _program(context, flag, closed=False)
+    store = parse_state(flag.state_kind, "{0:1}", flag.L)
+    run_a, run_b = (run_term(flag, subst(ctx, {"hole": _program(p, flag)}), store, 10_000)
+                    for p in ("(while (var 0) (assign 0 (lit 0)))",
+                              "(while (mul (var 0) (lit 2)) (assign 0 (lit 0)))"))
+    payload = {"context": context.replace("?hole", "_"),
+               "plugged_a": {"terminated": run_a.terminated, "steps": run_a.steps},
+               "plugged_b": {"terminated": run_b.terminated, "steps": run_b.steps}}
+    return run_a.terminated and not run_b.terminated, payload, CampaignConfig(), (
         "one plugged program terminates and the other exhausts its fuel")
 
 
 DEMO_FNS = {
-    "fig3": partial(_demo_label_leak, "embed-flag", 10_000, "assign",
+    "fig3": partial(_coherence_demo, "embed-flag", CampaignConfig(samples=10_000),
+                    _label_leak("assign"),
                     "embed-flag must fail on an assignment layer with label v vs 0"),
-    "fig4": partial(_demo_exhaustive_pass, "sandbox", 2000,
+    "fig4": partial(_coherence_demo, "sandbox", CampaignConfig(samples=2000), _exhausted,
                     "sandbox must pass exhaustively with no inconclusive cases"),
-    "fig5": partial(_demo_label_leak, "unsandbox", 2000, "sandbox",
+    "fig5": partial(_coherence_demo, "unsandbox", CampaignConfig(samples=2000),
+                    _label_leak("sandbox"),
                     "unsandbox must leak the inner label on a sandboxed layer"),
-    "fig6": _demo_fig6,
-    "fig8": partial(_demo_exhaustive_pass, "embed-low-sec", 10_000,
-                    "the secure primitives must pass, including out-of-range pcs"),
-    "fig9": _demo_fig9,
-    "fig10": partial(_demo_exhaustive_pass, "embed-stack-clear", 10_000,
-                     "the clearing frame rule must restore coherence"),
-    "sec6-fail": _demo_sec6_fail,
-    "sec6-pass": partial(_demo_exhaustive_pass, "sandbox-int", 6000,
-                         "the negative-forgetting sandbox must restore coherence"),
+    "fig6": partial(
+        _coherence_demo, "flatten-low", CampaignConfig(mode="closed"),
+        lambda v, cfg: isinstance(v, Fail),
+        "the flattening compiler is not a coalgebra homomorphism: pinned loop"
+        " at pc 1 terminates upstairs but steps into the dead body downstairs",
+        pinned='{"case": {"term": "(while (lit 0) (assign 0 (lit 0)))", "input": "({0:3}, 1)"},'
+               ' "divergence": {"field": "state", "upper": {"state": "({0:3}, 1)",'
+               ' "label": null, "continuation": null}, "lower": {"state": "({}, 2)",'
+               ' "label": null, "continuation":'
+               ' "(instr (br (not (lit 0)) 3) (assign 0 (lit 0)) (br (lit 1) -2))"}}}'),
+    "fig8": partial(_coherence_demo, "embed-low-sec", CampaignConfig(samples=10_000),
+                    _exhausted, "the secure primitives must pass, including out-of-range pcs"),
+    "fig9": partial(_coherence_demo, "embed-stack", CampaignConfig(samples=10_000),
+                    _frame_leak, "plain stack allocation must leak the uncleared block at sp 0"),
+    "fig10": partial(_coherence_demo, "embed-stack-clear", CampaignConfig(samples=10_000),
+                     _exhausted, "the clearing frame rule must restore coherence"),
+    "sec6-fail": partial(
+        _coherence_demo, "embed-int", CampaignConfig(samples=4000),
+        lambda v, cfg: isinstance(v, Fail) and any(n < 0 for _, n in v.case.target_input.cells),
+        "identity compilation into the int machine must fail on a negative store;"
+        " the pinned min-assignment diverges -1 vs 0",
+        pinned='{"case": {"term": "(assign 0 (min (var 0) (lit 0)))", "input": "{0:-1}"},'
+               ' "divergence": {"field": "state", "upper": {"state": "{}", "label": null,'
+               ' "continuation": null}, "lower": {"state": "{0:-1}", "label": null,'
+               ' "continuation": null}}}'),
+    "sec6-pass": partial(_coherence_demo, "sandbox-int", CampaignConfig(samples=6000),
+                         _exhausted, "the negative-forgetting sandbox must restore coherence"),
     "example1": _demo_example1,
     "sec3-context": _demo_sec3_context,
 }
@@ -469,7 +435,6 @@ DEMO_FNS = {
 def _cmd_demo(args) -> tuple[Report, list]:
     ok, payload, cfg, expectation = DEMO_FNS[args.name]()
     lines = [f"demo {args.name}: {'reproduced' if ok else 'NOT REPRODUCED'} -- {expectation}"]
-    witness = None
     if isinstance(payload, Fail):
         witness = payload.describe()
         lines.append(f"  witness: {print_term(payload.case.subject)}"
@@ -478,12 +443,11 @@ def _cmd_demo(args) -> tuple[Report, list]:
         witness = {"tallies": _tallies(payload)}
         lines.append(f"  {payload.cases} case(s), {payload.fallback_cases} via bounded"
                      f" continuation comparison")
-    elif isinstance(payload, (dict, str)):
+    else:  # the text or the runs of a demo that is no campaign
         witness = {"payload": payload}
         lines.append(f"  {payload}")
-    report = Report(config=cfg.echo(), verdict="reproduced" if ok else "mismatch",
-                    witness=witness)
-    return report, lines
+    return Report(config=cfg.echo(), verdict="reproduced" if ok else "mismatch",
+                  witness=witness), lines
 
 
 def _cmd_replay(args) -> tuple[Report, list]:

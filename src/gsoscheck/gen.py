@@ -148,48 +148,40 @@ def _payload_choices(lang, kind: str, cfg) -> list:
     raise ValueError(f"unknown payload kind {kind}")
 
 
+def _constructor_payloads(lang, cfg) -> list:
+    """Each constructor's tag and arity, with every combination of its
+    payload choices."""
+    return [(tag, arity, list(itertools.product(*(_payload_choices(lang, k, cfg) for k in kinds))))
+            for tag, kinds, arity in lang.constructors]
+
+
 def layer_shapes(lang, cfg) -> list[Node]:
     """Every constructor of the language instantiated once per payload choice,
     children filled with distinct variables x0, x1, ..."""
     out = []
-    for tag, kinds, arity in lang.constructors:
-        payloads = [_payload_choices(lang, k, cfg) for k in kinds]
+    for tag, arity, combos in _constructor_payloads(lang, cfg):
         children = tuple(Var(f"x{i}") for i in range(arity))
-        for combo in itertools.product(*payloads):
-            out.append(Node(tag, children, tuple(combo)))
+        out += [Node(tag, children, combo) for combo in combos]
     return out
 
 
 def closed_terms(lang, cfg) -> Iterator[Node]:
     """Closed well-formed terms in increasing size (node count), up to
     ``cfg.max_term_size``."""
-    by_size: dict[int, list[Node]] = {}
-
-    def build(size: int) -> list[Node]:
-        if size in by_size:
-            return by_size[size]
-        level = []
-        for tag, kinds, arity in lang.constructors:
-            payloads = [_payload_choices(lang, k, cfg) for k in kinds]
-            combos = list(itertools.product(*payloads))
-            if arity == 0 and size == 1:
-                for combo in combos:
-                    level.append(Node(tag, (), tuple(combo)))
-            elif arity == 1 and size >= 2:
-                for sub in build(size - 1):
-                    for combo in combos:
-                        level.append(Node(tag, (sub,), tuple(combo)))
-            elif arity == 2 and size >= 3:
-                for ls in range(1, size - 1):
-                    for a in build(ls):
-                        for b in build(size - 1 - ls):
-                            for combo in combos:
-                                level.append(Node(tag, (a, b), tuple(combo)))
-        by_size[size] = level
-        return level
-
+    shapes = _constructor_payloads(lang, cfg)
+    by_size: list[list[Node]] = [[]]  # the terms of each size, built smallest first
     for size in range(1, cfg.max_term_size + 1):
-        yield from build(size)
+        level = []
+        for tag, arity, combos in shapes:
+            if arity == 0 and size == 1:
+                level += [Node(tag, (), combo) for combo in combos]
+            elif arity == 1 and size >= 2:
+                level += [Node(tag, (c,), combo) for c in by_size[size - 1] for combo in combos]
+            elif arity == 2 and size >= 3:
+                level += [Node(tag, (a, b), combo) for ls in range(1, size - 1)
+                          for a in by_size[ls] for b in by_size[size - 1 - ls] for combo in combos]
+        by_size.append(level)
+        yield from level
 
 
 # ---------------------------------------------------------------------------

@@ -136,18 +136,20 @@ class LangDef:
         constructor of this language, each payload value of its kind (natural
         numbers, a ``loc`` below ``L`` on frame machines, no negative literal
         outside ``while-int``); raises IllFormed with the offending part."""
-        if isinstance(term, Var):
-            return
-        for tag, kinds, arity in self.constructors:
-            if tag == term.tag and arity == len(term.children) and len(kinds) == len(term.payload):
-                break
-        else:
-            raise IllFormed(f"{term.tag} with {len(term.payload)} payload value(s) and"
-                            f" {len(term.children)} child(ren) is not a {self.name} constructor")
-        for kind, value in zip(kinds, term.payload):
-            self._check(kind, value)
-        for c in term.children:
-            self.validate(c)
+        pending = [term]  # an explicit stack: a compiled program may be deep
+        while pending:
+            t = pending.pop()
+            if isinstance(t, Var):
+                continue
+            for tag, kinds, arity in self.constructors:
+                if tag == t.tag and arity == len(t.children) and len(kinds) == len(t.payload):
+                    break
+            else:
+                raise IllFormed(f"{t.tag} with {len(t.payload)} payload value(s) and"
+                                f" {len(t.children)} child(ren) is not a {self.name} constructor")
+            for kind, value in zip(kinds, t.payload):
+                self._check(kind, value)
+            pending.extend(reversed(t.children))  # left to right, as the term reads
 
     def _check(self, kind: str, v):
         match kind, v:

@@ -479,7 +479,7 @@ def _build_term(sx):
 MAX_DEPTH = 100
 
 
-def _term_depth(t: OpenTerm) -> int:
+def term_depth(t: OpenTerm) -> int:
     """The most nodes on a path down from ``t``, counted without recursion."""
     deepest, pending = 0, [(t, 1)]
     while pending:
@@ -504,6 +504,6 @@ def parse_term(text: str) -> Node:
     if pos != len(tokens):
         raise IllFormed(f"trailing input: {' '.join(tokens[pos:])}")
     term = _build_term(sx)
-    if _term_depth(term) > MAX_DEPTH:
+    if term_depth(term) > MAX_DEPTH:
         raise IllFormed(f"program nested deeper than {MAX_DEPTH} nodes")
     return term

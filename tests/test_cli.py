@@ -524,6 +524,36 @@ def test_a_program_at_the_depth_bound_still_runs(capsys):
     assert capsys.readouterr().err == ""
 
 
+def _balanced_seqs(levels, leaf):
+    """A balanced tree of `seq`s ``levels`` deep, with 2 ** levels ``leaf``s."""
+    if levels == 0:
+        return leaf
+    half = _balanced_seqs(levels - 1, leaf)
+    return f"(seq {half} {half})"
+
+
+def test_compile_flattens_a_shallow_program_of_1024_statements(capsys):
+    # 11 deep in the source, 1,024 instructions flattened: the target check
+    # ran out of stack with a traceback and exit 1
+    term = _balanced_seqs(10, "(assign 0 (lit 1))")
+    assert main(["compile", "--compiler", "flatten-low", "--term", term]) == 0
+    out = capsys.readouterr().out
+    assert out == " ;; ".join(["assign 0 (lit 1)"] * 1024) + "\n"
+
+
+def test_preserve_refuses_pairs_that_compile_too_deep(tmp_path, capsys):
+    # flattened, each program is an instruction chain 512 long: comparing the
+    # pair ran out of stack with a traceback and exit 1
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps([{"left": _balanced_seqs(9, "(assign 0 (lit 1))"),
+                                 "right": _balanced_seqs(9, "(assign 0 (add (lit 0) (lit 1)))")}]))
+    assert main(["preserve", "--compiler", "flatten-low", "--pairs", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: pair 0 compiles to a program nested deeper"
+                            f" than 100 nodes\n")
+
+
 # each subcommand's options in order, -h aside: option strings, dest,
 # default, required, choices and whether the help is suppressed
 OPTIONS = {
@@ -782,15 +812,38 @@ def test_every_report_echoes_its_command_and_time(tmp_path):
         assert report.wall_time_s > 0, argv
 
 
-def test_all_demos_under_a_minute(capsys):
+# SHA-256 of each demo's exit code, text lines and report: the report
+# --json prints, less wall_time_s, echoing the command line run here
+DEMO_DIGESTS = {
+    "fig3": "6abd49475be39fc8f1412895ca52aaaac712292da4510eef3db1f70b616a2770",
+    "fig4": "2366d8b972a96560e3c89fbae577e2a56110de1ac1ece0e8132da643d0663175",
+    "fig5": "57869105e07b29cea0ad42e609bf3b752f0272caae47a150f505d331b301d469",
+    "fig6": "8bc30115523edb245b2b695020264e1a2ce0b37b6a44851c7e57459eab598657",
+    "fig8": "60774deb560297c02c4ed3000f3fb59db5c03a944265b83f4b63bd15b8b4b227",
+    "fig9": "42610c44ccde9bb3d939871dd8f367d3cd258aeb7e70edf211167e067719ee4b",
+    "fig10": "d49b489645ceeefccbb2d4763d1fd6b7a126f50eb98fbb46b7b73c2bf22fbc18",
+    "sec6-fail": "a240dd1d68276daafaeba6f2529e6a9f4197946bd627c21482e33c8cb8e845d0",
+    "sec6-pass": "5143009ef1a8175f1409c2ca15363503963a5633549f0c76df38495c2df4b5ad",
+    "example1": "32060d2b925a24b6d2a5143632b88ab3a2261ecbb5173e881d32428ab62ee89d",
+    "sec3-context": "1d82364b2825a71ffd0947c0383a46e0788897cc6ff5c592bcb393d2a9550841",
+}
+
+
+def test_all_demos_under_a_minute():
+    import hashlib
     import time
 
     from gsoscheck.cli import DEMO_FNS
 
+    assert list(DEMO_FNS) == list(DEMO_DIGESTS)
     t0 = time.monotonic()
     for name in DEMO_FNS:
-        assert main(["demo", name]) == 0, name
-    capsys.readouterr()
+        code, report, lines = execute(["demo", name])
+        assert code == 0, name
+        shown = json.loads(report.to_json())
+        del shown["wall_time_s"]
+        text = json.dumps([code, lines, shown], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == DEMO_DIGESTS[name], name
     assert time.monotonic() - t0 < 60
 
 
