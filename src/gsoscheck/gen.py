@@ -190,7 +190,8 @@ def closed_terms(lang, cfg) -> Iterator[Node]:
 def sample_table(rng: random.Random, var, domain: list, has_label: bool,
                  cont_vars: list, cfg) -> BehaviorTable:
     """A total table on ``domain``: outputs stay inside the domain so bounded
-    exploration never escapes the sampled window."""
+    exploration never escapes the sampled window.  A label is drawn only
+    when ``has_label``; otherwise every entry's label is None."""
     entries = {}
     for state in domain:
         label = rng.randint(0, cfg.max_value) if has_label else None
@@ -199,7 +200,7 @@ def sample_table(rng: random.Random, var, domain: list, has_label: bool,
         if cont_vars and rng.random() < 0.5:
             cont = cont_vars[rng.randrange(len(cont_vars))]
         entries[state] = (label, out, cont)
-    return BehaviorTable(var, entries, has_label)
+    return BehaviorTable(var, entries)
 
 
 # called by nothing; perfbench/tracer.py binds it by name, so it stays until

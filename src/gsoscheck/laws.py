@@ -53,8 +53,7 @@ def check_unit_law(lang, cfg, inputs) -> int:
         for s in inputs:
             got = extend_law(lang, Var("x0"), {"x0": table}, s)
             label, out, cont = table.entries[s]
-            expected = StepOutcome(out, label if lang.has_label else None,
-                                   Var(cont) if cont is not None else None)
+            expected = StepOutcome(out, label, Var(cont) if cont is not None else None)
             if _outcome_key(got) != _outcome_key(expected):
                 raise AssertionError(f"unit law failed for {lang.name} at {s}")
             checked += 1

@@ -77,21 +77,20 @@ class BehaviorTable:
     """Finite map from input states to outcomes over variables.
 
     Entries are (label, output state, continuation variable or None); the
-    continuation is an element of the variable set, re-injected as a Var
-    when the table answers.
+    label is None for a language without labels, and the continuation is
+    an element of the variable set, re-injected as a Var when the table
+    answers.
     """
 
-    def __init__(self, var, entries: dict, has_label: bool):
+    def __init__(self, var, entries: dict):
         self.var = var
         self.entries = dict(entries)
-        self.has_label = has_label
 
     def __call__(self, state: MachineState) -> StepOutcome:
         if state not in self.entries:
             raise IncompleteTable(f"table for {self.var!r} has no entry for {state!r}")
         label, out, cont = self.entries[state]
-        return StepOutcome(out, label if self.has_label else None,
-                           Var(cont) if cont is not None else None)
+        return StepOutcome(out, label, Var(cont) if cont is not None else None)
 
 
 def extend_law(lang, term: OpenTerm, behaviors: dict, state: MachineState) -> StepOutcome:

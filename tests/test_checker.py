@@ -142,6 +142,20 @@ def test_pinned_int_case(comps):
     assert div.lower.state == Store.of({0: -1})
 
 
+def test_pinned_sandbox_int_subtraction_case(comps):
+    # no default campaign draws a binary operator; the first `sub` sandbox-int
+    # meets diverges, since the source stops subtraction at 0 and while-int
+    # does not.  This pins today's verdict on the lone case (ROADMAP item 9)
+    cp = comps["sandbox-int"]
+    cfg = CampaignConfig()
+    window = gen.state_window(cp.target, cfg)
+    case = CoherenceCase(assign(0, Bin("sub", Lit(0), Lit(1))), Store.of({}))
+    div, _, _ = evaluate_open_case(cp, case, window, cfg)
+    assert div is not None and div.field_name == "state"
+    assert div.upper.state == Store.of({})
+    assert div.lower.state == Store.of({0: -1})
+
+
 def test_pinned_stack_case(comps):
     cp = comps["embed-stack"]
     cfg = CampaignConfig()

@@ -551,7 +551,21 @@ def test_preserve_refuses_pairs_that_compile_too_deep(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: {path}: pair 0 compiles to a program nested deeper"
-                            f" than 100 nodes\n")
+                            f" than 200 nodes\n")
+
+
+def test_preserve_checks_the_deepest_programs_under_a_layer_map(tmp_path, capsys):
+    # sandbox wraps each layer once, so a pair at the parser's depth bound
+    # compiles to programs twice as deep, which the semantics still steps
+    from gsoscheck.terms import MAX_DEPTH
+
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps([{"left": _nested_seqs(MAX_DEPTH, True),
+                                 "right": _nested_seqs(MAX_DEPTH, False)}]))
+    assert main(["preserve", "--compiler", "sandbox", "--pairs", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("  => target equivalent\n")
 
 
 # each subcommand's options in order, -h aside: option strings, dest,

@@ -69,8 +69,8 @@ def test_apply_law_skip(langs):
 
 def test_apply_law_seq_premise_steps(langs):
     # (p, beta) ; (q, gamma) with beta stepping to p' continues as p' ; q
-    beta = BehaviorTable("x", {Store.of({}): (None, Store.of({0: 1}), "x")}, False)
-    gamma = BehaviorTable("y", {}, False)
+    beta = BehaviorTable("x", {Store.of({}): (None, Store.of({0: 1}), "x")})
+    gamma = BehaviorTable("y", {})
     out = langs["while"].rule(
         "seq", (),
         ((Var("x"), beta), (Var("y"), gamma)),
@@ -89,8 +89,7 @@ def test_apply_law_flag_assignment_labels(langs):
 
 
 def test_extend_law_unit(langs):
-    table = BehaviorTable(
-        "x", {Store.of({}): (2, Store.of({1: 1}), "x")}, True)
+    table = BehaviorTable("x", {Store.of({}): (2, Store.of({1: 1}), "x")})
     out = extend_law(langs["while-flag"], Var("x"), {"x": table}, Store.of({}))
     assert out == StepOutcome(Store.of({1: 1}), 2, Var("x"))
 
@@ -106,7 +105,7 @@ def test_extend_law_double_sandbox_layer(langs):
 
 
 def test_extend_law_incomplete_table(langs):
-    table = BehaviorTable("x", {}, False)
+    table = BehaviorTable("x", {})
     with pytest.raises(IncompleteTable):
         extend_law(langs["while"], Var("x"), {"x": table}, Store.of({}))
 
@@ -255,7 +254,7 @@ def test_a_missing_table_raises_at_every_query_of_a_shared_memo(langs):
     # a term's entry, and its children's, outlive a step that raises; the
     # variable without a table raises again, and the rest of the memo answers
     lang = langs["while"]
-    x = BehaviorTable("x", {Store.of({}): (None, Store.of({0: 1}), "x")}, False)
+    x = BehaviorTable("x", {Store.of({}): (None, Store.of({0: 1}), "x")})
     behaviors, memo = {"x": x}, {}
     s = Store.of({})
     for _ in range(2):
@@ -409,7 +408,7 @@ def _flag_pair():
     x = Var("x")
     table = BehaviorTable("x", {Store.of({}): (None, Store.of({0: 1}), "x"),
                                 Store.of({0: 1}): (None, Store.of({0: 1}), None),
-                                Store.of({0: 2}): (None, Store.of({0: 2}), None)}, False)
+                                Store.of({0: 2}): (None, Store.of({0: 2}), None)})
     p, q = seq(x, assign(1, Loc(0))), seq(x, assign(1, Lit(1)))
     return p, q, list(table.entries), {"x": table}
 
