@@ -18,18 +18,18 @@ Both modes evaluate their cases one group at a time, through the same
 square.  A group is the cases that differ only in the target input: an
 open-mode (layer, tables) variant over the window, or a closed term over
 its states (for a program-counter target, the pc window of its compiled
-length).  Of the whole square only the behavior translation's input side
-sees the target input, so a group compiles its subject, builds its target
-behaviors, runs the source law once per distinct preimage state and
-compiles each distinct upper continuation once, for all its inputs.  The
-input side itself, ``input_map``, is computed once per window, as a list
-of image indices aligned with it.  The fallback's verdict does not
-depend on the target input either, so a group computes it once per (upper
-continuation, lower continuation) and reuses it for its other inputs;
-``fallback_cases`` still counts the cases that needed it.  A case stream
-hands each case its group, which lives while the stream's cases reach it;
-a case evaluated on its own gets a one-off group, which shares nothing
-with other cases.
+length, built once per length).  Of the whole square only the behavior
+translation's input side sees the target input, so a group compiles its
+subject, builds its target behaviors, runs the source law once per distinct
+preimage state and compiles each distinct upper continuation once, for all
+its inputs.  The input side itself, ``input_map``, is computed once per
+window, as a list of image indices aligned with it.  The fallback's verdict
+does not depend on the target input either, so a group computes it once per
+(upper continuation, lower continuation) and reuses it for its other
+inputs; ``fallback_cases`` still counts the cases that needed it.  The
+streams yield groups; a campaign walks each group's inputs until its budget
+is spent and builds a ``CoherenceCase`` only for a failure.  A case checked
+on its own, such as a pinned witness, is a group of one input.
 
 A table answers only on the states it was sampled on.  A case whose
 square queries a table elsewhere is tallied inconclusive, never answered
@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .terms import (
     IllFormed, Node, OpenTerm, instr_flatten, print_term, term_size, term_vars,
@@ -83,15 +83,11 @@ class CampaignConfig:
 @dataclass
 class CoherenceCase:
     """Open mode: one source layer over variables plus their sampled tables.
-    Closed mode: a closed source term.  Both carry the target input; a case
-    from a stream also carries its group and the input's index among the
-    group's states."""
+    Closed mode: a closed source term.  Both carry the target input."""
 
     subject: OpenTerm
     target_input: object
     tables: dict = field(default_factory=dict)
-    slot: int = 0
-    group: Optional[_Group] = field(default=None, compare=False, repr=False)
 
     def describe(self) -> dict:
         out = {
@@ -162,14 +158,6 @@ Verdict = Pass | Fail
 # ---------------------------------------------------------------------------
 # case evaluation
 
-def _target_behaviors(cp: CompilerPair, tables: dict) -> dict:
-    # the same sampled tables serve both paths, re-indexed through the
-    # behavior translation on the lower one
-    return {
-        x: (lambda i2, t=t: translate_behavior(cp, t, i2)) for x, t in tables.items()
-    }
-
-
 def _window_images(cp: CompilerPair, inputs) -> tuple[list, list]:
     """The behavior translation's input side over ``inputs``: the distinct
     ``input_map`` images of all of them, in order, and per input the index
@@ -179,161 +167,169 @@ def _window_images(cp: CompilerPair, inputs) -> tuple[list, list]:
     return list(index), images
 
 
-class _Group:
-    """The cases of one square that differ only in the target input: an
-    open-mode (layer, tables) variant over the window, or a closed term over
-    its states.  Holds the work they share (see the module docstring).  Each
-    part is computed when a case first needs it, at the point of the square
-    where a case evaluated on its own computes it, so the same exception
-    surfaces first."""
+class _Group(NamedTuple):
+    """The cases of one square that differ only in the target input (see the
+    module docstring).  ``preimages`` and ``images`` are ``_window_images``
+    of the states; ``layer`` is the compiled subject, if the stream has it."""
 
-    def __init__(self, cp: CompilerPair, subject: OpenTerm, tables: dict, window_images,
-                 closed: bool, layer: Optional[OpenTerm] = None):
-        self.cp, self.subject, self.tables, self.closed = cp, subject, tables, closed
-        self.preimages, self.images = window_images
-        self.sources: list = [None] * len(self.preimages)  # source outcome per preimage
-        self.compiled: dict = {}  # source term -> its compiled form
-        self.layer = layer  # the compiled subject
-        self.behaviors = _target_behaviors(cp, tables)
-        self.verdicts: dict = {}  # (upper cont, lower cont) -> fallback verdict
+    subject: OpenTerm
+    tables: dict
+    states: list
+    preimages: list
+    images: list
+    layer: Optional[OpenTerm] = None
 
-    def _compile(self, t: OpenTerm) -> OpenTerm:
-        out = self.compiled.get(t)
+
+def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tally: Pass):
+    """The squares of the group's inputs in order, each counted in ``tally``
+    until the ``samples`` budget is spent, which clears ``tally.exhausted``;
+    returns the first failure, or None.  Shared work is computed when an
+    input first needs it, where a case on its own would, so the same
+    exception surfaces first."""
+    subject, tables, preimages = group.subject, group.tables, group.preimages
+    # the same sampled tables serve both paths, re-indexed through the
+    # behavior translation on the lower one
+    behaviors = {x: (lambda i2, t=t: translate_behavior(cp, t, i2)) for x, t in tables.items()}
+    sources: list = [None] * len(preimages)  # source outcome per preimage
+    compiled: dict = {}  # source term -> its compiled form
+    verdicts: dict = {}  # (upper cont, lower cont) -> fallback verdict
+    layer = group.layer
+
+    def compile_once(t: OpenTerm) -> OpenTerm:
+        out = compiled.get(t)
         if out is None:
-            # looked up at each call, so that a rebound module name is seen
-            compile_ = compile_term if self.closed else compile_open
-            out = self.compiled[t] = compile_(self.cp, t)
+            out = compiled[t] = compile_(cp, t)
         return out
 
-    def evaluate(self, case: CoherenceCase, slot: int, window, cfg):
-        """The square at input ``slot`` of the group's states, which is the
-        case's target input."""
-        cp, i2, image = self.cp, case.target_input, self.images[slot]
-        o1 = self.sources[image]
-        if o1 is None:
-            o1 = self.sources[image] = extend_law(
-                cp.source, self.subject, self.tables, self.preimages[image])
-        upper = cp.behavior.output_map(i2, o1)
-        upper_cont = self._compile(upper.cont) if upper.cont is not None else None
-        if self.layer is None:
-            self.layer = self._compile(self.subject)
-        lower = extend_law(cp.target, self.layer, self.behaviors, i2)
-        div, fb = self._compare(upper, upper_cont, lower, window, cfg)
-        return div, fb, upper.flags | lower.flags
-
-    def _compare(self, upper: StepOutcome, upper_cont, lower: StepOutcome,
-                 window, cfg) -> tuple[Optional[Divergence], bool]:
-        """Compare the two paths' outcomes; returns (divergence, used_fallback).
-        ``upper_cont`` is the compiled ``upper.cont``, so it is None just when
-        that is."""
-        field_name = first_difference(upper, lower)
-        if field_name is not None:
-            return Divergence(field_name, upper, lower, upper_cont), False
-        if upper_cont is None or upper_cont == lower.cont:
-            return None, False
-        # syntactic mismatch: bounded behavioral comparison over the window,
-        # once per pair of continuations (see the module docstring).  Only
-        # the verdict is kept; each case builds its own divergence from it.
-        key = (upper_cont, lower.cont)
-        verdict = self.verdicts.get(key)
-        if verdict is None:
-            verdict = self.verdicts[key] = check_bisim(
-                self.cp.target, upper_cont, lower.cont, window, cfg.fallback_depth,
-                behaviors=self.behaviors)
-        if isinstance(verdict, Equivalent):
-            return None, True
-        return Divergence("continuation", upper, lower, upper_cont, lower.cont), True
-
-
-def evaluate_open_case(cp: CompilerPair, case: CoherenceCase, window, cfg):
-    """One open-mode square; returns (divergence|None, used_fallback, flags).
-    A case from ``open_cases`` is evaluated through its group; one built on
-    its own gets a one-off group, which shares nothing with other cases.
-    The result is the same either way."""
-    if case.group is not None:
-        return case.group.evaluate(case, case.slot, window, cfg)
-    one_off = _Group(cp, case.subject, case.tables,
-                     _window_images(cp, [case.target_input]), closed=False)
-    return one_off.evaluate(case, 0, window, cfg)
+    for i2, image in zip(group.states, group.images):
+        if tally.cases == cfg.samples:
+            tally.exhausted = False
+            return None
+        tally.cases += 1
+        try:
+            o1 = sources[image]
+            if o1 is None:
+                o1 = sources[image] = extend_law(cp.source, subject, tables, preimages[image])
+            upper = cp.behavior.output_map(i2, o1)
+            upper_cont = compile_once(upper.cont) if upper.cont is not None else None
+            if layer is None:
+                layer = compile_once(subject)
+            lower = extend_law(cp.target, layer, behaviors, i2)
+            field_name = first_difference(upper, lower)
+            fallback = False
+            if field_name is not None:
+                div = Divergence(field_name, upper, lower, upper_cont)
+            elif upper_cont is None or upper_cont == lower.cont:
+                div = None
+            else:
+                # syntactic mismatch: bounded behavioral comparison over the
+                # window, once per pair of continuations (see the module
+                # docstring); each input builds its own divergence from it
+                key = (upper_cont, lower.cont)
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    verdict = verdicts[key] = check_bisim(
+                        cp.target, upper_cont, lower.cont, window, cfg.fallback_depth,
+                        behaviors=behaviors)
+                fallback = True
+                div = None if isinstance(verdict, Equivalent) else Divergence(
+                    "continuation", upper, lower, upper_cont, lower.cont)
+        except IllFormed:
+            tally.illformed += 1
+            continue
+        except IncompleteTable:
+            tally.inconclusive += 1
+            continue
+        tally.flags |= upper.flags | lower.flags
+        tally.fallback_cases += fallback
+        if div is not None:
+            return Fail(CoherenceCase(subject, i2, tables), div, tally.cases - 1, tally.flags)
+    return None
 
 
-def evaluate_closed_case(cp: CompilerPair, case: CoherenceCase, window, cfg):
-    """One closed-mode square, as ``evaluate_open_case``."""
-    if case.group is not None:
-        return case.group.evaluate(case, case.slot, window, cfg)
-    one_off = _Group(cp, case.subject, {}, _window_images(cp, [case.target_input]),
-                     closed=True)
-    return one_off.evaluate(case, 0, window, cfg)
+# a campaign evaluates each group in a call to one of these two, which the
+# benchmark's tracer times by name
+def evaluate_open_case(cp: CompilerPair, group: _Group, window, cfg, tally: Pass):
+    """An open-mode group, as ``_evaluate_group``: layers compile open."""
+    return _evaluate_group(cp, group, compile_open, window, cfg, tally)
+
+
+def evaluate_closed_case(cp: CompilerPair, group: _Group, window, cfg, tally: Pass):
+    """A closed-mode group, as ``_evaluate_group``: terms compile whole."""
+    return _evaluate_group(cp, group, compile_term, window, cfg, tally)
 
 
 # ---------------------------------------------------------------------------
-# case streams
+# group streams
 
 def open_cases(cp: CompilerPair, cfg: CampaignConfig, window):
+    """One group per (layer, tables) variant, over the window."""
     rng = random.Random(cfg.seed)
-    images = _window_images(cp, window)
+    preimages, images = _window_images(cp, window)
     for layer in gen.layer_shapes(cp.source, cfg):
         names = sorted(set(term_vars(layer)), key=str)
-        variants = range(cfg.table_variants if names else 1)
-        for _ in variants:
+        for _ in range(cfg.table_variants if names else 1):
             tables = {
-                x: gen.sample_table(rng, x, images[0], cp.source.has_label, names, cfg)
+                x: gen.sample_table(rng, x, preimages, cp.source.has_label, names, cfg)
                 for x in names
             }
-            group = _Group(cp, layer, tables, images, closed=False)
-            for slot, i2 in enumerate(window):
-                yield CoherenceCase(layer, i2, tables, slot, group)
+            yield _Group(layer, tables, window, preimages, images)
 
 
 def closed_cases(cp: CompilerPair, cfg: CampaignConfig, window):
-    images = _window_images(cp, window)
+    """One group per closed term, over the window.  A program-counter target
+    pairs every program with program counters from -1 to one past its
+    compiled length; those states and their images are built once per length."""
+    by_length: dict = {}  # compiled length (None: the window) -> (states, images...)
     for p in gen.closed_terms(cp.source, cfg):
-        states, layer = window, None
+        layer = length = None
         if cp.target.state_kind == "pc":
-            # pair every program with program counters from -1 to one past
-            # its compiled length
             layer = compile_term(cp, p)
             length = len(instr_flatten(layer)) if layer.tag == "instr" else term_size(layer)
-            states = gen.pc_states(cfg, gen.store_window(cfg, int_mode=False), length)
-        group = _Group(cp, p, {}, images if states is window else _window_images(cp, states),
-                       closed=True, layer=layer)
-        for slot, i2 in enumerate(states):
-            yield CoherenceCase(p, i2, group.tables, slot, group)
+        if length not in by_length:
+            states = window if length is None else gen.pc_states(
+                cfg, gen.store_window(cfg, int_mode=False), length)
+            by_length[length] = (states, *_window_images(cp, states))
+        yield _Group(p, {}, *by_length[length], layer)
 
 
 # ---------------------------------------------------------------------------
 # campaigns
 
-def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
+def _mode(cp: CompilerPair, cfg: CampaignConfig):
+    """The group stream and the evaluate function of the campaign's mode."""
     mode = cfg.mode
     if mode == "auto":
         mode = "open" if cp.open_checkable else "closed"
     if mode == "open" and not cp.open_checkable:
         raise IllFormed(f"{cp.name} is not layer-wise; use closed mode")
-    window = gen.state_window(cp.target, cfg)
     if mode == "open":
-        stream, evaluate = open_cases(cp, cfg, window), evaluate_open_case
-    else:
-        stream, evaluate = closed_cases(cp, cfg, window), evaluate_closed_case
-    cases = inconclusive = illformed = fallback = 0
-    flags: frozenset = frozenset()
-    for case in itertools.islice(stream, cfg.samples):
-        cases += 1
-        try:
-            div, fb, case_flags = evaluate(cp, case, window, cfg)
-        except IllFormed:
-            illformed += 1
-            continue
-        except IncompleteTable:
-            inconclusive += 1
-            continue
-        flags |= case_flags
-        if fb:
-            fallback += 1
-        if div is not None:
-            return Fail(case, div, cases_before=cases - 1, flags=flags)
-    exhausted = next(stream, None) is None
-    return Pass(cases, exhausted, inconclusive, illformed, fallback, flags)
+        return open_cases, evaluate_open_case
+    return closed_cases, evaluate_closed_case
+
+
+def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
+    stream, evaluate = _mode(cp, cfg)
+    window = gen.state_window(cp.target, cfg)
+    tally = Pass(0, exhausted=True)  # until a case is left past the budget
+    for group in stream(cp, cfg, window):
+        fail = evaluate(cp, group, window, cfg, tally)
+        if fail is not None:
+            return fail
+        if not tally.exhausted:
+            break
+    return tally
+
+
+def check_case(cp: CompilerPair, case: CoherenceCase, cfg: CampaignConfig) -> Verdict:
+    """``case`` on its own, as a campaign of one case: a group of one input,
+    through the same body as a campaign's groups.  A pinned case or a
+    witness read back from a report is checked this way."""
+    _, evaluate = _mode(cp, cfg)
+    states = [case.target_input]
+    group = _Group(case.subject, case.tables, states, *_window_images(cp, states))
+    tally = Pass(0, exhausted=True)
+    return evaluate(cp, group, gen.state_window(cp.target, cfg), cfg, tally) or tally
 
 
 # ---------------------------------------------------------------------------

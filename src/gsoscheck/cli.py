@@ -26,9 +26,8 @@ from .semantics import Distinguished, Equivalent, check_bisim, run as run_term
 from .languages import language_registry
 from .compilers import compiler_registry, compile_term
 from .checker import (
-    CampaignConfig, CoherenceCase, Fail, Pass, check_coherence,
-    check_context_closure, check_preservation, evaluate_closed_case,
-    evaluate_open_case, describe_outcome,
+    CampaignConfig, CoherenceCase, Fail, Pass, check_case, check_coherence,
+    check_context_closure, check_preservation, describe_outcome,
 )
 from .laws import run_law_suite
 from .reports import Report, load_report, read_json
@@ -361,10 +360,8 @@ def _coherence_demo(compiler: str, cfg: CampaignConfig, claim, expectation: str,
         witness = json.loads(pinned)
         case = CoherenceCase(_program(witness["case"]["term"], cp.source),
                              parse_state(cp.target.state_kind, witness["case"]["input"], cfg.L))
-        closed = cfg.mode == "closed" or not cp.open_checkable
-        evaluate = evaluate_closed_case if closed else evaluate_open_case
-        div, _, _ = evaluate(cp, case, gen.state_window(cp.target, cfg), cfg)
-        ok = div is not None and div.describe() == witness["divergence"]
+        alone = check_case(cp, case, cfg)
+        ok = isinstance(alone, Fail) and alone.divergence.describe() == witness["divergence"]
     verdict = check_coherence(cp, cfg)
     return ok and claim(verdict, cfg), verdict, cfg, expectation
 

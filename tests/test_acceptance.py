@@ -7,9 +7,8 @@ execution (none needed so far).
 import time
 
 from gsoscheck.checker import (
-    CampaignConfig, CoherenceCase, Fail, Pass, check_coherence,
-    check_context_closure, check_preservation, evaluate_closed_case,
-    evaluate_open_case,
+    CampaignConfig, CoherenceCase, Fail, Pass, check_case, check_coherence,
+    check_context_closure, check_preservation,
 )
 from gsoscheck.cli import EXAMPLE1_COMPILED, EXAMPLE1_SOURCE, execute
 from gsoscheck.compilers import compile_term
@@ -80,10 +79,11 @@ def test_criterion_4_int_mismatch_and_sandbox(comps):
     assert isinstance(verdict, Fail)
     assert any(v < 0 for _, v in verdict.case.target_input.cells)
 
-    window = gen.state_window(comps["embed-int"].target, cfg)
     pinned = CoherenceCase(assign(0, Bin("min", Loc(0), Lit(0))), Store.of({0: -1}))
-    div, _, _ = evaluate_open_case(comps["embed-int"], pinned, window, cfg)
-    assert div is not None and div.field_name == "state"
+    alone = check_case(comps["embed-int"], pinned, cfg)
+    assert isinstance(alone, Fail)
+    div = alone.divergence
+    assert div.field_name == "state"
     assert div.lower.state.get(0) == -1 and div.upper.state.get(0) == 0
 
     passes = check_coherence(comps["sandbox-int"], CampaignConfig(samples=6000))
@@ -105,10 +105,10 @@ def test_criterion_5_example1_byte_exact(comps):
 def test_criterion_6_fig6_pinned_loop_witness(comps):
     code, rep, _ = execute(["demo", "fig6"])
     assert code == 0
-    cfg = CampaignConfig(mode="closed")
-    window = gen.state_window(comps["flatten-low"].target, cfg)
     case = CoherenceCase(while_(Lit(0), assign(0, Lit(0))), LowState(Store.of({0: 3}), 1))
-    div, _, _ = evaluate_closed_case(comps["flatten-low"], case, window, cfg)
+    alone = check_case(comps["flatten-low"], case, CampaignConfig(mode="closed"))
+    assert isinstance(alone, Fail)
+    div = alone.divergence
     assert div.upper.cont is None and div.upper.state.pc == 1
     assert div.upper.state.store == Store.of({0: 3})
     assert div.lower.cont is not None and div.lower.state.pc == 2

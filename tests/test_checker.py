@@ -11,15 +11,14 @@ from functools import partial
 import pytest
 
 from gsoscheck.checker import (
-    CampaignConfig, CoherenceCase, Divergence, Fail, Pass, check_coherence,
-    check_context_closure, check_preservation, closed_cases,
-    evaluate_closed_case, evaluate_open_case, open_cases,
+    CampaignConfig, CoherenceCase, Divergence, Fail, Pass, check_case, check_coherence,
+    check_context_closure, check_preservation, closed_cases, open_cases,
 )
 from gsoscheck.languages import LangDef
 from gsoscheck.compilers import compile_term, translate_behavior
 from gsoscheck.semantics import (
-    Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim, extend_law,
-    first_difference, memo_entry, run,
+    Distinguished, Equivalent, StepOutcome, check_bisim, extend_law, first_difference,
+    memo_entry, run,
 )
 from gsoscheck.states import LowState, StackState, Store
 from gsoscheck.terms import (
@@ -89,19 +88,25 @@ def test_embed_stack_witness_shape(verdicts):
 
 
 def test_fail_witness_replays_identically(comps):
-    cfg = CampaignConfig()
-    cp = comps["embed-flag"]
-    window = gen.state_window(cp.target, cfg)
-    first = check_coherence(cp, cfg)
-    again = check_coherence(cp, cfg)
-    assert isinstance(first, Fail) and isinstance(again, Fail)
-    assert first.case.subject == again.case.subject
-    assert first.case.target_input == again.case.target_input
-    assert first.divergence.describe() == again.divergence.describe()
-    # and the single witness case reproduces its divergence directly
-    div, _, _ = evaluate_open_case(cp, first.case, window, cfg)
-    assert div is not None
-    assert div.describe() == first.divergence.describe()
+    # every failing compiler, in open mode and in closed mode where both exist
+    runs = [(name, mode) for name in ("embed-flag", "unsandbox", "embed-int", "embed-stack")
+            for mode in ("open", "closed")] + [("flatten-low", "closed")]
+    for name, mode in runs:
+        cp = comps[name]
+        cfg = CampaignConfig(samples=12_000, mode=mode)
+        first = check_coherence(cp, cfg)
+        again = check_coherence(cp, cfg)
+        assert isinstance(first, Fail) and isinstance(again, Fail), (name, mode)
+        assert first.case.subject == again.case.subject
+        assert first.case.target_input == again.case.target_input
+        assert first.divergence.describe() == again.divergence.describe()
+        # and the witness, rebuilt as a lone case from its parts, reproduces
+        # its divergence on its own
+        rebuilt = CoherenceCase(first.case.subject, first.case.target_input, first.case.tables)
+        alone = check_case(cp, rebuilt, cfg)
+        assert isinstance(alone, Fail) and alone.cases_before == 0, (name, mode)
+        assert alone.case.describe() == first.case.describe()
+        assert alone.divergence.describe() == first.divergence.describe(), (name, mode)
 
 
 def test_open_and_closed_agree_on_shipped_counterexamples(comps):
@@ -120,11 +125,8 @@ def test_open_mode_rejected_for_whole_term(comps):
 
 def test_pinned_flatten_low_case(comps):
     cp = comps["flatten-low"]
-    cfg = CampaignConfig(mode="closed")
-    window = gen.state_window(cp.target, cfg)
     case = CoherenceCase(while_(Lit(0), assign(0, Lit(0))), LowState(Store.of({0: 3}), 1))
-    div, _, _ = evaluate_closed_case(cp, case, window, cfg)
-    assert div is not None
+    div = check_case(cp, case, CampaignConfig(mode="closed")).divergence
     assert div.upper.cont is None
     assert div.upper.state == LowState(Store.of({0: 3}), 1)
     assert div.lower.cont is not None
@@ -133,11 +135,9 @@ def test_pinned_flatten_low_case(comps):
 
 def test_pinned_int_case(comps):
     cp = comps["embed-int"]
-    cfg = CampaignConfig()
-    window = gen.state_window(cp.target, cfg)
     case = CoherenceCase(assign(0, Bin("min", Loc(0), Lit(0))), Store.of({0: -1}))
-    div, _, _ = evaluate_open_case(cp, case, window, cfg)
-    assert div is not None and div.field_name == "state"
+    div = check_case(cp, case, CampaignConfig()).divergence
+    assert div.field_name == "state"
     assert div.upper.state == Store.of({})
     assert div.lower.state == Store.of({0: -1})
 
@@ -147,24 +147,20 @@ def test_pinned_sandbox_int_subtraction_case(comps):
     # meets diverges, since the source stops subtraction at 0 and while-int
     # does not.  This pins today's verdict on the lone case (ROADMAP item 9)
     cp = comps["sandbox-int"]
-    cfg = CampaignConfig()
-    window = gen.state_window(cp.target, cfg)
     case = CoherenceCase(assign(0, Bin("sub", Lit(0), Lit(1))), Store.of({}))
-    div, _, _ = evaluate_open_case(cp, case, window, cfg)
-    assert div is not None and div.field_name == "state"
+    div = check_case(cp, case, CampaignConfig()).divergence
+    assert div.field_name == "state"
     assert div.upper.state == Store.of({})
     assert div.lower.state == Store.of({0: -1})
 
 
 def test_pinned_stack_case(comps):
     cp = comps["embed-stack"]
-    cfg = CampaignConfig()
-    window = gen.state_window(cp.target, cfg)
     case = CoherenceCase(
         __import__("gsoscheck.terms", fromlist=["frame"]).frame(),
         StackState(Store.of({0: 1}), 0))
-    div, _, _ = evaluate_open_case(cp, case, window, cfg)
-    assert div is not None and div.field_name == "state"
+    div = check_case(cp, case, CampaignConfig()).divergence
+    assert div.field_name == "state"
     assert div.upper.state == StackState(Store.of({}), 1)
     assert div.lower.state == StackState(Store.of({0: 1}), 1)
 
@@ -192,9 +188,9 @@ def test_fallback_runs_once_per_continuations_and_tables(comps, monkeypatch):
 
     monkeypatch.setattr(checker, "check_bisim", counting)
     keys = set()
-    for case in itertools.islice(open_cases(cp, cfg, window), cfg.samples):
+    for case in itertools.islice(_cases(open_cases(cp, cfg, window)), cfg.samples):
         calls.clear()
-        evaluate_open_case(cp, replace(case, group=None), window, cfg)  # nothing shared
+        check_case(cp, case, cfg)  # nothing shared
         keys.update((p, q, tuple(case.tables.values())) for p, q in calls)
     calls.clear()
     verdict = check_coherence(cp, cfg)
@@ -220,33 +216,37 @@ def test_out_of_domain_table_query_is_inconclusive(comps):
     assert isinstance(verdict, Pass) and verdict.inconclusive > 0
 
 
+def _cases(groups):
+    """Every (group, input) of a group stream as a case of its own."""
+    for group in groups:
+        for i2 in group.states:
+            yield CoherenceCase(group.subject, i2, group.tables)
+
+
 def _per_case_campaign(cp, cfg):
-    """The campaign as a loop over the case stream, each case evaluated on
-    its own, apart from the group the stream gave it: the reference for the
-    grouped evaluation.  Open-mode cases go through ``evaluate_open_case``,
-    closed-mode ones through ``_literal_closed_square``."""
+    """The campaign as a loop over every (group, input) of the group stream,
+    each evaluated alone as a case of its own: the reference for the grouped
+    evaluation.  Open-mode cases go through ``check_case``, closed-mode ones
+    through ``_literal_closed_square``."""
     window = gen.state_window(cp.target, cfg)
     if cfg.mode == "closed":
-        stream, evaluate = closed_cases(cp, cfg, window), _literal_closed_square
+        cases = _cases(closed_cases(cp, cfg, window))
+        evaluate = partial(_literal_closed_square, cp, window=window, cfg=cfg)
     else:
-        stream, evaluate = open_cases(cp, cfg, window), evaluate_open_case
-    cases = inconclusive = illformed = fallback = 0
-    flags = frozenset()
-    for case in itertools.islice(stream, cfg.samples):
-        cases += 1
-        try:
-            div, fb, case_flags = evaluate(cp, replace(case, group=None), window, cfg)
-        except IllFormed:
-            illformed += 1
-            continue
-        except IncompleteTable:
-            inconclusive += 1
-            continue
-        flags |= case_flags
-        fallback += fb
-        if div is not None:
-            return Fail(case, div, cases - 1, flags)
-    return Pass(cases, next(stream, None) is None, inconclusive, illformed, fallback, flags)
+        cases = _cases(open_cases(cp, cfg, window))
+        evaluate = partial(check_case, cp, cfg=cfg)
+    total = Pass(0, False)
+    for case in itertools.islice(cases, cfg.samples):
+        alone = evaluate(case)
+        total.flags |= alone.flags
+        if isinstance(alone, Fail):
+            return Fail(alone.case, alone.divergence, total.cases, total.flags)
+        total.cases += 1
+        total.inconclusive += alone.inconclusive
+        total.illformed += alone.illformed
+        total.fallback_cases += alone.fallback_cases
+    total.exhausted = next(cases, None) is None
+    return total
 
 
 OPEN_CHECKABLE = ("embed-flag", "sandbox", "unsandbox", "embed-int", "sandbox-int",
@@ -254,23 +254,27 @@ OPEN_CHECKABLE = ("embed-flag", "sandbox", "unsandbox", "embed-int", "sandbox-in
 
 
 def _literal_closed_square(cp, case, window, cfg):
-    """One closed-mode square computed as it is drawn, sharing nothing:
-    the source law then the behavior translation, against the compiler then
-    the target law, with the fallback comparison on continuations."""
+    """One closed-mode case computed as it is drawn, sharing nothing: the
+    source law then the behavior translation, against the compiler then the
+    target law, with the fallback comparison on continuations.  Returns the
+    verdict of a campaign of this one case."""
     p, i2 = case.subject, case.target_input
-    upper = translate_behavior(cp, partial(extend_law, cp.source, p, {}), i2)
-    upper_cont = compile_term(cp, upper.cont) if upper.cont is not None else None
-    lower = extend_law(cp.target, compile_term(cp, p), {}, i2)
-    flags = upper.flags | lower.flags
-    field_name = first_difference(upper, lower)
-    if field_name is not None:
-        return Divergence(field_name, upper, lower, upper_cont), False, flags
-    if upper_cont is None or upper_cont == lower.cont:
-        return None, False, flags
-    verdict = check_bisim(cp.target, upper_cont, lower.cont, window, cfg.fallback_depth)
+    try:
+        upper = translate_behavior(cp, partial(extend_law, cp.source, p, {}), i2)
+        upper_cont = compile_term(cp, upper.cont) if upper.cont is not None else None
+        lower = extend_law(cp.target, compile_term(cp, p), {}, i2)
+        flags = upper.flags | lower.flags
+        field_name = first_difference(upper, lower)
+        if field_name is not None:
+            return Fail(case, Divergence(field_name, upper, lower, upper_cont), 0, flags)
+        if upper_cont is None or upper_cont == lower.cont:
+            return Pass(1, True, flags=flags)
+        verdict = check_bisim(cp.target, upper_cont, lower.cont, window, cfg.fallback_depth)
+    except IllFormed:
+        return Pass(1, True, illformed=1)
     if isinstance(verdict, Equivalent):
-        return None, True, flags
-    return Divergence("continuation", upper, lower, upper_cont, lower.cont), True, flags
+        return Pass(1, True, fallback_cases=1, flags=flags)
+    return Fail(case, Divergence("continuation", upper, lower, upper_cont, lower.cont), 0, flags)
 
 
 def _assert_same_verdict(grouped, alone):
@@ -286,14 +290,29 @@ def _assert_same_verdict(grouped, alone):
     assert grouped.flags == alone.flags
 
 
-@pytest.mark.parametrize("seed", [CampaignConfig.seed, CampaignConfig.seed + 7])
-@pytest.mark.parametrize("name", OPEN_CHECKABLE)
-def test_group_evaluation_equals_per_case_evaluation(comps, name, seed):
+def _group_sizes(cp, cfg):
+    window = gen.state_window(cp.target, cfg)
+    stream = closed_cases if cfg.mode == "closed" else open_cases
+    return (len(group.states) for group in stream(cp, cfg, window))
+
+
+@pytest.mark.parametrize("name, seed, samples", [
     # every budget reaches the verdict of the shipped campaign, except
     # sandbox-int's: un-memoised, its fallback cases take seconds
+    *(pytest.param(name, seed, 500 if name == "sandbox-int" else 6000, id=f"{name}-{seed}")
+      for name in OPEN_CHECKABLE for seed in (CampaignConfig.seed, CampaignConfig.seed + 7)),
+    # budgets that end one case before, on and one after a point where the
+    # group loop must stop as the per-case loop does: sandbox's stream ends
+    # at 816 cases and its second group at 32; embed-flag fails on its 33rd
+    *(("sandbox", CampaignConfig.seed, n) for n in (31, 32, 33, 815, 816, 817)),
+    *(("embed-flag", CampaignConfig.seed, n) for n in (32, 33, 34)),
+])
+def test_group_evaluation_equals_per_case_evaluation(comps, name, seed, samples):
     cp = comps[name]
     assert cp.open_checkable
-    cfg = CampaignConfig(samples=500 if name == "sandbox-int" else 6000, seed=seed)
+    cfg = CampaignConfig(samples=samples, seed=seed)
+    if name == "sandbox":  # the points the budgets above are placed by
+        assert list(_group_sizes(cp, cfg)) == [16] * 51
     _assert_same_verdict(check_coherence(cp, cfg), _per_case_campaign(cp, cfg))
 
 
@@ -301,18 +320,23 @@ def test_group_evaluation_equals_per_case_evaluation(comps, name, seed):
     *((name, seed, 300) for name in sorted(EXPECTED_VERDICTS) for seed in (0, 7)),
     # 300 cases reach no fallback comparison; here 1,328 of 3,000 need it
     ("sandbox", 0, 3000),
+    # a pc target's groups, one per term, are as long as its pc window: the
+    # second group ends at 128 cases
+    *(("embed-low-sec", 0, n) for n in (127, 128, 129)),
 ])
 def test_closed_mode_equals_the_literal_square(comps, name, seed, samples):
     cp = comps[name]
     cfg = CampaignConfig(mode="closed", samples=samples, seed=seed)
+    if name == "embed-low-sec" and samples < 300:
+        assert list(itertools.islice(_group_sizes(cp, cfg), 2)) == [64, 64]
     _assert_same_verdict(check_coherence(cp, cfg), _per_case_campaign(cp, cfg))
 
 
 def _count_group_work(cp, cfg, monkeypatch):
     """Run a campaign and count, per group, how often its subject is
     compiled, and per (term, tables, state) how often the source law runs.
-    A group is told by its subject and tables, noted as its first case is
-    evaluated."""
+    A group is told by its subject and tables, noted as it is handed to the
+    evaluate function, if that evaluates any of its inputs."""
     closed = cfg.mode == "closed"
     evaluate_name = "evaluate_closed_case" if closed else "evaluate_open_case"
     compile_name = "compile_term" if closed else "compile_open"
@@ -321,10 +345,14 @@ def _count_group_work(cp, cfg, monkeypatch):
     real_evaluate, real_compile, real_law = (
         getattr(checker, evaluate_name), getattr(checker, compile_name), checker.extend_law)
 
-    def evaluating(cp_, case, *rest, **kwargs):
-        if not variants or variants[-1][1] is not case.tables:
-            variants.append((case.subject, case.tables))
-        return real_evaluate(cp_, case, *rest, **kwargs)
+    def evaluating(cp_, group, window, cfg_, tally):
+        before = tally.cases
+        variants.append((group.subject, group.tables))
+        try:
+            return real_evaluate(cp_, group, window, cfg_, tally)
+        finally:
+            if tally.cases == before:  # the budget was spent before this group
+                variants.pop()
 
     def compiling(cp_, t):
         subject, tables = variants[-1]
@@ -381,7 +409,7 @@ def test_case_stream_deterministic(comps):
 
     def fingerprint():
         out = []
-        for case in itertools.islice(open_cases(cp, cfg, window), 200):
+        for case in itertools.islice(_cases(open_cases(cp, cfg, window)), 200):
             entry = (print_term(case.subject), case.target_input)
             tables = tuple(
                 (str(v), tuple(sorted(t.entries.items(), key=repr)))
@@ -397,8 +425,7 @@ def test_closed_stream_smallest_first(comps):
     cfg = CampaignConfig()
     cp = comps["embed-flag"]
     window = gen.state_window(cp.target, cfg)
-    stream = closed_cases(cp, cfg, window)
-    first = next(stream)
+    first = next(closed_cases(cp, cfg, window))
     assert first.subject == skip()
 
 
@@ -621,16 +648,42 @@ def test_closed_low_cases_cross_out_of_range_pcs(comps):
     import itertools as it
 
     by_term = {}
-    last_key = None
-    for case in it.islice(closed_cases(cp, cfg, window), 2000):
-        last_key = print_term(case.subject)
-        by_term.setdefault(last_key, set()).add(case.target_input.pc)
-    by_term.pop(last_key, None)  # the final group may be cut by the slice
+    for group in it.islice(closed_cases(cp, cfg, window), 30):
+        by_term[print_term(group.subject)] = {i2.pc for i2 in group.states}
     assert by_term
     for key, pcs in by_term.items():
         term = __import__("gsoscheck.terms", fromlist=["parse_term"]).parse_term(key)
         length = len(instr_flatten(compile_term(cp, term)))
         assert pcs == set(range(-1, length + 2)), key
+
+
+@pytest.mark.parametrize("name", ["flatten-low", "embed-low-sec"])
+def test_closed_pc_states_are_built_once_per_compiled_length(monkeypatch, name):
+    # a pc target's groups share their states and images by compiled length,
+    # so a closed campaign builds the pc states once per distinct length among
+    # the terms it draws, not once per term.  flatten-low fails within its
+    # first term; embed-low-sec passes and draws hundreds
+    built, groups = [], []
+    real_states, real_stream = gen.pc_states, checker.closed_cases
+
+    def pc_states(cfg, stores, length=None):
+        if length is not None:  # the window itself has no length
+            built.append(length)
+        return real_states(cfg, stores, length)
+
+    def closed_cases(*args):
+        for group in real_stream(*args):
+            groups.append(group)
+            yield group
+
+    monkeypatch.setattr(gen, "pc_states", pc_states)
+    monkeypatch.setattr(checker, "closed_cases", closed_cases)
+    execute(["coherence", "--compiler", name, "--mode", "closed", "--samples", "20000"])
+    # a group's pcs run from -1 to one past its compiled length
+    lengths = [max(i2.pc for i2 in group.states) - 1 for group in groups]
+    assert built == list(dict.fromkeys(lengths))
+    if name == "embed-low-sec":
+        assert len(groups) > 100 > len(built)
 
 
 def test_context_closure_base_distinguished(langs):

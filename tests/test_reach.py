@@ -111,3 +111,19 @@ def test_every_allowed_name_is_bound_by_the_benchmark_tracer():
     bound = {f"{module}.{fn}" for module, fn, _, _ in tracer.SPANS}
     bound |= {f"gen.{fn}" for fn in tracer.GEN_FUNCTIONS}
     assert set(ALLOWED) <= bound
+
+
+def test_the_benchmark_tracer_binds_distinct_functions():
+    # `perfbench/run.py --trace 1` looks every name up with getattr: a
+    # deleted one stops the traced run with an AttributeError, and a name
+    # that is an alias of another would be wrapped twice
+    tracer = _load_perfbench("tracer")
+    bound = {}
+    for module, fn, _, _ in tracer.SPANS:
+        obj = getattr(importlib.import_module("gsoscheck." + module), fn, None)
+        assert inspect.isfunction(obj), f"{module}.{fn}"
+        assert id(obj) not in bound, (f"{module}.{fn}", bound.get(id(obj)))
+        bound[id(obj)] = f"{module}.{fn}"
+    gen = importlib.import_module("gsoscheck.gen")
+    for fn in tracer.GEN_FUNCTIONS:
+        assert inspect.isfunction(getattr(gen, fn, None)), f"gen.{fn}"
