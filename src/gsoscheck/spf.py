@@ -16,22 +16,21 @@ at the others; ``OneHoleLayer`` is one such layer.  Over n variables,
 ``decompositions`` yields one layer deep; the tests hold the two to each
 other (criterion 13).
 
-A single-hole context is a list of derivative layers, outermost first;
-plugging folds the one-step reconstruction over the list, innermost layer
-applied first, and the empty list is the bare hole.
+A single-hole context is a tuple of derivative layers, outermost first;
+plugging folds the one-step reconstruction over it, innermost layer applied
+first, and the empty tuple is the bare hole.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .terms import Node, OpenTerm, Var
+from .terms import Node, OpenTerm
 
 
-@dataclass(frozen=True)
-class OneHoleLayer:
+class OneHoleLayer(NamedTuple):
     """One derivative layer of a syntax functor applied to terms: the
     constructor tag, its payload, the marked child position and the sibling
-    subterms at the other positions."""
+    subterms at the other positions; a named tuple, cheap to build."""
 
     tag: str
     payload: tuple
@@ -44,8 +43,8 @@ Context = tuple  # of OneHoleLayer, outermost first; () is the bare hole
 
 def con_step(layer: OneHoleLayer, filler: OpenTerm) -> Node:
     """Insert ``filler`` at the marked position of a one-hole layer."""
-    children = layer.siblings[: layer.hole] + (filler,) + layer.siblings[layer.hole :]
-    return Node(layer.tag, children, layer.payload)
+    tag, payload, hole, siblings = layer
+    return Node(tag, siblings[:hole] + (filler,) + siblings[hole:], payload)
 
 
 def plug(ctx: Context, p: OpenTerm) -> OpenTerm:
@@ -60,13 +59,14 @@ def plug(ctx: Context, p: OpenTerm) -> OpenTerm:
 def decompositions(t: OpenTerm):
     """All (context, subterm) splits of a term; the brute-force unplugger.
 
-    plug(ctx, sub) == t for every yielded pair, starting with ((), t).
-    """
-    yield (), t
-    if isinstance(t, Var):
-        return
-    for i, child in enumerate(t.children):
-        siblings = tuple(c for j, c in enumerate(t.children) if j != i)
-        layer = OneHoleLayer(t.tag, t.payload, i, siblings)
-        for ctx, sub in decompositions(child):
-            yield (layer,) + ctx, sub
+    plug(ctx, sub) == t for every yielded pair, in preorder from one explicit
+    stack, with no nested generators: ((), t), child 0's splits, child 1's."""
+    pending = [((), t)]
+    while pending:
+        ctx, t = pending.pop()
+        yield ctx, t
+        if type(t) is Node:
+            children = t.children
+            for i in reversed(range(len(children))):  # child 0 is popped first
+                layer = OneHoleLayer(t.tag, t.payload, i, children[:i] + children[i + 1:])
+                pending.append((ctx + (layer,), children[i]))

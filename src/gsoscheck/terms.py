@@ -2,22 +2,56 @@
 
 Terms are plain immutable trees: a ``Node`` carries a constructor tag, a
 tuple of child terms and a tuple of payload values (expressions, store
-locations, instructions).  Nodes are hash-consed: equal terms are one
-shared object, so comparing or hashing two terms is an identity check.
-The table of nodes lives for the whole process.  ``Var`` marks a program
-variable, so a closed program is a ``Node`` tree with no ``Var``
-anywhere.  Which tags are legal, and with what payload shapes, is decided
-by each language definition; the tree type itself is untyped on purpose
-so that syntax-preserving compilers are the identity on trees.
+locations, instructions).  Nodes, expressions, instructions and ``Var``s
+are hash-consed: equal values are one object for the whole process, so
+comparing or hashing them is an identity check.  ``Var`` marks a program
+variable, so a closed program is a ``Node`` tree with no ``Var`` anywhere.
+Which tags are legal, and with what payload shapes, is decided by each
+language definition; the tree type itself is untyped on purpose so that
+syntax-preserving compilers are the identity on trees.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 
 class IllFormed(Exception):
     """A term, payload or machine state violates a language's rules."""
+
+
+# every expression, instruction and variable built so far, keyed on (class, fields)
+_VALUES: dict = {}
+
+
+class _Value:
+    """An immutable value whose fields are its ``__slots__``, hash-consed like
+    ``Node``: ``C(*fields)`` is the one ``C`` with those fields, copies and
+    unpickled values included, and its repr is the dataclass one."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields):
+        key = (cls, fields)
+        value = _VALUES.get(key)
+        if value is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes the fields {cls.__slots__}")
+            value = _VALUES[key] = object.__new__(cls)
+            for name, field in zip(cls.__slots__, fields):
+                object.__setattr__(value, name, field)
+        return value
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the table
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 # ---------------------------------------------------------------------------
@@ -29,29 +63,22 @@ UN_OPS = ("not",)
 BIN_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "lt": "<", "eq": "=", "min": "min"}
 
 
-@dataclass(frozen=True)
-class Lit:
-    n: int
+class Lit(_Value):
+    __slots__ = __match_args__ = ("n",)
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(_Value):
     """Dereference of store cell ``l`` (the ``var`` expression)."""
 
-    l: int
+    __slots__ = __match_args__ = ("l",)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    lhs: "Expr"
-    rhs: "Expr"
+class Bin(_Value):
+    __slots__ = __match_args__ = ("op", "lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class Un:
-    op: str
-    e: "Expr"
+class Un(_Value):
+    __slots__ = __match_args__ = ("op", "e")
 
 
 Expr = Union[Lit, Loc, Bin, Un]
@@ -73,26 +100,20 @@ def expr_locs(e: Expr) -> set[int]:
 # ---------------------------------------------------------------------------
 # Low instructions
 
-@dataclass(frozen=True)
-class Nop:
-    pass
+class Nop(_Value):
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
-class Stop:
-    pass
+class Stop(_Value):
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
-class IAssign:
-    loc: int
-    e: Expr
+class IAssign(_Value):
+    __slots__ = __match_args__ = ("loc", "e")
 
 
-@dataclass(frozen=True)
-class Br:
-    e: Expr
-    off: int
+class Br(_Value):
+    __slots__ = __match_args__ = ("e", "off")
 
 
 Inst = Union[Nop, Stop, IAssign, Br]
@@ -101,9 +122,8 @@ Inst = Union[Nop, Stop, IAssign, Br]
 # ---------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True)
-class Var:
-    name: object
+class Var(_Value):
+    __slots__ = __match_args__ = ("name",)
 
 
 class Node:

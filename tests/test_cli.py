@@ -705,15 +705,16 @@ json.dump([list({"x0", "x1"}), out], sys.stdout)
 
 def test_reports_do_not_depend_on_the_hash_seed():
     # string hashes, and so the order of any set of strings, change with
-    # PYTHONHASHSEED, and node hashes are object identities, which may differ
-    # from run to run: neither may reach an exit code, a line or a report
+    # PYTHONHASHSEED, and the hashes of nodes, expressions, instructions and
+    # variables are object identities, which may differ from run to run:
+    # neither may reach an exit code, a line or a report
     argvs = [
         ["coherence", "--compiler", "sandbox"],  # needs the fallback bisimulation
         ["coherence", "--compiler", "unsandbox"],
         ["coherence", "--compiler", "flatten-low", "--mode", "closed"],
         ["ctx-closure", "--lang", "while", *WHILE_PAIR, "--samples", "200"],
         ["preserve", "--compiler", "embed-flag"],
-        ["laws", "--lang", "while-sec"],
+        ["laws"],  # all nine languages
         ["bisim", "--lang", "while", *WHILE_PAIR],
         ["bisim", "--lang", "while-flag", *WHILE_PAIR, "--depth", "4"],
         ["demo", "fig6"],

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 from gsoscheck.spf import OneHoleLayer, con_step, decompositions, plug
 from gsoscheck.terms import (
-    Bin, Lit, Loc, Node, Var, assign, obs, parse_term, seq, skip, while_,
+    Bin, Lit, Loc, Node, Var, assign, obs, parse_term, print_term, seq, skip, while_,
 )
 from gsoscheck import gen
 
@@ -78,6 +78,43 @@ def test_plug_flag_context_example():
         OneHoleLayer("obs", (1,), 0, ()),
     )
     assert plug(ctx, a_flag) == seq(obs(1, a_flag), w)
+
+
+def recursive_decompositions(t):
+    """The recursive splitter ``decompositions`` replaced, kept as its
+    oracle: ((), t), then each child's splits under that child's layer."""
+    yield (), t
+    if isinstance(t, Var):
+        return
+    for i, child in enumerate(t.children):
+        siblings = tuple(c for j, c in enumerate(t.children) if j != i)
+        layer = OneHoleLayer(t.tag, t.payload, i, siblings)
+        for ctx, sub in recursive_decompositions(child):
+            yield (layer,) + ctx, sub
+
+
+def test_decompositions_agree_with_the_recursive_splitter(langs, cfg):
+    # the same (context, subterm) splits in the same order, on every closed
+    # term up to size 3 and on the open layers
+    small = replace(cfg, max_term_size=3, exprs_per_slot=2)
+    splits = 0
+    for lang in langs.values():
+        for t in [*gen.closed_terms(lang, small), *gen.layer_shapes(lang, cfg)]:
+            expected = list(recursive_decompositions(t))
+            assert list(decompositions(t)) == expected, t
+            splits += len(expected)
+    assert splits == 4601
+    # a split of a deeper, uneven term, checked by hand: preorder, child 0
+    # before child 1, each layer keeping its payload and siblings
+    t = parse_term("(seq (while (var 0) (seq skip ?x)) (obs 1 skip))")
+    body, tail = t.children
+    assert [(len(ctx), print_term(sub)) for ctx, sub in decompositions(t)] == [
+        (0, print_term(t)), (1, print_term(body)), (2, "(seq skip ?x)"), (3, "skip"),
+        (3, "?x"), (1, "(obs 1 skip)"), (2, "skip")]
+    ctx, sub = list(decompositions(t))[4]
+    assert ctx == (OneHoleLayer("seq", (), 0, (tail,)), OneHoleLayer("while", (Loc(0),), 0, ()),
+                   OneHoleLayer("seq", (), 1, (skip(),)))
+    assert all(type(layer) is OneHoleLayer for layer in ctx) and sub is Var("x")
 
 
 def test_plug_unplug_round_trip(langs, cfg):

@@ -1,5 +1,5 @@
-"""``Node``: an immutable, hash-consed tree, compared and hashed by
-identity."""
+"""``Node`` and the values in its payload: immutable, hash-consed, compared
+and hashed by identity."""
 import copy
 import itertools
 import pickle
@@ -8,13 +8,47 @@ from dataclasses import replace
 import pytest
 
 from gsoscheck import gen
-from gsoscheck.compilers import compile_open
+from gsoscheck.compilers import compile_open, compile_term
 from gsoscheck.spf import decompositions, plug
 from gsoscheck.terms import (
     MAX_DEPTH, Bin, Br, IAssign, IllFormed, Lit, Loc, Node, Nop, Stop, Un, Var, assign,
     frame, instr, instr_list, is_closed, isandbox, loop, obs, parse_term, print_term, ret,
     sandbox, seq, skip, sseq, while_,
 )
+
+
+VALUE_CLASSES = (Lit, Loc, Bin, Un, Nop, Stop, IAssign, Br, Var)
+
+
+def fields(v) -> tuple:
+    return tuple(getattr(v, name) for name in v.__match_args__)
+
+
+def structure(v):
+    """A key for ``v`` built from its class and fields all the way down, owing
+    nothing to object identity."""
+    if isinstance(v, VALUE_CLASSES):
+        return (type(v).__name__, *map(structure, fields(v)))
+    if isinstance(v, Node):
+        return ("Node", v.tag, *map(structure, v.children), "|", *map(structure, v.payload))
+    if isinstance(v, tuple):
+        return ("tuple", *map(structure, v))
+    return v
+
+
+def values_in(t):
+    """Every expression, instruction and variable in ``t``, each
+    subexpression and every instruction of an ``instr`` list included."""
+    pending = [t]
+    while pending:
+        v = pending.pop()
+        if isinstance(v, VALUE_CLASSES):
+            yield v
+            pending.extend(fields(v))
+        elif isinstance(v, Node):
+            pending.extend(v.children + v.payload)
+        elif isinstance(v, tuple):
+            pending.extend(v)
 
 
 def walk_closed(t) -> bool:
@@ -51,6 +85,33 @@ def test_equal_terms_are_one_object_however_built(langs, comps, cfg):
     # generating again yields the same objects
     again = list(itertools.islice(gen.closed_terms(lang, small), 60))
     assert all(u is t for u, t in zip(again, terms))
+    # so are the expressions, instructions and variables from every source
+    # that builds them: the parser, the expression stream and the compilers,
+    # whose flatten-low writes IAssign and Br instructions
+    every_lang = [t for lang in langs.values() for t in
+                  [*itertools.islice(gen.closed_terms(lang, small), 60),
+                   *gen.layer_shapes(lang, small)]]
+    built = [parse_term(print_term(t)) for t in every_lang]
+    for int_mode in (False, True):
+        built += itertools.islice(gen.expr_stream(cfg, int_mode), 300)
+    for cp in comps.values():
+        sources = list(itertools.islice(gen.closed_terms(cp.source, small), 60))
+        built += [compile_term(cp, t) for t in sources]
+        if cp.name != "flatten-low":  # the one whole-term translation
+            built += [compile_open(cp, t) for t in gen.layer_shapes(cp.source, small)]
+    values = [v for t in built for v in values_in(t)]
+    assert {type(v) for v in values} == set(VALUE_CLASSES)
+    one = {}
+    for v in values:
+        assert one.setdefault(structure(v), v) is v, v
+        for u in (type(v)(*fields(v)), copy.copy(v), copy.deepcopy(v),
+                  pickle.loads(pickle.dumps(v))):
+            assert u is v, v
+    # a value is one object for its class and fields together
+    assert Lit(1) is not Loc(1) and Lit(1) != Loc(1)
+    assert Nop() is not Stop() and Nop() != Stop()
+    assert Un("not", Lit(0)) is not Lit(0)
+    assert Var(1) is not Lit(1) and IAssign(0, Lit(1)) is not Br(Lit(1), 0)
 
 
 def test_closed_agrees_with_a_recursive_walk(langs, cfg):
@@ -134,11 +195,29 @@ def test_node_is_immutable():
     assert t == while_(Lit(1), skip())
 
 
+@pytest.mark.parametrize("value", [Lit(1), Loc(0), Bin("add", Loc(0), Lit(1)), Un("not", Lit(0)),
+                                   Nop(), Stop(), IAssign(0, Lit(1)), Br(Lit(1), -2), Var("x")])
+def test_values_are_immutable(value):
+    before = structure(value)
+    for name in value.__match_args__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    for name in value.__match_args__:
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert structure(value) == before
+
+
 def test_repr_is_the_dataclass_repr():
     t = seq(skip(), while_(Lit(1), Var("x")))
     assert repr(t) == (
         "Node(tag='seq', children=(Node(tag='skip', children=(), payload=()), "
         "Node(tag='while', children=(Var(name='x'),), payload=(Lit(n=1),))), payload=())")
+    assert [repr(v) for v in (Loc(0), Bin("add", Loc(0), Lit(-1)), Un("not", Lit(0)), Nop(),
+                              Stop(), IAssign(1, Lit(2)), Br(Lit(1), -2), Var(("t", "x0")))] == [
+        "Loc(l=0)", "Bin(op='add', lhs=Loc(l=0), rhs=Lit(n=-1))", "Un(op='not', e=Lit(n=0))",
+        "Nop()", "Stop()", "IAssign(loc=1, e=Lit(n=2))", "Br(e=Lit(n=1), off=-2)",
+        "Var(name=('t', 'x0'))"]
 
 
 def test_parse_term_refuses_a_program_deeper_than_the_bound():
