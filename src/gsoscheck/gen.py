@@ -100,7 +100,7 @@ def stack_window(cfg) -> list[StackState]:
 def frames_window(cfg) -> list[FrameState]:
     values = list(range(0, cfg.max_value + 1))
     singles = [tuple(c) for c in itertools.product(values, repeat=cfg.L)]
-    out = [FrameState()]
+    out = [FrameState(())]
     out += [FrameState((f,)) for f in singles]
     rng = random.Random(cfg.seed ^ 0xF4A3)
     for _ in range(16):

@@ -24,7 +24,7 @@ from typing import Callable
 from .terms import (
     BIN_OPS, UN_OPS, Bin, Br, Expr, IAssign, IllFormed, Inst, Lit, Loc, Nop,
     Node, OpenTerm, Stop, Un, Var, expr_locs, instr, loop, obs, sandbox,
-    isandbox, seq, skip, sseq, while_,
+    isandbox, seq, skip, sseq, subterms, while_,
 )
 from .states import FrameState, LowState, StackState, Store, clamp_negatives
 from .semantics import StepOutcome
@@ -136,9 +136,7 @@ class LangDef:
         constructor of this language, each payload value of its kind (natural
         numbers, a ``loc`` below ``L`` on frame machines, no negative literal
         outside ``while-int``); raises IllFormed with the offending part."""
-        pending = [term]  # an explicit stack: a compiled program may be deep
-        while pending:
-            t = pending.pop()
+        for t in subterms(term):  # left to right, as the term reads
             if isinstance(t, Var):
                 continue
             for tag, kinds, arity in self.constructors:
@@ -149,7 +147,6 @@ class LangDef:
                                 f" {len(t.children)} child(ren) is not a {self.name} constructor")
             for kind, value in zip(kinds, t.payload):
                 self._check(kind, value)
-            pending.extend(reversed(t.children))  # left to right, as the term reads
 
     def _check(self, kind: str, v):
         match kind, v:

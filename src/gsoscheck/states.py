@@ -1,12 +1,16 @@
-"""Machine states: finitely-supported stores and the per-language input kinds."""
+"""Machine states: finitely-supported stores and the per-language input kinds.
+
+A store is a named tuple, compared and hashed by its cells.  The pc, stack
+and frame states are hash-consed ``Value``s, like terms: equal states are
+one object, compared and hashed by identity.
+"""
 from __future__ import annotations
 
 import ast
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .terms import IllFormed
+from .terms import IllFormed, Value
 
 
 class Store(NamedTuple):
@@ -16,8 +20,7 @@ class Store(NamedTuple):
     as never touching it.  A store is a named tuple, so both run in C, on
     the one field tuple.  ``set`` writes into the sorted cell tuple: it
     drops the old cell and inserts the new one in index order, with no
-    dict and no sort.  The other states are frozen dataclasses, which
-    are never equal to a store or to a state of another kind.
+    dict and no sort.  A store is never equal to a state of another kind.
     """
 
     cells: tuple = ()  # sorted ((index, value), ...) with value != 0
@@ -55,29 +58,24 @@ def clamp_negatives(s: Store) -> Store:
     return s
 
 
-@dataclass(frozen=True)
-class LowState:
-    store: Store
-    pc: int
+class LowState(Value):
+    __slots__ = __match_args__ = ("store", "pc")
 
     def show(self) -> str:
         return f"({self.store.show()}, {self.pc})"
 
 
-@dataclass(frozen=True)
-class StackState:
-    store: Store
-    sp: int
+class StackState(Value):
+    __slots__ = __match_args__ = ("store", "sp")
 
     def show(self) -> str:
         return f"({self.store.show()}, {self.sp})"
 
 
-@dataclass(frozen=True)
-class FrameState:
+class FrameState(Value):
     """Stack of fixed-length frames, newest first; empty stack allowed."""
 
-    frames: tuple = ()  # tuple of tuples, each of length L
+    __slots__ = __match_args__ = ("frames",)  # a tuple of tuples, each of length L
 
     def show(self) -> str:
         return "[" + ", ".join("[" + ", ".join(map(str, f)) + "]" for f in self.frames) + "]"

@@ -2,12 +2,13 @@
 
 Terms are plain immutable trees: a ``Node`` carries a constructor tag, a
 tuple of child terms and a tuple of payload values (expressions, store
-locations, instructions).  Nodes, expressions, instructions and ``Var``s
-are hash-consed: equal values are one object for the whole process, so
-comparing or hashing them is an identity check.  ``Var`` marks a program
-variable, so a closed program is a ``Node`` tree with no ``Var`` anywhere.
-Which tags are legal, and with what payload shapes, is decided by each
-language definition; the tree type itself is untyped on purpose so that
+locations, instructions).  Nodes, expressions, instructions, ``Var``s and
+the pc, stack and frame states are hash-consed ``Value``s: equal values are
+one object for the whole process, compared and hashed by identity.  ``Var``
+marks a program variable, so a closed program is a ``Node`` tree with no
+``Var`` anywhere; ``subterms`` is the one walk of a term.  Which tags are
+legal, and with what payload shapes, is decided by each language
+definition; the tree type itself is untyped on purpose so that
 syntax-preserving compilers are the identity on trees.
 """
 from __future__ import annotations
@@ -19,14 +20,14 @@ class IllFormed(Exception):
     """A term, payload or machine state violates a language's rules."""
 
 
-# every expression, instruction and variable built so far, keyed on (class, fields)
+# every value but a node built so far, keyed on (class, fields)
 _VALUES: dict = {}
 
 
-class _Value:
-    """An immutable value whose fields are its ``__slots__``, hash-consed like
-    ``Node``: ``C(*fields)`` is the one ``C`` with those fields, copies and
-    unpickled values included, and its repr is the dataclass one."""
+class Value:
+    """An immutable value whose fields are its ``__slots__``, hash-consed:
+    ``C(*fields)`` is the one ``C`` with those fields, copies and unpickled
+    values included, and its repr is the dataclass one."""
 
     __slots__ = ()
 
@@ -63,21 +64,21 @@ UN_OPS = ("not",)
 BIN_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "lt": "<", "eq": "=", "min": "min"}
 
 
-class Lit(_Value):
+class Lit(Value):
     __slots__ = __match_args__ = ("n",)
 
 
-class Loc(_Value):
+class Loc(Value):
     """Dereference of store cell ``l`` (the ``var`` expression)."""
 
     __slots__ = __match_args__ = ("l",)
 
 
-class Bin(_Value):
+class Bin(Value):
     __slots__ = __match_args__ = ("op", "lhs", "rhs")
 
 
-class Un(_Value):
+class Un(Value):
     __slots__ = __match_args__ = ("op", "e")
 
 
@@ -100,19 +101,19 @@ def expr_locs(e: Expr) -> set[int]:
 # ---------------------------------------------------------------------------
 # Low instructions
 
-class Nop(_Value):
+class Nop(Value):
     __slots__ = __match_args__ = ()
 
 
-class Stop(_Value):
+class Stop(Value):
     __slots__ = __match_args__ = ()
 
 
-class IAssign(_Value):
+class IAssign(Value):
     __slots__ = __match_args__ = ("loc", "e")
 
 
-class Br(_Value):
+class Br(Value):
     __slots__ = __match_args__ = ("e", "off")
 
 
@@ -122,20 +123,18 @@ Inst = Union[Nop, Stop, IAssign, Br]
 # ---------------------------------------------------------------------------
 # terms
 
-class Var(_Value):
+class Var(Value):
     __slots__ = __match_args__ = ("name",)
 
 
-class Node:
+class Node(Value):
     """One constructor layer: a tag, a tuple of child terms and a tuple of
     payload values.
 
-    Nodes are hash-consed: ``Node(tag, children, payload)`` returns the one
-    node with those fields, found in a module-level table that lives for the
-    whole process and is never emptied.  Equal terms are therefore one
-    object, however they were built (parsing, plugging, compiling, copying,
-    unpickling), and equality and hashing are by identity.  A node is
-    immutable: assigning or deleting a field raises ``AttributeError``.
+    ``Node(tag, children, payload)`` is the one node with those fields, so
+    equal terms are one object however they were built.  Its table is its
+    own: this fixed-signature constructor, on every rule's hot path, is
+    faster than ``Value``'s generic one.
     """
 
     __slots__ = ("tag", "children", "payload")
@@ -152,18 +151,6 @@ class Node:
         return node
 
     __hash__ = object.__hash__  # its own attribute, which the benchmark's tracer swaps
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable Node")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable Node")
-
-    def __repr__(self) -> str:
-        return f"Node(tag={self.tag!r}, children={self.children!r}, payload={self.payload!r})"
-
-    def __reduce__(self):  # copy and pickle rebuild through the table
-        return Node, (self.tag, self.children, self.payload)
 
 
 # every node built so far, keyed on its fields
@@ -247,31 +234,29 @@ def loop(e: Expr, p: OpenTerm) -> Node:
     return Node("loop", (p,), (e,))
 
 
-def is_closed(t: OpenTerm) -> bool:
-    """True when no ``Var`` lies anywhere in ``t``."""
+def subterms(t: OpenTerm) -> Iterator[OpenTerm]:
+    """Every subterm of ``t``, ``t`` first, in preorder with children left
+    to right, walked from one explicit stack so that a deep term is safe."""
     pending = [t]
     while pending:
         t = pending.pop()
-        if type(t) is not Node:
-            return False
-        pending.extend(t.children)
-    return True
+        yield t
+        if type(t) is Node:
+            pending.extend(reversed(t.children))
+
+
+def is_closed(t: OpenTerm) -> bool:
+    """True when no ``Var`` lies anywhere in ``t``."""
+    return all(type(s) is Node for s in subterms(t))
 
 
 def term_size(t: OpenTerm) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(c) for c in t.children)
+    return sum(1 for _ in subterms(t))
 
 
 def term_vars(t: OpenTerm) -> list[object]:
     """Variables in left-to-right order, duplicates kept."""
-    if isinstance(t, Var):
-        return [t.name]
-    out: list[object] = []
-    for c in t.children:
-        out.extend(term_vars(c))
-    return out
+    return [s.name for s in subterms(t) if type(s) is Var]
 
 
 def subst(t: OpenTerm, env: dict) -> OpenTerm:
@@ -281,13 +266,6 @@ def subst(t: OpenTerm, env: dict) -> OpenTerm:
     if not t.children:
         return t
     return Node(t.tag, tuple(subst(c, env) for c in t.children), t.payload)
-
-
-def subterms(t: OpenTerm) -> Iterator[OpenTerm]:
-    yield t
-    if isinstance(t, Node):
-        for c in t.children:
-            yield from subterms(c)
 
 
 # ---------------------------------------------------------------------------

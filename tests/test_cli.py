@@ -705,19 +705,24 @@ json.dump([list({"x0", "x1"}), out], sys.stdout)
 
 def test_reports_do_not_depend_on_the_hash_seed():
     # string hashes, and so the order of any set of strings, change with
-    # PYTHONHASHSEED, and the hashes of nodes, expressions, instructions and
-    # variables are object identities, which may differ from run to run:
-    # neither may reach an exit code, a line or a report
+    # PYTHONHASHSEED, and the hashes of nodes, expressions, instructions,
+    # variables and pc, stack and frame states are object identities, which
+    # may differ from run to run: neither may reach an exit code, a line or a
+    # report
     argvs = [
         ["coherence", "--compiler", "sandbox"],  # needs the fallback bisimulation
         ["coherence", "--compiler", "unsandbox"],
         ["coherence", "--compiler", "flatten-low", "--mode", "closed"],
+        ["coherence", "--compiler", "embed-stack-clear"],  # stack states
+        ["coherence", "--compiler", "embed-low-sec"],  # pc states
         ["ctx-closure", "--lang", "while", *WHILE_PAIR, "--samples", "200"],
         ["preserve", "--compiler", "embed-flag"],
+        ["preserve", "--compiler", "embed-stack"],
         ["laws"],  # all nine languages
         ["bisim", "--lang", "while", *WHILE_PAIR],
         ["bisim", "--lang", "while-flag", *WHILE_PAIR, "--depth", "4"],
         ["demo", "fig6"],
+        ["demo", "fig9"],  # frame stacks
     ]
     src = str(Path(gsoscheck.__file__).resolve().parents[1])
     procs = []
@@ -737,7 +742,7 @@ def test_reports_do_not_depend_on_the_hash_seed():
         orders.append(order)
         outs.append(results)
     assert orders[0] != orders[1]  # the two processes order string sets apart
-    assert [code for code, _, _ in outs[0]] == [0, 1, 1, 0, 1, 0, 0, 1, 0]
+    assert [code for code, _, _ in outs[0]] == [0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0]
     for argv, a, b in zip(argvs, *outs):
         assert a == b, argv
 

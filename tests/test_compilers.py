@@ -190,7 +190,7 @@ def test_behavior_stack_frame_clause(comps):
     s = Store.of({0: 5, 1: 1, 2: 9})
 
     def frame_behavior(m: FrameState):
-        assert m == FrameState()  # div at sp 0 is the empty stack
+        assert m == FrameState(())  # div at sp 0 is the empty stack
         return StepOutcome(FrameState(((0, 0),)))
 
     out = translate_behavior(cp, frame_behavior, StackState(s, 0))

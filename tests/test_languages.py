@@ -76,7 +76,7 @@ def test_eval_int_examples():
 def test_eval_frames_examples():
     read, _ = frame_cells(2)
     assert evaluate(Loc(0), read, FrameState(((5, 0),))) == 5
-    assert evaluate(Loc(1), read, FrameState()) == 0
+    assert evaluate(Loc(1), read, FrameState(())) == 0
     assert evaluate(Loc(1), read, FrameState(((1, 2), (9, 9)))) == 2
     with pytest.raises(IllFormed):
         evaluate(Loc(2), read, FrameState(((1, 2),)))
@@ -94,7 +94,7 @@ def test_eval_sp_examples():
 def test_update_examples():
     assert Store.of({}).set(0, 3) == Store.of({0: 3})
     _, write_frames = frame_cells(2)
-    assert write_frames(FrameState(), 0, 3) == FrameState()
+    assert write_frames(FrameState(()), 0, 3) == FrameState(())
     _, write_block = block_cells(2)
     assert write_block(StackState(Store.of({}), 1), 1, 9) == StackState(Store.of({1: 9}), 1)
     assert write_block(StackState(Store.of({}), 2), 0, 4) == StackState(Store.of({2: 4}), 2)
@@ -207,12 +207,12 @@ def test_low_sec_terminating_instructions_land_past_the_statement(langs):
 
 def test_whileb_frame_and_return(langs):
     wb = langs["while-b"]
-    pushed = step(wb, frame(), FrameState())
+    pushed = step(wb, frame(), FrameState(()))
     assert pushed.cont is None and pushed.state == FrameState(((0, 0),))
     popped = step(wb, ret(), FrameState(((3, 4), (1, 2))))
     assert popped.state == FrameState(((1, 2),))
-    emptied = step(wb, ret(), FrameState())
-    assert emptied.state == FrameState()
+    emptied = step(wb, ret(), FrameState(()))
+    assert emptied.state == FrameState(())
     assert "whileb-empty-stack" in emptied.flags
 
 

@@ -116,7 +116,7 @@ def test_step_examples(langs):
     low_out = step(langs["low"], parse_term("(instr (nop) (stop))"),
                    LowState(Store.of({}), -1))
     assert low_out.cont is None and low_out.state == LowState(Store.of({}), -1)
-    wb_out = step(langs["while-b"], frame(), FrameState())
+    wb_out = step(langs["while-b"], frame(), FrameState(()))
     assert wb_out.cont is None and wb_out.state == FrameState(((0, 0),))
     with pytest.raises(IllFormed):
         step(langs["while"], seq(Var("x"), skip()), Store.of({}))

@@ -1,14 +1,25 @@
 """``Store``: an immutable map whose hash is its field tuple's, so dict and
-set order is the same however a store was built."""
+set order is the same however a store was built.  The pc, stack and frame
+states: immutable and hash-consed, one object for their class and fields."""
 import copy
+import itertools
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from gsoscheck import gen
+from gsoscheck.semantics import step
+from gsoscheck.terms import IllFormed
 from gsoscheck.states import (
     FrameState, LowState, StackState, Store, clamp_negatives, parse_state,
 )
+
+STATE_CLASSES = (LowState, StackState, FrameState)
+
+
+def fields(u) -> tuple:
+    return tuple(getattr(u, name) for name in u.__match_args__)
 
 
 def test_hash_is_the_field_tuple_hash():
@@ -93,15 +104,21 @@ def test_clamp_negatives_returns_a_nonnegative_store_as_it_is(cfg):
 def test_repr_is_the_dataclass_repr():
     assert repr(Store()) == "Store(cells=())"
     assert repr(Store.of({1: 2, 0: 3})) == "Store(cells=((0, 3), (1, 2)))"
+    assert [repr(u) for u in (LowState(Store.of({0: 1}), 2), StackState(Store(), 1),
+                              FrameState(((1, 2), (0, 3))), FrameState(()))] == [
+        "LowState(store=Store(cells=((0, 1),)), pc=2)",
+        "StackState(store=Store(cells=()), sp=1)",
+        "FrameState(frames=((1, 2), (0, 3)))",
+        "FrameState(frames=())"]
 
 
 def test_a_store_never_equals_another_state_kind(langs, cfg):
     s = Store.of({0: 1})
-    assert Store() != FrameState() and FrameState() != Store()
+    assert Store() != FrameState(()) and FrameState(()) != Store()
     assert LowState(s, 1) != StackState(s, 1) and StackState(s, 1) != LowState(s, 1)
     # a frame stack with the same field tuple as a store is still no store
     assert Store(((0, 1),)) != FrameState(((0, 1),))
-    states = {type(u): set() for u in (Store(), LowState(s, 0), StackState(s, 0), FrameState())}
+    states = {type(u): set() for u in (Store(), LowState(s, 0), StackState(s, 0), FrameState(()))}
     for lang in langs.values():
         for u in gen.state_window(lang, cfg):
             states[type(u)].add(u)
@@ -111,3 +128,47 @@ def test_a_store_never_equals_another_state_kind(langs, cfg):
             if kind is not other:
                 for u in of_kind:
                     assert all(u != v for v in of_other), (u, other)
+
+
+def test_equal_states_are_one_object_however_built(langs, cfg):
+    small = replace(cfg, max_term_size=3, exprs_per_slot=2)
+    built = []  # (state kind, state)
+    for lang in langs.values():
+        if lang.state_kind in ("store", "int-store"):
+            continue
+        window = gen.state_window(lang, cfg)
+        built += [(lang.state_kind, u) for u in window]
+        # the output state of each rule, over every closed term up to size 3
+        for t, u in itertools.product(gen.closed_terms(lang, small), window):
+            try:
+                built.append((lang.state_kind, step(lang, t, u).state))
+            except IllFormed:  # a stack machine's assignment at sp 0
+                pass
+    stores = gen.store_window(cfg, int_mode=False)
+    for length in (None, 1, 3):
+        built += [("pc", u) for u in gen.pc_states(cfg, stores, length)]
+    assert {type(u) for _, u in built} == set(STATE_CLASSES)
+    one = {}  # keyed on class and fields, which compare and hash by value
+    for kind, u in built:
+        assert one.setdefault((type(u), fields(u)), u) is u, u
+    for kind, u in dict.fromkeys(built):
+        for v in (type(u)(*fields(u)), parse_state(kind, u.show(), cfg.L), copy.copy(u),
+                  copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+            assert v is u, u
+    s = Store.of({0: 1})
+    assert LowState(s, 1) is LowState(Store.of({1: 0, 0: 1}), 1)
+    assert LowState(s, 1) is not LowState(s, 2) and LowState(s, 1) is not StackState(s, 1)
+
+
+@pytest.mark.parametrize("state", [LowState(Store.of({0: 1}), 2), StackState(Store(), 1),
+                                   FrameState(((1, 2),))], ids=lambda u: type(u).__name__)
+def test_states_are_immutable(state):
+    before = fields(state)
+    for name in state.__match_args__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(state, name, 0)
+    for name in state.__match_args__:
+        with pytest.raises(AttributeError):
+            delattr(state, name)
+    assert fields(state) == before
+

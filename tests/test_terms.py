@@ -1,5 +1,5 @@
 """``Node`` and the values in its payload: immutable, hash-consed, compared
-and hashed by identity."""
+and hashed by identity; and ``subterms``, the one walk of a term."""
 import copy
 import itertools
 import pickle
@@ -13,7 +13,7 @@ from gsoscheck.spf import decompositions, plug
 from gsoscheck.terms import (
     MAX_DEPTH, Bin, Br, IAssign, IllFormed, Lit, Loc, Node, Nop, Stop, Un, Var, assign,
     frame, instr, instr_list, is_closed, isandbox, loop, obs, parse_term, print_term, ret,
-    sandbox, seq, skip, sseq, while_,
+    sandbox, seq, skip, sseq, subterms, term_size, term_vars, while_,
 )
 
 
@@ -54,6 +54,14 @@ def values_in(t):
 def walk_closed(t) -> bool:
     """Closedness by a fresh recursive walk, nothing kept."""
     return not isinstance(t, Var) and all(walk_closed(c) for c in t.children)
+
+
+def recursive_subterms(t):
+    """The recursive walk that ``subterms`` replaced, kept as its oracle."""
+    yield t
+    if isinstance(t, Node):
+        for c in t.children:
+            yield from recursive_subterms(c)
 
 
 def test_equal_trees_built_apart_are_equal():
@@ -233,3 +241,29 @@ def test_parse_term_refuses_a_program_deeper_than_the_bound():
     assert parse_term("(instr" + " (nop)" * (MAX_DEPTH - 1) + " (stop))").tag == "instr"
     nest = MAX_DEPTH - 1
     assert parse_term("(sandbox " * nest + "?x" + ")" * nest).tag == "sandbox"
+
+
+def test_subterms_agrees_with_the_recursive_walk(langs, cfg):
+    small = replace(cfg, max_term_size=3, exprs_per_slot=2)
+    terms = [t for lang in langs.values()
+             for t in [*gen.closed_terms(lang, small), *gen.layer_shapes(lang, cfg)]]
+    for t in terms:
+        assert list(subterms(t)) == list(recursive_subterms(t)), print_term(t)
+    # preorder, children left to right
+    t = seq(while_(Lit(1), Var("a")), seq(Var("b"), skip()))
+    assert [print_term(u) for u in subterms(t)] == [
+        print_term(t), "(while (lit 1) ?a)", "?a", "(seq ?b skip)", "?b", "skip"]
+    assert term_vars(t) == ["a", "b"] and term_size(t) == 6
+
+
+def test_a_deep_term_is_walked_without_recursion(langs):
+    # 5,000 nested seqs, deeper on the left, with one variable per level
+    deep, closed = Var(0), Node("skip")
+    for i in range(1, 5001):
+        deep = Node("seq", (deep, Var(i)))
+        closed = Node("seq", (closed, Node("skip")))
+    assert term_size(deep) == term_size(closed) == 10_001
+    assert term_vars(deep) == list(range(5001))
+    assert not is_closed(deep) and is_closed(closed)
+    for t in (deep, closed):
+        langs["while"].validate(t)
