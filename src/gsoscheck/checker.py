@@ -51,7 +51,6 @@ from typing import NamedTuple, Optional
 from .terms import (
     IllFormed, Node, OpenTerm, instr_flatten, print_term, term_size, term_vars,
 )
-from .states import show_state
 from .semantics import (
     Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim,
     extend_law, first_difference,
@@ -92,12 +91,12 @@ class CoherenceCase:
     def describe(self) -> dict:
         out = {
             "term": print_term(self.subject),
-            "input": show_state(self.target_input),
+            "input": self.target_input.show(),
         }
         if self.tables:
             out["tables"] = {
                 str(v): {
-                    show_state(s): [e[0], show_state(e[1]), e[2]]
+                    s.show(): [e[0], e[1].show(), e[2]]
                     for s, e in t.entries.items()
                 }
                 for v, t in self.tables.items()
@@ -107,26 +106,26 @@ class CoherenceCase:
 
 @dataclass
 class Divergence:
+    """The two target-side outcomes of a square that disagree: ``upper``
+    has its continuation compiled, so both are the outcomes compared."""
+
     field_name: str  # label | state | termination | continuation
     upper: StepOutcome
     lower: StepOutcome
-    upper_cont: Optional[OpenTerm] = None
-    lower_cont: Optional[OpenTerm] = None
 
     def describe(self) -> dict:
         return {
             "field": self.field_name,
-            "upper": describe_outcome(self.upper, self.upper_cont),
-            "lower": describe_outcome(self.lower, self.lower_cont),
+            "upper": describe_outcome(self.upper),
+            "lower": describe_outcome(self.lower),
         }
 
 
-def describe_outcome(o: StepOutcome, cont: Optional[OpenTerm] = None) -> dict:
-    shown = cont if cont is not None else o.cont
+def describe_outcome(o: StepOutcome) -> dict:
     return {
-        "state": show_state(o.state),
+        "state": o.state.show(),
         "label": o.label,
-        "continuation": print_term(shown) if shown is not None else None,
+        "continuation": print_term(o.cont) if o.cont is not None else None,
     }
 
 
@@ -163,7 +162,7 @@ def _window_images(cp: CompilerPair, inputs) -> tuple[list, list]:
     ``input_map`` images of all of them, in order, and per input the index
     of its image."""
     index: dict = {}
-    images = [index.setdefault(cp.behavior.input_map(i2), len(index)) for i2 in inputs]
+    images = [index.setdefault(cp.input_map(i2), len(index)) for i2 in inputs]
     return list(index), images
 
 
@@ -210,7 +209,7 @@ def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tall
             o1 = sources[image]
             if o1 is None:
                 o1 = sources[image] = extend_law(cp.source, subject, tables, preimages[image])
-            upper = cp.behavior.output_map(i2, o1)
+            upper = cp.output_map(i2, o1)
             upper_cont = compile_once(upper.cont) if upper.cont is not None else None
             if layer is None:
                 layer = compile_once(subject)
@@ -218,7 +217,7 @@ def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tall
             field_name = first_difference(upper, lower)
             fallback = False
             if field_name is not None:
-                div = Divergence(field_name, upper, lower, upper_cont)
+                div = Divergence(field_name, upper._replace(cont=upper_cont), lower)
             elif upper_cont is None or upper_cont == lower.cont:
                 div = None
             else:
@@ -233,7 +232,7 @@ def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tall
                         behaviors=behaviors)
                 fallback = True
                 div = None if isinstance(verdict, Equivalent) else Divergence(
-                    "continuation", upper, lower, upper_cont, lower.cont)
+                    "continuation", upper._replace(cont=upper_cont), lower)
         except IllFormed:
             tally.illformed += 1
             continue
@@ -345,33 +344,16 @@ class PreservationEntry:
 
     @property
     def violated(self) -> bool:
-        return (
-            isinstance(self.source, Equivalent)
-            and self.target is not None
-            and isinstance(self.target, Distinguished)
-        )
-
-
-@dataclass
-class PreservationReport:
-    entries: list
-
-    @property
-    def violations(self) -> list:
-        return [e for e in self.entries if e.violated]
-
-    @property
-    def illformed(self) -> int:
-        return sum(e.target_illformed for e in self.entries)
+        return isinstance(self.target, Distinguished)
 
 
 def check_preservation(cp: CompilerPair, cfg: CampaignConfig,
-                       pairs: Optional[list] = None) -> PreservationReport:
-    """For source pairs found bisimilar within budget, check the compiled
-    pair in the target; a Distinguished target verdict is a violation.  A
-    target check that reaches an ill-formed state (a stack machine's frame
-    read at sp = 0) leaves that pair without a target verdict, as coherence
-    campaigns skip ill-formed cases."""
+                       pairs: Optional[list] = None) -> list[PreservationEntry]:
+    """An entry per pair: for source pairs found bisimilar within budget,
+    check the compiled pair in the target; a Distinguished target verdict
+    is a violation.  A target check that reaches an ill-formed state (a
+    stack machine's frame read at sp = 0) leaves that pair without a target
+    verdict, as coherence campaigns skip ill-formed cases."""
     src_window = gen.state_window(cp.source, cfg)
     tgt_window = gen.state_window(cp.target, cfg)
     if pairs is None:
@@ -393,7 +375,7 @@ def check_preservation(cp: CompilerPair, cfg: CampaignConfig,
             except IllFormed:
                 entry.target_illformed = True
         entries.append(entry)
-    return PreservationReport(entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from functools import cache, partial
 from .terms import (
     MAX_DEPTH, IllFormed, Node, is_closed, parse_term, print_term, show_low, subst, term_depth,
 )
-from .states import parse_state, show_state
+from .states import parse_state
 from .semantics import Distinguished, Equivalent, check_bisim, run as run_term
 from .languages import language_registry
 from .compilers import compiler_registry, compile_term
@@ -128,23 +128,23 @@ def _cmd_run(args) -> tuple[Report, list]:
         current = term
         for state_in, out in result.trace:
             label = f" ({out.label})" if out.label is not None else ""
-            src = f"⟨{show_state(state_in)}, {print_term(current)}⟩"
+            src = f"⟨{state_in.show()}, {print_term(current)}⟩"
             if out.cont is None:
-                lines.append(f"{src} ⇓{label} {show_state(out.state)}")
+                lines.append(f"{src} ⇓{label} {out.state.show()}")
             else:
                 lines.append(
                     f"{src} →{label} "
-                    f"⟨{show_state(out.state)}, {print_term(out.cont)}⟩")
+                    f"⟨{out.state.show()}, {print_term(out.cont)}⟩")
                 current = out.cont
     if result.terminated:
-        lines.append(f"terminated after {result.steps} step(s): {show_state(result.final)}")
+        lines.append(f"terminated after {result.steps} step(s): {result.final.show()}")
         verdict = "terminated"
     else:
-        lines.append(f"out of fuel after {result.steps} step(s): {show_state(result.final)}"
+        lines.append(f"out of fuel after {result.steps} step(s): {result.final.show()}"
                      f" residual {print_term(result.residual)}")
         verdict = "out-of-fuel"
     report = Report(config={"fuel": args.fuel}, verdict=verdict,
-                    witness={"final": show_state(result.final), "steps": result.steps})
+                    witness={"final": result.final.show(), "steps": result.steps})
     return report, lines
 
 
@@ -183,7 +183,7 @@ def _cmd_coherence(args) -> tuple[Report, list]:
     witness = verdict.describe()
     lines = [
         f"FAIL {cp.name} after {verdict.cases_before} passing case(s)",
-        f"  case:  {print_term(verdict.case.subject)}  at  {show_state(verdict.case.target_input)}",
+        f"  case:  {print_term(verdict.case.subject)}  at  {verdict.case.target_input.show()}",
         f"  diverges in: {verdict.divergence.field_name}",
         f"  upper: {_show_outcome(witness['divergence']['upper'])}",
         f"  lower: {_show_outcome(witness['divergence']['lower'])}",
@@ -215,7 +215,7 @@ def _cmd_bisim(args) -> tuple[Report, list]:
         return Report(config=cfg.echo(), verdict="equivalent",
                       tallies={"depth": verdict.depth, "inputs": verdict.inputs}), lines
     witness = {
-        "path": [show_state(s) for s in verdict.path],
+        "path": [s.show() for s in verdict.path],
         "reason": verdict.reason,
         "left": describe_outcome(verdict.left),
         "right": describe_outcome(verdict.right),
@@ -251,9 +251,9 @@ def _cmd_preserve(args) -> tuple[Report, list]:
     cp = _lookup(compiler_registry(L=args.frame_len), "compiler", args.compiler)
     cfg = _config(args)
     pairs = _load_pairs(args.pairs, cp) if args.pairs else None
-    result = check_preservation(cp, cfg, pairs)
+    entries = check_preservation(cp, cfg, pairs)
     lines = []
-    for e in result.entries:
+    for e in entries:
         src = "equivalent" if isinstance(e.source, Equivalent) else "distinguished"
         line = f"source {src}: {print_term(e.left)}  /  {print_term(e.right)}"
         if e.target_illformed:
@@ -264,26 +264,27 @@ def _cmd_preserve(args) -> tuple[Report, list]:
             if isinstance(e.target, Distinguished):
                 t = e.target
                 labels = f": {t.left.label} vs {t.right.label}" if t.reason == "label" else ""
-                line += f" at {[show_state(s) for s in t.path]} ({t.reason}{labels})"
+                line += f" at {[s.show() for s in t.path]} ({t.reason}{labels})"
         lines.append(line)
-    violations = result.violations
+    violations = [e for e in entries if e.violated]
+    illformed = sum(e.target_illformed for e in entries)
     witness = None
     if violations:
         v = violations[0]
         witness = {
             "left": print_term(v.left), "right": print_term(v.right),
-            "target_path": [show_state(s) for s in v.target.path],
+            "target_path": [s.show() for s in v.target.path],
             "reason": v.target.reason,
             "target_left": describe_outcome(v.target.left),
             "target_right": describe_outcome(v.target.right),
         }
         lines.append(f"{len(violations)} preservation violation(s)")
-    if result.illformed:
-        lines.append(f"note: {result.illformed} pair(s) ill-formed in the target skipped")
+    if illformed:
+        lines.append(f"note: {illformed} pair(s) ill-formed in the target skipped")
     report = Report(config=cfg.echo(), verdict="violation" if violations else "preserved",
                     witness=witness,
-                    tallies={"pairs": len(result.entries), "violations": len(violations),
-                             "illformed": result.illformed})
+                    tallies={"pairs": len(entries), "violations": len(violations),
+                             "illformed": illformed})
     return report, lines
 
 
@@ -438,7 +439,7 @@ def _cmd_demo(args) -> tuple[Report, list]:
     if isinstance(payload, Fail):
         witness = payload.describe()
         lines.append(f"  witness: {print_term(payload.case.subject)}"
-                     f" at {show_state(payload.case.target_input)}")
+                     f" at {payload.case.target_input.show()}")
     elif isinstance(payload, Pass):
         witness = {"tallies": _tallies(payload)}
         lines.append(f"  {payload.cases} case(s), {payload.fallback_cases} via bounded"

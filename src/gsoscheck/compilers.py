@@ -1,9 +1,11 @@
 """The translation pairs: a syntax translation plus a behavior translation.
 
-Layer maps send one source constructor (over whatever its children are) to
-an open target term and extend homomorphically, so they satisfy the monad
-laws by construction.  The flattening compiler to Low is genuinely
-whole-term recursion and is checked in closed mode only.
+A pair holds its syntax translation and its behavior translation's two
+maps, ``input_map`` and ``output_map``.  Layer maps send one source
+constructor (over whatever its children are) to an open target term and
+extend homomorphically, so they satisfy the monad laws by construction.
+The flattening compiler to Low is genuinely whole-term recursion and is
+checked in closed mode only.
 """
 from __future__ import annotations
 
@@ -34,23 +36,18 @@ class WholeTerm:
     fn: Callable[[Node], Node]
 
 
-@dataclass(frozen=True)
-class BehaviorTranslation:
-    """Input-side state map and output-side outcome map: a target input i2
-    is answered with ``output_map(i2, f(input_map(i2)))`` for the source
-    behavior f, at every input."""
-
-    input_map: Callable  # target input -> source input
-    output_map: Callable  # (target input, source StepOutcome) -> target StepOutcome
-
-
 @dataclass
 class CompilerPair:
+    """A syntax translation and the two maps of a behavior translation: a
+    target input i2 is answered with ``output_map(i2, f(input_map(i2)))``
+    for the source behavior f, at every input."""
+
     name: str
     source: LangDef
     target: LangDef
     syntax: LayerMap | WholeTerm
-    behavior: BehaviorTranslation
+    input_map: Callable  # target input -> source input
+    output_map: Callable  # (target input, source StepOutcome) -> target StepOutcome
 
     @property
     def open_checkable(self) -> bool:
@@ -86,25 +83,25 @@ def translate_behavior(cp: CompilerPair, f: Callable, i2) -> StepOutcome:
     The returned outcome's continuation is still a source term; callers
     compile it when they need the target-side term.
     """
-    o1 = f(cp.behavior.input_map(i2))
-    return cp.behavior.output_map(i2, o1)
+    o1 = f(cp.input_map(i2))
+    return cp.output_map(i2, o1)
 
 
-# --- behavior translations -------------------------------------------------
+# --- behavior translations: (input_map, output_map) pairs ------------------
 
 # label the unlabelled with the designated value 0
-_B_FLAG = BehaviorTranslation(
-    input_map=lambda s: s,
-    output_map=lambda i2, o: StepOutcome(o.state, label=0, cont=o.cont, flags=o.flags),
+_B_FLAG = (
+    lambda s: s,
+    lambda i2, o: StepOutcome(o.state, label=0, cont=o.cont, flags=o.flags),
 )
 
-_B_IDENTITY = BehaviorTranslation(input_map=lambda s: s, output_map=lambda i2, o: o)
+_B_IDENTITY = (lambda s: s, lambda i2, o: o)
 
 # run the source on the store with negatives forgotten; include the
 # nat-valued result back into the int store
-_B_INT = BehaviorTranslation(
-    input_map=clamp_negatives,
-    output_map=lambda i2, o: StepOutcome(o.state, cont=o.cont, flags=o.flags),
+_B_INT = (
+    clamp_negatives,
+    lambda i2, o: StepOutcome(o.state, cont=o.cont, flags=o.flags),
 )
 
 
@@ -118,7 +115,7 @@ def _low_output(i2: LowState, o: StepOutcome) -> StepOutcome:
     return StepOutcome(LowState(o.state, 0), cont=o.cont, flags=o.flags)
 
 
-_B_LOW = BehaviorTranslation(lambda i2: i2.store, _low_output)
+_B_LOW = (lambda i2: i2.store, _low_output)
 
 
 def div_blocks(s: Store, sp: int, L: int) -> FrameState:
@@ -143,13 +140,13 @@ def override_blocks(frames: tuple, s: Store, L: int) -> Store:
     return Store(tuple(cells))
 
 
-def _b_stack(L: int) -> BehaviorTranslation:
+def _b_stack(L: int) -> tuple:
     def output_map(i2: StackState, o: StepOutcome):
         frames = o.state.frames
         out = StackState(override_blocks(frames, i2.store, L), len(frames))
         return StepOutcome(out, cont=o.cont, flags=o.flags)
 
-    return BehaviorTranslation(lambda i2: div_blocks(i2.store, i2.sp, L), output_map)
+    return lambda i2: div_blocks(i2.store, i2.sp, L), output_map
 
 
 # --- syntax translations ---------------------------------------------------
@@ -217,7 +214,7 @@ def compiler_registry(L: int = 2) -> dict[str, CompilerPair]:
     langs = language_registry(L)
 
     def pair(name, src, tgt, syntax, behavior):
-        return CompilerPair(name, langs[src], langs[tgt], syntax, behavior)
+        return CompilerPair(name, langs[src], langs[tgt], syntax, *behavior)
 
     pairs = [
         pair("embed-flag", "while", "while-flag", LayerMap(_identity_layer), _B_FLAG),

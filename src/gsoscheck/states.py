@@ -2,7 +2,8 @@
 
 A store is a named tuple, compared and hashed by its cells.  The pc, stack
 and frame states are hash-consed ``Value``s, like terms: equal states are
-one object, compared and hashed by identity.
+one object, compared and hashed by identity.  Every state prints itself
+with ``show()``, in the form ``parse_state`` reads back.
 """
 from __future__ import annotations
 
@@ -82,10 +83,6 @@ class FrameState(Value):
 
 
 MachineState = Store | LowState | StackState | FrameState
-
-
-def show_state(s: MachineState) -> str:
-    return s.show()
 
 
 # --- parsing of CLI input states ---

@@ -12,7 +12,7 @@ import pytest
 
 from gsoscheck.checker import (
     CampaignConfig, CoherenceCase, Divergence, Fail, Pass, check_case, check_coherence,
-    check_context_closure, check_preservation, closed_cases, open_cases,
+    check_context_closure, check_preservation, closed_cases, describe_outcome, open_cases,
 )
 from gsoscheck.languages import LangDef
 from gsoscheck.compilers import compile_term, translate_behavior
@@ -22,7 +22,8 @@ from gsoscheck.semantics import (
 )
 from gsoscheck.states import LowState, StackState, Store
 from gsoscheck.terms import (
-    Bin, IllFormed, Lit, Loc, Var, assign, print_term, sandbox, seq, skip, while_,
+    Bin, IllFormed, Lit, Loc, Var, assign, parse_term, print_expr, print_term, sandbox, seq,
+    skip, while_,
 )
 from gsoscheck.spf import OneHoleLayer, plug
 from gsoscheck import checker, gen, semantics
@@ -131,6 +132,18 @@ def test_pinned_flatten_low_case(comps):
     assert div.upper.state == LowState(Store.of({0: 3}), 1)
     assert div.lower.cont is not None
     assert div.lower.state == LowState(Store.of({}), 2)
+
+
+def test_divergence_holds_the_compiled_upper_continuation(comps):
+    # the source continuation is (sandbox skip); the witness holds the upper
+    # outcome the square compared, with that continuation compiled
+    cp = comps["unsandbox"]
+    case = CoherenceCase(parse_term("(sandbox (seq (assign 0 (lit 1)) skip))"), Store.of({}))
+    for mode in ("open", "closed"):
+        div = check_case(cp, case, CampaignConfig(mode=mode)).divergence
+        assert div.field_name == "label", mode
+        assert print_term(div.upper.cont) == "skip", mode
+        assert describe_outcome(div.upper) == div.describe()["upper"], mode
 
 
 def test_pinned_int_case(comps):
@@ -255,26 +268,27 @@ OPEN_CHECKABLE = ("embed-flag", "sandbox", "unsandbox", "embed-int", "sandbox-in
 
 def _literal_closed_square(cp, case, window, cfg):
     """One closed-mode case computed as it is drawn, sharing nothing: the
-    source law then the behavior translation, against the compiler then the
-    target law, with the fallback comparison on continuations.  Returns the
-    verdict of a campaign of this one case."""
+    source law then the behavior translation and the compiled continuation,
+    against the compiler then the target law, with the fallback comparison
+    on continuations.  Returns the verdict of a campaign of this one case."""
     p, i2 = case.subject, case.target_input
     try:
         upper = translate_behavior(cp, partial(extend_law, cp.source, p, {}), i2)
-        upper_cont = compile_term(cp, upper.cont) if upper.cont is not None else None
+        if upper.cont is not None:
+            upper = upper._replace(cont=compile_term(cp, upper.cont))
         lower = extend_law(cp.target, compile_term(cp, p), {}, i2)
         flags = upper.flags | lower.flags
         field_name = first_difference(upper, lower)
         if field_name is not None:
-            return Fail(case, Divergence(field_name, upper, lower, upper_cont), 0, flags)
-        if upper_cont is None or upper_cont == lower.cont:
+            return Fail(case, Divergence(field_name, upper, lower), 0, flags)
+        if upper.cont is None or upper.cont == lower.cont:
             return Pass(1, True, flags=flags)
-        verdict = check_bisim(cp.target, upper_cont, lower.cont, window, cfg.fallback_depth)
+        verdict = check_bisim(cp.target, upper.cont, lower.cont, window, cfg.fallback_depth)
     except IllFormed:
         return Pass(1, True, illformed=1)
     if isinstance(verdict, Equivalent):
         return Pass(1, True, fallback_cases=1, flags=flags)
-    return Fail(case, Divergence("continuation", upper, lower, upper_cont, lower.cont), 0, flags)
+    return Fail(case, Divergence("continuation", upper, lower), 0, flags)
 
 
 def _assert_same_verdict(grouped, alone):
@@ -440,20 +454,21 @@ def test_preservation_section3(comps):
     cfg = CampaignConfig()
     a = while_(Loc(0), assign(0, Lit(0)))
     b = while_(Bin("mul", Loc(0), Lit(2)), assign(0, Lit(0)))
-    report = check_preservation(comps["embed-flag"], cfg, pairs=[(a, b)])
-    assert len(report.violations) == 1
-    violation = report.violations[0]
+    entries = check_preservation(comps["embed-flag"], cfg, pairs=[(a, b)])
+    violations = [e for e in entries if e.violated]
+    assert len(violations) == 1
+    violation = violations[0]
     assert isinstance(violation.source, Equivalent)
     assert isinstance(violation.target, Distinguished)
     assert violation.target.path == (Store.of({0: 1}),)
     assert {violation.target.left.label, violation.target.right.label} == {1, 2}
 
     preserved = check_preservation(comps["sandbox"], cfg, pairs=[(a, b)])
-    assert not preserved.violations
-    assert isinstance(preserved.entries[0].target, Equivalent)
+    assert not any(e.violated for e in preserved)
+    assert isinstance(preserved[0].target, Equivalent)
 
     trivial = check_preservation(comps["embed-flag"], cfg, pairs=[(a, a)])
-    assert not trivial.violations
+    assert not any(e.violated for e in trivial)
 
 
 def test_context_closure_closed_pair(langs):
@@ -639,6 +654,22 @@ def test_closed_terms_are_the_recorded_ones(langs, name, budget):
     assert hashlib.sha256(text.encode()).hexdigest() == CLOSED_TERM_DIGESTS[name, budget]
 
 
+# sha256 of the first 300 expressions gen.expr_stream yields at the default
+# config, printed one a line: the stream every campaign's expr payloads
+# come from
+EXPR_STREAM_DIGESTS = {
+    "nat": "90a8b3c7b5affd708d32e083fe541fbbe7473da2b82e2176091aa5402a79f04e",
+    "int": "85d9678fc25d0511f2c863706907d641300aa966528f11c1e744d5e8b6ad8f4b",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(EXPR_STREAM_DIGESTS))
+def test_expr_stream_is_the_recorded_one(mode):
+    stream = gen.expr_stream(CampaignConfig(), int_mode=mode == "int")
+    text = "\n".join(print_expr(e) for e in itertools.islice(stream, 300))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPR_STREAM_DIGESTS[mode]
+
+
 def test_closed_low_cases_cross_out_of_range_pcs(comps):
     cfg = CampaignConfig()
     cp = comps["flatten-low"]
@@ -736,10 +767,13 @@ def test_passing_compilers_preserve_bisimilarity(comps):
         cp = comps[name]
         terms = list(itertools.islice(gen.closed_terms(cp.source, small), 20))
         pairs = [(a, b) for a, b in itertools.combinations(terms, 2)]
-        rep = check_preservation(cp, cfg, pairs)
-        eq_pairs = sum(1 for e in rep.entries if isinstance(e.source, Equivalent))
+        entries = check_preservation(cp, cfg, pairs)
+        eq_pairs = sum(1 for e in entries if isinstance(e.source, Equivalent))
         assert eq_pairs > 0, name
-        assert not rep.violations, name
+        assert not any(e.violated for e in entries), name
+        # a target is checked only for a pair the source finds equivalent
+        assert all(isinstance(e.source, Equivalent) for e in entries
+                   if e.target is not None or e.target_illformed), name
 
 
 def test_context_closure_other_languages(langs):

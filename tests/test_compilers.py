@@ -167,9 +167,9 @@ def test_behavior_translation_is_its_two_maps(comps, cfg):
             return outcome(state)
 
         for i2 in window:
-            want = cp.behavior.output_map(i2, outcome(cp.behavior.input_map(i2)))
+            want = cp.output_map(i2, outcome(cp.input_map(i2)))
             assert translate_behavior(cp, source, i2) == want, (name, i2)
-        assert consulted == [cp.behavior.input_map(i2) for i2 in window], name
+        assert consulted == [cp.input_map(i2) for i2 in window], name
 
 
 def test_behavior_int_clamps_input(comps):

@@ -17,7 +17,8 @@ from gsoscheck.cli import execute
 
 from tests.test_cli import _load_perfbench
 
-MODULES = ("checker", "semantics", "gen", "spf", "laws", "compilers", "languages", "states")
+MODULES = ("checker", "semantics", "gen", "spf", "laws", "compilers", "languages", "states",
+           "reports")
 
 OPEN_CHECKABLE = ("embed-flag", "sandbox", "unsandbox", "embed-int", "sandbox-int",
                   "embed-low-sec", "embed-stack", "embed-stack-clear")
@@ -44,7 +45,7 @@ def _command_lines(tmp_path) -> list:
         ["compile", "--compiler", "flatten-low", "--term", "(while (var 0) skip)"],
         ["preserve", "--compiler", "embed-stack", "--samples", "10"],
         ["preserve", "--compiler", "sandbox", "--pairs", str(pairs)],
-        ["laws", "--lang", "low-sec"],
+        ["laws", "--lang", "low-sec", "--json"],
         ["bisim", "--lang", "while", *WHILE_PAIR],
         ["ctx-closure", "--lang", "while", *WHILE_PAIR, "--samples", "20"],
         ["run", "--lang", "while", "--term", "(seq skip skip)", "--input", "{}",
