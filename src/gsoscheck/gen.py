@@ -113,6 +113,8 @@ def frames_window(cfg) -> list[FrameState]:
 
 
 def state_window(lang, cfg) -> list:
+    if lang.state_kind in ("sp", "frames") and lang.L != cfg.L:
+        raise ValueError(f"{lang.name} has frames of length {lang.L}, the windows {cfg.L}")
     match lang.state_kind:
         case "store":
             return store_window(cfg, int_mode=False)

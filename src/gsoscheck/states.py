@@ -1,30 +1,28 @@
 """Machine states: finitely-supported stores and the per-language input kinds.
 
-A store is a named tuple, compared and hashed by its cells.  The pc, stack
-and frame states are hash-consed ``Value``s, like terms: equal states are
-one object, compared and hashed by identity.  Every state prints itself
-with ``show()``, in the form ``parse_state`` reads back.
+Every state, store, pc, stack and frame state alike, is a hash-consed
+``Value``, like terms: equal states are one object, compared and hashed by
+identity.  Every state prints itself with ``show()``, in the form
+``parse_state`` reads back.
 """
 from __future__ import annotations
 
 import ast
 from bisect import bisect_left
-from typing import NamedTuple
 
 from .terms import IllFormed, Value
 
 
-class Store(NamedTuple):
+class Store(Value):
     """Finitely-supported map from cell index to value, default 0.
 
-    Equality and hashing are support-wise: writing 0 to a cell is the same
-    as never touching it.  A store is a named tuple, so both run in C, on
-    the one field tuple.  ``set`` writes into the sorted cell tuple: it
-    drops the old cell and inserts the new one in index order, with no
-    dict and no sort.  A store is never equal to a state of another kind.
+    The cells are kept sorted and without zeros, so writing 0 to a cell is
+    the same as never touching it, and equal stores are one object.
+    ``set`` writes into the sorted cell tuple: it drops the old cell and
+    inserts the new one in index order, with no dict and no sort.
     """
 
-    cells: tuple = ()  # sorted ((index, value), ...) with value != 0
+    __slots__ = __match_args__ = ("cells",)  # sorted ((index, value), ...) with value != 0
 
     @staticmethod
     def of(mapping: dict[int, int] | None = None) -> "Store":

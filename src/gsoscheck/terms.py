@@ -3,8 +3,8 @@
 Terms are plain immutable trees: a ``Node`` carries a constructor tag, a
 tuple of child terms and a tuple of payload values (expressions, store
 locations, instructions).  Nodes, expressions, instructions, ``Var``s and
-the pc, stack and frame states are hash-consed ``Value``s: equal values are
-one object for the whole process, compared and hashed by identity.  ``Var``
+every machine state are hash-consed ``Value``s: equal values are one
+object for the whole process, compared and hashed by identity.  ``Var``
 marks a program variable, so a closed program is a ``Node`` tree with no
 ``Var`` anywhere; ``subterms`` is the one walk of a term.  Which tags are
 legal, and with what payload shapes, is decided by each language

@@ -14,8 +14,9 @@ from gsoscheck.checker import (
     CampaignConfig, CoherenceCase, Divergence, Fail, Pass, check_case, check_coherence,
     check_context_closure, check_preservation, closed_cases, describe_outcome, open_cases,
 )
-from gsoscheck.languages import LangDef
-from gsoscheck.compilers import compile_term, translate_behavior
+from gsoscheck.languages import LangDef, language_registry
+from gsoscheck.laws import run_law_suite
+from gsoscheck.compilers import compile_term, compiler_registry, translate_behavior
 from gsoscheck.semantics import (
     Distinguished, Equivalent, StepOutcome, check_bisim, extend_law, first_difference,
     memo_entry, run,
@@ -751,6 +752,23 @@ def test_context_closure_explicit_flag_context(langs):
     window = gen.store_window(cfg, int_mode=False)
     verdict = check_bisim(lang, plug(ctx, a), plug(ctx, b), window, cfg.depth)
     assert isinstance(verdict, Distinguished)
+
+
+def test_frame_windows_take_the_languages_frame_length():
+    # the registries and the windows each take a frame length; a frame
+    # machine checked with windows built for another length is refused
+    cp = compiler_registry(L=1)["embed-stack-clear"]
+    for run_check in (check_coherence, check_preservation):
+        with pytest.raises(ValueError, match="frames of length 1, the windows 2"):
+            run_check(cp, CampaignConfig(samples=10))
+    for lang in language_registry(3).values():
+        if lang.state_kind in ("sp", "frames"):
+            for run_check in (gen.state_window, run_law_suite):
+                with pytest.raises(ValueError, match=f"{lang.name} has frames of length 3"):
+                    run_check(lang, CampaignConfig())
+            assert gen.state_window(lang, CampaignConfig(L=3))
+        else:  # no other state has frames
+            assert gen.state_window(lang, CampaignConfig())
 
 
 def test_stack_campaign_flags_totalizations(comps):

@@ -346,6 +346,21 @@ def test_laws_cli_single_language(capsys):
     assert "while:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("frame_len, failing, exhausted", [("1", 3437, 3608), ("3", 4900, 5088)])
+def test_stack_campaigns_at_other_frame_lengths(frame_len, failing, exhausted):
+    # the flag sets both the languages' frame length and the windows': a
+    # `frame` that leaves the old block in place fails, one that clears it passes
+    argv = ["--samples", "10000", "--frame-len", frame_len]
+    code, report, _ = execute(["coherence", "--compiler", "embed-stack", *argv])
+    assert code == 1 and report.config["L"] == int(frame_len)
+    assert report.tallies["cases_before"] == failing
+    assert report.witness["case"]["term"] == "frame"
+    assert report.witness["divergence"]["field"] == "state"
+    code, report, _ = execute(["coherence", "--compiler", "embed-stack-clear", *argv])
+    assert code == 0 and report.config["L"] == int(frame_len)
+    assert report.tallies["exhausted"] and report.tallies["cases"] == exhausted
+
+
 def test_demo_exit_codes(capsys):
     assert main(["demo", "example1"]) == 0
     assert main(["demo", "fig3"]) == 0
@@ -706,9 +721,9 @@ json.dump([list({"x0", "x1"}), out], sys.stdout)
 def test_reports_do_not_depend_on_the_hash_seed():
     # string hashes, and so the order of any set of strings, change with
     # PYTHONHASHSEED, and the hashes of nodes, expressions, instructions,
-    # variables and pc, stack and frame states are object identities, which
-    # may differ from run to run: neither may reach an exit code, a line or a
-    # report
+    # variables and every machine state, stores included, are object
+    # identities, which may differ from run to run: neither may reach an exit
+    # code, a line or a report
     argvs = [
         ["coherence", "--compiler", "sandbox"],  # needs the fallback bisimulation
         ["coherence", "--compiler", "unsandbox"],
@@ -723,6 +738,9 @@ def test_reports_do_not_depend_on_the_hash_seed():
         ["bisim", "--lang", "while-flag", *WHILE_PAIR, "--depth", "4"],
         ["demo", "fig6"],
         ["demo", "fig9"],  # frame stacks
+        # int stores: clamped, with the fallback, then failing on a negative one
+        ["coherence", "--compiler", "sandbox-int", "--samples", "6000"],
+        ["coherence", "--compiler", "embed-int"],
     ]
     src = str(Path(gsoscheck.__file__).resolve().parents[1])
     procs = []
@@ -742,7 +760,7 @@ def test_reports_do_not_depend_on_the_hash_seed():
         orders.append(order)
         outs.append(results)
     assert orders[0] != orders[1]  # the two processes order string sets apart
-    assert [code for code, _, _ in outs[0]] == [0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0]
+    assert [code for code, _, _ in outs[0]] == [0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1]
     for argv, a, b in zip(argvs, *outs):
         assert a == b, argv
 
