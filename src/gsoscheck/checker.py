@@ -8,11 +8,14 @@ divergence in label, output state, termination, or continuation term.
 
 Continuation terms are compared syntactically first.  The layer-wise
 sandboxing translations step to continuations that differ from the
-compiled source continuation only by redundant sandbox layers, so a
-syntactic mismatch falls back to a bounded behavioral comparison over the
-case's window; a pass obtained this way is counted and reported.  Every
-other registered translation either matches continuations exactly or
-diverges in an observable.
+compiled source continuation only by redundant sandbox layers.  Their
+compiler pairs carry a normal form, sandbox absorption, whose one-step
+lemma is checked on the compiler's image; a syntactic mismatch whose two
+continuations have one normal form is settled by it, and only a pair it
+does not equate falls back to a bounded behavioral comparison
+(``check_bisim``) over the case's window.  A pass obtained either way is
+counted and reported.  Every other registered translation either matches
+continuations exactly or diverges in an observable.
 
 Both modes evaluate their cases one group at a time, through the same
 square.  A group is the cases that differ only in the target input: an
@@ -23,10 +26,11 @@ translation's input side sees the target input, so a group compiles its
 subject, builds its target behaviors, runs the source law once per distinct
 preimage state and compiles each distinct upper continuation once, for all
 its inputs.  The input side itself, ``input_map``, is computed once per
-window, as a list of image indices aligned with it.  The fallback's verdict
-does not depend on the target input either, so a group computes it once per
-(upper continuation, lower continuation) and reuses it for its other
-inputs; ``fallback_cases`` still counts the cases that needed it.  The
+window, as a list of image indices aligned with it.  The verdict on a
+continuation mismatch, by normal form or by the fallback, does not depend
+on the target input either, so a group computes it once per (upper
+continuation, lower continuation) and reuses it for its other inputs;
+``fallback_cases`` still counts the cases that needed it.  The
 streams yield groups; a campaign walks each group's inputs until its budget
 is spent and builds a ``CoherenceCase`` only for a failure.  A case checked
 on its own, such as a pinned witness, is a group of one input.
@@ -221,15 +225,20 @@ def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tall
             elif upper_cont is None or upper_cont == lower.cont:
                 div = None
             else:
-                # syntactic mismatch: bounded behavioral comparison over the
-                # window, once per pair of continuations (see the module
-                # docstring); each input builds its own divergence from it
+                # syntactic mismatch: the pair's normal form, else a bounded
+                # behavioral comparison over the window, once per pair of
+                # continuations (see the module docstring); each input
+                # builds its own divergence from it
                 key = (upper_cont, lower.cont)
                 verdict = verdicts.get(key)
                 if verdict is None:
-                    verdict = verdicts[key] = check_bisim(
-                        cp.target, upper_cont, lower.cont, window, cfg.fallback_depth,
-                        behaviors=behaviors)
+                    nf = cp.normal_form
+                    if nf is not None and nf(upper_cont) == nf(lower.cont):
+                        verdict = Equivalent(cfg.fallback_depth, len(window))
+                    else:
+                        verdict = check_bisim(cp.target, upper_cont, lower.cont, window,
+                                              cfg.fallback_depth, behaviors=behaviors)
+                    verdicts[key] = verdict
                 fallback = True
                 div = None if isinstance(verdict, Equivalent) else Divergence(
                     "continuation", upper._replace(cont=upper_cont), lower)

@@ -1,17 +1,18 @@
 """The translation pairs: a syntax translation plus a behavior translation.
 
 A pair holds its syntax translation and its behavior translation's two
-maps, ``input_map`` and ``output_map``.  Layer maps send one source
-constructor (over whatever its children are) to an open target term and
-extend homomorphically, so they satisfy the monad laws by construction.
-The flattening compiler to Low is genuinely whole-term recursion and is
-checked in closed mode only.
+maps, ``input_map`` and ``output_map``, and, for the two sandboxing
+translations, a normal form on the target terms of their image.  Layer
+maps send one source constructor (over whatever its children are) to an
+open target term and extend homomorphically, so they satisfy the monad
+laws by construction.  The flattening compiler to Low is genuinely
+whole-term recursion and is checked in closed mode only.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .terms import (
     Br, IAssign, IllFormed, Lit, Node, Nop, OpenTerm, Stop, Un, Var,
@@ -40,7 +41,14 @@ class WholeTerm:
 class CompilerPair:
     """A syntax translation and the two maps of a behavior translation: a
     target input i2 is answered with ``output_map(i2, f(input_map(i2)))``
-    for the source behavior f, at every input."""
+    for the source behavior f, at every input.
+
+    ``normal_form``, when set, maps the target terms of the compiler's image
+    so that terms with one normal form are bisimilar: a coherence case whose
+    continuations differ in syntax but not in normal form needs no bounded
+    fallback.  ``tests/test_compilers.py`` checks its one-step lemma on the
+    image: a term and its normal form step alike at every input, to
+    continuations of one normal form."""
 
     name: str
     source: LangDef
@@ -48,6 +56,7 @@ class CompilerPair:
     syntax: LayerMap | WholeTerm
     input_map: Callable  # target input -> source input
     output_map: Callable  # (target input, source StepOutcome) -> target StepOutcome
+    normal_form: Optional[Callable[[OpenTerm], OpenTerm]] = None
 
     @property
     def open_checkable(self) -> bool:
@@ -169,6 +178,37 @@ def _isandbox_layer(tag, payload, children):
     return isandbox(Node(tag, children, payload))
 
 
+def sandbox_absorption(tag: str) -> Callable[[OpenTerm], OpenTerm]:
+    """Sandbox absorption on the nodes tagged ``tag``: bottom up, such a node
+    is replaced by its normalised child when that child is a variable or
+    when the node sits under another such node; every other node keeps its
+    tag.  It is sound on the compiler's image only: under an ``obs``, say,
+    the inner sandbox's label is logged."""
+
+    def normal_form(t: OpenTerm) -> OpenTerm:
+        done: list = []  # normalised subterms, each awaiting its parent
+        pending = [(t, False, False)]  # (term, under a `tag` node, children done)
+        while pending:
+            t, under, ready = pending.pop()
+            if type(t) is Var or not t.children:
+                done.append(t)
+            elif not ready:
+                pending.append((t, under, True))
+                inner = under or t.tag == tag
+                pending.extend((c, inner, False) for c in reversed(t.children))
+            else:
+                n = len(t.children)
+                children = tuple(done[-n:])
+                del done[-n:]
+                if t.tag == tag and (under or type(children[0]) is Var):
+                    done.append(children[0])
+                else:
+                    done.append(Node(t.tag, children, t.payload))
+        return done[0]
+
+    return normal_form
+
+
 def _secure_low_layer(tag, payload, children):
     match tag:
         case "skip":
@@ -213,15 +253,17 @@ def _flatten(p: Node) -> list:
 def compiler_registry(L: int = 2) -> dict[str, CompilerPair]:
     langs = language_registry(L)
 
-    def pair(name, src, tgt, syntax, behavior):
-        return CompilerPair(name, langs[src], langs[tgt], syntax, *behavior)
+    def pair(name, src, tgt, syntax, behavior, normal_form=None):
+        return CompilerPair(name, langs[src], langs[tgt], syntax, *behavior, normal_form)
 
     pairs = [
         pair("embed-flag", "while", "while-flag", LayerMap(_identity_layer), _B_FLAG),
-        pair("sandbox", "while", "while-sec", LayerMap(_sandbox_layer), _B_FLAG),
+        pair("sandbox", "while", "while-sec", LayerMap(_sandbox_layer), _B_FLAG,
+             sandbox_absorption("sandbox")),
         pair("unsandbox", "while-sec", "while-sec", LayerMap(_unsandbox_layer), _B_IDENTITY),
         pair("embed-int", "while", "while-int", LayerMap(_identity_layer), _B_INT),
-        pair("sandbox-int", "while", "while-int", LayerMap(_isandbox_layer), _B_INT),
+        pair("sandbox-int", "while", "while-int", LayerMap(_isandbox_layer), _B_INT,
+             sandbox_absorption("isandbox")),
         pair("flatten-low", "while", "low", WholeTerm(flatten_to_low), _B_LOW),
         pair("embed-low-sec", "while", "low-sec", LayerMap(_secure_low_layer), _B_LOW),
         pair("embed-stack", "while-b", "stack", LayerMap(_identity_layer), _b_stack(L)),

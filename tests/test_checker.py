@@ -16,19 +16,21 @@ from gsoscheck.checker import (
 )
 from gsoscheck.languages import LangDef, language_registry
 from gsoscheck.laws import run_law_suite
-from gsoscheck.compilers import compile_term, compiler_registry, translate_behavior
+from gsoscheck.compilers import LayerMap, compile_term, compiler_registry, translate_behavior
 from gsoscheck.semantics import (
     Distinguished, Equivalent, StepOutcome, check_bisim, extend_law, first_difference,
     memo_entry, run,
 )
 from gsoscheck.states import LowState, StackState, Store
 from gsoscheck.terms import (
-    Bin, IllFormed, Lit, Loc, Var, assign, parse_term, print_expr, print_term, sandbox, seq,
-    skip, while_,
+    Bin, IllFormed, Lit, Loc, Node, Var, assign, parse_term, print_expr, print_term, sandbox,
+    seq, skip, while_,
 )
 from gsoscheck.spf import OneHoleLayer, plug
 from gsoscheck import checker, gen, semantics
 from gsoscheck.cli import execute
+
+from tests.test_cli import _load_perfbench
 
 EXPECTED_VERDICTS = {
     "embed-flag": Fail,
@@ -190,8 +192,9 @@ def test_sandbox_passes_only_up_to_continuation_fallback(comps):
 def test_fallback_runs_once_per_continuations_and_tables(comps, monkeypatch):
     # the fallback verdict depends on the two continuations and the case's
     # tables, not on the target input, so a campaign computes it once per
-    # such key however many inputs of the window reach it
-    cp, cfg = comps["sandbox"], CampaignConfig(samples=2000)
+    # such key however many inputs of the window reach it; without its
+    # normal form, which settles them all, every such pair reaches it
+    cp, cfg = replace(comps["sandbox"], normal_form=None), CampaignConfig(samples=2000)
     window = gen.state_window(cp.target, cfg)
     calls = []
     real = checker.check_bisim
@@ -211,6 +214,59 @@ def test_fallback_runs_once_per_continuations_and_tables(comps, monkeypatch):
     assert isinstance(verdict, Pass) and verdict.fallback_cases == 209
     assert len(calls) == len(keys) == 18
     assert len(set(calls)) == 9  # each pair under both table variants
+
+
+@pytest.mark.parametrize("name, cfg", [
+    # the benchmark's budgets, exhaustive in open mode, at two of its seeds
+    *(pytest.param(name, CampaignConfig(samples=samples, seed=CampaignConfig.seed + seed),
+                   id=f"{name}-seed{seed}")
+      for name, samples in (("sandbox", 2000), ("sandbox-int", 6000)) for seed in (0, 1)),
+    # closed terms up to size 3; sandbox-int's first 1,000 cases need no fallback
+    *(pytest.param(name, CampaignConfig(mode="closed", max_term_size=3, samples=3000),
+                   id=f"{name}-closed")
+      for name in ("sandbox", "sandbox-int")),
+])
+def test_normal_form_settles_as_the_bounded_fallback_does(comps, name, cfg):
+    # the normal form settles a continuation mismatch before the fallback
+    # runs; the campaign must reach the same record without it
+    cp = comps[name]
+    with_nf = check_coherence(cp, cfg)
+    _assert_same_verdict(with_nf, check_coherence(replace(cp, normal_form=None), cfg))
+    assert isinstance(with_nf, Pass) and with_nf.fallback_cases > 0
+
+
+def test_a_pair_the_normal_form_does_not_equate_goes_to_the_bounded_fallback(comps):
+    # a planted sandbox compiler whose loops run their body twice: after a
+    # loop's first step the two continuations differ in normal form, and
+    # the bounded fallback tells them apart
+    def doubled(tag, payload, children):
+        if tag == "while":
+            return sandbox(while_(payload[0], seq(children[0], children[0])))
+        return sandbox(Node(tag, children, payload))
+
+    cp = replace(comps["sandbox"], syntax=LayerMap(doubled))
+    for mode in ("open", "closed"):
+        cfg = CampaignConfig(mode=mode)
+        got = check_coherence(cp, cfg)
+        assert isinstance(got, Fail) and got.divergence.field_name == "continuation", mode
+        _assert_same_verdict(got, check_coherence(replace(cp, normal_form=None), cfg))
+
+
+def test_benchmark_fallback_campaigns_run_no_bounded_fallback(monkeypatch):
+    # every continuation mismatch of the benchmark's coherence-fallback
+    # command lines is settled by the normal form
+    calls = []
+    real = checker.check_bisim
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(checker, "check_bisim", counting)
+    for argv in _load_perfbench("run").commands("coherence-fallback", 0):
+        code, report, _ = execute(argv)
+        assert code == 0 and report.tallies["fallback_cases"] > 0, argv
+    assert calls == []
 
 
 def test_out_of_domain_table_query_is_inconclusive(comps):

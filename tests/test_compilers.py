@@ -1,18 +1,21 @@
 """Translation pairs: syntax images, behavior clauses, monad-law conformance
 and the flattening arithmetic."""
 import itertools
+import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from gsoscheck.compilers import (
     compile_open, compile_term, div_blocks, override_blocks, translate_behavior,
 )
-from gsoscheck.semantics import StepOutcome
+from gsoscheck.checker import CampaignConfig
+from gsoscheck.semantics import StepOutcome, extend_law, first_difference
 from gsoscheck.states import FrameState, LowState, StackState, Store
 from gsoscheck.terms import (
-    Bin, Br, IAssign, IllFormed, Lit, Loc, Nop, Stop, Un, Var, assign, frame,
-    instr, instr_flatten, isandbox, loop, sandbox, seq, skip, sseq,
+    Bin, Br, IAssign, IllFormed, Lit, Loc, Node, Nop, Stop, Un, Var, assign, frame,
+    instr, instr_flatten, isandbox, loop, obs, sandbox, seq, skip, sseq,
     subterms, term_size, while_,
 )
 from gsoscheck.cli import EXAMPLE1_COMPILED, EXAMPLE1_SOURCE
@@ -245,3 +248,130 @@ def test_compiled_terms_validate_in_target(comps, cfg):
         terms = itertools.islice(gen.closed_terms(cp.source, small), 40)
         for t in terms:
             cp.target.validate(compile_term(cp, t))
+
+
+# --- sandbox absorption: the normal form's one-step lemma on the image ---
+#
+# A coherence case whose continuations have one normal form is settled
+# without the bounded fallback.  That is sound when the kernel of the normal
+# form N is a bisimulation: one step of t and one of N(t) agree on label,
+# state and termination at every input, and their continuations have one
+# normal form.  The check below runs that lemma over the compiler's image:
+# the target terms built from skip, assign, seq, while and the sandbox over
+# ?x0 and ?x1, under translated tables, at every input of the target window.
+
+IMAGE_TAGS = ("skip", "assign", "seq", "while")
+LEMMA_CFG = CampaignConfig(exprs_per_slot=3)  # terms up to size 4
+
+
+def _open_terms(lang, cfg, tags):
+    """Every term of ``lang`` up to ``cfg.max_term_size`` nodes built from the
+    constructors ``tags`` and the variables x0 and x1, smallest first."""
+    shapes = [s for s in gen.layer_shapes(lang, cfg) if s.tag in tags]
+    by_size = [[], [Var("x0"), Var("x1")] + [s for s in shapes if not s.children]]
+    for size in range(2, cfg.max_term_size + 1):
+        level = []
+        for s in shapes:
+            if len(s.children) == 1:
+                level += [Node(s.tag, (c,), s.payload) for c in by_size[size - 1]]
+            elif len(s.children) == 2:
+                level += [Node(s.tag, (a, b), s.payload) for left in range(1, size - 1)
+                          for a in by_size[left] for b in by_size[size - 1 - left]]
+        by_size.append(level)
+    return [t for level in by_size for t in level]
+
+
+def _translated_tables(cp, cfg, window, variants=3):
+    """``variants`` table draws for x0 and x1, sampled on the source side as
+    an open campaign samples them and answered through the behavior
+    translation at each target input."""
+    rng = random.Random(cfg.seed)
+    preimages = list(dict.fromkeys(map(cp.input_map, window)))
+    names = ["x0", "x1"]
+    for _ in range(variants):
+        yield {x: partial(translate_behavior, cp,
+                          gen.sample_table(rng, x, preimages, cp.source.has_label, names, cfg))
+               for x in names}
+
+
+def _lemma_failures(cp, normal_form, tags, cfg):
+    """(checks, failures) of the one-step lemma for ``normal_form`` over the
+    ``tags`` terms it changes, at every table draw and target input."""
+    window = gen.state_window(cp.target, cfg)
+    changed = [(t, n) for t in _open_terms(cp.target, cfg, tags)
+               if (n := normal_form(t)) is not t]
+    checks = failures = 0
+    for behaviors in _translated_tables(cp, cfg, window):
+        for t, n in changed:
+            for s in window:
+                a = extend_law(cp.target, t, behaviors, s)
+                b = extend_law(cp.target, n, behaviors, s)
+                checks += 1
+                failures += first_difference(a, b) is not None or (
+                    a.cont is not None and normal_form(a.cont) is not normal_form(b.cont))
+    return checks, failures
+
+
+def _strip_every(tag):
+    """A wrong normal form: every ``tag`` layer removed."""
+    def normal_form(t):
+        if type(t) is Var:
+            return t
+        children = tuple(map(normal_form, t.children))
+        return children[0] if t.tag == tag else Node(t.tag, children, t.payload)
+
+    return normal_form
+
+
+def _absorb_over_raw_variables(tag):
+    """A wrong normal form, not idempotent: absorption that looks for a
+    variable in the child as it stands, not in the normalised child, so it
+    takes (sandbox (sandbox ?x0)) to (sandbox ?x0)."""
+    def normal_form(t, under=False):
+        if type(t) is Var:
+            return t
+        children = tuple(normal_form(c, under or t.tag == tag) for c in t.children)
+        if t.tag == tag and (under or type(t.children[0]) is Var):
+            return children[0]
+        return Node(t.tag, children, t.payload)
+
+    return normal_form
+
+
+@pytest.mark.parametrize("name, wrong, all_tags, size, checks, failures", [
+    ("sandbox", None, False, 4, 7728, 0),
+    ("sandbox-int", None, False, 4, 23667, 0),
+    # wrong normal forms, each of which must fail the lemma
+    ("sandbox", _strip_every, False, 3, 3456, 1248),
+    ("sandbox-int", _strip_every, False, 3, 10584, 3627),
+    ("sandbox", _absorb_over_raw_variables, False, 4, 7728, 280),
+    ("sandbox-int", _absorb_over_raw_variables, False, 4, 23667, 862),
+    # outside the image: under an obs the inner sandbox's label is logged
+    ("sandbox", None, True, 4, 12048, 384),
+], ids=["sandbox", "sandbox-int", "strip-sandbox", "strip-isandbox", "raw-sandbox",
+        "raw-isandbox", "sandbox-under-obs"])
+def test_normal_form_one_step_lemma(comps, name, wrong, all_tags, size, checks, failures):
+    cp = comps[name]
+    tag = "sandbox" if name == "sandbox" else "isandbox"
+    normal_form = cp.normal_form if wrong is None else wrong(tag)
+    tags = [c[0] for c in cp.target.constructors] if all_tags else IMAGE_TAGS + (tag,)
+    cfg = replace(LEMMA_CFG, max_term_size=size)
+    assert _lemma_failures(cp, normal_form, tags, cfg) == (checks, failures)
+    if failures == 0:
+        for t in _open_terms(cp.target, cfg, tags):
+            assert normal_form(normal_form(t)) is normal_form(t)
+
+
+def test_only_the_sandboxing_pairs_have_a_normal_form(comps):
+    assert {n for n, cp in comps.items() if cp.normal_form is not None} == {
+        "sandbox", "sandbox-int"}
+    nf = comps["sandbox"].normal_form
+    x = Var("x0")
+    w = while_(Lit(1), x)
+    # the fallback pair of the sandbox campaign: inner sandboxes are absorbed
+    assert nf(sandbox(seq(x, sandbox(w)))) is nf(sandbox(seq(x, w))) is sandbox(seq(x, w))
+    assert nf(sandbox(sandbox(x))) is x
+    assert nf(sandbox(obs(0, sandbox(assign(0, Lit(1)))))) is sandbox(obs(0, assign(0, Lit(1))))
+    nf = comps["sandbox-int"].normal_form
+    assert nf(isandbox(seq(x, isandbox(w)))) is isandbox(seq(x, w))
+    assert nf(isandbox(isandbox(x))) is x

@@ -77,17 +77,6 @@ def test_set_matches_the_dict_definition(cfg):
                 assert got.cells == _dict_set(s, l, v).cells, (s.show(), l, v)
 
 
-def test_store_is_immutable():
-    s = Store.of({0: 1})
-    with pytest.raises(AttributeError):
-        s.cells = ()
-    with pytest.raises(AttributeError):
-        del s.cells
-    with pytest.raises(AttributeError):
-        s.extra = 1
-    assert s is Store.of({0: 1})
-
-
 def test_clamp_negatives_returns_a_nonnegative_store_as_it_is(cfg):
     def rebuilt(s):  # every nonpositive cell dropped into a new store
         return Store(tuple((k, v) for k, v in s.cells if v > 0))
