@@ -35,6 +35,22 @@ streams yield groups; a campaign walks each group's inputs until its budget
 is spent and builds a ``CoherenceCase`` only for a failure.  A case checked
 on its own, such as a pinned witness, is a group of one input.
 
+A rule sees a child only through the behavior it queries, so a square
+that queries no table is the same square under every table.  An open-mode
+campaign therefore watches each group's tables, the one door through which
+the source law, the lower path (via ``translate_behavior``) and the
+fallback all reach them.  When a group runs to its end and none of its
+inputs queried a table, the campaign keeps its per-input results: whether
+each input was ill-formed, else its flags and whether it needed the
+fallback (an inconclusive input has queried a table).  The later table
+variants of that subject replay those results input by input under the
+same budget, so the case count, ``exhausted``, the tallies and the flags
+are the ones evaluation gives.  Only a group that passed is kept, so a
+replay never hides a failure.  The ``while`` layers are settled this way
+after their first variant: neither ``while`` nor its images (a sandboxed
+``while``, ``loop``) query the body.  A lone case and closed mode have no
+tables to vary and evaluate every group.
+
 A table answers only on the states it was sampled on.  A case whose
 square queries a table elsewhere is tallied inconclusive, never answered
 with an invented entry.
@@ -183,19 +199,49 @@ class _Group(NamedTuple):
     layer: Optional[OpenTerm] = None
 
 
-def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tally: Pass):
+_ILLFORMED = "illformed"  # the result of an ill-formed input
+# the results of a counted input without flags, without and with the
+# fallback: shared, so that a kept group holds no object per input
+_UNFLAGGED = ((frozenset(), False), (frozenset(), True))
+
+
+def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tally: Pass,
+                    settled: Optional[dict]):
     """The squares of the group's inputs in order, each counted in ``tally``
     until the ``samples`` budget is spent, which clears ``tally.exhausted``;
     returns the first failure, or None.  Shared work is computed when an
     input first needs it, where a case on its own would, so the same
-    exception surfaces first."""
+    exception surfaces first.
+
+    ``settled``, when given, is the campaign's map from a subject to the
+    per-input results of a group of it that ran to its end without
+    querying any of its tables: that group's squares are the same squares
+    under any tables, so a later group of the subject replays those
+    results through the same budget check instead of evaluating.  A group
+    with tables is watched for such queries, on both paths and in the
+    fallback, and added to the map when it has none."""
     subject, tables, preimages = group.subject, group.tables, group.preimages
+    watch = settled is not None and bool(tables)
+    if watch and subject in settled:
+        _replay(settled[subject], cfg, tally)
+        return None
+    queried = False  # a table of the group answered a query
+    if watch:
+        def watched(table):
+            def answer(state):
+                nonlocal queried
+                queried = True
+                return table(state)
+            return answer
+
+        tables = {x: watched(t) for x, t in tables.items()}
     # the same sampled tables serve both paths, re-indexed through the
     # behavior translation on the lower one
     behaviors = {x: (lambda i2, t=t: translate_behavior(cp, t, i2)) for x, t in tables.items()}
     sources: list = [None] * len(preimages)  # source outcome per preimage
     compiled: dict = {}  # source term -> its compiled form
     verdicts: dict = {}  # (upper cont, lower cont) -> fallback verdict
+    results: list = []  # watched: per input, ill-formed or its flags and fallback
     layer = group.layer
 
     def compile_once(t: OpenTerm) -> OpenTerm:
@@ -244,27 +290,55 @@ def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tall
                     "continuation", upper._replace(cont=upper_cont), lower)
         except IllFormed:
             tally.illformed += 1
+            if watch:
+                results.append(_ILLFORMED)
             continue
-        except IncompleteTable:
+        except IncompleteTable:  # a table was queried outside its domain
             tally.inconclusive += 1
+            queried = True
             continue
-        tally.flags |= upper.flags | lower.flags
+        flags = upper.flags | lower.flags
+        tally.flags |= flags
         tally.fallback_cases += fallback
         if div is not None:
-            return Fail(CoherenceCase(subject, i2, tables), div, tally.cases - 1, tally.flags)
+            return Fail(CoherenceCase(subject, i2, group.tables), div, tally.cases - 1,
+                        tally.flags)
+        if watch:
+            results.append((flags, fallback) if flags else _UNFLAGGED[fallback])
+    if watch and not queried:
+        settled[subject] = results
     return None
+
+
+def _replay(results: list, cfg, tally: Pass) -> None:
+    """Count a settled group's per-input results in ``tally`` as
+    ``_evaluate_group`` counted them, input by input until the ``samples``
+    budget is spent."""
+    for result in results:
+        if tally.cases == cfg.samples:
+            tally.exhausted = False
+            return
+        tally.cases += 1
+        if result is _ILLFORMED:
+            tally.illformed += 1
+        else:
+            flags, fallback = result
+            tally.flags |= flags
+            tally.fallback_cases += fallback
 
 
 # a campaign evaluates each group in a call to one of these two, which the
 # benchmark's tracer times by name
-def evaluate_open_case(cp: CompilerPair, group: _Group, window, cfg, tally: Pass):
+def evaluate_open_case(cp: CompilerPair, group: _Group, window, cfg, tally: Pass,
+                       settled: Optional[dict]):
     """An open-mode group, as ``_evaluate_group``: layers compile open."""
-    return _evaluate_group(cp, group, compile_open, window, cfg, tally)
+    return _evaluate_group(cp, group, compile_open, window, cfg, tally, settled)
 
 
-def evaluate_closed_case(cp: CompilerPair, group: _Group, window, cfg, tally: Pass):
+def evaluate_closed_case(cp: CompilerPair, group: _Group, window, cfg, tally: Pass,
+                         settled: Optional[dict]):
     """A closed-mode group, as ``_evaluate_group``: terms compile whole."""
-    return _evaluate_group(cp, group, compile_term, window, cfg, tally)
+    return _evaluate_group(cp, group, compile_term, window, cfg, tally, settled)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +391,17 @@ def _mode(cp: CompilerPair, cfg: CampaignConfig):
 
 
 def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
+    """The campaign of ``cfg``'s mode: its groups in stream order, each
+    evaluated until the budget is spent or a case fails.  One map, local to
+    the campaign, holds the results of the groups that queried none of their
+    tables, which later groups of the same subject replay (see
+    ``_evaluate_group``)."""
     stream, evaluate = _mode(cp, cfg)
     window = gen.state_window(cp.target, cfg)
     tally = Pass(0, exhausted=True)  # until a case is left past the budget
+    settled: dict = {}  # subject -> per-input results, see _evaluate_group
     for group in stream(cp, cfg, window):
-        fail = evaluate(cp, group, window, cfg, tally)
+        fail = evaluate(cp, group, window, cfg, tally, settled)
         if fail is not None:
             return fail
         if not tally.exhausted:
@@ -337,7 +417,7 @@ def check_case(cp: CompilerPair, case: CoherenceCase, cfg: CampaignConfig) -> Ve
     states = [case.target_input]
     group = _Group(case.subject, case.tables, states, *_window_images(cp, states))
     tally = Pass(0, exhausted=True)
-    return evaluate(cp, group, gen.state_window(cp.target, cfg), cfg, tally) or tally
+    return evaluate(cp, group, gen.state_window(cp.target, cfg), cfg, tally, None) or tally
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,20 @@ def _group_sizes(cp, cfg):
     return (len(group.states) for group in stream(cp, cfg, window))
 
 
+def _repeated_while_groups(cp, cfg):
+    """The first and last case number of every open-mode group of a ``while``
+    layer that an earlier group of the stream had, with its printed layer.
+    A ``while`` rule steps without querying its body, so these are the
+    groups a campaign replays."""
+    window = gen.state_window(cp.target, cfg)
+    seen, last = set(), 0
+    for group in open_cases(cp, cfg, window):
+        first, last = last + 1, last + len(group.states)
+        if group.subject.tag == "while" and group.subject in seen:
+            yield first, last, print_term(group.subject)
+        seen.add(group.subject)
+
+
 @pytest.mark.parametrize("name, seed, samples", [
     # every budget reaches the verdict of the shipped campaign, except
     # sandbox-int's: un-memoised, its fallback cases take seconds
@@ -377,14 +391,53 @@ def _group_sizes(cp, cfg):
     # at 816 cases and its second group at 32; embed-flag fails on its 33rd
     *(("sandbox", CampaignConfig.seed, n) for n in (31, 32, 33, 815, 816, 817)),
     *(("embed-flag", CampaignConfig.seed, n) for n in (32, 33, 34)),
+    # budgets just before, at the start of, inside and just after the first
+    # replayed group: sandbox's covers cases 449-464, embed-stack-clear's
+    # 2,689-2,784.  embed-stack-clear's first replayed group with ill-formed
+    # inputs (sp = 0 under a guard that reads a cell) starts with one, at
+    # 3,457, so the last budget ends inside it
+    *(("sandbox", CampaignConfig.seed, n) for n in (448, 449, 456, 464, 465)),
+    *(("embed-stack-clear", CampaignConfig.seed, n) for n in (2688, 2689, 2784, 2785, 3458)),
 ])
 def test_group_evaluation_equals_per_case_evaluation(comps, name, seed, samples):
     cp = comps[name]
     assert cp.open_checkable
     cfg = CampaignConfig(samples=samples, seed=seed)
-    if name == "sandbox":  # the points the budgets above are placed by
+    # the points the budgets above are placed by
+    if name == "sandbox":
         assert list(_group_sizes(cp, cfg)) == [16] * 51
+        assert next(_repeated_while_groups(cp, cfg)) == (449, 464, "(while (lit 0) ?x0)")
+    if name == "embed-stack-clear" and samples < 6000:
+        replayed = list(_repeated_while_groups(cp, cfg))
+        assert replayed[0] == (2689, 2784, "(while (lit 0) ?x0)")
+        assert replayed[4] == (3457, 3552, "(while (var 0) ?x0)")
     _assert_same_verdict(check_coherence(cp, cfg), _per_case_campaign(cp, cfg))
+
+
+def test_a_query_on_the_lower_path_alone_keeps_a_group_from_being_replayed(comps):
+    # a planted target-only while rule that queries its body at one window
+    # input and copies that answer's label: the source while never queries
+    # its body, so only the lower path sees the tables.  The first table
+    # variant of (while (lit 0) ?x0) agrees there and the second does not,
+    # so a campaign that replayed the first would step past the failure
+    cp = comps["unsandbox"]
+    queried_at = Store.of({1: 3})
+    rule = cp.target.rule
+
+    def copying(tag, payload, children, s):
+        out = rule(tag, payload, children, s)
+        if tag == "while" and s == queried_at:
+            return out._replace(label=children[0][1](s).label)
+        return out
+
+    planted = replace(cp, target=replace(cp.target, rule=copying))
+    cfg = CampaignConfig()
+    assert next(_repeated_while_groups(planted, cfg)) == (449, 464, "(while (lit 0) ?x0)")
+    got = check_coherence(planted, cfg)
+    _assert_same_verdict(got, _per_case_campaign(planted, cfg))
+    assert isinstance(got, Fail) and got.cases_before == 451
+    assert print_term(got.case.subject) == "(while (lit 0) ?x0)"
+    assert got.case.target_input == queried_at and got.divergence.field_name == "label"
 
 
 @pytest.mark.parametrize("name, seed, samples", [
@@ -405,53 +458,73 @@ def test_closed_mode_equals_the_literal_square(comps, name, seed, samples):
 
 def _count_group_work(cp, cfg, monkeypatch):
     """Run a campaign and count, per group, how often its subject is
-    compiled, and per (term, tables, state) how often the source law runs.
-    A group is told by its subject and tables, noted as it is handed to the
-    evaluate function, if that evaluates any of its inputs."""
+    compiled and how often the source law runs at each state, and whether
+    any of its tables answered a query.  Groups are told apart by their
+    index among the groups handed to the evaluate function that counted at
+    least one case; each is noted with its subject and tables."""
     closed = cfg.mode == "closed"
     evaluate_name = "evaluate_closed_case" if closed else "evaluate_open_case"
     compile_name = "compile_term" if closed else "compile_open"
-    variants = []  # every group's subject and tables, kept alive so that ids stay apart
-    subject_compiles, source_runs = Counter(), Counter()
-    real_evaluate, real_compile, real_law = (
-        getattr(checker, evaluate_name), getattr(checker, compile_name), checker.extend_law)
+    variants = []  # (subject, tables) per group, kept alive so that ids stay apart
+    subject_compiles, source_runs, queried = Counter(), Counter(), set()
+    real_evaluate, real_compile, real_law, real_table = (
+        getattr(checker, evaluate_name), getattr(checker, compile_name), checker.extend_law,
+        semantics.BehaviorTable.__call__)
 
-    def evaluating(cp_, group, window, cfg_, tally):
+    def evaluating(cp_, group, window, cfg_, tally, settled):
         before = tally.cases
         variants.append((group.subject, group.tables))
         try:
-            return real_evaluate(cp_, group, window, cfg_, tally)
+            return real_evaluate(cp_, group, window, cfg_, tally, settled)
         finally:
             if tally.cases == before:  # the budget was spent before this group
                 variants.pop()
 
     def compiling(cp_, t):
-        subject, tables = variants[-1]
-        if t is subject:
-            subject_compiles[t, id(tables)] += 1
+        if t is variants[-1][0]:
+            subject_compiles[len(variants) - 1] += 1
         return real_compile(cp_, t)
 
     def extending(lang, term, behaviors, state):
         if lang is cp.source:
-            source_runs[term, id(behaviors), state] += 1
+            source_runs[len(variants) - 1, state] += 1
         return real_law(lang, term, behaviors, state)
+
+    def answering(table, state):
+        queried.add(id(table))
+        return real_table(table, state)
 
     monkeypatch.setattr(checker, evaluate_name, evaluating)
     monkeypatch.setattr(checker, compile_name, compiling)
     monkeypatch.setattr(checker, "extend_law", extending)
-    return check_coherence(cp, cfg), variants, subject_compiles, source_runs
+    monkeypatch.setattr(semantics.BehaviorTable, "__call__", answering)
+    verdict = check_coherence(cp, cfg)
+    blind = [bool(tables) and not any(id(t) in queried for t in tables.values())
+             for _, tables in variants]
+    return verdict, variants, blind, subject_compiles, source_runs
 
 
 def test_each_group_compiles_its_layer_once_and_runs_the_source_once_per_state(
         comps, monkeypatch):
-    # within one (layer, tables) group only the target input changes, so the
-    # layer is compiled once and the source law runs once per preimage state
-    cp, cfg = comps["embed-stack-clear"], CampaignConfig()
-    verdict, variants, layer_compiles, source_runs = _count_group_work(cp, cfg, monkeypatch)
-    assert isinstance(verdict, Pass) and verdict.cases == cfg.samples
-    assert len(variants) > 1
-    assert layer_compiles == Counter({(subject, id(tables)): 1 for subject, tables in variants})
+    # within one (layer, tables) group only the target input changes, so an
+    # evaluated group compiles its layer once and runs the source law once
+    # per preimage state.  A group that queried none of its tables has the
+    # same squares under any tables, so the later groups of its subject are
+    # replayed: they compile nothing and run nothing
+    cp, cfg = comps["embed-stack-clear"], CampaignConfig(samples=10_000)
+    verdict, variants, blind, layer_compiles, source_runs = _count_group_work(
+        cp, cfg, monkeypatch)
+    assert isinstance(verdict, Pass) and verdict.exhausted
+    settled, replayed = set(), set()
+    for i, (subject, _) in enumerate(variants):
+        if subject in settled:
+            replayed.add(i)
+        elif blind[i]:
+            settled.add(subject)
+    assert len(replayed) == 12 and {variants[i][0].tag for i in replayed} == {"while"}
+    assert layer_compiles == Counter({i: 1 for i in range(len(variants)) if i not in replayed})
     assert source_runs and max(source_runs.values()) == 1
+    assert not {i for i, _ in source_runs} & replayed
 
 
 def test_each_closed_term_is_compiled_once_and_runs_the_source_once_per_state(
@@ -459,11 +532,13 @@ def test_each_closed_term_is_compiled_once_and_runs_the_source_once_per_state(
     # a closed-mode group is one generated term over the window: the term is
     # compiled once, however many of its inputs are cases
     cp, cfg = comps["sandbox"], CampaignConfig(mode="closed")
-    verdict, variants, term_compiles, source_runs = _count_group_work(cp, cfg, monkeypatch)
+    verdict, variants, blind, term_compiles, source_runs = _count_group_work(
+        cp, cfg, monkeypatch)
     assert isinstance(verdict, Pass) and verdict.cases == cfg.samples
     subjects = [subject for subject, _ in variants]
     assert len(subjects) > 1 and len(set(subjects)) == len(subjects)
-    assert term_compiles == Counter({(subject, id(tables)): 1 for subject, tables in variants})
+    assert not any(blind)  # no tables
+    assert term_compiles == Counter(range(len(variants)))
     assert source_runs and max(source_runs.values()) == 1
 
 
