@@ -21,7 +21,6 @@ from functools import cache, partial
 from .terms import (
     MAX_DEPTH, IllFormed, Node, is_closed, parse_term, print_term, show_low, subst, term_depth,
 )
-from .states import parse_state
 from .semantics import Distinguished, Equivalent, check_bisim, run as run_term
 from .languages import language_registry
 from .compilers import compiler_registry, compile_term
@@ -121,7 +120,7 @@ def _program(text: str, lang, closed: bool = True) -> Node:
 def _cmd_run(args) -> tuple[Report, list]:
     lang = _lookup(language_registry(args.frame_len), "language", args.lang)
     term = _program(args.term, lang)
-    state = parse_state(lang.state_kind, args.input, lang.L)
+    state = lang.state_kind.parse(args.input, lang.L)
     result = run_term(lang, term, state, args.fuel)
     lines = []
     if args.trace:
@@ -153,8 +152,7 @@ def _cmd_compile(args) -> tuple[Report, list]:
     # a layer map also translates open terms
     term = _program(args.term, cp.source, closed=not cp.open_checkable)
     out = compile_term(cp, term)
-    low = cp.target.state_kind == "pc" and isinstance(out, Node) and out.tag == "instr"
-    text = show_low(out) if low else print_term(out)
+    text = show_low(out) if isinstance(out, Node) and out.tag == "instr" else print_term(out)
     report = Report(config={}, verdict="compiled", witness={"target": text})
     return report, [text]
 
@@ -360,7 +358,7 @@ def _coherence_demo(compiler: str, cfg: CampaignConfig, claim, expectation: str,
     if pinned is not None:
         witness = json.loads(pinned)
         case = CoherenceCase(_program(witness["case"]["term"], cp.source),
-                             parse_state(cp.target.state_kind, witness["case"]["input"], cfg.L))
+                             cp.target.state_kind.parse(witness["case"]["input"], cfg.L))
         alone = check_case(cp, case, cfg)
         ok = isinstance(alone, Fail) and alone.divergence.describe() == witness["divergence"]
     verdict = check_coherence(cp, cfg)
@@ -381,7 +379,7 @@ def _demo_sec3_context():
     flag = language_registry()["while-flag"]
     context = "(seq (obs 1 ?hole) (while (sub (var 1) (lit 1)) skip))"
     ctx = _program(context, flag, closed=False)
-    store = parse_state(flag.state_kind, "{0:1}", flag.L)
+    store = flag.state_kind.parse("{0:1}", flag.L)
     run_a, run_b = (run_term(flag, subst(ctx, {"hole": _program(p, flag)}), store, 10_000)
                     for p in ("(while (var 0) (assign 0 (lit 0)))",
                               "(while (mul (var 0) (lit 2)) (assign 0 (lit 0)))"))

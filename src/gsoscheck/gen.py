@@ -1,5 +1,5 @@
-"""Deterministic bounded generation: expressions, input-state windows,
-terms, behavior tables and single-hole contexts.
+"""Deterministic bounded generation: expressions, terms, behavior tables,
+single-hole contexts and input-state windows, built by each state kind.
 
 Everything is either exhaustively enumerated smallest-first or drawn from a
 seeded RNG, so identical configurations produce identical streams.
@@ -13,7 +13,8 @@ from typing import Iterator, Optional
 from .terms import (
     BIN_OPS, UN_OPS, Bin, Br, Expr, IAssign, Lit, Loc, Node, Nop, Stop, Un, Var,
 )
-from .states import FrameState, LowState, StackState, Store
+# bound here by name, by tests and by the benchmark's tracer
+from .states import frames_window, pc_states, pc_window, stack_window, store_window
 from .semantics import BehaviorTable
 from .spf import Context, OneHoleLayer
 
@@ -57,88 +58,24 @@ def exprs(cfg, int_mode: bool, n_locs: Optional[int] = None) -> list:
 # ---------------------------------------------------------------------------
 # input-state windows
 
-def store_window(cfg, int_mode: bool) -> list[Store]:
-    values = list(range(0, cfg.max_value + 1))
-    if int_mode:
-        values += [-v for v in range(1, cfg.max_value + 1)]
-    out = []
-    for combo in itertools.product(values, repeat=cfg.store_cells):
-        out.append(Store.of({i: v for i, v in enumerate(combo)}))
-    return out
-
-
-def pc_window(cfg, length: Optional[int] = None) -> list[int]:
-    top = (length if length is not None else cfg.sp_max) + 1
-    return list(range(-1, top + 1))
-
-
-def pc_states(cfg, stores: list[Store], length: Optional[int] = None) -> list[LowState]:
-    """Every store paired with every program counter of ``pc_window``."""
-    return [LowState(s, pc) for s in stores for pc in pc_window(cfg, length)]
-
-
-def _wide_stores(cfg, rng: random.Random, n_cells: int, count: int) -> list[Store]:
-    if cfg.max_value < 1:
-        return [Store.of({})] * count  # no nonzero value to put in a cell
-    out = []
-    for _ in range(count):
-        cells = {}
-        for i in range(n_cells):
-            if rng.random() < 0.5:
-                cells[i] = rng.randint(1, cfg.max_value)
-        out.append(Store.of(cells))
-    return out
-
-
-def stack_window(cfg) -> list[StackState]:
-    rng = random.Random(cfg.seed ^ 0x57AC)
-    stores = store_window(cfg, int_mode=False)
-    stores += _wide_stores(cfg, rng, cfg.L * (cfg.sp_max + 1), 8)
-    return [StackState(s, sp) for s in dict.fromkeys(stores) for sp in range(0, cfg.sp_max + 1)]
-
-
-def frames_window(cfg) -> list[FrameState]:
-    values = list(range(0, cfg.max_value + 1))
-    singles = [tuple(c) for c in itertools.product(values, repeat=cfg.L)]
-    out = [FrameState(())]
-    out += [FrameState((f,)) for f in singles]
-    rng = random.Random(cfg.seed ^ 0xF4A3)
-    for _ in range(16):
-        depth = rng.randint(2, max(2, cfg.sp_max))
-        frames = tuple(
-            tuple(rng.randint(0, cfg.max_value) for _ in range(cfg.L)) for _ in range(depth)
-        )
-        out.append(FrameState(frames))
-    return list(dict.fromkeys(out))
-
-
 def state_window(lang, cfg) -> list:
-    if lang.state_kind in ("sp", "frames") and lang.L != cfg.L:
+    """The window of ``lang``'s state kind; a framed one is built for ``cfg.L``."""
+    kind = lang.state_kind
+    if kind.framed and lang.L != cfg.L:
         raise ValueError(f"{lang.name} has frames of length {lang.L}, the windows {cfg.L}")
-    match lang.state_kind:
-        case "store":
-            return store_window(cfg, int_mode=False)
-        case "int-store":
-            return store_window(cfg, int_mode=True)
-        case "pc":
-            return pc_states(cfg, store_window(cfg, int_mode=False))
-        case "sp":
-            return stack_window(cfg)
-        case "frames":
-            return frames_window(cfg)
-    raise ValueError(f"unknown state kind {lang.state_kind}")
+    return kind.window(cfg)
 
 
 # ---------------------------------------------------------------------------
 # one-layer shapes and closed terms
 
 def _payload_choices(lang, kind: str, cfg) -> list:
-    n_locs = min(cfg.store_cells, lang.L) if lang.state_kind in ("frames", "sp") else cfg.store_cells
+    n_locs = min(cfg.store_cells, lang.L) if lang.state_kind.framed else cfg.store_cells
     match kind:
         case "loc":
             return list(range(n_locs))
         case "expr":
-            return exprs(cfg, lang.state_kind == "int-store", n_locs=n_locs)
+            return exprs(cfg, lang.state_kind.signed, n_locs=n_locs)
         case "nat":
             return list(range(cfg.store_cells))
         case "inst":

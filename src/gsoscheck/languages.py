@@ -15,6 +15,7 @@ Every structured language shares the skip/assign/seq/while rules of
 whether transitions are labelled, and its extra constructors.  The two
 counter machines share the program-counter discipline of ``counter_rule``;
 ``low-sec`` adds its structured constructors to ``low`` the same way.
+Each language holds its state kind, a ``StateKind`` record of ``states``.
 """
 from __future__ import annotations
 
@@ -26,7 +27,10 @@ from .terms import (
     Node, OpenTerm, Stop, Un, Var, expr_locs, instr, loop, obs, sandbox,
     isandbox, seq, skip, sseq, subterms, while_,
 )
-from .states import FrameState, LowState, StackState, Store, clamp_negatives
+from .states import (
+    FRAMES, INT_STORE, PC, SP, STORE, FrameState, LowState, StackState, StateKind, Store,
+    clamp_negatives,
+)
 from .semantics import StepOutcome
 
 
@@ -126,7 +130,7 @@ def block_cells(L: int):
 class LangDef:
     name: str
     constructors: tuple  # ((tag, payload_kinds, arity), ...) in enumeration order
-    state_kind: str  # store | int-store | pc | sp | frames
+    state_kind: StateKind  # the State of its behaviour functor
     has_label: bool
     rule: Callable  # (tag, payload, children, state) -> StepOutcome
     L: int = 2
@@ -134,8 +138,8 @@ class LangDef:
     def validate(self, term: OpenTerm):
         """Well-formedness against the constructor table: each layer is a
         constructor of this language, each payload value of its kind (natural
-        numbers, a ``loc`` below ``L`` on frame machines, no negative literal
-        outside ``while-int``); raises IllFormed with the offending part."""
+        numbers, a ``loc`` below ``L`` on a framed kind, a negative literal
+        only on a signed one); raises IllFormed with the offending part."""
         for t in subterms(term):  # left to right, as the term reads
             if isinstance(t, Var):
                 continue
@@ -152,10 +156,9 @@ class LangDef:
         match kind, v:
             case "nat", int() if v >= 0:
                 return
-            case "loc", int() if v >= 0 and not (
-                    self.state_kind in ("frames", "sp") and v >= self.L):
+            case "loc", int() if v >= 0 and not (self.state_kind.framed and v >= self.L):
                 return
-            case "expr", Lit(int() as n) if n >= 0 or self.state_kind == "int-store":
+            case "expr", Lit(int() as n) if n >= 0 or self.state_kind.signed:
                 return
             case "expr", Loc(l):
                 self._check("loc", l)
@@ -180,9 +183,8 @@ class LangDef:
 _NO_FLAGS = frozenset()
 
 
-def structured_rule(name: str, read: Callable, write: Callable, labelled: bool,
-                    nat: bool = True, empty_flags: Callable | None = None,
-                    extras: dict | None = None) -> Callable:
+def structured_rule(name: str, read: Callable, write: Callable, labelled: bool, nat: bool,
+                    empty_flags: Callable | None = None, extras: dict | None = None) -> Callable:
     """The rule function of a structured language: skip, assign, seq and
     while, plus ``extras``, a map from each further constructor tag to its
     rule ``(payload, children, state) -> StepOutcome``.
@@ -376,26 +378,26 @@ def language_registry(L: int = 2) -> dict[str, LangDef]:
 
     def structured(name, extra_cons, kind, labelled, read=Store.get, write=Store.set,
                    **policy) -> LangDef:
-        rule = structured_rule(name, read, write, labelled, **policy)
+        rule = structured_rule(name, read, write, labelled, not kind.signed, **policy)
         return LangDef(name, _WHILE_CONS + extra_cons, kind, labelled, rule, L)
 
     frame_cons = (("frame", (), 0), ("return", (), 0))
     langs = [
-        structured("while", (), "store", False),
-        structured("while-flag", (("obs", ("nat",), 1),), "store", True,
+        structured("while", (), STORE, False),
+        structured("while-flag", (("obs", ("nat",), 1),), STORE, True,
                    extras={"obs": _obs_rule}),
-        structured("while-sec", (("obs", ("nat",), 1), ("sandbox", (), 1)), "store", True,
+        structured("while-sec", (("obs", ("nat",), 1), ("sandbox", (), 1)), STORE, True,
                    extras={"obs": _obs_rule, "sandbox": _sandbox_rule}),
-        structured("while-int", (("isandbox", (), 1),), "int-store", False, nat=False,
+        structured("while-int", (("isandbox", (), 1),), INT_STORE, False,
                    extras={"isandbox": _isandbox_rule}),
-        LangDef("low", _LOW_CONS, "pc", False, counter_rule("low", False), L),
+        LangDef("low", _LOW_CONS, PC, False, counter_rule("low", False), L),
         LangDef("low-sec", _LOW_CONS + (("sseq", (), 2), ("loop", ("expr",), 1)),
-                "pc", False, counter_rule("low-sec", True), L),
-        structured("while-b", frame_cons, "frames", False, *frame_cells(L),
+                PC, False, counter_rule("low-sec", True), L),
+        structured("while-b", frame_cons, FRAMES, False, *frame_cells(L),
                    empty_flags=_whileb_empty, extras=_whileb_extras(L)),
-        structured("stack", frame_cons, "sp", False, *block_cells(L),
+        structured("stack", frame_cons, SP, False, *block_cells(L),
                    extras=_stack_extras(L, clearing=False)),
-        structured("stack-clear", frame_cons, "sp", False, *block_cells(L),
+        structured("stack-clear", frame_cons, SP, False, *block_cells(L),
                    extras=_stack_extras(L, clearing=True)),
     ]
     return {l.name: l for l in langs}

@@ -160,7 +160,7 @@ def check_plug_roundtrip(lang, cfg) -> int:
 
 
 def run_law_suite(lang, cfg) -> dict:
-    if lang.state_kind == "pc":
+    if lang.state_kind.per_length:
         # keep whole pc ranges so shifted lookups stay inside the table domain
         inputs = gen.pc_states(cfg, gen.store_window(cfg, int_mode=False)[:2])
     else:

@@ -27,7 +27,7 @@ from gsoscheck.terms import (
     seq, skip, while_,
 )
 from gsoscheck.spf import OneHoleLayer, plug
-from gsoscheck import checker, gen, semantics
+from gsoscheck import checker, gen, semantics, states
 from gsoscheck.cli import execute
 
 from tests.test_cli import _load_perfbench
@@ -827,7 +827,7 @@ def test_closed_pc_states_are_built_once_per_compiled_length(monkeypatch, name):
     # the terms it draws, not once per term.  flatten-low fails within its
     # first term; embed-low-sec passes and draws hundreds
     built, groups = [], []
-    real_states, real_stream = gen.pc_states, checker.closed_cases
+    real_states, real_stream = states.pc_states, checker.closed_cases
 
     def pc_states(cfg, stores, length=None):
         if length is not None:  # the window itself has no length
@@ -839,7 +839,8 @@ def test_closed_pc_states_are_built_once_per_compiled_length(monkeypatch, name):
             groups.append(group)
             yield group
 
-    monkeypatch.setattr(gen, "pc_states", pc_states)
+    # the pc kind's window builder looks pc_states up in states when it runs
+    monkeypatch.setattr(states, "pc_states", pc_states)
     monkeypatch.setattr(checker, "closed_cases", closed_cases)
     execute(["coherence", "--compiler", name, "--mode", "closed", "--samples", "20000"])
     # a group's pcs run from -1 to one past its compiled length
@@ -892,8 +893,11 @@ def test_frame_windows_take_the_languages_frame_length():
     for run_check in (check_coherence, check_preservation):
         with pytest.raises(ValueError, match="frames of length 1, the windows 2"):
             run_check(cp, CampaignConfig(samples=10))
-    for lang in language_registry(3).values():
-        if lang.state_kind in ("sp", "frames"):
+    langs = language_registry(3).values()
+    assert [lang.name for lang in langs if lang.state_kind.framed] == [
+        "while-b", "stack", "stack-clear"]
+    for lang in langs:
+        if lang.state_kind.framed:
             for run_check in (gen.state_window, run_law_suite):
                 with pytest.raises(ValueError, match=f"{lang.name} has frames of length 3"):
                     run_check(lang, CampaignConfig())

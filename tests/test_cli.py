@@ -13,7 +13,7 @@ import gsoscheck
 from gsoscheck import gen
 from gsoscheck.checker import CampaignConfig
 from gsoscheck.cli import build_parser, execute, main
-from gsoscheck.states import Store, parse_state
+from gsoscheck.states import Store
 
 
 def run_cli(argv):
@@ -121,24 +121,51 @@ def test_parse_error_exits_2(capsys, tmp_path):
         assert main(["replay", "--report", str(report)]) == 2
 
 
-@pytest.mark.parametrize("lang, term, state", [
-    ("while-b", "(assign 1 (lit 5))", "[[1]]"),  # a frame shorter than L
-    ("while-b", "skip", "[[1,2,3]]"),  # a frame longer than L
-    ("stack", "skip", "({}, -1)"),  # a negative stack pointer
-    ("while", "skip", "{0:-3}"),  # a negative value in a nat store
-    ("while-b", "skip", "[[1,2] junk [3,4]]"),  # text beside the literal
-    ("while", "skip", "{0:1} # junk"),  # a comment after the literal
-])
-def test_bad_input_state_exits_2(lang, term, state, capsys):
+# (language, a program valid in it, the input state, the error line it prints)
+BAD_INPUT_STATES = [
+    ("while-b", "(assign 1 (lit 5))", "[[1]]",  # a frame shorter than L
+     "bad frame stack literal (frames of 2 naturals): '[[1]]'"),
+    ("while-b", "skip", "[[1,2,3]]",  # a frame longer than L
+     "bad frame stack literal (frames of 2 naturals): '[[1,2,3]]'"),
+    ("stack", "skip", "({}, -1)",  # a negative stack pointer
+     "stack pointer must not be negative: '({}, -1)'"),
+    ("while", "skip", "{0:-3}",  # a negative value in a nat store
+     "bad store literal: {0: -3}"),
+    ("while-b", "skip", "[[1,2] junk [3,4]]",  # text beside the literal
+     "bad frames state literal: '[[1,2] junk [3,4]]'"),
+    ("while", "skip", "{0:1} # junk",  # a comment after the literal
+     "bad store state literal: '{0:1} # junk'"),
+    ("while-int", "skip", "{0:1.5}",  # a value that is no integer
+     "bad store literal: {0: 1.5}"),
+    ("while-int", "skip", "{0:x}",  # no literal at all
+     "bad int-store state literal: '{0:x}'"),
+    ("low", "(instr (nop))", "({}, 1, 2)",  # a triple, not a pair
+     "bad pc state literal: '({}, 1, 2)'"),
+    ("low", "(instr (nop))", "({0:-1}, 1)",  # a negative value in a pc store
+     "bad store literal: {0: -1}"),
+    ("stack", "skip", "({}, z)",  # a name for the stack pointer
+     "bad sp state literal: '({}, z)'"),
+    ("stack", "skip", "({})",  # a parenthesised store, not a pair
+     "bad sp state literal: '({})'"),
+    ("stack", "skip", "({0:-1}, -1)",  # the stack pointer is checked before the store
+     "stack pointer must not be negative: '({0:-1}, -1)'"),
+    ("while-b", "skip", "[[1,q]]",  # a name inside a frame
+     "bad frames state literal: '[[1,q]]'"),
+]
+
+
+@pytest.mark.parametrize("lang, term, state, error", BAD_INPUT_STATES,
+                         ids=["-".join(row[:3]) for row in BAD_INPUT_STATES])
+def test_bad_input_state_exits_2(lang, term, state, error, capsys):
     assert main(["run", "--lang", lang, "--term", term, "--input", state]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_every_window_state_reads_back_from_its_show(langs, cfg):
     states = [(lang, s) for lang in langs.values() for s in gen.state_window(lang, cfg)]
     assert len(states) == 513
     for lang, s in states:
-        assert parse_state(lang.state_kind, s.show(), lang.L) == s, (lang.name, s)
+        assert lang.state_kind.parse(s.show(), lang.L) == s, (lang.name, s)
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):

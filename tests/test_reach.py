@@ -5,14 +5,18 @@ function and method defined in the modules below, nested ones included,
 must be among the calls it records, or be on the allow-list with its
 reason.  A function only a unit test calls is machinery no user runs: it
 is deleted or wired into a command, not allow-listed.  The allow-list holds
-only names the benchmark's tracer binds by name.
+only names the benchmark's tracer binds by name.  A second guard reads the
+source: no module but ``states`` tells state kinds apart by name.
 """
+import ast
 import cProfile
 import importlib
 import inspect
 import json
 import pstats
+from pathlib import Path
 
+import gsoscheck
 from gsoscheck.cli import execute
 
 from tests.test_cli import _load_perfbench
@@ -52,6 +56,7 @@ def _command_lines(tmp_path) -> list:
          "--trace"],
         ["run", "--lang", "low", "--term", "(instr (nop) (stop))", "--input", "({0: 1}, 0)"],
         ["run", "--lang", "while-b", "--term", "(seq frame return)", "--input", "[[1, 2]]"],
+        ["run", "--lang", "stack", "--term", "skip", "--input", "({}, 1)"],
         ["demo", "fig6"],
         ["demo", "fig9"],
         ["demo", "fig10"],
@@ -105,6 +110,37 @@ def test_every_core_function_is_reached_by_a_command(tmp_path):
         defined.update(_defined(importlib.import_module("gsoscheck." + name)))
     unreached = sorted(q for q, key in defined.items() if key not in called)
     assert unreached == sorted(ALLOWED)
+
+
+def _names_state_kind(node) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "state_kind"
+               or isinstance(n, ast.Name) and n.id == "state_kind" for n in ast.walk(node))
+
+
+def _strings(node) -> bool:
+    """A string constant, or a tuple, list or set of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_strings, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def test_no_module_but_the_state_table_tells_state_kinds_by_name():
+    # a state kind's properties are the fields of its record in states.py;
+    # a module that compares a state_kind with a name keeps its own table
+    found = []
+    for path in sorted(Path(gsoscheck.__file__).parent.glob("*.py")):
+        if path.name == "states.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(map(_names_state_kind, sides)) and any(map(_strings, sides)):
+                    found.append((path.name, node.lineno))
+            elif isinstance(node, ast.Match) and _names_state_kind(node.subject):
+                if any(isinstance(p, ast.MatchValue) and _strings(p.value)
+                       for case in node.cases for p in ast.walk(case.pattern)):
+                    found.append((path.name, node.lineno))
+    assert found == []
 
 
 def test_every_allowed_name_is_bound_by_the_benchmark_tracer():

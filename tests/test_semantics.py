@@ -14,7 +14,7 @@ from gsoscheck.semantics import (
     BehaviorTable, Distinguished, Equivalent, IncompleteTable, StepOutcome,
     check_bisim, extend_law, first_difference, memo_entry, run, step,
 )
-from gsoscheck.states import FrameState, LowState, StackState, Store
+from gsoscheck.states import STORE, FrameState, LowState, StackState, Store
 from gsoscheck.terms import (
     Bin, IllFormed, Lit, Loc, Node, Var, assign, frame, obs, parse_term,
     sandbox, seq, skip, while_,
@@ -135,7 +135,7 @@ def test_step_cache_is_per_language():
         def rule(tag, payload, children, s, i=i):
             return StepOutcome(s.set(0, i + 1))
 
-        lang = LangDef(f"probe-{i}", [("skip", (), 0)], "store", False, rule)
+        lang = LangDef(f"probe-{i}", [("skip", (), 0)], STORE, False, rule)
         assert step(lang, skip(), Store.of({})).state == Store.of({0: i + 1})
         del lang
 
@@ -311,7 +311,7 @@ def _branching_language():
         raise IllFormed(tag)
 
     cons = [("skip", (), 0), ("wait", ("nat",), 1), ("top", (), 1)]
-    return LangDef("branching", cons, "store", False, rule)
+    return LangDef("branching", cons, STORE, False, rule)
 
 
 def test_check_bisim_reexplores_a_pair_met_with_more_depth_left():

@@ -12,7 +12,7 @@ from gsoscheck import gen
 from gsoscheck.semantics import step
 from gsoscheck.terms import IllFormed
 from gsoscheck.states import (
-    FrameState, LowState, StackState, Store, clamp_negatives, parse_state,
+    INT_STORE, PC, STORE, FrameState, LowState, StackState, Store, clamp_negatives,
 )
 
 STATE_CLASSES = (Store, LowState, StackState, FrameState)
@@ -39,8 +39,8 @@ def test_equal_stores_are_equal_however_built(cfg):
         ]
         if all(v > 0 for v in cells.values()):
             rebuilt.append(clamp_negatives(Store.of({**cells, 3: -1})))
-            rebuilt.append(parse_state("store", s.show(), cfg.L))
-        rebuilt.append(parse_state("int-store", s.show(), cfg.L))
+            rebuilt.append(STORE.parse(s.show(), cfg.L))
+        rebuilt.append(INT_STORE.parse(s.show(), cfg.L))
         for u in rebuilt:
             assert u is s, s.show()
     assert Store.of({0: 1}) is not Store.of({0: 2})
@@ -133,14 +133,14 @@ def test_equal_states_are_one_object_however_built(langs, cfg):
                 pass
     stores = gen.store_window(cfg, int_mode=False)
     for length in (None, 1, 3):
-        built += [("pc", u) for u in gen.pc_states(cfg, stores, length)]
+        built += [(PC, u) for u in gen.pc_states(cfg, stores, length)]
     assert {type(u) for _, u in built} == set(STATE_CLASSES)
-    assert {kind for kind, u in built if type(u) is Store} == {"store", "int-store"}
+    assert {kind for kind, u in built if type(u) is Store} == {STORE, INT_STORE}
     one = {}  # keyed on class and fields, which compare and hash by value
     for kind, u in built:
         assert one.setdefault((type(u), fields(u)), u) is u, u
     for kind, u in dict.fromkeys(built):
-        for v in (type(u)(*fields(u)), parse_state(kind, u.show(), cfg.L), copy.copy(u),
+        for v in (type(u)(*fields(u)), kind.parse(u.show(), cfg.L), copy.copy(u),
                   copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
             assert v is u, u
     s = Store.of({0: 1})
