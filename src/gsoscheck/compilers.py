@@ -19,7 +19,7 @@ from .terms import (
     instr, instr_list, isandbox, loop, sandbox, sseq,
 )
 from .states import FrameState, LowState, StackState, Store, clamp_negatives
-from .semantics import StepOutcome
+from .semantics import NO_FLAGS, StepOutcome, outcome
 from .languages import LangDef, language_registry
 
 
@@ -101,7 +101,7 @@ def translate_behavior(cp: CompilerPair, f: Callable, i2) -> StepOutcome:
 # label the unlabelled with the designated value 0
 _B_FLAG = (
     lambda s: s,
-    lambda i2, o: StepOutcome(o.state, label=0, cont=o.cont, flags=o.flags),
+    lambda i2, o: outcome((o.state, 0, o.cont, o.flags)),
 )
 
 _B_IDENTITY = (lambda s: s, lambda i2, o: o)
@@ -110,7 +110,7 @@ _B_IDENTITY = (lambda s: s, lambda i2, o: o)
 # nat-valued result back into the int store
 _B_INT = (
     clamp_negatives,
-    lambda i2, o: StepOutcome(o.state, cont=o.cont, flags=o.flags),
+    lambda i2, o: outcome((o.state, None, o.cont, o.flags)),
 )
 
 
@@ -118,10 +118,8 @@ def _low_output(i2: LowState, o: StepOutcome) -> StepOutcome:
     # off its start (pc != 0) a program terminates where it stands, as the
     # Low rules do, whatever the source outcome
     if i2.pc != 0:
-        return StepOutcome(i2)
-    if o.cont is None:
-        return StepOutcome(LowState(o.state, 1), cont=None, flags=o.flags)
-    return StepOutcome(LowState(o.state, 0), cont=o.cont, flags=o.flags)
+        return outcome((i2, None, None, NO_FLAGS))
+    return outcome((LowState(o.state, 1 if o.cont is None else 0), None, o.cont, o.flags))
 
 
 _B_LOW = (lambda i2: i2.store, _low_output)
@@ -153,7 +151,7 @@ def _b_stack(L: int) -> tuple:
     def output_map(i2: StackState, o: StepOutcome):
         frames = o.state.frames
         out = StackState(override_blocks(frames, i2.store, L), len(frames))
-        return StepOutcome(out, cont=o.cont, flags=o.flags)
+        return outcome((out, None, o.cont, o.flags))
 
     return lambda i2: div_blocks(i2.store, i2.sp, L), output_map
 

@@ -12,7 +12,8 @@ assignment).  Frame machines: ``while-b`` (stack of private frames),
 
 Every structured language shares the skip/assign/seq/while rules of
 ``structured_rule``; it differs only in how cells are read and written,
-whether transitions are labelled, and its extra constructors.  The two
+whether transitions are labelled, and its extra constructors, whose rules
+are entries of the same one table.  The two
 counter machines share the program-counter discipline of ``counter_rule``;
 ``low-sec`` adds its structured constructors to ``low`` the same way.
 Each language holds its state kind, a ``StateKind`` record of ``states``.
@@ -31,7 +32,7 @@ from .states import (
     FRAMES, INT_STORE, PC, SP, STORE, FrameState, LowState, StackState, StateKind, Store,
     clamp_negatives,
 )
-from .semantics import StepOutcome
+from .semantics import NO_FLAGS, StepOutcome, outcome
 
 
 # ---------------------------------------------------------------------------
@@ -180,52 +181,55 @@ class LangDef:
 
 # --- the structured rules --------------------------------------------------
 
-_NO_FLAGS = frozenset()
-
-
 def structured_rule(name: str, read: Callable, write: Callable, labelled: bool, nat: bool,
                     empty_flags: Callable | None = None, extras: dict | None = None) -> Callable:
-    """The rule function of a structured language: skip, assign, seq and
-    while, plus ``extras``, a map from each further constructor tag to its
-    rule ``(payload, children, state) -> StepOutcome``.
+    """The rule function of a structured language: one table, ``rule.rules``,
+    from each constructor tag to its rule ``(payload, children, state) ->
+    StepOutcome``.  It holds skip, assign, seq and while, and ``extras``, the
+    rules of the language's further constructors; a tag it lacks is
+    ill-formed.
 
     A labelled language labels skip with 0 and assignments and guards with
     the value they evaluate.  ``empty_flags(state)`` (``while-b`` only)
     gives the flags of an assignment, and of a guard that reads a variable,
     so that steps on a totalized empty stack are reported.
     """
-    extras = extras or {}
     skip_label = 0 if labelled else None
 
-    def rule(tag, payload, children, s) -> StepOutcome:
-        match tag:
-            case "skip":
-                return StepOutcome(s, label=skip_label)
-            case "assign":
-                l, e = payload
-                v = evaluate(e, read, s, nat)
-                flags = empty_flags(s) if empty_flags else _NO_FLAGS
-                return StepOutcome(write(s, l, v), label=v if labelled else None,
-                                   flags=flags)
-            case "seq":
-                (_, fp), (q, _) = children
-                o = fp(s)
-                cont = q if o.cont is None else seq(o.cont, q)
-                return StepOutcome(o.state, label=o.label if labelled else None,
-                                   cont=cont, flags=o.flags)
-            case "while":
-                (e,) = payload
-                (x, _) = children[0]
-                flags = empty_flags(s) if empty_flags and expr_locs(e) else _NO_FLAGS
-                v = evaluate(e, read, s, nat)
-                cont = seq(x, while_(e, x)) if v != 0 else skip()
-                return StepOutcome(s, label=v if labelled else None, cont=cont,
-                                   flags=flags)
-        extra = extras.get(tag)
-        if extra is None:
-            raise IllFormed(f"no {name} rule for {tag}")
-        return extra(payload, children, s)
+    def skip_rule(payload, children, s) -> StepOutcome:
+        return outcome((s, skip_label, None, NO_FLAGS))
 
+    def assign_rule(payload, children, s) -> StepOutcome:
+        l, e = payload
+        v = evaluate(e, read, s, nat)
+        return outcome((write(s, l, v), v if labelled else None, None,
+                        empty_flags(s) if empty_flags else NO_FLAGS))
+
+    def seq_rule(payload, children, s) -> StepOutcome:
+        (_, fp), (q, _) = children
+        state, label, cont, flags = fp(s)
+        return outcome((state, label if labelled else None,
+                        q if cont is None else seq(cont, q), flags))
+
+    def while_rule(payload, children, s) -> StepOutcome:
+        (e,) = payload
+        x = children[0][0]
+        v = evaluate(e, read, s, nat)
+        return outcome((s, v if labelled else None,
+                        seq(x, while_(e, x)) if v != 0 else skip(),
+                        empty_flags(s) if empty_flags and expr_locs(e) else NO_FLAGS))
+
+    rules = {"skip": skip_rule, "assign": assign_rule, "seq": seq_rule, "while": while_rule,
+             **(extras or {})}
+
+    def rule(tag, payload, children, s) -> StepOutcome:
+        try:
+            constructor_rule = rules[tag]
+        except KeyError:
+            raise IllFormed(f"no {name} rule for {tag}") from None
+        return constructor_rule(payload, children, s)
+
+    rule.rules = rules
     return rule
 
 
@@ -235,44 +239,41 @@ def _obs_rule(payload, children, s: Store) -> StepOutcome:
     # log the inner step's label in cell n, then in n + 1 for the next step
     (n,) = payload
     (_, fx) = children[0]
-    o = fx(s)
-    logged = o.state.set(n, o.label)
-    cont = skip() if o.cont is None else obs(n + 1, o.cont)
-    return StepOutcome(logged, label=o.label, cont=cont, flags=o.flags)
+    state, label, cont, flags = fx(s)
+    return outcome((state.set(n, label), label,
+                    skip() if cont is None else obs(n + 1, cont), flags))
 
 
 def _sandbox_rule(payload, children, s: Store) -> StepOutcome:
     (_, fx) = children[0]
-    o = fx(s)
-    cont = None if o.cont is None else sandbox(o.cont)
-    return StepOutcome(o.state, label=0, cont=cont, flags=o.flags)
+    state, _, cont, flags = fx(s)
+    return outcome((state, 0, None if cont is None else sandbox(cont), flags))
 
 
 def _isandbox_rule(payload, children, s: Store) -> StepOutcome:
     # the inner term runs against the store with negatives forgotten
     (_, fx) = children[0]
-    o = fx(clamp_negatives(s))
-    cont = None if o.cont is None else isandbox(o.cont)
-    return StepOutcome(o.state, cont=cont, flags=o.flags)
+    state, _, cont, flags = fx(clamp_negatives(s))
+    return outcome((state, None, None if cont is None else isandbox(cont), flags))
 
 
 _EMPTY_STACK = frozenset({"whileb-empty-stack"})
 
 
 def _whileb_empty(m: FrameState) -> frozenset:
-    return _NO_FLAGS if m.frames else _EMPTY_STACK
+    return NO_FLAGS if m.frames else _EMPTY_STACK
 
 
 def _whileb_extras(L: int) -> dict:
     fresh = (0,) * L
 
     def push(payload, children, m: FrameState) -> StepOutcome:
-        return StepOutcome(FrameState((fresh,) + m.frames))
+        return outcome((FrameState((fresh,) + m.frames), None, None, NO_FLAGS))
 
     def pop(payload, children, m: FrameState) -> StepOutcome:
         if not m.frames:
-            return StepOutcome(m, flags=_EMPTY_STACK)
-        return StepOutcome(FrameState(m.frames[1:]))
+            return outcome((m, None, None, _EMPTY_STACK))
+        return outcome((FrameState(m.frames[1:]), None, None, NO_FLAGS))
 
     return {"frame": push, "return": pop}
 
@@ -283,12 +284,12 @@ def _stack_extras(L: int, clearing: bool) -> dict:
         if clearing:  # zero the fresh block sp in one pass over the cells
             lo, hi = L * sp, L * (sp + 1)
             s = Store(tuple(c for c in s.cells if not lo <= c[0] < hi))
-        return StepOutcome(StackState(s, sp + 1))
+        return outcome((StackState(s, sp + 1), None, None, NO_FLAGS))
 
     def pop(payload, children, st: StackState) -> StepOutcome:
         if st.sp > 0:
-            return StepOutcome(StackState(st.store, st.sp - 1))
-        return StepOutcome(st, flags=frozenset({"stack-empty-return"}))
+            return outcome((StackState(st.store, st.sp - 1), None, None, NO_FLAGS))
+        return outcome((st, None, None, frozenset({"stack-empty-return"})))
 
     return {"frame": push, "return": pop}
 
@@ -302,31 +303,30 @@ def _inst_step(i: Inst, s: Store, same: Node, halt_past: bool) -> StepOutcome:
     the single statement (pc 1), mirroring the source machine."""
     match i:
         case Stop():
-            return StepOutcome(LowState(s, 1 if halt_past else 0))
+            return outcome((LowState(s, 1 if halt_past else 0), None, None, NO_FLAGS))
         case Nop():
-            return StepOutcome(LowState(s, 1), cont=same)
+            return outcome((LowState(s, 1), None, same, NO_FLAGS))
         case IAssign(l, e):
-            return StepOutcome(LowState(s.set(l, evaluate(e, Store.get, s)), 1),
-                               cont=None if halt_past else same)
+            return outcome((LowState(s.set(l, evaluate(e, Store.get, s)), 1), None,
+                            None if halt_past else same, NO_FLAGS))
         case Br(e, z):
             v = evaluate(e, Store.get, s)
-            return StepOutcome(LowState(s, 1 if v == 0 else z), cont=same)
+            return outcome((LowState(s, 1 if v == 0 else z), None, same, NO_FLAGS))
     raise IllFormed(f"not an instruction: {i!r}")
 
 
 def _sseq_rule(payload, children, st: LowState) -> StepOutcome:
     # the chain continues at pc 0 whatever pc the premise ends at
     (_, fx), (y, _) = children
-    o = fx(st)
-    cont = y if o.cont is None else sseq(o.cont, y)
-    return StepOutcome(LowState(o.state.store, 0), cont=cont, flags=o.flags)
+    state, _, cont, flags = fx(st)
+    return outcome((LowState(state.store, 0), None, y if cont is None else sseq(cont, y), flags))
 
 
 def _loop_rule(payload, children, st: LowState) -> StepOutcome:
     (e,) = payload
     (x, _) = children[0]
     cont = sseq(x, loop(e, x)) if evaluate(e, Store.get, st.store) != 0 else instr(Stop())
-    return StepOutcome(st, cont=cont)
+    return outcome((st, None, cont, NO_FLAGS))
 
 
 def counter_rule(name: str, structured: bool) -> Callable:
@@ -342,12 +342,11 @@ def counter_rule(name: str, structured: bool) -> Callable:
             raise IllFormed(f"no {name} rule for {tag}")
         pc = st.pc
         if pc > 0 and tag == "instr" and children:
-            o = children[0][1](LowState(st.store, pc - 1))
-            cont = None if o.cont is None else instr(payload[0], o.cont)
-            return StepOutcome(LowState(o.state.store, o.state.pc + 1), cont=cont,
-                               flags=o.flags)
+            state, _, cont, flags = children[0][1](LowState(st.store, pc - 1))
+            return outcome((LowState(state.store, state.pc + 1), None,
+                            None if cont is None else instr(payload[0], cont), flags))
         if pc != 0:
-            return StepOutcome(st)
+            return outcome((st, None, None, NO_FLAGS))
         if tag != "instr":
             return extras[tag](payload, children, st)
         tail = children[0][0] if children else None

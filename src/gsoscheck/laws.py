@@ -20,7 +20,7 @@ from dataclasses import replace
 from functools import partial
 
 from .terms import IllFormed, Node, OpenTerm, Var, print_term, subst, subterms, term_vars
-from .semantics import StepOutcome, extend_law
+from .semantics import NO_FLAGS, StepOutcome, extend_law, outcome
 from .spf import decompositions, plug
 from . import gen
 
@@ -30,7 +30,7 @@ def _nested_behavior(lang, tables, inner, state) -> StepOutcome:
     term and re-inject its continuation as an outer variable."""
     o = extend_law(lang, inner, tables, state)
     cont = Var(("t", o.cont)) if o.cont is not None else None
-    return StepOutcome(o.state, o.label, cont, o.flags)
+    return outcome((o.state, o.label, cont, o.flags))
 
 
 def _flatten_nested(t: OpenTerm) -> OpenTerm:
@@ -53,7 +53,7 @@ def check_unit_law(lang, cfg, inputs) -> int:
         for s in inputs:
             got = extend_law(lang, Var("x0"), {"x0": table}, s)
             label, out, cont = table.entries[s]
-            expected = StepOutcome(out, label, Var(cont) if cont is not None else None)
+            expected = outcome((out, label, Var(cont) if cont is not None else None, NO_FLAGS))
             if _outcome_key(got) != _outcome_key(expected):
                 raise AssertionError(f"unit law failed for {lang.name} at {s}")
             checked += 1
@@ -101,9 +101,10 @@ def check_multiplication_law(lang, cfg, inputs) -> int:
                 raise AssertionError(
                     f"multiplication law: only one route ill-formed for {lang.name}")
             via_nested = extend_law(lang, nested, nested_behaviors, s)
-            collapsed = StepOutcome(
+            collapsed = outcome((
                 via_nested.state, via_nested.label,
-                _flatten_nested(via_nested.cont) if via_nested.cont is not None else None)
+                _flatten_nested(via_nested.cont) if via_nested.cont is not None else None,
+                NO_FLAGS))
             if _outcome_key(via_flat) != _outcome_key(collapsed):
                 raise AssertionError(
                     f"multiplication law failed for {lang.name}: "

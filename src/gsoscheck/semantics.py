@@ -14,8 +14,9 @@ Continuations built from subjects come out already flattened, which is the
 multiplication step of the extension.
 
 Two outcomes are told apart by ``first_difference``, on label, then
-output state, then termination; ``check_bisim`` and the coherence check
-both use it.  ``check_bisim`` steps a pair at every input and then
+output state, then termination; the coherence check uses it, and
+``check_bisim`` tests the same three inline and asks it only to name a
+difference.  ``check_bisim`` steps a pair at every input and then
 explores each distinct continuation pair once per level, after the first
 input in window order that reaches it.  It can share the pairs it has
 proved equivalent with later calls over the same language and inputs; a
@@ -35,7 +36,8 @@ check with all its contexts, or one language of a preservation campaign.
 An entry refers to its children's entries and never to the memo, so a
 memo is freed as soon as its owner drops it.  No language holds one, so
 no other case, campaign or call sees it.  Outcomes are immutable named
-tuples, so a remembered one is handed out again as it is.
+tuples, built through ``outcome``, so a remembered one is handed out again
+as it is.
 """
 from __future__ import annotations
 
@@ -53,12 +55,19 @@ class IncompleteTable(Exception):
 
 class StepOutcome(NamedTuple):
     """Result of one transition: output state, optional label, optional
-    continuation; no continuation means the step terminated."""
+    continuation; no continuation means the step terminated.  The package
+    builds every outcome through ``outcome``, from the four fields in order."""
 
     state: MachineState
     label: Optional[int] = None
     cont: Optional[OpenTerm] = None
     flags: frozenset = frozenset()
+
+
+# (state, label, cont, flags) -> StepOutcome, with no Python frame of its own:
+# the class constructor's keyword handling and defaults cost a frame a step
+outcome = partial(tuple.__new__, StepOutcome)
+NO_FLAGS = frozenset()
 
 
 def first_difference(a: StepOutcome, b: StepOutcome) -> Optional[str]:
@@ -79,7 +88,8 @@ class BehaviorTable:
     Entries are (label, output state, continuation variable or None); the
     label is None for a language without labels, and the continuation is
     an element of the variable set, re-injected as a Var when the table
-    answers.
+    answers.  A query is one dict lookup, and its answer an ``outcome``
+    with no flags.
     """
 
     def __init__(self, var, entries: dict):
@@ -87,10 +97,11 @@ class BehaviorTable:
         self.entries = dict(entries)
 
     def __call__(self, state: MachineState) -> StepOutcome:
-        if state not in self.entries:
-            raise IncompleteTable(f"table for {self.var!r} has no entry for {state!r}")
-        label, out, cont = self.entries[state]
-        return StepOutcome(out, label, Var(cont) if cont is not None else None)
+        try:
+            label, out, cont = self.entries[state]
+        except KeyError:
+            raise IncompleteTable(f"table for {self.var!r} has no entry for {state!r}") from None
+        return outcome((out, label, None if cont is None else Var(cont), NO_FLAGS))
 
 
 def extend_law(lang, term: OpenTerm, behaviors: dict, state: MachineState) -> StepOutcome:
@@ -213,7 +224,10 @@ def compare(entry, inputs: list, seen: dict, proved: dict, a: OpenTerm, b: OpenT
             d: int, path: tuple) -> Optional[Distinguished]:
     """``check_bisim``'s exploration of (a, b) with ``d`` levels left: the
     first difference found after ``path``, else None.  ``entry`` gives a
-    term's memo entry, as ``memo_entry`` does.  Each continuation pair is
+    term's memo entry, as ``memo_entry`` does.  Two outcomes agree when their
+    labels are equal, their states one object and both or neither
+    terminate; this is tested inline, and ``first_difference`` is asked
+    only to name a difference's reason.  Each continuation pair is
     explored once, after the first input that reaches it: a later visit at
     the same depth would find it in ``seen`` and return None."""
     if a == b or d <= 0 or seen.get((a, b), 0) >= d or proved.get((a, b), 0) >= d:
@@ -223,11 +237,12 @@ def compare(entry, inputs: list, seen: dict, proved: dict, a: OpenTerm, b: OpenT
     pending: dict = {}  # continuation pair -> the first input reaching it
     for s in inputs:
         oa, ob = ea[s], eb[s]
-        reason = first_difference(oa, ob)
-        if reason is not None:
-            return Distinguished(path + (s,), oa, ob, reason)
-        if oa.cont is not None:
-            pending.setdefault((oa.cont, ob.cont), s)
+        ca, cb = oa.cont, ob.cont
+        # states are hash-consed, so equal states are one object
+        if oa.label != ob.label or oa.state is not ob.state or (ca is None) is not (cb is None):
+            return Distinguished(path + (s,), oa, ob, first_difference(oa, ob))
+        if ca is not None:
+            pending.setdefault((ca, cb), s)
     for (ca, cb), s in pending.items():
         found = compare(entry, inputs, seen, proved, ca, cb, d - 1, path + (s,))
         if found is not None:

@@ -31,6 +31,20 @@ def test_run_two_steps_then_termination(capsys):
     assert "⟨{}, skip⟩ ⇓ {}" in out
 
 
+def test_the_package_runs_as_a_module():
+    # `python -m gsoscheck` is the command line of cli.main
+    argv = ["run", "--lang", "while", "--term", "(seq skip skip)", "--input", "{}"]
+    src = str(Path(gsoscheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "gsoscheck", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, _, lines = execute(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "".join(
+        line + "\n" for line in lines), "")
+    assert code == 0
+
+
 def test_closed_output_pipe_ends_quietly_with_the_commands_code():
     # the reader takes one line and closes the pipe, as `| head -1` does,
     # while the command still has about 1 MB of trace to print

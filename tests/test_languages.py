@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from gsoscheck.languages import block_cells, evaluate, frame_cells
+from gsoscheck.languages import block_cells, evaluate, frame_cells, language_registry
 from gsoscheck.semantics import step
 from gsoscheck.states import FrameState, LowState, StackState, Store
 from gsoscheck.terms import (
@@ -303,16 +303,60 @@ COUNTER_STEP_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(COUNTER_STEP_DIGESTS))
-def test_counter_machine_steps_are_the_recorded_ones(langs, cfg, name):
-    lang = langs[name]
-    states = [LowState(s, pc) for s in gen.store_window(cfg, int_mode=False)[:4]
-              for pc in gen.pc_window(cfg)]
+def _step_digest(lang, cfg, states) -> tuple:
+    """(line count, sha256) of every step of ``lang``'s small closed terms
+    from ``states``; a step that is ill-formed records its message."""
     lines = []
     for t in gen.closed_terms(lang, replace(cfg, max_term_size=3, exprs_per_slot=2)):
         for st in states:
-            o = step(lang, t, st)
+            try:
+                o = step(lang, t, st)
+            except IllFormed as e:
+                lines.append(str(e))
+                continue
             cont = "terminated" if o.cont is None else print_term(o.cont)
             lines.append(f"{o.state.show()}|{o.label}|{sorted(o.flags)}|{cont}")
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert (len(lines), digest) == COUNTER_STEP_DIGESTS[name]
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(COUNTER_STEP_DIGESTS))
+def test_counter_machine_steps_are_the_recorded_ones(langs, cfg, name):
+    states = [LowState(s, pc) for s in gen.store_window(cfg, int_mode=False)[:4]
+              for pc in gen.pc_window(cfg)]
+    assert _step_digest(langs[name], cfg, states) == COUNTER_STEP_DIGESTS[name]
+
+
+# the same for the structured languages, from the first eight states of each
+# language's window; a stack step at sp = 0 that touches a cell records its
+# IllFormed message
+STRUCTURED_STEP_DIGESTS = {
+    "while": (480, "eeaed8702312f501a2575cb95a0780c4e56bbbf1bfd449afdbea8a279bc51457"),
+    "while-flag": (1040, "88d1c0cb1daceed797a2e3459c7fe3465a82bdb36d9522b929d6a4b0dca790fa"),
+    "while-sec": (1440, "fb8570e7b3d542fd035f30c7ae98151772e6115434fefb2c2b4b3a7cbcc1b9d8"),
+    "while-int": (720, "4bdeed073000c57a1f88cc4621fab4b63c27298d5d078d760bd6f2bff57b9086"),
+    "while-b": (784, "4bb84eb35a5c913ae9439075491516c9914a8c0bffeed30699817785a2ca05bf"),
+    "stack": (784, "429002e9011e50cdf138730a5f2f4cc660b5b0c7d9011018e4d7b07b20d5462b"),
+    "stack-clear": (784, "6f1cf1fd2b83930871a20b3c5527462bc210e8306b323097567cf0dcb0fcb9a3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURED_STEP_DIGESTS))
+def test_structured_steps_are_the_recorded_ones(langs, cfg, name):
+    lang = langs[name]
+    states = gen.state_window(lang, cfg)[:8]
+    assert _step_digest(lang, cfg, states) == STRUCTURED_STEP_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURED_STEP_DIGESTS))
+def test_a_structured_rule_table_has_one_rule_per_constructor(langs, name):
+    # skip, assign, seq and while sit in the one table next to the extras
+    lang = langs[name]
+    assert sorted(lang.rule.rules) == sorted({tag for tag, _, _ in lang.constructors})
+
+
+@pytest.mark.parametrize("name", list(language_registry()))
+def test_an_unknown_tag_has_no_rule(langs, cfg, name):
+    lang = langs[name]
+    with pytest.raises(IllFormed) as err:
+        lang.rule("halt", (), (), gen.state_window(lang, cfg)[0])
+    assert str(err.value) == f"no {name} rule for halt"

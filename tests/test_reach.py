@@ -5,8 +5,9 @@ function and method defined in the modules below, nested ones included,
 must be among the calls it records, or be on the allow-list with its
 reason.  A function only a unit test calls is machinery no user runs: it
 is deleted or wired into a command, not allow-listed.  The allow-list holds
-only names the benchmark's tracer binds by name.  A second guard reads the
-source: no module but ``states`` tells state kinds apart by name.
+only names the benchmark's tracer binds by name.  Two guards read the
+source: no module but ``states`` tells state kinds apart by name, and no
+module but ``semantics`` calls the ``StepOutcome`` class.
 """
 import ast
 import cProfile
@@ -140,6 +141,21 @@ def test_no_module_but_the_state_table_tells_state_kinds_by_name():
                 if any(isinstance(p, ast.MatchValue) and _strings(p.value)
                        for case in node.cases for p in ast.walk(case.pattern)):
                     found.append((path.name, node.lineno))
+    assert found == []
+
+
+def test_no_module_but_semantics_calls_the_outcome_class():
+    # every outcome in src is built by semantics.outcome, from its four
+    # fields, with no frame of its own; the class constructor runs one
+    found = []
+    for path in sorted(Path(gsoscheck.__file__).parent.glob("*.py")):
+        if path.name == "semantics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "StepOutcome"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "StepOutcome"):
+                found.append((path.name, node.lineno))
     assert found == []
 
 
