@@ -40,13 +40,15 @@ that queries no table is the same square under every table.  An open-mode
 campaign therefore watches each group's tables, the one door through which
 the source law, the lower path (via ``translate_behavior``) and the
 fallback all reach them.  When a group runs to its end and none of its
-inputs queried a table, the campaign keeps its per-input results: whether
-each input was ill-formed, else its flags and whether it needed the
-fallback (an inconclusive input has queried a table).  The later table
-variants of that subject replay those results input by input under the
-same budget, so the case count, ``exhausted``, the tallies and the flags
-are the ones evaluation gives.  Only a group that passed is kept, so a
-replay never hides a failure.  The ``while`` layers are settled this way
+inputs queried a table, the campaign keeps two counts of it: its
+ill-formed inputs and its fallback cases (an inconclusive input has
+queried a table).  A later table variant of that subject that fits in the
+budget is one budget check that adds its length and those two counts to
+the tally; its flags are there already.  One that would overrun the
+budget is evaluated, at most once per campaign, and gives the same
+squares.  So the case count, ``exhausted``, the tallies and the flags are
+the ones evaluation gives, and as only a group that passed is kept, no
+skipped variant hides a failure.  The ``while`` layers are settled this way
 after their first variant: neither ``while`` nor its images (a sandboxed
 ``while``, ``loop``) query the body.  A lone case and closed mode have no
 tables to vary and evaluate every group.
@@ -199,12 +201,6 @@ class _Group(NamedTuple):
     layer: Optional[OpenTerm] = None
 
 
-_ILLFORMED = "illformed"  # the result of an ill-formed input
-# the results of a counted input without flags, without and with the
-# fallback: shared, so that a kept group holds no object per input
-_UNFLAGGED = ((frozenset(), False), (frozenset(), True))
-
-
 def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tally: Pass,
                     settled: Optional[dict]):
     """The squares of the group's inputs in order, each counted in ``tally``
@@ -214,19 +210,26 @@ def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tall
     exception surfaces first.
 
     ``settled``, when given, is the campaign's map from a subject to the
-    per-input results of a group of it that ran to its end without
-    querying any of its tables: that group's squares are the same squares
-    under any tables, so a later group of the subject replays those
-    results through the same budget check instead of evaluating.  A group
-    with tables is watched for such queries, on both paths and in the
-    fallback, and added to the map when it has none."""
+    ill-formed and fallback counts of a group of it that ran to its end
+    without querying any of its tables: that group's squares are the same
+    squares under any tables.  A later group of the subject that fits in
+    the budget adds its length and those two counts to ``tally`` instead of
+    evaluating; its flags are in ``tally`` already, from the group that
+    settled it.  One that would overrun the budget is evaluated, so it stops
+    where evaluation stops.  A group with tables is watched for queries, on
+    both paths and in the fallback, and added to the map when it has none."""
     subject, tables, preimages = group.subject, group.tables, group.preimages
     watch = settled is not None and bool(tables)
-    if watch and subject in settled:
-        _replay(settled[subject], cfg, tally)
-        return None
     queried = False  # a table of the group answered a query
     if watch:
+        counts = settled.get(subject)
+        if counts is not None and tally.cases + len(group.states) <= cfg.samples:
+            tally.cases += len(group.states)
+            tally.illformed += counts[0]
+            tally.fallback_cases += counts[1]
+            return None
+        before = (tally.illformed, tally.fallback_cases)
+
         def watched(table):
             def answer(state):
                 nonlocal queried
@@ -240,8 +243,7 @@ def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tall
     behaviors = {x: (lambda i2, t=t: translate_behavior(cp, t, i2)) for x, t in tables.items()}
     sources: list = [None] * len(preimages)  # source outcome per preimage
     compiled: dict = {}  # source term -> its compiled form
-    verdicts: dict = {}  # (upper cont, lower cont) -> fallback verdict
-    results: list = []  # watched: per input, ill-formed or its flags and fallback
+    equivalent: dict = {}  # (upper cont, lower cont) -> whether the pair is equivalent
     layer = group.layer
 
     def compile_once(t: OpenTerm) -> OpenTerm:
@@ -265,66 +267,39 @@ def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tall
                 layer = compile_once(subject)
             lower = extend_law(cp.target, layer, behaviors, i2)
             field_name = first_difference(upper, lower)
-            fallback = False
-            if field_name is not None:
-                div = Divergence(field_name, upper._replace(cont=upper_cont), lower)
-            elif upper_cont is None or upper_cont == lower.cont:
-                div = None
-            else:
+            fallback = (field_name is None and upper_cont is not None
+                        and upper_cont != lower.cont)
+            if fallback:
                 # syntactic mismatch: the pair's normal form, else a bounded
                 # behavioral comparison over the window, once per pair of
-                # continuations (see the module docstring); each input
-                # builds its own divergence from it
+                # continuations (see the module docstring)
                 key = (upper_cont, lower.cont)
-                verdict = verdicts.get(key)
-                if verdict is None:
+                same = equivalent.get(key)
+                if same is None:
                     nf = cp.normal_form
-                    if nf is not None and nf(upper_cont) == nf(lower.cont):
-                        verdict = Equivalent(cfg.fallback_depth, len(window))
-                    else:
-                        verdict = check_bisim(cp.target, upper_cont, lower.cont, window,
-                                              cfg.fallback_depth, behaviors=behaviors)
-                    verdicts[key] = verdict
-                fallback = True
-                div = None if isinstance(verdict, Equivalent) else Divergence(
-                    "continuation", upper._replace(cont=upper_cont), lower)
+                    same = equivalent[key] = (
+                        nf is not None and nf(upper_cont) == nf(lower.cont)
+                        or isinstance(check_bisim(cp.target, upper_cont, lower.cont, window,
+                                                  cfg.fallback_depth, behaviors=behaviors),
+                                      Equivalent))
+                if not same:
+                    field_name = "continuation"
         except IllFormed:
             tally.illformed += 1
-            if watch:
-                results.append(_ILLFORMED)
             continue
         except IncompleteTable:  # a table was queried outside its domain
             tally.inconclusive += 1
             queried = True
             continue
-        flags = upper.flags | lower.flags
-        tally.flags |= flags
+        tally.flags |= upper.flags | lower.flags
         tally.fallback_cases += fallback
-        if div is not None:
+        if field_name is not None:
+            div = Divergence(field_name, upper._replace(cont=upper_cont), lower)
             return Fail(CoherenceCase(subject, i2, group.tables), div, tally.cases - 1,
                         tally.flags)
-        if watch:
-            results.append((flags, fallback) if flags else _UNFLAGGED[fallback])
     if watch and not queried:
-        settled[subject] = results
+        settled[subject] = (tally.illformed - before[0], tally.fallback_cases - before[1])
     return None
-
-
-def _replay(results: list, cfg, tally: Pass) -> None:
-    """Count a settled group's per-input results in ``tally`` as
-    ``_evaluate_group`` counted them, input by input until the ``samples``
-    budget is spent."""
-    for result in results:
-        if tally.cases == cfg.samples:
-            tally.exhausted = False
-            return
-        tally.cases += 1
-        if result is _ILLFORMED:
-            tally.illformed += 1
-        else:
-            flags, fallback = result
-            tally.flags |= flags
-            tally.fallback_cases += fallback
 
 
 # a campaign evaluates each group in a call to one of these two, which the
@@ -392,13 +367,13 @@ def _mode(cp: CompilerPair, cfg: CampaignConfig):
 def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
     """The campaign of ``cfg``'s mode: its groups in stream order, each
     evaluated until the budget is spent or a case fails.  One map, local to
-    the campaign, holds the results of the groups that queried none of their
-    tables, which later groups of the same subject replay (see
+    the campaign, holds the counts of the groups that queried none of their
+    tables, which later groups of the same subject add to the tally (see
     ``_evaluate_group``)."""
     stream, evaluate = _mode(cp, cfg)
     window = gen.state_window(cp.target, cfg)
     tally = Pass(0, exhausted=True)  # until a case is left past the budget
-    settled: dict = {}  # subject -> per-input results, see _evaluate_group
+    settled: dict = {}  # subject -> (ill-formed, fallback) counts, see _evaluate_group
     for group in stream(cp, cfg, window):
         fail = evaluate(cp, group, window, cfg, tally, settled)
         if fail is not None:

@@ -527,6 +527,51 @@ def test_each_group_compiles_its_layer_once_and_runs_the_source_once_per_state(
     assert not {i for i, _ in source_runs} & replayed
 
 
+def _unsettled_campaign(cp, cfg):
+    """The open-mode campaign with every group handed to
+    ``evaluate_open_case`` without a ``settled`` map, so that every group is
+    evaluated: the reference for the groups a campaign settles by counts."""
+    window = gen.state_window(cp.target, cfg)
+    tally = Pass(0, exhausted=True)
+    for group in open_cases(cp, cfg, window):
+        fail = checker.evaluate_open_case(cp, group, window, cfg, tally, None)
+        if fail is not None:
+            return fail
+        if not tally.exhausted:
+            break
+    return tally
+
+
+@pytest.mark.parametrize("name, samples", [
+    # every budget around sandbox's first settled group, cases 449-464, and
+    # budgets at both ends of embed-stack-clear's first (2,689-2,784) and of
+    # its first with ill-formed inputs (3,457-3,552; see
+    # test_group_evaluation_equals_per_case_evaluation for these points)
+    *(("sandbox", n) for n in range(447, 467)),
+    *(("embed-stack-clear", n)
+      for n in (2688, 2689, 2784, 2785, *range(3455, 3460), *range(3550, 3555))),
+])
+def test_settling_by_counts_equals_evaluating_every_group(comps, name, samples):
+    cp = comps[name]
+    cfg = CampaignConfig(samples=samples)
+    _assert_same_verdict(check_coherence(cp, cfg), _unsettled_campaign(cp, cfg))
+
+
+@pytest.mark.parametrize("samples, compiles", [(456, 1), (464, 0)])
+def test_a_settled_group_is_evaluated_only_when_the_budget_ends_inside_it(
+        comps, monkeypatch, samples, compiles):
+    # sandbox's 29th group, cases 449-464, is a later table variant of a
+    # layer whose first variant queried no table.  At 464 it fits in the
+    # budget and only adds its counts; at 456 the budget ends inside it, so
+    # it is evaluated like any other group and compiles its layer once
+    cp, cfg = comps["sandbox"], CampaignConfig(samples=samples)
+    verdict, variants, _, layer_compiles, _ = _count_group_work(cp, cfg, monkeypatch)
+    assert isinstance(verdict, Pass) and verdict.cases == samples
+    assert len(variants) == 29
+    assert variants[28][0] in {subject for subject, _ in variants[:28]}
+    assert layer_compiles[28] == compiles
+
+
 def test_each_closed_term_is_compiled_once_and_runs_the_source_once_per_state(
         comps, monkeypatch):
     # a closed-mode group is one generated term over the window: the term is

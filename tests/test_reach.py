@@ -5,9 +5,10 @@ function and method defined in the modules below, nested ones included,
 must be among the calls it records, or be on the allow-list with its
 reason.  A function only a unit test calls is machinery no user runs: it
 is deleted or wired into a command, not allow-listed.  The allow-list holds
-only names the benchmark's tracer binds by name.  Two guards read the
-source: no module but ``states`` tells state kinds apart by name, and no
-module but ``semantics`` calls the ``StepOutcome`` class.
+only names the benchmark's tracer binds by name.  Three guards read the
+source: no module but ``states`` tells state kinds apart by name, no
+module but ``semantics`` calls the ``StepOutcome`` class, and no function
+but ``checker._evaluate_group`` adds to a campaign's case counts.
 """
 import ast
 import cProfile
@@ -156,6 +157,29 @@ def test_no_module_but_semantics_calls_the_outcome_class():
                     isinstance(node.func, ast.Name) and node.func.id == "StepOutcome"
                     or isinstance(node.func, ast.Attribute) and node.func.attr == "StepOutcome"):
                 found.append((path.name, node.lineno))
+    assert found == []
+
+
+TALLY_COUNTS = ("cases", "illformed", "inconclusive", "fallback_cases")
+
+
+def test_no_function_but_the_group_body_adds_to_the_case_counts():
+    # a campaign's budget check and tally are one loop, in
+    # checker._evaluate_group; a second loop that counts cases must be kept
+    # in step with it.  A nested function counts as part of the top-level
+    # definition around it
+    found = []
+    for path in sorted(Path(gsoscheck.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            where = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)):
+                    continue
+                target = node.target
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(
+                    target, "id", None)
+                if name in TALLY_COUNTS and where != ("checker.py", "_evaluate_group"):
+                    found.append((*where, node.lineno))
     assert found == []
 
 
