@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .terms import (
@@ -82,8 +82,7 @@ from .spf import plug
 from . import gen
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(NamedTuple):
     store_cells: int = 2
     max_value: int = 3
     max_term_size: int = 4
@@ -98,17 +97,17 @@ class CampaignConfig:
     fallback_depth: int = 8
 
     def echo(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class CoherenceCase:
+class CoherenceCase(NamedTuple):
     """Open mode: one source layer over variables plus their sampled tables.
-    Closed mode: a closed source term.  Both carry the target input."""
+    Closed mode: a closed source term.  Both carry the target input; a case
+    built without tables has ``None``, which ``check_case`` reads as none."""
 
     subject: OpenTerm
     target_input: object
-    tables: dict = field(default_factory=dict)
+    tables: Optional[dict] = None
 
     def describe(self) -> dict:
         out = {
@@ -126,8 +125,7 @@ class CoherenceCase:
         return out
 
 
-@dataclass
-class Divergence:
+class Divergence(NamedTuple):
     """The two target-side outcomes of a square that disagree: ``upper``
     has its continuation compiled, so both are the outcomes compared."""
 
@@ -151,7 +149,7 @@ def describe_outcome(o: StepOutcome) -> dict:
     }
 
 
-@dataclass
+@dataclass  # the campaign's running tally, added to per case
 class Pass:
     cases: int
     exhausted: bool
@@ -161,8 +159,7 @@ class Pass:
     flags: frozenset = frozenset()
 
 
-@dataclass
-class Fail:
+class Fail(NamedTuple):
     case: CoherenceCase
     divergence: Divergence
     cases_before: int
@@ -219,11 +216,13 @@ def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tall
     where evaluation stops.  A group with tables is watched for queries, on
     both paths and in the fallback, and added to the map when it has none."""
     subject, tables, preimages = group.subject, group.tables, group.preimages
+    # a named tuple's field reads are not specialised: once per group, not per case
+    samples, source, target, output_map = cfg.samples, cp.source, cp.target, cp.output_map
     watch = settled is not None and bool(tables)
     queried = False  # a table of the group answered a query
     if watch:
         counts = settled.get(subject)
-        if counts is not None and tally.cases + len(group.states) <= cfg.samples:
+        if counts is not None and tally.cases + len(group.states) <= samples:
             tally.cases += len(group.states)
             tally.illformed += counts[0]
             tally.fallback_cases += counts[1]
@@ -253,19 +252,19 @@ def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tall
         return out
 
     for i2, image in zip(group.states, group.images):
-        if tally.cases == cfg.samples:
+        if tally.cases == samples:
             tally.exhausted = False
             return None
         tally.cases += 1
         try:
             o1 = sources[image]
             if o1 is None:
-                o1 = sources[image] = extend_law(cp.source, subject, tables, preimages[image])
-            upper = cp.output_map(i2, o1)
+                o1 = sources[image] = extend_law(source, subject, tables, preimages[image])
+            upper = output_map(i2, o1)
             upper_cont = compile_once(upper.cont) if upper.cont is not None else None
             if layer is None:
                 layer = compile_once(subject)
-            lower = extend_law(cp.target, layer, behaviors, i2)
+            lower = extend_law(target, layer, behaviors, i2)
             field_name = first_difference(upper, lower)
             fallback = (field_name is None and upper_cont is not None
                         and upper_cont != lower.cont)
@@ -279,7 +278,7 @@ def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tall
                     nf = cp.normal_form
                     same = equivalent[key] = (
                         nf is not None and nf(upper_cont) == nf(lower.cont)
-                        or isinstance(check_bisim(cp.target, upper_cont, lower.cont, window,
+                        or isinstance(check_bisim(target, upper_cont, lower.cont, window,
                                                   cfg.fallback_depth, behaviors=behaviors),
                                       Equivalent))
                 if not same:
@@ -389,7 +388,7 @@ def check_case(cp: CompilerPair, case: CoherenceCase, cfg: CampaignConfig) -> Ve
     witness read back from a report is checked this way."""
     _, evaluate = _mode(cp, cfg)
     states = [case.target_input]
-    group = _Group(case.subject, case.tables, states, *_window_images(cp, states))
+    group = _Group(case.subject, case.tables or {}, states, *_window_images(cp, states))
     tally = Pass(0, exhausted=True)
     return evaluate(cp, group, gen.state_window(cp.target, cfg), cfg, tally, None) or tally
 
@@ -397,7 +396,7 @@ def check_case(cp: CompilerPair, case: CoherenceCase, cfg: CampaignConfig) -> Ve
 # ---------------------------------------------------------------------------
 # bisimilarity preservation
 
-@dataclass
+@dataclass  # its target verdict is filled in after it is built
 class PreservationEntry:
     left: Node
     right: Node
@@ -444,8 +443,7 @@ def check_preservation(cp: CompilerPair, cfg: CampaignConfig,
 # ---------------------------------------------------------------------------
 # context closure
 
-@dataclass
-class ContextClosureReport:
+class ContextClosureReport(NamedTuple):
     status: str  # closed | base-distinguished | violation
     contexts_checked: int
     base: object

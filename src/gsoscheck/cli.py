@@ -3,9 +3,10 @@
 Commands: run, compile, coherence, bisim, ctx-closure, preserve, laws,
 demo, replay.  Exit codes: 1 for a verdict in ``FAILING_VERDICTS`` (a
 counterexample or an expected verdict missed), 0 for any other verdict, 2
-for usage or parse errors.  All campaigns are deterministic
-per (config, seed); the seed is ``--seed`` or, without it, the default
-``CampaignConfig.seed``.
+for usage or parse errors, 3 for an internal error, with its traceback on
+standard error.  All campaigns are deterministic per (config, seed); the
+seed is ``--seed`` or, without it, the default
+``CampaignConfig._field_defaults["seed"]``.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import cache, partial
 
 from .terms import (
@@ -73,7 +74,7 @@ FAILING_VERDICTS = frozenset({"fail", "distinguished", "base-distinguished", "vi
 
 
 def _add_frame_len_and_json(p: argparse.ArgumentParser):
-    p.add_argument("--frame-len", type=_budget, default=CampaignConfig.L)
+    p.add_argument("--frame-len", type=_budget, default=CampaignConfig._field_defaults["L"])
     p.add_argument("--json", action="store_true")
 
 
@@ -82,7 +83,7 @@ def _add_budget_flags(p: argparse.ArgumentParser, *reads: str):
     and ``depth`` that the command reads, named in ``reads``; the others
     keep their defaults, which the report still echoes."""
     for name, parse in _BUDGETS.items():
-        default = getattr(CampaignConfig, name)
+        default = CampaignConfig._field_defaults[name]
         if name in reads or name not in _PER_COMMAND:
             p.add_argument("--" + name.replace("_", "-"), type=parse, default=default)
         else:
@@ -159,7 +160,7 @@ def _cmd_compile(args) -> tuple[Report, list]:
 
 def _cmd_coherence(args) -> tuple[Report, list]:
     cp = _lookup(compiler_registry(L=args.frame_len), "compiler", args.compiler)
-    cfg = replace(_config(args), mode=args.mode)
+    cfg = _config(args)._replace(mode=args.mode)
     verdict = check_coherence(cp, cfg)
     if isinstance(verdict, Pass):
         lines = [
@@ -559,6 +560,9 @@ def main(argv=None) -> int:
     except IllFormed as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception:  # a bug, not a verdict (1) or a usage error (2)
+        sys.__excepthook__(*sys.exc_info())  # the interpreter's traceback
+        return 3
     try:
         for line in lines:
             print(line)

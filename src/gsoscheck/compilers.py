@@ -11,8 +11,7 @@ whole-term recursion and is checked in closed mode only.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .terms import (
     Br, IAssign, IllFormed, Lit, Node, Nop, OpenTerm, Stop, Un, Var,
@@ -23,22 +22,19 @@ from .semantics import NO_FLAGS, StepOutcome, outcome
 from .languages import LangDef, language_registry
 
 
-@dataclass
-class LayerMap:
+class LayerMap(NamedTuple):
     """Per-constructor translation, applied homomorphically."""
 
     fn: Callable[[str, tuple, tuple], OpenTerm]  # (tag, payload, children) -> open term
 
 
-@dataclass
-class WholeTerm:
+class WholeTerm(NamedTuple):
     """Structural recursion over closed terms, not necessarily layer-wise."""
 
     fn: Callable[[Node], Node]
 
 
-@dataclass
-class CompilerPair:
+class CompilerPair(NamedTuple):
     """A syntax translation and the two maps of a behavior translation: a
     target input i2 is answered with ``output_map(i2, f(input_map(i2)))``
     for the source behavior f, at every input.

@@ -127,7 +127,7 @@ def block_cells(L: int):
 # ---------------------------------------------------------------------------
 # language definitions
 
-@dataclass
+@dataclass  # perfbench's tracer assigns each language's rule
 class LangDef:
     name: str
     constructors: tuple  # ((tag, payload_kinds, arity), ...) in enumeration order

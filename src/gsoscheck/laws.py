@@ -63,7 +63,7 @@ def check_unit_law(lang, cfg, inputs) -> int:
 def _nested_cases(lang, cfg):
     """Doubly-nested open terms: an outer shape over variables, each variable
     standing for a small inner open term over x0/x1."""
-    small = replace(cfg, exprs_per_slot=2)
+    small = cfg._replace(exprs_per_slot=2)
     inner_pool = [Var("x0"), Var("x1")] + gen.layer_shapes(lang, small)
     outers = [Var("n0")] + gen.layer_shapes(lang, small)
     for outer in outers:
@@ -150,7 +150,7 @@ def check_plug_roundtrip(lang, cfg) -> int:
     """plug inverts the brute-force splitter on every generated term.  The
     first split of each term is ((), t), so its check is the hole law: the
     empty context is the identity."""
-    small = replace(cfg, exprs_per_slot=2)
+    small = cfg._replace(exprs_per_slot=2)
     checked = 0
     for t in gen.closed_terms(lang, small):
         for ctx, sub in decompositions(t):

@@ -19,7 +19,7 @@ TOOL_VERSION = "0.1.0"
 REPLAY_IGNORED = ("wall_time_s",)
 
 
-@dataclass
+@dataclass  # cli.execute fills in its command; perfbench/child.py reads it with asdict
 class Report:
     config: dict
     verdict: str

@@ -41,7 +41,6 @@ as it is.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
 
@@ -171,8 +170,7 @@ def step(lang, term: Node, state: MachineState) -> StepOutcome:
     return extend_law(lang, term, {}, state)
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     trace: list  # [(state_in, StepOutcome), ...]
     terminated: bool
     final: MachineState
@@ -203,14 +201,12 @@ def run(lang, term: Node, state: MachineState, fuel: int) -> RunResult:
 
 # --- bounded bisimilarity ---
 
-@dataclass(frozen=True)
-class Equivalent:
+class Equivalent(NamedTuple):
     depth: int
     inputs: int
 
 
-@dataclass(frozen=True)
-class Distinguished:
+class Distinguished(NamedTuple):
     path: tuple  # input states consumed, outermost first
     left: StepOutcome
     right: StepOutcome

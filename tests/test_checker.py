@@ -5,7 +5,7 @@ import hashlib
 import itertools
 import json
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -31,6 +31,8 @@ from gsoscheck import checker, gen, semantics, states
 from gsoscheck.cli import execute
 
 from tests.test_cli import _load_perfbench
+
+SEED = CampaignConfig._field_defaults["seed"]  # the campaigns' default seed
 
 EXPECTED_VERDICTS = {
     "embed-flag": Fail,
@@ -194,7 +196,7 @@ def test_fallback_runs_once_per_continuations_and_tables(comps, monkeypatch):
     # tables, not on the target input, so a campaign computes it once per
     # such key however many inputs of the window reach it; without its
     # normal form, which settles them all, every such pair reaches it
-    cp, cfg = replace(comps["sandbox"], normal_form=None), CampaignConfig(samples=2000)
+    cp, cfg = comps["sandbox"]._replace(normal_form=None), CampaignConfig(samples=2000)
     window = gen.state_window(cp.target, cfg)
     calls = []
     real = checker.check_bisim
@@ -218,7 +220,7 @@ def test_fallback_runs_once_per_continuations_and_tables(comps, monkeypatch):
 
 @pytest.mark.parametrize("name, cfg", [
     # the benchmark's budgets, exhaustive in open mode, at two of its seeds
-    *(pytest.param(name, CampaignConfig(samples=samples, seed=CampaignConfig.seed + seed),
+    *(pytest.param(name, CampaignConfig(samples=samples, seed=SEED + seed),
                    id=f"{name}-seed{seed}")
       for name, samples in (("sandbox", 2000), ("sandbox-int", 6000)) for seed in (0, 1)),
     # closed terms up to size 3; sandbox-int's first 1,000 cases need no fallback
@@ -231,7 +233,7 @@ def test_normal_form_settles_as_the_bounded_fallback_does(comps, name, cfg):
     # runs; the campaign must reach the same record without it
     cp = comps[name]
     with_nf = check_coherence(cp, cfg)
-    _assert_same_verdict(with_nf, check_coherence(replace(cp, normal_form=None), cfg))
+    _assert_same_verdict(with_nf, check_coherence(cp._replace(normal_form=None), cfg))
     assert isinstance(with_nf, Pass) and with_nf.fallback_cases > 0
 
 
@@ -244,12 +246,12 @@ def test_a_pair_the_normal_form_does_not_equate_goes_to_the_bounded_fallback(com
             return sandbox(while_(payload[0], seq(children[0], children[0])))
         return sandbox(Node(tag, children, payload))
 
-    cp = replace(comps["sandbox"], syntax=LayerMap(doubled))
+    cp = comps["sandbox"]._replace(syntax=LayerMap(doubled))
     for mode in ("open", "closed"):
         cfg = CampaignConfig(mode=mode)
         got = check_coherence(cp, cfg)
         assert isinstance(got, Fail) and got.divergence.field_name == "continuation", mode
-        _assert_same_verdict(got, check_coherence(replace(cp, normal_form=None), cfg))
+        _assert_same_verdict(got, check_coherence(cp._replace(normal_form=None), cfg))
 
 
 def test_benchmark_fallback_campaigns_run_no_bounded_fallback(monkeypatch):
@@ -281,7 +283,7 @@ def test_out_of_domain_table_query_is_inconclusive(comps):
             children[0][1](outside)
         return rule(tag, payload, children, s)
 
-    probed = replace(cp, source=replace(cp.source, rule=probing))
+    probed = cp._replace(source=replace(cp.source, rule=probing))
     verdict = check_coherence(probed, CampaignConfig(samples=2000))
     assert isinstance(verdict, Pass) and verdict.inconclusive > 0
 
@@ -385,19 +387,19 @@ def _repeated_while_groups(cp, cfg):
     # every budget reaches the verdict of the shipped campaign, except
     # sandbox-int's: un-memoised, its fallback cases take seconds
     *(pytest.param(name, seed, 500 if name == "sandbox-int" else 6000, id=f"{name}-{seed}")
-      for name in OPEN_CHECKABLE for seed in (CampaignConfig.seed, CampaignConfig.seed + 7)),
+      for name in OPEN_CHECKABLE for seed in (SEED, SEED + 7)),
     # budgets that end one case before, on and one after a point where the
     # group loop must stop as the per-case loop does: sandbox's stream ends
     # at 816 cases and its second group at 32; embed-flag fails on its 33rd
-    *(("sandbox", CampaignConfig.seed, n) for n in (31, 32, 33, 815, 816, 817)),
-    *(("embed-flag", CampaignConfig.seed, n) for n in (32, 33, 34)),
+    *(("sandbox", SEED, n) for n in (31, 32, 33, 815, 816, 817)),
+    *(("embed-flag", SEED, n) for n in (32, 33, 34)),
     # budgets just before, at the start of, inside and just after the first
     # replayed group: sandbox's covers cases 449-464, embed-stack-clear's
     # 2,689-2,784.  embed-stack-clear's first replayed group with ill-formed
     # inputs (sp = 0 under a guard that reads a cell) starts with one, at
     # 3,457, so the last budget ends inside it
-    *(("sandbox", CampaignConfig.seed, n) for n in (448, 449, 456, 464, 465)),
-    *(("embed-stack-clear", CampaignConfig.seed, n) for n in (2688, 2689, 2784, 2785, 3458)),
+    *(("sandbox", SEED, n) for n in (448, 449, 456, 464, 465)),
+    *(("embed-stack-clear", SEED, n) for n in (2688, 2689, 2784, 2785, 3458)),
 ])
 def test_group_evaluation_equals_per_case_evaluation(comps, name, seed, samples):
     cp = comps[name]
@@ -430,7 +432,7 @@ def test_a_query_on_the_lower_path_alone_keeps_a_group_from_being_replayed(comps
             return out._replace(label=children[0][1](s).label)
         return out
 
-    planted = replace(cp, target=replace(cp.target, rule=copying))
+    planted = cp._replace(target=replace(cp.target, rule=copying))
     cfg = CampaignConfig()
     assert next(_repeated_while_groups(planted, cfg)) == (449, 464, "(while (lit 0) ?x0)")
     got = check_coherence(planted, cfg)
@@ -621,7 +623,7 @@ def test_closed_stream_smallest_first(comps):
 
 
 def test_generated_size_one_terms(langs, cfg):
-    got = list(gen.closed_terms(langs["while"], replace(cfg, max_term_size=1)))
+    got = list(gen.closed_terms(langs["while"], cfg._replace(max_term_size=1)))
     assert skip() in got
     locs = {t.payload[0] for t in got if t.tag == "assign"}
     assert locs == {0, 1}
@@ -826,7 +828,7 @@ CLOSED_TERM_DIGESTS = {
 def test_closed_terms_are_the_recorded_ones(langs, name, budget):
     cfg = CampaignConfig()
     if budget == "small":
-        cfg = replace(cfg, max_term_size=4, exprs_per_slot=2)
+        cfg = cfg._replace(max_term_size=4, exprs_per_slot=2)
     text = "\n".join(print_term(t) for t in gen.closed_terms(langs[name], cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == CLOSED_TERM_DIGESTS[name, budget]
 
@@ -960,7 +962,7 @@ def test_stack_campaign_flags_totalizations(comps):
 def test_passing_compilers_preserve_bisimilarity(comps):
     # coherent pairs must carry bisimilar source pairs to bisimilar targets
     cfg = CampaignConfig()
-    small = replace(cfg, max_term_size=4, exprs_per_slot=2)
+    small = cfg._replace(max_term_size=4, exprs_per_slot=2)
     for name in ("sandbox", "sandbox-int", "embed-low-sec", "embed-stack-clear"):
         cp = comps[name]
         terms = list(itertools.islice(gen.closed_terms(cp.source, small), 20))
@@ -991,6 +993,6 @@ def test_context_closure_other_languages(langs):
 
 
 def test_campaign_config_has_only_fields_a_campaign_reads():
-    names = {f.name for f in fields(CampaignConfig)}
+    names = set(CampaignConfig._fields)
     assert not names & {"threads", "max_expr_depth", "fuel"}
     assert CampaignConfig().echo() == {name: getattr(CampaignConfig(), name) for name in names}

@@ -182,26 +182,42 @@ def test_every_window_state_reads_back_from_its_show(langs, cfg):
         assert lang.state_kind.parse(s.show(), lang.L) == s, (lang.name, s)
 
 
-def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+def _broken_campaign(monkeypatch, error: BaseException):
     from gsoscheck import cli
 
     def broken(cp, cfg):
-        raise KeyError("internal")
+        raise error
 
     monkeypatch.setattr(cli, "check_coherence", broken)
-    with pytest.raises(KeyError):
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch, capsys):
+    # an internal error exits 3 with its traceback, neither 2 (usage) nor 1
+    # (a counterexample)
+    _broken_campaign(monkeypatch, KeyError("internal"))
+    assert main(["coherence", "--compiler", "embed-flag"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("KeyError: 'internal'\n")
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    _broken_campaign(monkeypatch, ValueError("internal"))
+    assert main(["coherence", "--compiler", "embed-flag"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("ValueError: internal\n")
+
+
+@pytest.mark.parametrize("error", [SystemExit(5), KeyboardInterrupt()],
+                         ids=["system-exit", "keyboard-interrupt"])
+def test_an_exit_or_an_interrupt_is_not_an_internal_error(monkeypatch, capsys, error):
+    _broken_campaign(monkeypatch, error)
+    with pytest.raises(type(error)):
         main(["coherence", "--compiler", "embed-flag"])
-
-
-def test_internal_value_error_is_not_a_usage_error(monkeypatch):
-    from gsoscheck import cli
-
-    def broken(cp, cfg):
-        raise ValueError("internal")
-
-    monkeypatch.setattr(cli, "check_coherence", broken)
-    with pytest.raises(ValueError):
-        main(["coherence", "--compiler", "embed-flag"])
+    assert capsys.readouterr().err == ""
 
 
 def test_ill_formed_term_exits_2(capsys):
@@ -342,7 +358,7 @@ def test_bisim_cli(capsys):
     assert "DISTINGUISHED" in out and "{0:1}" in out
     # bisim samples nothing, but its config echoes every campaign default
     _, report, _ = execute(["bisim", "--lang", "while", "--left", a, "--right", b])
-    assert report.config == asdict(CampaignConfig())
+    assert report.config == CampaignConfig()._asdict()
 
 
 def test_preserve_cli(tmp_path, capsys):
@@ -437,11 +453,30 @@ def test_usage_error_exits_2():
                       (["laws", "--lang", "while"], CampaignConfig()),
                       (["ctx-closure", "--lang", "while", *WHILE_PAIR, "--samples", "5"],
                        CampaignConfig(samples=5))):
-        assert execute(argv)[1].config == asdict(cfg), argv
+        assert execute(argv)[1].config == cfg._asdict(), argv
 
 
 WHILE_PAIR = ["--left", "(while (var 0) (assign 0 (lit 0)))",
               "--right", "(while (mul (var 0) (lit 2)) (assign 0 (lit 0)))"]
+
+
+def test_every_budget_flag_defaults_to_the_config_default():
+    # on a named tuple, CampaignConfig.seed is the field's getter; the
+    # defaults are in _field_defaults
+    from gsoscheck.cli import _BUDGETS
+
+    defaults = CampaignConfig._field_defaults
+    for argv in (["coherence", "--compiler", "sandbox"], ["laws"],
+                 ["bisim", "--lang", "while", "--left", "skip", "--right", "skip"],
+                 ["ctx-closure", "--lang", "while", *WHILE_PAIR],
+                 ["preserve", "--compiler", "sandbox"]):
+        args = build_parser().parse_args(argv)
+        assert {name: getattr(args, name) for name in _BUDGETS} == {
+            name: defaults[name] for name in _BUDGETS}, argv
+        assert args.frame_len == defaults["L"], argv
+    for argv in (["run", "--lang", "while", "--term", "skip", "--input", "{}"],
+                 ["compile", "--compiler", "sandbox", "--term", "skip"]):
+        assert build_parser().parse_args(argv).frame_len == defaults["L"], argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -937,7 +972,7 @@ def test_seed_comes_only_from_the_command_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GSOSCHECK_SEED", "0x1234")
     assert main(["coherence", "--compiler", "embed-flag", "--json"]) == 1
     payload = capsys.readouterr().out
-    assert json.loads(payload)["config"]["seed"] == CampaignConfig.seed
+    assert json.loads(payload)["config"]["seed"] == CampaignConfig._field_defaults["seed"]
     path = tmp_path / "report.json"
     path.write_text(payload)
     monkeypatch.delenv("GSOSCHECK_SEED")

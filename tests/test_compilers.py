@@ -2,7 +2,6 @@
 and the flattening arithmetic."""
 import itertools
 import random
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -54,7 +53,7 @@ def test_unsandbox_strips_all_sandboxes(comps):
 
 
 def test_unsandbox_inverts_sandboxing(comps, cfg, langs):
-    small = replace(cfg, max_term_size=4, exprs_per_slot=2)
+    small = cfg._replace(max_term_size=4, exprs_per_slot=2)
     for t in itertools.islice(gen.closed_terms(langs["while"], small), 80):
         boxed = compile_term(comps["sandbox"], t)
         assert compile_term(comps["unsandbox"], boxed) == t
@@ -90,7 +89,7 @@ def test_flatten_concatenates_sequencing(comps):
 def test_flatten_branch_arithmetic(comps, langs, cfg):
     # forward offset = body length + 2, backward = -(body length + 1),
     # for every while subterm
-    small = replace(cfg, max_term_size=4, exprs_per_slot=2)
+    small = cfg._replace(max_term_size=4, exprs_per_slot=2)
     for t in itertools.islice(gen.closed_terms(langs["while"], small), 150):
         for sub in subterms(t):
             if sub.tag != "while":
@@ -106,7 +105,7 @@ def test_flatten_branch_arithmetic(comps, langs, cfg):
 def test_layer_maps_satisfy_monad_law(comps, cfg):
     # compiling a term equals compiling its top layer over the compiled
     # children (sigma . mu = mu . sigma* . sigma)
-    small = replace(cfg, max_term_size=4, exprs_per_slot=2)
+    small = cfg._replace(max_term_size=4, exprs_per_slot=2)
     for name, cp in comps.items():
         if not cp.open_checkable:
             continue
@@ -243,7 +242,7 @@ def test_whole_term_compiler_rejects_open_use(comps):
 
 
 def test_compiled_terms_validate_in_target(comps, cfg):
-    small = replace(cfg, max_term_size=3, exprs_per_slot=2)
+    small = cfg._replace(max_term_size=3, exprs_per_slot=2)
     for name, cp in comps.items():
         terms = itertools.islice(gen.closed_terms(cp.source, small), 40)
         for t in terms:
@@ -355,7 +354,7 @@ def test_normal_form_one_step_lemma(comps, name, wrong, all_tags, size, checks, 
     tag = "sandbox" if name == "sandbox" else "isandbox"
     normal_form = cp.normal_form if wrong is None else wrong(tag)
     tags = [c[0] for c in cp.target.constructors] if all_tags else IMAGE_TAGS + (tag,)
-    cfg = replace(LEMMA_CFG, max_term_size=size)
+    cfg = LEMMA_CFG._replace(max_term_size=size)
     assert _lemma_failures(cp, normal_form, tags, cfg) == (checks, failures)
     if failures == 0:
         for t in _open_terms(cp.target, cfg, tags):

@@ -2,7 +2,6 @@
 rule sets of the registry."""
 import hashlib
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -307,7 +306,7 @@ def _step_digest(lang, cfg, states) -> tuple:
     """(line count, sha256) of every step of ``lang``'s small closed terms
     from ``states``; a step that is ill-formed records its message."""
     lines = []
-    for t in gen.closed_terms(lang, replace(cfg, max_term_size=3, exprs_per_slot=2)):
+    for t in gen.closed_terms(lang, cfg._replace(max_term_size=3, exprs_per_slot=2)):
         for st in states:
             try:
                 o = step(lang, t, st)

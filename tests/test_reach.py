@@ -5,10 +5,11 @@ function and method defined in the modules below, nested ones included,
 must be among the calls it records, or be on the allow-list with its
 reason.  A function only a unit test calls is machinery no user runs: it
 is deleted or wired into a command, not allow-listed.  The allow-list holds
-only names the benchmark's tracer binds by name.  Three guards read the
+only names the benchmark's tracer binds by name.  Four guards read the
 source: no module but ``states`` tells state kinds apart by name, no
-module but ``semantics`` calls the ``StepOutcome`` class, and no function
-but ``checker._evaluate_group`` adds to a campaign's case counts.
+module but ``semantics`` calls the ``StepOutcome`` class, no function
+but ``checker._evaluate_group`` adds to a campaign's case counts, and only
+the records listed in ``DATACLASSES`` are dataclasses.
 """
 import ast
 import cProfile
@@ -181,6 +182,33 @@ def test_no_function_but_the_group_body_adds_to_the_case_counts():
                 if name in TALLY_COUNTS and where != ("checker.py", "_evaluate_group"):
                     found.append((*where, node.lineno))
     assert found == []
+
+
+# the records that stay dataclasses, each with what a named tuple cannot do
+# for it; every other record is a NamedTuple, whose class is built at import
+# with no generated code to compile
+DATACLASSES = {
+    ("reports.py", "Report"): "perfbench/child.py reads it with dataclasses.asdict",
+    ("languages.py", "LangDef"): "perfbench/tracer.py assigns its rule",
+    ("checker.py", "Pass"): "the campaign's running tally, added to per case",
+    ("checker.py", "PreservationEntry"): "its target verdict is filled in after it is built",
+}
+
+
+def _is_dataclass(decorator) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return (isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+            or isinstance(decorator, ast.Attribute) and decorator.attr == "dataclass")
+
+
+def test_only_the_listed_records_are_dataclasses():
+    found = set()
+    for path in sorted(Path(gsoscheck.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                found.add((path.name, node.name))
+    assert found == set(DATACLASSES)
 
 
 def test_every_allowed_name_is_bound_by_the_benchmark_tracer():

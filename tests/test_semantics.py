@@ -54,7 +54,7 @@ def reference_while_step(t: Node, cells: dict):
 def test_step_matches_reference_while(langs, cfg):
     lang = langs["while"]
     stores = gen.store_window(cfg, int_mode=False)
-    for t in gen.closed_terms(lang, replace(cfg, max_term_size=4, exprs_per_slot=3)):
+    for t in gen.closed_terms(lang, cfg._replace(max_term_size=4, exprs_per_slot=3)):
         for s in stores:
             got = step(lang, t, s)
             cells, cont = reference_while_step(t, dict(s.cells))
@@ -186,7 +186,7 @@ def test_check_bisim_distinguishes_labels(langs, cfg):
 def test_check_bisim_symmetry_and_transitivity_spot(langs, cfg):
     lang = langs["while"]
     window = gen.store_window(cfg, int_mode=False)
-    small = replace(cfg, max_term_size=3, exprs_per_slot=2)
+    small = cfg._replace(max_term_size=3, exprs_per_slot=2)
     terms = list(itertools.islice(gen.closed_terms(lang, small), 12))
     for a, b in itertools.combinations(terms[:8], 2):
         ab = check_bisim(lang, a, b, window, 10)
@@ -204,7 +204,7 @@ def test_closed_extension_agrees_with_step(langs, cfg):
     # operational model: step, and memo entries in one memo per language,
     # which shares entries between terms and their subterms, against
     # extend_law in every language; all raise IllFormed on the same pairs
-    small = replace(cfg, max_term_size=4, exprs_per_slot=2)
+    small = cfg._replace(max_term_size=4, exprs_per_slot=2)
     for name, lang in langs.items():
         memo: dict = {}
         window = gen.state_window(lang, cfg)
@@ -396,7 +396,7 @@ def fallback_calls(comps):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checker, "check_bisim", recording)
         for name, samples in (("sandbox-int", 6000), ("sandbox", 2000)):
-            verdict = check_coherence(replace(comps[name], normal_form=None),
+            verdict = check_coherence(comps[name]._replace(normal_form=None),
                                       CampaignConfig(samples=samples))
             assert isinstance(verdict, Pass) and verdict.fallback_cases > 0
     return calls

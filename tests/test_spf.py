@@ -1,7 +1,6 @@
 """Syntax functor counts, one-hole contexts and plugging."""
 import itertools
 import math
-from dataclasses import replace
 
 from gsoscheck.spf import OneHoleLayer, con_step, decompositions, plug
 from gsoscheck.terms import (
@@ -96,7 +95,7 @@ def recursive_decompositions(t):
 def test_decompositions_agree_with_the_recursive_splitter(langs, cfg):
     # the same (context, subterm) splits in the same order, on every closed
     # term up to size 3 and on the open layers
-    small = replace(cfg, max_term_size=3, exprs_per_slot=2)
+    small = cfg._replace(max_term_size=3, exprs_per_slot=2)
     splits = 0
     for lang in langs.values():
         for t in [*gen.closed_terms(lang, small), *gen.layer_shapes(lang, cfg)]:
@@ -120,7 +119,7 @@ def test_decompositions_agree_with_the_recursive_splitter(langs, cfg):
 def test_plug_unplug_round_trip(langs, cfg):
     for lang in langs.values():
         count = 0
-        for t in gen.closed_terms(lang, replace(cfg, max_term_size=4, exprs_per_slot=2)):
+        for t in gen.closed_terms(lang, cfg._replace(max_term_size=4, exprs_per_slot=2)):
             for ctx, sub in decompositions(t):
                 assert plug(ctx, sub) == t
                 count += 1
@@ -129,7 +128,7 @@ def test_plug_unplug_round_trip(langs, cfg):
 
 def test_sample_contexts_deterministic_and_pluggable(langs, cfg):
     lang = langs["while"]
-    small = replace(cfg, samples=100, seed=42)
+    small = cfg._replace(samples=100, seed=42)
     first = gen.sample_contexts(lang, small)
     second = gen.sample_contexts(lang, small)
     assert first == second
@@ -144,6 +143,6 @@ def test_sample_contexts_deterministic_and_pluggable(langs, cfg):
 def test_sample_contexts_zero_layers(langs, cfg):
     # a one-context sample is the zero-layer context, the bare hole; a full
     # sample draws every depth from zero to CONTEXT_LAYERS and none deeper
-    assert gen.sample_contexts(langs["while"], replace(cfg, samples=1, seed=7)) == [()]
+    assert gen.sample_contexts(langs["while"], cfg._replace(samples=1, seed=7)) == [()]
     depths = {len(ctx) for ctx in gen.sample_contexts(langs["while"], cfg)}
     assert depths == set(range(gen.CONTEXT_LAYERS + 1))

@@ -4,7 +4,6 @@ built.  ``Store.set`` and ``clamp_negatives`` against their definitions."""
 import copy
 import itertools
 import pickle
-from dataclasses import replace
 
 import pytest
 
@@ -120,7 +119,7 @@ def test_a_store_never_equals_another_state_kind(langs, cfg):
 
 
 def test_equal_states_are_one_object_however_built(langs, cfg):
-    small = replace(cfg, max_term_size=3, exprs_per_slot=2)
+    small = cfg._replace(max_term_size=3, exprs_per_slot=2)
     built = []  # (state kind, state)
     for lang in langs.values():
         window = gen.state_window(lang, cfg)

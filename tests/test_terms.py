@@ -3,7 +3,6 @@ and hashed by identity; and ``subterms``, the one walk of a term."""
 import copy
 import itertools
 import pickle
-from dataclasses import replace
 
 import pytest
 
@@ -75,7 +74,7 @@ def test_equal_trees_built_apart_are_equal():
 
 
 def test_equal_terms_are_one_object_however_built(langs, comps, cfg):
-    lang, small = langs["while"], replace(cfg, max_term_size=3, exprs_per_slot=2)
+    lang, small = langs["while"], cfg._replace(max_term_size=3, exprs_per_slot=2)
     terms = list(itertools.islice(gen.closed_terms(lang, small), 60))
     terms.append(parse_term("(seq (while (lt (var 0) (lit 2)) (assign 1 (lit 1))) skip)"))
     assert len(terms) > 1
@@ -123,13 +122,13 @@ def test_equal_terms_are_one_object_however_built(langs, comps, cfg):
 
 
 def test_closed_agrees_with_a_recursive_walk(langs, cfg):
-    small = replace(cfg, max_term_size=3, exprs_per_slot=2)
+    small = cfg._replace(max_term_size=3, exprs_per_slot=2)
     for lang in langs.values():
         closed = list(itertools.islice(gen.closed_terms(lang, small), 40))
         layers = gen.layer_shapes(lang, cfg)
         # open terms with a variable up to three layers down, beside closed
         # siblings
-        contexts = gen.sample_contexts(lang, replace(cfg, samples=40, seed=7))
+        contexts = gen.sample_contexts(lang, cfg._replace(samples=40, seed=7))
         deep = [plug(ctx, Var("h")) for ctx in contexts if ctx]
         assert deep and not any(is_closed(t) for t in deep)
         for t in closed + layers + deep:
@@ -138,7 +137,7 @@ def test_closed_agrees_with_a_recursive_walk(langs, cfg):
 
 
 def test_every_generated_term_is_valid_and_reads_back_from_its_print(langs, cfg):
-    small = replace(cfg, max_term_size=3, exprs_per_slot=2)
+    small = cfg._replace(max_term_size=3, exprs_per_slot=2)
     terms = [(lang, t) for lang in langs.values()
              for t in [*gen.closed_terms(lang, small), *gen.layer_shapes(lang, cfg)]]
     assert len(terms) == 1801
@@ -244,7 +243,7 @@ def test_parse_term_refuses_a_program_deeper_than_the_bound():
 
 
 def test_subterms_agrees_with_the_recursive_walk(langs, cfg):
-    small = replace(cfg, max_term_size=3, exprs_per_slot=2)
+    small = cfg._replace(max_term_size=3, exprs_per_slot=2)
     terms = [t for lang in langs.values()
              for t in [*gen.closed_terms(lang, small), *gen.layer_shapes(lang, cfg)]]
     for t in terms:
