@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -543,10 +544,25 @@ def execute(argv: list) -> tuple[int, Report, list]:
     """Run one command line: its exit code, its report and its lines.  The
     report echoes ``argv`` and the wall time of the whole command, parsing
     included; the code is 1 for a verdict in ``FAILING_VERDICTS``, else 0;
-    under ``--json``, however abbreviated, the one line is the report."""
+    under ``--json``, however abbreviated, the one line is the report.
+
+    The command body runs with the cyclic garbage collector paused.  What a
+    command builds is acyclic: terms and outcomes are immutable and
+    hash-consed, and a memo entry refers only to its children's entries, so
+    reference counting frees all of it and a collection would only traverse
+    the live memos and free nothing (``tests/test_checker.py`` checks that
+    no command leaves a cycle behind).  The collector is switched back on
+    afterwards only if it was on before, so a nested ``replay`` or a caller
+    that had switched it off keeps its setting."""
     started = time.monotonic()
     args = build_parser().parse_args(argv)
-    report, lines = args.fn(args)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        report, lines = args.fn(args)
+    finally:
+        if collecting:
+            gc.enable()
     report.command = list(argv)
     report.wall_time_s = time.monotonic() - started
     if args.json:

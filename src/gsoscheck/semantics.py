@@ -34,10 +34,11 @@ memo, for one rule and one set of behaviors, and it lives as long as the
 caller keeps it: one ``run``, one ``check_bisim`` call, a context-closure
 check with all its contexts, or one language of a preservation campaign.
 An entry refers to its children's entries and never to the memo, so a
-memo is freed as soon as its owner drops it.  No language holds one, so
-no other case, campaign or call sees it.  Outcomes are immutable named
-tuples, built through ``outcome``, so a remembered one is handed out again
-as it is.
+memo is freed as soon as its owner drops it, and the cycle collector has
+nothing to find in a command (``cli.execute`` pauses it).  No language
+holds one, so no other case, campaign or call sees it.  Outcomes are
+immutable named tuples, built through ``outcome``, so a remembered one is
+handed out again as it is.
 """
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 """Campaign behavior: the verdict table, witness soundness, stream
 determinism, preservation and context closure."""
+import ast
 import gc
 import hashlib
 import itertools
@@ -7,6 +8,7 @@ import json
 from collections import Counter
 from dataclasses import replace
 from functools import partial
+from types import FunctionType
 
 import pytest
 
@@ -28,7 +30,7 @@ from gsoscheck.terms import (
 )
 from gsoscheck.spf import OneHoleLayer, plug
 from gsoscheck import checker, gen, semantics, states
-from gsoscheck.cli import execute
+from gsoscheck.cli import build_parser, execute
 
 from tests.test_cli import _load_perfbench
 
@@ -746,9 +748,10 @@ def test_campaigns_leave_the_languages_as_they_were(langs, comps):
     assert snapshot() == before
 
 
-def _collected_memo_parts(action) -> list:
-    """The memo entries and ``memo_entry`` partials that the cycle
-    collector, rather than reference counting, would free after ``action``."""
+def _cyclic_garbage(action) -> list:
+    """Every object that the cycle collector, rather than reference
+    counting, would free after ``action``."""
+    build_parser()  # argparse leaves cycles behind when it builds the parser, once
     debug = gc.get_debug()
     try:
         gc.collect()
@@ -757,43 +760,71 @@ def _collected_memo_parts(action) -> list:
         action()
         gc.collect()
         gc.set_debug(debug)
-        return [o for o in gc.garbage
-                if isinstance(o, semantics._Entry)
-                or isinstance(getattr(o, "__self__", None), semantics._Entry)
-                or isinstance(o, partial) and o.func is memo_entry]
+        return list(gc.garbage)
     finally:
         gc.set_debug(debug)
         gc.garbage.clear()
 
 
+def _literal_eval_parts(garbage: list) -> list:
+    """The objects of ``garbage`` that ``ast.literal_eval`` leaves in a cycle
+    on every call: its nested functions, their closure tuples and cells."""
+    parts = []
+    for f in garbage:
+        if isinstance(f, FunctionType) and f.__qualname__.startswith("literal_eval.<locals>."):
+            parts += [f, *((f.__closure__, *f.__closure__) if f.__closure__ else ())]
+    own = {id(o) for o in parts}
+    return [o for o in garbage if id(o) in own]
+
+
 def test_owned_memos_are_not_left_to_the_cycle_collector(langs, tmp_path):
-    # a memo entry refers to its children's entries, never to the memo, so
-    # every command's memos go when it returns, and no owner clears them
+    # a memo entry refers to its children's entries, never to the memo, and
+    # nothing else a command builds is cyclic, so all of it goes by reference
+    # counting when the command returns and no owner clears it; cli.execute
+    # pauses the cycle collector on this.  The one residue is the closures
+    # ast.literal_eval leaves per state it parses, which no budget multiplies
+    bench = _load_perfbench("run")
     a, b = "(while (var 0) (assign 0 (lit 0)))", "(while (mul (var 0) (lit 2)) (assign 0 (lit 0)))"
     pairs = tmp_path / "pairs.json"
     pairs.write_text(json.dumps([{"left": a, "right": b}]))
-    commands = [
-        ["run", "--lang", "while", "--term", f"(seq {a} (assign 1 (lit 3)))",
-         "--input", "{0: 3}"],
+    workloads = [argv for name in bench.load_json(bench.BENCH / "workloads.json")
+                 for argv in bench.commands(name, 0)]
+    parsing = [["run", "--lang", "while", "--term", f"(seq {a} (assign 1 (lit 3)))",
+                "--input", "{0: 3}"],
+               ["demo", "fig6"], ["demo", "sec6-fail"], ["demo", "sec3-context"]]
+    memos = [
         ["ctx-closure", "--lang", "while", "--left", a, "--right", b, "--samples", "30"],
         ["preserve", "--compiler", "embed-int", "--samples", "20"],
         ["preserve", "--compiler", "sandbox", "--pairs", str(pairs)],
         ["bisim", "--lang", "while", "--left", a, "--right", b],
         # both campaigns have cases that need the fallback bisimulation
-        ["coherence", "--compiler", "sandbox", "--mode", "closed"],
-        ["coherence", "--compiler", "sandbox", "--mode", "open"],
+        ["coherence", "--compiler", "sandbox", "--mode", "closed", "--samples", "1000"],
+        ["coherence", "--compiler", "sandbox", "--mode", "open", "--samples", "1000"],
     ]
-    reports = []
-    for argv in commands:
-        assert _collected_memo_parts(lambda: reports.append(execute(argv)[1])) == [], argv
+    one_parse = _cyclic_garbage(lambda: ast.literal_eval("{0: 3}"))
+    assert one_parse and _literal_eval_parts(one_parse) == one_parse
+    reports, residue = [], {}
+    for argv in workloads + parsing + memos:
+        garbage = _cyclic_garbage(lambda: reports.append(execute(argv)[1]))
+        parsed = _literal_eval_parts(garbage)
+        assert len(garbage) == len(parsed), (argv, Counter(type(o).__name__ for o in garbage))
+        residue[tuple(argv)] = len(parsed)
     assert all(r.tallies["fallback_cases"] > 0 for r in reports[-2:])
+    assert [argv for argv in residue if residue[argv]] == [tuple(argv) for argv in parsing]
+    assert set(residue.values()) == {0, len(one_parse)}
+    for argv in memos:
+        if "--samples" in argv:
+            at = argv.index("--samples") + 1
+            larger = argv[:at] + [str(2 * int(argv[at]))] + argv[at + 1:]
+            assert len(_cyclic_garbage(lambda: execute(larger))) == 0, larger
 
     def leaky():
         memo: dict = {}
         memo_entry(langs["while"].rule, {}, memo, seq(skip(), skip()))[Store.of({})]
         memo[None] = memo  # a memo that refers to itself is left to the collector
 
-    assert _collected_memo_parts(leaky)
+    garbage = _cyclic_garbage(leaky)
+    assert garbage and not _literal_eval_parts(garbage)
 
 
 # sha256 of the 1000 contexts check_context_closure samples at seed 0xC0FFEE,

@@ -1,4 +1,5 @@
 """Command-line contract: exit codes, output shapes, JSON round trips."""
+import gc
 import importlib.util
 import json
 import os
@@ -283,6 +284,61 @@ def test_coherence_exit_codes():
     code, report, _ = run_cli(["coherence", "--compiler", "embed-flag"])
     assert code == 1 and report.verdict == "fail"
     assert report.witness["divergence"]["field"] == "label"
+
+
+def _watch_the_collector(monkeypatch) -> list:
+    """A list that gets whether the cycle collector is on each time a
+    command body runs a campaign or a bisimulation, and each time ``replay``
+    compares its two reports."""
+    from gsoscheck import cli, reports
+
+    seen = []
+
+    def watched(real):
+        def call(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("check_coherence", "check_bisim"):
+        monkeypatch.setattr(cli, name, watched(getattr(cli, name)))
+    monkeypatch.setattr(reports.Report, "matches", watched(reports.Report.matches))
+    return seen
+
+
+COLLECTOR_CASES = {
+    "pass": (["coherence", "--compiler", "sandbox", "--samples", "50"], 0),
+    "fail": (["bisim", "--lang", "while", "--left", "(assign 0 (lit 1))",
+              "--right", "(assign 0 (lit 2))"], 1),
+    # the body raises IllFormed: the stack machine has no frame to assign in
+    "ill-formed": (["bisim", "--lang", "stack", "--left", "(assign 0 (lit 1))",
+                    "--right", "(seq (assign 0 (lit 1)) skip)"], 2),
+    "replay": (["replay", "--report", "saved.json"], 0),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", sorted(COLLECTOR_CASES))
+def test_a_command_body_runs_with_the_collector_paused(monkeypatch, capsys, tmp_path,
+                                                      case, enabled):
+    # execute pauses the cycle collector around the command body and then
+    # gives the caller back its setting, also when the body raises and when
+    # a replay runs one execute inside another
+    argv, code = COLLECTOR_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    if case == "replay":
+        main(COLLECTOR_CASES["fail"][0] + ["--json"])
+        (tmp_path / "saved.json").write_text(capsys.readouterr().out)
+    seen = _watch_the_collector(monkeypatch)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == code
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert seen and not any(seen), seen
 
 
 def test_coherence_json_replay_round_trip(tmp_path, capsys):
