@@ -319,8 +319,9 @@ def _cmd_laws(args) -> tuple[Report, list]:
     names = [args.lang] if args.lang != "all" else list(langs)
     lines = []
     tallies = {}
+    verified = {}  # the plug round-trip's terms, checked once for all languages
     for name in names:
-        outcome = run_law_suite(_lookup(langs, "language", name), cfg)
+        outcome = run_law_suite(_lookup(langs, "language", name), cfg, verified)
         tallies[name] = {k: v for k, v in outcome.items() if k != "language"}
         lines.append(
             f"{name}: unit {outcome['unit']}, copoint {outcome['copoint']},"

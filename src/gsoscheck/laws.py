@@ -10,7 +10,11 @@ For every registered language this checks, at desk scale:
   * multiplication: on doubly-nested open terms, extending and then
     flattening agrees with flattening and then extending;
   * plugging: every (context, subterm) split of a term plugs back to it,
-    and the empty context is the identity.
+    and the empty context is the identity.  A `laws` run checks this once
+    per distinct term, however many languages generate it: neither
+    splitting nor plugging sees the language, and terms are hash-consed, so
+    a term met again is the same object and a second check the same
+    computation.
 """
 from __future__ import annotations
 
@@ -146,21 +150,40 @@ def check_copoint_law(lang, cfg, inputs) -> int:
     return checked
 
 
-def check_plug_roundtrip(lang, cfg) -> int:
+def check_plug_roundtrip(lang, cfg, verified: dict | None = None) -> int:
     """plug inverts the brute-force splitter on every generated term.  The
     first split of each term is ((), t), so its check is the hole law: the
-    empty context is the identity."""
+    empty context is the identity.
+
+    ``verified`` maps each term already checked to its number of splits; a
+    term in it adds that number and is not split again, and a term checked
+    here is added.  Neither ``decompositions`` nor ``plug`` sees ``lang``,
+    and terms are hash-consed, so a term checked for one language is the
+    same object, and needs no second check, in another.  Without a dict the
+    call uses its own."""
+    if verified is None:
+        verified = {}
     small = cfg._replace(exprs_per_slot=2)
     checked = 0
     for t in gen.closed_terms(lang, small):
-        for ctx, sub in decompositions(t):
-            if plug(ctx, sub) != t:
-                raise AssertionError(f"plug round-trip failed on {t}")
-            checked += 1
+        splits = verified.get(t)
+        if splits is None:
+            splits = 0
+            for ctx, sub in decompositions(t):
+                if plug(ctx, sub) != t:
+                    raise AssertionError(f"plug round-trip failed on {t}")
+                splits += 1
+            verified[t] = splits
+        checked += splits
     return checked
 
 
-def run_law_suite(lang, cfg) -> dict:
+def run_law_suite(lang, cfg, verified: dict | None = None) -> dict:
+    """The four law checks on ``lang``, as a tally per law.  ``verified`` is
+    the plug round-trip's record of the terms already checked, which a `laws`
+    run shares across its languages so that each distinct term is split and
+    plugged once (the round trip does not depend on the language, and terms
+    are hash-consed); without one the call uses its own."""
     if lang.state_kind.per_length:
         # keep whole pc ranges so shifted lookups stay inside the table domain
         inputs = gen.pc_states(cfg, gen.store_window(cfg, int_mode=False)[:2])
@@ -171,5 +194,5 @@ def run_law_suite(lang, cfg) -> dict:
         "unit": check_unit_law(lang, cfg, inputs),
         "copoint": check_copoint_law(lang, cfg, inputs),
         "multiplication": check_multiplication_law(lang, cfg, inputs),
-        "plug_roundtrip": check_plug_roundtrip(lang, cfg),
+        "plug_roundtrip": check_plug_roundtrip(lang, cfg, verified),
     }
