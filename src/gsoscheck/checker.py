@@ -31,9 +31,11 @@ continuation mismatch, by normal form or by the fallback, does not depend
 on the target input either, so a group computes it once per (upper
 continuation, lower continuation) and reuses it for its other inputs;
 ``fallback_cases`` still counts the cases that needed it.  The
-streams yield groups; a campaign walks each group's inputs until its budget
-is spent and builds a ``CoherenceCase`` only for a failure.  A case checked
-on its own, such as a pinned witness, is a group of one input.
+streams yield groups, and a campaign is a fold over them: each group takes
+the tally so far, a ``Pass``, walks its inputs until the budget is spent
+and returns the tally with its cases added, or the first failure, the one
+place a ``CoherenceCase`` is built.  A case checked on its own, such as a
+pinned witness, is the same fold over one group of one input.
 
 A rule sees a child only through the behavior it queries, so a square
 that queries no table is the same square under every table.  An open-mode
@@ -67,7 +69,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .terms import (
@@ -149,8 +150,10 @@ def describe_outcome(o: StepOutcome) -> dict:
     }
 
 
-@dataclass  # the campaign's running tally, added to per case
-class Pass:
+class Pass(NamedTuple):
+    """A campaign's tally so far, which each group returns with its cases
+    added, or its verdict when the campaign stops without a failure."""
+
     cases: int
     exhausted: bool
     inconclusive: int = 0
@@ -199,35 +202,33 @@ class _Group(NamedTuple):
 
 
 def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tally: Pass,
-                    settled: Optional[dict]):
-    """The squares of the group's inputs in order, each counted in ``tally``
-    until the ``samples`` budget is spent, which clears ``tally.exhausted``;
-    returns the first failure, or None.  Shared work is computed when an
-    input first needs it, where a case on its own would, so the same
-    exception surfaces first.
+                    settled: dict) -> Verdict:
+    """``tally`` with the squares of the group's inputs added in order,
+    until the ``samples`` budget is spent, which returns it with
+    ``exhausted`` cleared; or the first failure.  Shared work is computed
+    when an input first needs it, where a case on its own would, so the
+    same exception surfaces first.
 
-    ``settled``, when given, is the campaign's map from a subject to the
-    ill-formed and fallback counts of a group of it that ran to its end
-    without querying any of its tables: that group's squares are the same
-    squares under any tables.  A later group of the subject that fits in
-    the budget adds its length and those two counts to ``tally`` instead of
-    evaluating; its flags are in ``tally`` already, from the group that
-    settled it.  One that would overrun the budget is evaluated, so it stops
-    where evaluation stops.  A group with tables is watched for queries, on
-    both paths and in the fallback, and added to the map when it has none."""
+    ``settled`` is the campaign's map from a subject to the ill-formed and
+    fallback counts of a group of it that ran to its end without querying
+    any of its tables: that group's squares are the same squares under any
+    tables.  A later group of the subject that fits in the budget adds its
+    length and those two counts to ``tally`` instead of evaluating; its
+    flags are in ``tally`` already, from the group that settled it.  One
+    that would overrun the budget is evaluated, so it stops where
+    evaluation stops.  A group with tables is watched for queries, on both
+    paths and in the fallback, and added to the map when it has none."""
     subject, tables, preimages = group.subject, group.tables, group.preimages
     # a named tuple's field reads are not specialised: once per group, not per case
     samples, source, target, output_map = cfg.samples, cp.source, cp.target, cp.output_map
-    watch = settled is not None and bool(tables)
+    cases, _, inconclusive, illformed, fallback_cases, flags = tally
+    watch = bool(tables)
     queried = False  # a table of the group answered a query
     if watch:
         counts = settled.get(subject)
-        if counts is not None and tally.cases + len(group.states) <= samples:
-            tally.cases += len(group.states)
-            tally.illformed += counts[0]
-            tally.fallback_cases += counts[1]
-            return None
-        before = (tally.illformed, tally.fallback_cases)
+        if counts is not None and cases + len(group.states) <= samples:
+            return Pass(cases + len(group.states), True, inconclusive, illformed + counts[0],
+                        fallback_cases + counts[1], flags)
 
         def watched(table):
             def answer(state):
@@ -252,10 +253,9 @@ def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tall
         return out
 
     for i2, image in zip(group.states, group.images):
-        if tally.cases == samples:
-            tally.exhausted = False
-            return None
-        tally.cases += 1
+        if cases == samples:
+            return Pass(cases, False, inconclusive, illformed, fallback_cases, flags)
+        cases += 1
         try:
             o1 = sources[image]
             if o1 is None:
@@ -284,33 +284,32 @@ def _evaluate_group(cp: CompilerPair, group: _Group, compile_, window, cfg, tall
                 if not same:
                     field_name = "continuation"
         except IllFormed:
-            tally.illformed += 1
+            illformed += 1
             continue
         except IncompleteTable:  # a table was queried outside its domain
-            tally.inconclusive += 1
+            inconclusive += 1
             queried = True
             continue
-        tally.flags |= upper.flags | lower.flags
-        tally.fallback_cases += fallback
+        flags |= upper.flags | lower.flags
+        fallback_cases += fallback
         if field_name is not None:
             div = Divergence(field_name, upper._replace(cont=upper_cont), lower)
-            return Fail(CoherenceCase(subject, i2, group.tables), div, tally.cases - 1,
-                        tally.flags)
+            return Fail(CoherenceCase(subject, i2, group.tables), div, cases - 1, flags)
     if watch and not queried:
-        settled[subject] = (tally.illformed - before[0], tally.fallback_cases - before[1])
-    return None
+        settled[subject] = (illformed - tally.illformed, fallback_cases - tally.fallback_cases)
+    return Pass(cases, True, inconclusive, illformed, fallback_cases, flags)
 
 
 # a campaign evaluates each group in a call to one of these two, which the
 # benchmark's tracer times by name
 def evaluate_open_case(cp: CompilerPair, group: _Group, window, cfg, tally: Pass,
-                       settled: Optional[dict]):
+                       settled: dict) -> Verdict:
     """An open-mode group, as ``_evaluate_group``: layers compile open."""
     return _evaluate_group(cp, group, compile_open, window, cfg, tally, settled)
 
 
 def evaluate_closed_case(cp: CompilerPair, group: _Group, window, cfg, tally: Pass,
-                         settled: Optional[dict]):
+                         settled: dict) -> Verdict:
     """A closed-mode group, as ``_evaluate_group``: terms compile whole."""
     return _evaluate_group(cp, group, compile_term, window, cfg, tally, settled)
 
@@ -364,40 +363,37 @@ def _mode(cp: CompilerPair, cfg: CampaignConfig):
 
 
 def check_coherence(cp: CompilerPair, cfg: CampaignConfig) -> Verdict:
-    """The campaign of ``cfg``'s mode: its groups in stream order, each
-    evaluated until the budget is spent or a case fails.  One map, local to
-    the campaign, holds the counts of the groups that queried none of their
+    """The campaign of ``cfg``'s mode, a fold over its groups in stream
+    order: each takes the tally so far and returns it with its cases added,
+    until a case fails or the budget is spent.  One map, local to the
+    campaign, holds the counts of the groups that queried none of their
     tables, which later groups of the same subject add to the tally (see
     ``_evaluate_group``)."""
     stream, evaluate = _mode(cp, cfg)
     window = gen.state_window(cp.target, cfg)
-    tally = Pass(0, exhausted=True)  # until a case is left past the budget
+    verdict = Pass(0, True)  # exhausted until a case is left past the budget
     settled: dict = {}  # subject -> (ill-formed, fallback) counts, see _evaluate_group
     for group in stream(cp, cfg, window):
-        fail = evaluate(cp, group, window, cfg, tally, settled)
-        if fail is not None:
-            return fail
-        if not tally.exhausted:
+        verdict = evaluate(cp, group, window, cfg, verdict, settled)
+        if isinstance(verdict, Fail) or not verdict.exhausted:
             break
-    return tally
+    return verdict
 
 
 def check_case(cp: CompilerPair, case: CoherenceCase, cfg: CampaignConfig) -> Verdict:
-    """``case`` on its own, as a campaign of one case: a group of one input,
-    through the same body as a campaign's groups.  A pinned case or a
-    witness read back from a report is checked this way."""
+    """``case`` on its own, as a campaign of one case: the same fold over one
+    group of one input, with a map of its own.  A pinned case or a witness
+    read back from a report is checked this way."""
     _, evaluate = _mode(cp, cfg)
     states = [case.target_input]
     group = _Group(case.subject, case.tables or {}, states, *_window_images(cp, states))
-    tally = Pass(0, exhausted=True)
-    return evaluate(cp, group, gen.state_window(cp.target, cfg), cfg, tally, None) or tally
+    return evaluate(cp, group, gen.state_window(cp.target, cfg), cfg, Pass(0, True), {})
 
 
 # ---------------------------------------------------------------------------
 # bisimilarity preservation
 
-@dataclass  # its target verdict is filled in after it is built
-class PreservationEntry:
+class PreservationEntry(NamedTuple):
     left: Node
     right: Node
     source: object  # BisimResult
@@ -428,15 +424,14 @@ def check_preservation(cp: CompilerPair, cfg: CampaignConfig,
     tgt_steps = src_steps if cp.target is cp.source else {}
     for left, right in pairs:
         source = check_bisim(cp.source, left, right, src_window, cfg.depth, memo=src_steps)
-        entry = PreservationEntry(left, right, source)
+        target, illformed = None, False
         if isinstance(source, Equivalent):
             try:
-                entry.target = check_bisim(cp.target, compile_term(cp, left),
-                                           compile_term(cp, right), tgt_window, cfg.depth,
-                                           memo=tgt_steps)
+                target = check_bisim(cp.target, compile_term(cp, left), compile_term(cp, right),
+                                     tgt_window, cfg.depth, memo=tgt_steps)
             except IllFormed:
-                entry.target_illformed = True
-        entries.append(entry)
+                illformed = True
+        entries.append(PreservationEntry(left, right, source, target, illformed))
     return entries
 
 

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from functools import cache, partial
 
 from .terms import (
@@ -195,7 +194,7 @@ def _cmd_coherence(args) -> tuple[Report, list]:
 
 
 def _tallies(verdict: Pass) -> dict:
-    return {**asdict(verdict), "flags": sorted(verdict.flags)}
+    return {**verdict._asdict(), "flags": sorted(verdict.flags)}
 
 
 def _show_outcome(d: dict) -> str:

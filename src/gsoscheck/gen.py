@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .terms import (
     BIN_OPS, UN_OPS, Bin, Br, Expr, IAssign, Lit, Loc, Node, Nop, Stop, Un, Var,
@@ -22,10 +22,9 @@ from .spf import Context, OneHoleLayer
 # ---------------------------------------------------------------------------
 # expressions
 
-def expr_stream(cfg, int_mode: bool, n_locs: Optional[int] = None) -> Iterator[Expr]:
-    """Expressions in increasing size; literals before dereferences, operators
-    in their fixed order."""
-    n_locs = cfg.store_cells if n_locs is None else n_locs
+def expr_stream(cfg, int_mode: bool, n_locs: int) -> Iterator[Expr]:
+    """Expressions over ``n_locs`` cells in increasing size; literals before
+    dereferences, operators in their fixed order."""
     lits = list(range(0, cfg.max_value + 1))
     if int_mode:
         lits += [-v for v in range(1, cfg.max_value + 1)]
@@ -49,7 +48,7 @@ def expr_stream(cfg, int_mode: bool, n_locs: Optional[int] = None) -> Iterator[E
         size += 1
 
 
-def exprs(cfg, int_mode: bool, n_locs: Optional[int] = None) -> list:
+def exprs(cfg, int_mode: bool, n_locs: int) -> list:
     """The first ``cfg.exprs_per_slot`` expressions of the stream, at least one."""
     return list(itertools.islice(expr_stream(cfg, int_mode, n_locs),
                                  max(1, cfg.exprs_per_slot)))
@@ -75,7 +74,7 @@ def _payload_choices(lang, kind: str, cfg) -> list:
         case "loc":
             return list(range(n_locs))
         case "expr":
-            return exprs(cfg, lang.state_kind.signed, n_locs=n_locs)
+            return exprs(cfg, lang.state_kind.signed, n_locs)
         case "nat":
             return list(range(cfg.store_cells))
         case "inst":
@@ -155,12 +154,10 @@ def widen_entry(rng: random.Random, state, has_label: bool, cont_vars: list, cfg
 CONTEXT_LAYERS = 3  # the most layers a sampled context has
 
 
-def random_term(lang, rng: random.Random, cfg, size: int,
-                choices: Optional[dict] = None) -> Node:
+def random_term(lang, rng: random.Random, cfg, size: int, choices: dict) -> Node:
     """A random closed term of ``size`` nodes.  ``choices`` maps each payload
     kind met so far to its choices and may be shared across calls; filling
     it draws nothing from ``rng``."""
-    choices = {} if choices is None else choices
     nullary = [c for c in lang.constructors if c[2] == 0]
     non_null = [c for c in lang.constructors if c[2] > 0]
     if size <= 1 or not non_null:

@@ -150,7 +150,7 @@ def check_copoint_law(lang, cfg, inputs) -> int:
     return checked
 
 
-def check_plug_roundtrip(lang, cfg, verified: dict | None = None) -> int:
+def check_plug_roundtrip(lang, cfg, verified: dict) -> int:
     """plug inverts the brute-force splitter on every generated term.  The
     first split of each term is ((), t), so its check is the hole law: the
     empty context is the identity.
@@ -159,10 +159,7 @@ def check_plug_roundtrip(lang, cfg, verified: dict | None = None) -> int:
     term in it adds that number and is not split again, and a term checked
     here is added.  Neither ``decompositions`` nor ``plug`` sees ``lang``,
     and terms are hash-consed, so a term checked for one language is the
-    same object, and needs no second check, in another.  Without a dict the
-    call uses its own."""
-    if verified is None:
-        verified = {}
+    same object, and needs no second check, in another."""
     small = cfg._replace(exprs_per_slot=2)
     checked = 0
     for t in gen.closed_terms(lang, small):
@@ -178,12 +175,12 @@ def check_plug_roundtrip(lang, cfg, verified: dict | None = None) -> int:
     return checked
 
 
-def run_law_suite(lang, cfg, verified: dict | None = None) -> dict:
+def run_law_suite(lang, cfg, verified: dict) -> dict:
     """The four law checks on ``lang``, as a tally per law.  ``verified`` is
     the plug round-trip's record of the terms already checked, which a `laws`
     run shares across its languages so that each distinct term is split and
     plugged once (the round trip does not depend on the language, and terms
-    are hash-consed); without one the call uses its own."""
+    are hash-consed)."""
     if lang.state_kind.per_length:
         # keep whole pc ranges so shifted lookups stay inside the table domain
         inputs = gen.pc_states(cfg, gen.store_window(cfg, int_mode=False)[:2])

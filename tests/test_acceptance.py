@@ -175,7 +175,7 @@ def test_criterion_11_context_closure_1000(langs):
 def test_criterion_12_laws_under_60s(langs, cfg):
     with timed(60) as t:
         for lang in langs.values():
-            outcome = run_law_suite(lang, cfg)
+            outcome = run_law_suite(lang, cfg, {})
             assert outcome["unit"] > 0
             assert outcome["copoint"] > 0
             assert outcome["multiplication"] > 0

@@ -18,10 +18,12 @@ from gsoscheck.checker import (
 )
 from gsoscheck.languages import LangDef, language_registry
 from gsoscheck.laws import run_law_suite
-from gsoscheck.compilers import LayerMap, compile_term, compiler_registry, translate_behavior
+from gsoscheck.compilers import (
+    LayerMap, compile_open, compile_term, compiler_registry, translate_behavior,
+)
 from gsoscheck.semantics import (
-    Distinguished, Equivalent, StepOutcome, check_bisim, extend_law, first_difference,
-    memo_entry, run,
+    Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim, extend_law,
+    first_difference, memo_entry, run,
 )
 from gsoscheck.states import LowState, StackState, Store
 from gsoscheck.terms import (
@@ -299,54 +301,56 @@ def _cases(groups):
 
 def _per_case_campaign(cp, cfg):
     """The campaign as a loop over every (group, input) of the group stream,
-    each evaluated alone as a case of its own: the reference for the grouped
-    evaluation.  Open-mode cases go through ``check_case``, closed-mode ones
-    through ``_literal_closed_square``."""
+    each evaluated alone by ``_literal_square``: the reference for the
+    grouped evaluation, sharing no code with the group body."""
     window = gen.state_window(cp.target, cfg)
-    if cfg.mode == "closed":
-        cases = _cases(closed_cases(cp, cfg, window))
-        evaluate = partial(_literal_closed_square, cp, window=window, cfg=cfg)
-    else:
-        cases = _cases(open_cases(cp, cfg, window))
-        evaluate = partial(check_case, cp, cfg=cfg)
+    stream = closed_cases if cfg.mode == "closed" else open_cases
+    cases = _cases(stream(cp, cfg, window))
     total = Pass(0, False)
     for case in itertools.islice(cases, cfg.samples):
-        alone = evaluate(case)
-        total.flags |= alone.flags
+        alone = _literal_square(cp, case, window, cfg)
+        flags = total.flags | alone.flags
         if isinstance(alone, Fail):
-            return Fail(alone.case, alone.divergence, total.cases, total.flags)
-        total.cases += 1
-        total.inconclusive += alone.inconclusive
-        total.illformed += alone.illformed
-        total.fallback_cases += alone.fallback_cases
-    total.exhausted = next(cases, None) is None
-    return total
+            return Fail(alone.case, alone.divergence, total.cases, flags)
+        total = total._replace(
+            cases=total.cases + 1, inconclusive=total.inconclusive + alone.inconclusive,
+            illformed=total.illformed + alone.illformed,
+            fallback_cases=total.fallback_cases + alone.fallback_cases, flags=flags)
+    return total._replace(exhausted=next(cases, None) is None)
 
 
 OPEN_CHECKABLE = ("embed-flag", "sandbox", "unsandbox", "embed-int", "sandbox-int",
                   "embed-low-sec", "embed-stack", "embed-stack-clear")
 
 
-def _literal_closed_square(cp, case, window, cfg):
-    """One closed-mode case computed as it is drawn, sharing nothing: the
-    source law then the behavior translation and the compiled continuation,
-    against the compiler then the target law, with the fallback comparison
-    on continuations.  Returns the verdict of a campaign of this one case."""
-    p, i2 = case.subject, case.target_input
+def _literal_square(cp, case, window, cfg):
+    """One case computed as it is drawn, sharing nothing: the source law on
+    the case's tables, then the behavior translation and the compiled
+    continuation, against the compiler (open or whole, by the mode) then the
+    target law on those tables re-indexed through the behavior translation,
+    with a continuation mismatch decided by the bounded fallback alone.  A
+    table queried outside its domain makes the case inconclusive.  Returns
+    the verdict of a campaign of this one case."""
+    compile_ = compile_term if cfg.mode == "closed" else compile_open
+    p, i2, tables = case.subject, case.target_input, case.tables or {}
+    behaviors = {x: partial(translate_behavior, cp, t) for x, t in tables.items()}
     try:
-        upper = translate_behavior(cp, partial(extend_law, cp.source, p, {}), i2)
+        upper = translate_behavior(cp, partial(extend_law, cp.source, p, tables), i2)
         if upper.cont is not None:
-            upper = upper._replace(cont=compile_term(cp, upper.cont))
-        lower = extend_law(cp.target, compile_term(cp, p), {}, i2)
+            upper = upper._replace(cont=compile_(cp, upper.cont))
+        lower = extend_law(cp.target, compile_(cp, p), behaviors, i2)
         flags = upper.flags | lower.flags
         field_name = first_difference(upper, lower)
         if field_name is not None:
             return Fail(case, Divergence(field_name, upper, lower), 0, flags)
         if upper.cont is None or upper.cont == lower.cont:
             return Pass(1, True, flags=flags)
-        verdict = check_bisim(cp.target, upper.cont, lower.cont, window, cfg.fallback_depth)
+        verdict = check_bisim(cp.target, upper.cont, lower.cont, window, cfg.fallback_depth,
+                              behaviors=behaviors)
     except IllFormed:
         return Pass(1, True, illformed=1)
+    except IncompleteTable:
+        return Pass(1, True, inconclusive=1)
     if isinstance(verdict, Equivalent):
         return Pass(1, True, fallback_cases=1, flags=flags)
     return Fail(case, Divergence("continuation", upper, lower), 0, flags)
@@ -386,9 +390,8 @@ def _repeated_while_groups(cp, cfg):
 
 
 @pytest.mark.parametrize("name, seed, samples", [
-    # every budget reaches the verdict of the shipped campaign, except
-    # sandbox-int's: un-memoised, its fallback cases take seconds
-    *(pytest.param(name, seed, 500 if name == "sandbox-int" else 6000, id=f"{name}-{seed}")
+    # every budget reaches the verdict of the shipped campaign
+    *(pytest.param(name, seed, 6000, id=f"{name}-{seed}")
       for name in OPEN_CHECKABLE for seed in (SEED, SEED + 7)),
     # budgets that end one case before, on and one after a point where the
     # group loop must stop as the per-case loop does: sandbox's stream ends
@@ -476,13 +479,11 @@ def _count_group_work(cp, cfg, monkeypatch):
         semantics.BehaviorTable.__call__)
 
     def evaluating(cp_, group, window, cfg_, tally, settled):
-        before = tally.cases
         variants.append((group.subject, group.tables))
-        try:
-            return real_evaluate(cp_, group, window, cfg_, tally, settled)
-        finally:
-            if tally.cases == before:  # the budget was spent before this group
-                variants.pop()
+        verdict = real_evaluate(cp_, group, window, cfg_, tally, settled)
+        if isinstance(verdict, Pass) and verdict.cases == tally.cases:
+            variants.pop()  # the budget was spent before this group
+        return verdict
 
     def compiling(cp_, t):
         if t is variants[-1][0]:
@@ -533,17 +534,16 @@ def test_each_group_compiles_its_layer_once_and_runs_the_source_once_per_state(
 
 def _unsettled_campaign(cp, cfg):
     """The open-mode campaign with every group handed to
-    ``evaluate_open_case`` without a ``settled`` map, so that every group is
-    evaluated: the reference for the groups a campaign settles by counts."""
+    ``evaluate_open_case`` with a ``settled`` map of its own, so that no
+    group finds its subject settled and every group is evaluated: the
+    reference for the groups a campaign settles by counts."""
     window = gen.state_window(cp.target, cfg)
-    tally = Pass(0, exhausted=True)
+    verdict = Pass(0, True)
     for group in open_cases(cp, cfg, window):
-        fail = checker.evaluate_open_case(cp, group, window, cfg, tally, None)
-        if fail is not None:
-            return fail
-        if not tally.exhausted:
+        verdict = checker.evaluate_open_case(cp, group, window, cfg, verdict, {})
+        if isinstance(verdict, Fail) or not verdict.exhausted:
             break
-    return tally
+    return verdict
 
 
 @pytest.mark.parametrize("name, samples", [
@@ -875,7 +875,8 @@ EXPR_STREAM_DIGESTS = {
 
 @pytest.mark.parametrize("mode", sorted(EXPR_STREAM_DIGESTS))
 def test_expr_stream_is_the_recorded_one(mode):
-    stream = gen.expr_stream(CampaignConfig(), int_mode=mode == "int")
+    cfg = CampaignConfig()
+    stream = gen.expr_stream(cfg, mode == "int", cfg.store_cells)
     text = "\n".join(print_expr(e) for e in itertools.islice(stream, 300))
     assert hashlib.sha256(text.encode()).hexdigest() == EXPR_STREAM_DIGESTS[mode]
 
@@ -976,7 +977,7 @@ def test_frame_windows_take_the_languages_frame_length():
         "while-b", "stack", "stack-clear"]
     for lang in langs:
         if lang.state_kind.framed:
-            for run_check in (gen.state_window, run_law_suite):
+            for run_check in (gen.state_window, partial(run_law_suite, verified={})):
                 with pytest.raises(ValueError, match=f"{lang.name} has frames of length 3"):
                     run_check(lang, CampaignConfig())
             assert gen.state_window(lang, CampaignConfig(L=3))

@@ -51,7 +51,7 @@ def test_eval_matches_oracle(cfg):
     stores = [dict(s.cells) for s in gen.store_window(cfg, int_mode=False)]
     # all expressions of size <= 3 (covers every depth-2 shape), plus a
     # deterministic sample of deeper ones built from depth-2 operands
-    exprs = list(itertools.islice(gen.expr_stream(cfg, int_mode=False), 900))
+    exprs = list(itertools.islice(gen.expr_stream(cfg, False, cfg.store_cells), 900))
     depth2 = [e for e in exprs if isinstance(e, (Bin, Un))][:120]
     rng = random.Random(99)
     for _ in range(300):
@@ -109,7 +109,7 @@ def test_while_flag_sandbox_always_label_zero(langs, cfg):
     rng = random.Random(5)
     flag = langs["while-flag"]
     for _ in range(40):
-        inner = gen.random_term(flag, rng, cfg, rng.randint(1, 5))
+        inner = gen.random_term(flag, rng, cfg, rng.randint(1, 5), {})
         term = sandbox(inner)
         for s in gen.store_window(cfg, int_mode=False)[:6]:
             steps = 0

@@ -20,7 +20,7 @@ SMALL = CampaignConfig()._replace(exprs_per_slot=2)  # the plug round-trip's ter
     "while-b", "stack", "stack-clear",
 ])
 def test_law_suite(name, langs, cfg):
-    outcome = run_law_suite(langs[name], cfg)
+    outcome = run_law_suite(langs[name], cfg, {})
     assert outcome["unit"] > 0
     assert outcome["copoint"] > 0
     assert outcome["multiplication"] > 0

@@ -7,7 +7,8 @@ import pytest
 
 import gsoscheck
 from gsoscheck.checker import (
-    CampaignConfig, CoherenceCase, ContextClosureReport, Divergence, Fail,
+    CampaignConfig, CoherenceCase, ContextClosureReport, Divergence, Fail, Pass,
+    PreservationEntry,
 )
 from gsoscheck.compilers import CompilerPair, LayerMap, WholeTerm
 from gsoscheck.semantics import NO_FLAGS, Distinguished, Equivalent, RunResult, outcome
@@ -31,7 +32,8 @@ def test_every_named_tuple_default_is_hashable():
     # a named tuple's default is one object that every instance shares, so
     # a mutable one (a dict, a list) would carry state from one to the next
     records = _named_tuples()
-    assert {CampaignConfig, CoherenceCase, Equivalent, CompilerPair} <= set(records)
+    assert {CampaignConfig, CoherenceCase, Equivalent, CompilerPair, Pass,
+            PreservationEntry} <= set(records)
     unhashable = []
     for cls in records:
         for name, default in cls._field_defaults.items():
@@ -44,9 +46,9 @@ def test_every_named_tuple_default_is_hashable():
 
 OUT = outcome((Store.of({}), 0, None, NO_FLAGS))
 OUT_REPR = "StepOutcome(state=Store(cells=()), label=0, cont=None, flags=frozenset())"
+SKIP_REPR = "Node(tag='skip', children=(), payload=())"
 CASE = CoherenceCase(skip(), Store.of({0: 2}), {})
-CASE_REPR = ("CoherenceCase(subject=Node(tag='skip', children=(), payload=()),"
-             " target_input=Store(cells=((0, 2),)), tables={})")
+CASE_REPR = f"CoherenceCase(subject={SKIP_REPR}, target_input=Store(cells=((0, 2),)), tables={{}})"
 DIV = Divergence("label", OUT, OUT)
 DIV_REPR = f"Divergence(field_name='label', upper={OUT_REPR}, lower={OUT_REPR})"
 
@@ -60,6 +62,13 @@ REPRS = [
     (DIV, DIV_REPR),
     (Fail(CASE, DIV, 3, frozenset({"sub"})),
      f"Fail(case={CASE_REPR}, divergence={DIV_REPR}, cases_before=3, flags=frozenset({{'sub'}}))"),
+    (Pass(816, True, 0, 3, 209, frozenset({"sub"})),
+     "Pass(cases=816, exhausted=True, inconclusive=0, illformed=3, fallback_cases=209,"
+     " flags=frozenset({'sub'}))"),
+    (PreservationEntry(skip(), skip(), Equivalent(20, 16), Equivalent(20, 16)),
+     f"PreservationEntry(left={SKIP_REPR}, right={SKIP_REPR},"
+     " source=Equivalent(depth=20, inputs=16), target=Equivalent(depth=20, inputs=16),"
+     " target_illformed=False)"),
     (ContextClosureReport("closed", 3, Equivalent(20, 16), []),
      "ContextClosureReport(status='closed', contexts_checked=3,"
      " base=Equivalent(depth=20, inputs=16), violations=[])"),

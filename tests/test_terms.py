@@ -100,7 +100,7 @@ def test_equal_terms_are_one_object_however_built(langs, comps, cfg):
                    *gen.layer_shapes(lang, small)]]
     built = [parse_term(print_term(t)) for t in every_lang]
     for int_mode in (False, True):
-        built += itertools.islice(gen.expr_stream(cfg, int_mode), 300)
+        built += itertools.islice(gen.expr_stream(cfg, int_mode, cfg.store_cells), 300)
     for cp in comps.values():
         sources = list(itertools.islice(gen.closed_terms(cp.source, small), 60))
         built += [compile_term(cp, t) for t in sources]

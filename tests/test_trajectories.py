@@ -41,7 +41,7 @@ def test_stack_clear_square_along_trajectories(comps):
     rng = random.Random(7)
     checked = 0
     for _ in range(150):
-        p = gen.random_term(cp.source, rng, cfg, rng.randint(1, 6))
+        p = gen.random_term(cp.source, rng, cfg, rng.randint(1, 6), {})
         s = Store.of({i: rng.randint(0, 3) for i in range(8) if rng.random() < 0.5})
         try:
             walk_square(cp, p, StackState(s, rng.randint(0, 3)))
@@ -56,7 +56,7 @@ def test_secure_low_square_along_trajectories(comps):
     cfg = CampaignConfig()
     rng = random.Random(11)
     for _ in range(150):
-        p = gen.random_term(cp.source, rng, cfg, rng.randint(1, 6))
+        p = gen.random_term(cp.source, rng, cfg, rng.randint(1, 6), {})
         s = Store.of({i: rng.randint(0, 3) for i in range(2) if rng.random() < 0.7})
         walk_square(cp, p, LowState(s, rng.choice([-1, 0, 1, 2])))
 
@@ -68,6 +68,6 @@ def test_sandbox_observables_along_trajectories(comps):
     cfg = CampaignConfig()
     rng = random.Random(13)
     for _ in range(150):
-        p = gen.random_term(cp.source, rng, cfg, rng.randint(1, 6))
+        p = gen.random_term(cp.source, rng, cfg, rng.randint(1, 6), {})
         s = Store.of({i: rng.randint(0, 3) for i in range(2) if rng.random() < 0.7})
         walk_square(cp, p, s, exact_continuations=False)
