@@ -71,9 +71,7 @@ import itertools
 import random
 from typing import NamedTuple, Optional
 
-from .terms import (
-    IllFormed, Node, OpenTerm, instr_flatten, print_term, term_size, term_vars,
-)
+from .terms import IllFormed, Node, OpenTerm, print_term, term_size, term_vars
 from .semantics import (
     Distinguished, Equivalent, IncompleteTable, StepOutcome, check_bisim,
     extend_law, first_difference,
@@ -334,13 +332,14 @@ def open_cases(cp: CompilerPair, cfg: CampaignConfig, window):
 def closed_cases(cp: CompilerPair, cfg: CampaignConfig, window):
     """One group per closed term, over the window.  A ``per_length`` target
     kind pairs every program with program counters from -1 to one past its
-    compiled length; those states and their images are built once per length."""
+    compiled length, the compiled term's node count (one node per
+    instruction); those states and their images are built once per length."""
     by_length: dict = {}  # compiled length (None: the window) -> (states, images...)
     for p in gen.closed_terms(cp.source, cfg):
         layer = length = None
         if cp.target.state_kind.per_length:
             layer = compile_term(cp, p)
-            length = len(instr_flatten(layer)) if layer.tag == "instr" else term_size(layer)
+            length = term_size(layer)
         if length not in by_length:
             states = window if length is None else cp.target.state_kind.window(cfg, length)
             by_length[length] = (states, *_window_images(cp, states))

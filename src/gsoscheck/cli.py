@@ -321,7 +321,7 @@ def _cmd_laws(args) -> tuple[Report, list]:
     verified = {}  # the plug round-trip's terms, checked once for all languages
     for name in names:
         outcome = run_law_suite(_lookup(langs, "language", name), cfg, verified)
-        tallies[name] = {k: v for k, v in outcome.items() if k != "language"}
+        tallies[name] = outcome
         lines.append(
             f"{name}: unit {outcome['unit']}, copoint {outcome['copoint']},"
             f" multiplication {outcome['multiplication']},"

@@ -1,5 +1,6 @@
-"""The eight-plus-one concrete languages: one expression evaluator, one
-structured rule set, and the extra constructors of each language.
+"""The eight-plus-one concrete languages.  Each is one table of rows
+``(tag, payload kinds, arity, rule)``: the table's order is the language's
+constructor order, and its rules are the language's rule dispatch.
 
 Store-machine family: ``while`` (nat store), ``while-flag`` (labelled
 outputs plus obs blocks), ``while-sec`` (while-flag plus label-erasing
@@ -10,13 +11,13 @@ assignment).  Frame machines: ``while-b`` (stack of private frames),
 ``stack`` (one store partitioned by a stack pointer) and ``stack-clear``
 (stack with the zeroing frame rule).
 
-Every structured language shares the skip/assign/seq/while rules of
-``structured_rule``; it differs only in how cells are read and written,
-whether transitions are labelled, and its extra constructors, whose rules
-are entries of the same one table.  The two
-counter machines share the program-counter discipline of ``counter_rule``;
-``low-sec`` adds its structured constructors to ``low`` the same way.
-Each language holds its state kind, a ``StateKind`` record of ``states``.
+``structured_language`` builds every structured language: its table starts
+with the shared skip/assign/seq/while rows over one expression evaluator,
+and the language gives how cells are read and written, whether transitions
+are labelled, and the rows of its extra constructors.
+``counter_language`` builds the two counter machines around the
+program-counter discipline; ``low-sec`` adds its structured rows.  Each
+language holds its state kind, a ``StateKind`` record of ``states``.
 """
 from __future__ import annotations
 
@@ -179,15 +180,15 @@ class LangDef:
                 raise IllFormed(f"bad {kind} payload in {self.name}: {v!r}")
 
 
-# --- the structured rules --------------------------------------------------
+# --- the structured languages ----------------------------------------------
 
-def structured_rule(name: str, read: Callable, write: Callable, labelled: bool, nat: bool,
-                    empty_flags: Callable | None = None, extras: dict | None = None) -> Callable:
-    """The rule function of a structured language: one table, ``rule.rules``,
-    from each constructor tag to its rule ``(payload, children, state) ->
-    StepOutcome``.  It holds skip, assign, seq and while, and ``extras``, the
-    rules of the language's further constructors; a tag it lacks is
-    ill-formed.
+def structured_language(name: str, kind: StateKind, labelled: bool, L: int,
+                        read: Callable, write: Callable,
+                        empty_flags: Callable | None = None, extras: tuple = ()) -> LangDef:
+    """A structured language from its one table: skip, assign, seq and
+    while, then ``extras``, the rows of its further constructors.  A rule is
+    ``(payload, children, state) -> StepOutcome``; a tag the table lacks is
+    ill-formed.  Subtraction stops at 0 unless ``kind`` is signed.
 
     A labelled language labels skip with 0 and assignments and guards with
     the value they evaluate.  ``empty_flags(state)`` (``while-b`` only)
@@ -195,6 +196,7 @@ def structured_rule(name: str, read: Callable, write: Callable, labelled: bool, 
     so that steps on a totalized empty stack are reported.
     """
     skip_label = 0 if labelled else None
+    nat = not kind.signed
 
     def skip_rule(payload, children, s) -> StepOutcome:
         return outcome((s, skip_label, None, NO_FLAGS))
@@ -219,8 +221,9 @@ def structured_rule(name: str, read: Callable, write: Callable, labelled: bool, 
                         seq(x, while_(e, x)) if v != 0 else skip(),
                         empty_flags(s) if empty_flags and expr_locs(e) else NO_FLAGS))
 
-    rules = {"skip": skip_rule, "assign": assign_rule, "seq": seq_rule, "while": while_rule,
-             **(extras or {})}
+    table = (("skip", (), 0, skip_rule), ("assign", ("loc", "expr"), 0, assign_rule),
+             ("seq", (), 2, seq_rule), ("while", ("expr",), 1, while_rule), *extras)
+    rules = {tag: r for tag, _, _, r in table}
 
     def rule(tag, payload, children, s) -> StepOutcome:
         try:
@@ -229,11 +232,10 @@ def structured_rule(name: str, read: Callable, write: Callable, labelled: bool, 
             raise IllFormed(f"no {name} rule for {tag}") from None
         return constructor_rule(payload, children, s)
 
-    rule.rules = rules
-    return rule
+    return LangDef(name, tuple(row[:3] for row in table), kind, labelled, rule, L)
 
 
-# --- extra constructors -----------------------------------------------------
+# --- the rows of the extra constructors -------------------------------------
 
 def _obs_rule(payload, children, s: Store) -> StepOutcome:
     # log the inner step's label in cell n, then in n + 1 for the next step
@@ -257,6 +259,7 @@ def _isandbox_rule(payload, children, s: Store) -> StepOutcome:
     return outcome((state, None, None if cont is None else isandbox(cont), flags))
 
 
+_OBS = ("obs", ("nat",), 1, _obs_rule)
 _EMPTY_STACK = frozenset({"whileb-empty-stack"})
 
 
@@ -264,7 +267,7 @@ def _whileb_empty(m: FrameState) -> frozenset:
     return NO_FLAGS if m.frames else _EMPTY_STACK
 
 
-def _whileb_extras(L: int) -> dict:
+def _whileb_frames(L: int) -> tuple:
     fresh = (0,) * L
 
     def push(payload, children, m: FrameState) -> StepOutcome:
@@ -275,10 +278,10 @@ def _whileb_extras(L: int) -> dict:
             return outcome((m, None, None, _EMPTY_STACK))
         return outcome((FrameState(m.frames[1:]), None, None, NO_FLAGS))
 
-    return {"frame": push, "return": pop}
+    return ("frame", (), 0, push), ("return", (), 0, pop)
 
 
-def _stack_extras(L: int, clearing: bool) -> dict:
+def _stack_frames(L: int, clearing: bool) -> tuple:
     def push(payload, children, st: StackState) -> StepOutcome:
         s, sp = st.store, st.sp
         if clearing:  # zero the fresh block sp in one pass over the cells
@@ -291,7 +294,7 @@ def _stack_extras(L: int, clearing: bool) -> dict:
             return outcome((StackState(st.store, st.sp - 1), None, None, NO_FLAGS))
         return outcome((st, None, None, frozenset({"stack-empty-return"})))
 
-    return {"frame": push, "return": pop}
+    return ("frame", (), 0, push), ("return", (), 0, pop)
 
 
 # --- the counter machines ---------------------------------------------------
@@ -329,17 +332,29 @@ def _loop_rule(payload, children, st: LowState) -> StepOutcome:
     return outcome((st, None, cont, NO_FLAGS))
 
 
-def counter_rule(name: str, structured: bool) -> Callable:
-    """The rule function of a counter machine.  At pc > 0 an ``instr`` with
-    a tail steps its tail at pc - 1 and shifts the result by one; any other
-    layer off pc 0 terminates where it stands; at pc 0 the layer's own rule
-    runs.  A ``structured`` machine (``low-sec``) adds ``sseq`` and ``loop``
-    and halts its singleton stop and assignment past the statement."""
-    extras = {"sseq": _sseq_rule, "loop": _loop_rule} if structured else {}
+def counter_language(name: str, structured: bool, L: int) -> LangDef:
+    """A counter machine from its one table of rows ``(tag, payload kinds,
+    arity, rule)``: ``instr`` with no tail and with one, then ``sseq`` and
+    ``loop`` when ``structured`` (``low-sec``), whose singleton stop and
+    assignment halt past the statement.  Each row's rule runs at pc 0.  At
+    pc > 0 an ``instr`` with a tail steps its tail at pc - 1 and shifts the
+    result by one; any other layer off pc 0 terminates where it stands."""
+
+    def instr_rule(payload, children, st: LowState) -> StepOutcome:
+        tail = children[0][0] if children else None
+        return _inst_step(payload[0], st.store, instr(payload[0], tail),
+                          structured and tail is None)
+
+    table = (("instr", ("inst",), 0, instr_rule), ("instr", ("inst",), 1, instr_rule))
+    if structured:
+        table += (("sseq", (), 2, _sseq_rule), ("loop", ("expr",), 1, _loop_rule))
+    rules = {tag: r for tag, _, _, r in table}
 
     def rule(tag, payload, children, st: LowState) -> StepOutcome:
-        if tag != "instr" and tag not in extras:
-            raise IllFormed(f"no {name} rule for {tag}")
+        try:
+            constructor_rule = rules[tag]
+        except KeyError:
+            raise IllFormed(f"no {name} rule for {tag}") from None
         pc = st.pc
         if pc > 0 and tag == "instr" and children:
             state, _, cont, flags = children[0][1](LowState(st.store, pc - 1))
@@ -347,56 +362,31 @@ def counter_rule(name: str, structured: bool) -> Callable:
                             None if cont is None else instr(payload[0], cont), flags))
         if pc != 0:
             return outcome((st, None, None, NO_FLAGS))
-        if tag != "instr":
-            return extras[tag](payload, children, st)
-        tail = children[0][0] if children else None
-        return _inst_step(payload[0], st.store, instr(payload[0], tail),
-                          structured and tail is None)
+        return constructor_rule(payload, children, st)
 
-    return rule
+    return LangDef(name, tuple(row[:3] for row in table), PC, False, rule, L)
 
 
 # --- the registry ---------------------------------------------------------
 
-_WHILE_CONS = (
-    ("skip", (), 0),
-    ("assign", ("loc", "expr"), 0),
-    ("seq", (), 2),
-    ("while", ("expr",), 1),
-)
-
-_LOW_CONS = (
-    ("instr", ("inst",), 0),
-    ("instr", ("inst",), 1),
-)
-
-
 def language_registry(L: int = 2) -> dict[str, LangDef]:
     """All nine languages, keyed by name; ``L`` is the frame length shared by
     the frame machines."""
-
-    def structured(name, extra_cons, kind, labelled, read=Store.get, write=Store.set,
-                   **policy) -> LangDef:
-        rule = structured_rule(name, read, write, labelled, not kind.signed, **policy)
-        return LangDef(name, _WHILE_CONS + extra_cons, kind, labelled, rule, L)
-
-    frame_cons = (("frame", (), 0), ("return", (), 0))
+    store = Store.get, Store.set  # looked up per registry: perfbench's tracer wraps them
     langs = [
-        structured("while", (), STORE, False),
-        structured("while-flag", (("obs", ("nat",), 1),), STORE, True,
-                   extras={"obs": _obs_rule}),
-        structured("while-sec", (("obs", ("nat",), 1), ("sandbox", (), 1)), STORE, True,
-                   extras={"obs": _obs_rule, "sandbox": _sandbox_rule}),
-        structured("while-int", (("isandbox", (), 1),), INT_STORE, False,
-                   extras={"isandbox": _isandbox_rule}),
-        LangDef("low", _LOW_CONS, PC, False, counter_rule("low", False), L),
-        LangDef("low-sec", _LOW_CONS + (("sseq", (), 2), ("loop", ("expr",), 1)),
-                PC, False, counter_rule("low-sec", True), L),
-        structured("while-b", frame_cons, FRAMES, False, *frame_cells(L),
-                   empty_flags=_whileb_empty, extras=_whileb_extras(L)),
-        structured("stack", frame_cons, SP, False, *block_cells(L),
-                   extras=_stack_extras(L, clearing=False)),
-        structured("stack-clear", frame_cons, SP, False, *block_cells(L),
-                   extras=_stack_extras(L, clearing=True)),
+        structured_language("while", STORE, False, L, *store),
+        structured_language("while-flag", STORE, True, L, *store, extras=(_OBS,)),
+        structured_language("while-sec", STORE, True, L, *store,
+                            extras=(_OBS, ("sandbox", (), 1, _sandbox_rule))),
+        structured_language("while-int", INT_STORE, False, L, *store,
+                            extras=(("isandbox", (), 1, _isandbox_rule),)),
+        counter_language("low", False, L),
+        counter_language("low-sec", True, L),
+        structured_language("while-b", FRAMES, False, L, *frame_cells(L),
+                            empty_flags=_whileb_empty, extras=_whileb_frames(L)),
+        structured_language("stack", SP, False, L, *block_cells(L),
+                            extras=_stack_frames(L, clearing=False)),
+        structured_language("stack-clear", SP, False, L, *block_cells(L),
+                            extras=_stack_frames(L, clearing=True)),
     ]
     return {l.name: l for l in langs}

@@ -68,8 +68,9 @@ def _nested_cases(lang, cfg):
     """Doubly-nested open terms: an outer shape over variables, each variable
     standing for a small inner open term over x0/x1."""
     small = cfg._replace(exprs_per_slot=2)
-    inner_pool = [Var("x0"), Var("x1")] + gen.layer_shapes(lang, small)
-    outers = [Var("n0")] + gen.layer_shapes(lang, small)
+    shapes = gen.layer_shapes(lang, small)
+    inner_pool = [Var("x0"), Var("x1")] + shapes
+    outers = [Var("n0")] + shapes
     for outer in outers:
         names = list(dict.fromkeys(term_vars(outer)))
         for offset in range(2):
@@ -187,7 +188,6 @@ def run_law_suite(lang, cfg, verified: dict) -> dict:
     else:
         inputs = gen.state_window(lang, cfg)[:8]
     return {
-        "language": lang.name,
         "unit": check_unit_law(lang, cfg, inputs),
         "copoint": check_copoint_law(lang, cfg, inputs),
         "multiplication": check_multiplication_law(lang, cfg, inputs),

@@ -9,8 +9,8 @@ from gsoscheck.languages import block_cells, evaluate, frame_cells, language_reg
 from gsoscheck.semantics import step
 from gsoscheck.states import FrameState, LowState, StackState, Store
 from gsoscheck.terms import (
-    Bin, Br, IAssign, IllFormed, Lit, Loc, Node, Nop, Stop, Un, assign, frame,
-    instr, instr_list, loop, parse_term, print_term, ret, seq, skip, sseq, while_,
+    Bin, Br, IAssign, IllFormed, Lit, Loc, Node, Nop, Stop, Un, assign, frame, instr,
+    instr_flatten, instr_list, loop, parse_term, print_term, ret, seq, skip, sseq, while_,
 )
 from gsoscheck import gen
 
@@ -144,9 +144,6 @@ def test_low_out_of_bounds_pc_terminates_unchanged(langs, cfg):
         instr_list([IAssign(0, Lit(1)), Br(Lit(1), -1), Stop()]),
     ]
     for p in programs:
-        length = len(p.children) + 1 if p.children else 1
-        from gsoscheck.terms import instr_flatten
-
         length = len(instr_flatten(p))
         for s in gen.store_window(cfg, int_mode=False)[:4]:
             for pc in (-3, -1, length, length + 2):
@@ -346,11 +343,39 @@ def test_structured_steps_are_the_recorded_ones(langs, cfg, name):
     assert _step_digest(lang, cfg, states) == STRUCTURED_STEP_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(STRUCTURED_STEP_DIGESTS))
-def test_a_structured_rule_table_has_one_rule_per_constructor(langs, name):
-    # skip, assign, seq and while sit in the one table next to the extras
+@pytest.mark.parametrize("name", list(language_registry()))
+def test_every_constructor_steps_by_its_own_rule(langs, cfg, name):
+    # the constructors and the rules come from one table: a term topped by
+    # any constructor steps at the first window states, and no step lacks
+    # a rule for its tag
     lang = langs[name]
-    assert sorted(lang.rule.rules) == sorted({tag for tag, _, _ in lang.constructors})
+    states = gen.state_window(lang, cfg)[:8]
+    terms = list(gen.closed_terms(lang, cfg._replace(max_term_size=3, exprs_per_slot=2)))
+    for tag, kinds, arity in lang.constructors:
+        t = next(t for t in terms if (t.tag, len(t.payload), len(t.children))
+                 == (tag, len(kinds), arity))
+        stepped = 0
+        for st in states:
+            try:
+                step(lang, t, st)
+            except IllFormed as e:
+                assert not str(e).startswith(f"no {name} rule for"), (print_term(t), st)
+                continue
+            stepped += 1
+        assert stepped, print_term(t)
+
+
+def test_a_registry_reads_and_writes_through_the_store_methods_it_finds(monkeypatch):
+    # perfbench's tracer wraps Store.get and Store.set, then builds the
+    # registry, and counts every cell access a store language makes
+    calls = []
+    get, set_ = Store.get, Store.set
+    monkeypatch.setattr(Store, "get", lambda s, l: calls.append(("get", l)) or get(s, l))
+    monkeypatch.setattr(Store, "set", lambda s, l, v: calls.append(("set", l)) or set_(s, l, v))
+    for name in ("while", "while-flag", "while-sec", "while-int"):
+        calls.clear()
+        language_registry()[name].rule("assign", (0, Loc(1)), (), Store.of({}))
+        assert calls == [("get", 1), ("set", 0)], name
 
 
 @pytest.mark.parametrize("name", list(language_registry()))
