@@ -1,5 +1,7 @@
 """Deterministic bounded generation: expressions, terms, behavior tables,
 single-hole contexts and input-state windows, built by each state kind.
+A term's payload values are the choices of each payload kind its
+constructor's row names (``languages.PayloadKind``).
 
 Everything is either exhaustively enumerated smallest-first or drawn from a
 seeded RNG, so identical configurations produce identical streams.
@@ -10,9 +12,7 @@ import itertools
 import random
 from typing import Iterator
 
-from .terms import (
-    BIN_OPS, UN_OPS, Bin, Br, Expr, IAssign, Lit, Loc, Node, Nop, Stop, Un, Var,
-)
+from .terms import BIN_OPS, UN_OPS, Bin, Expr, Lit, Loc, Node, Un, Var
 # bound here by name, by tests and by the benchmark's tracer
 from .states import frames_window, pc_states, pc_window, stack_window, store_window
 from .semantics import BehaviorTable
@@ -68,28 +68,10 @@ def state_window(lang, cfg) -> list:
 # ---------------------------------------------------------------------------
 # one-layer shapes and closed terms
 
-def _payload_choices(lang, kind: str, cfg) -> list:
-    n_locs = min(cfg.store_cells, lang.L) if lang.state_kind.framed else cfg.store_cells
-    match kind:
-        case "loc":
-            return list(range(n_locs))
-        case "expr":
-            return exprs(cfg, lang.state_kind.signed, n_locs)
-        case "nat":
-            return list(range(cfg.store_cells))
-        case "inst":
-            base = list(itertools.islice(expr_stream(cfg, False, n_locs), 2))
-            out: list = [Nop(), Stop()]
-            out += [IAssign(l, base[1]) for l in range(n_locs)]
-            out += [Br(base[0], 2), Br(base[1], -1)]
-            return out
-    raise ValueError(f"unknown payload kind {kind}")
-
-
 def _constructor_payloads(lang, cfg) -> list:
     """Each constructor's tag and arity, with every combination of its
     payload choices."""
-    return [(tag, arity, list(itertools.product(*(_payload_choices(lang, k, cfg) for k in kinds))))
+    return [(tag, arity, list(itertools.product(*(k.choices(lang, cfg) for k in kinds))))
             for tag, kinds, arity in lang.constructors]
 
 
@@ -155,9 +137,9 @@ CONTEXT_LAYERS = 3  # the most layers a sampled context has
 
 
 def random_term(lang, rng: random.Random, cfg, size: int, choices: dict) -> Node:
-    """A random closed term of ``size`` nodes.  ``choices`` maps each payload
-    kind met so far to its choices and may be shared across calls; filling
-    it draws nothing from ``rng``."""
+    """A random closed term of ``size`` nodes.  ``choices`` maps each
+    ``PayloadKind`` record met so far to its ``choices(lang, cfg)`` and may
+    be shared across calls; filling it draws nothing from ``rng``."""
     nullary = [c for c in lang.constructors if c[2] == 0]
     non_null = [c for c in lang.constructors if c[2] > 0]
     if size <= 1 or not non_null:
@@ -177,10 +159,10 @@ def random_term(lang, rng: random.Random, cfg, size: int, choices: dict) -> Node
     return Node(tag, children, payload)
 
 
-def _rand_payload(lang, kind: str, rng: random.Random, cfg, choices: dict):
+def _rand_payload(lang, kind, rng: random.Random, cfg, choices: dict):
     options = choices.get(kind)
     if options is None:
-        options = choices[kind] = _payload_choices(lang, kind, cfg)
+        options = choices[kind] = kind.choices(lang, cfg)
     return options[rng.randrange(len(options))]
 
 
@@ -189,7 +171,7 @@ def sample_contexts(lang, cfg) -> list[Context]:
     ``CONTEXT_LAYERS`` layers, drawn from ``cfg.seed``, the bare hole first."""
     rng = random.Random(cfg.seed)
     holed = [c for c in lang.constructors if c[2] > 0]
-    choices: dict = {}  # payload kind -> its choices, see random_term
+    choices: dict = {}  # PayloadKind record -> its choices, see random_term
     out: list[Context] = [()]
     while len(out) < cfg.samples:
         depth = rng.randint(0, CONTEXT_LAYERS)

@@ -18,11 +18,18 @@ are labelled, and the rows of its extra constructors.
 ``counter_language`` builds the two counter machines around the
 program-counter discipline; ``low-sec`` adds its structured rows.  Each
 language holds its state kind, a ``StateKind`` record of ``states``.
+
+A row names its payload kinds, the sorts of the syntax functor, by
+``PayloadKind`` records: ``NAT``, ``LOC``, ``EXPR`` and ``INST`` are each
+declared once, and each gives both what ``gen`` enumerates and what
+``LangDef.validate`` accepts.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .terms import (
     BIN_OPS, UN_OPS, Bin, Br, Expr, IAssign, IllFormed, Inst, Lit, Loc, Nop,
@@ -34,6 +41,7 @@ from .states import (
     clamp_negatives,
 )
 from .semantics import NO_FLAGS, StepOutcome, outcome
+from . import gen
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +134,84 @@ def block_cells(L: int):
 
 
 # ---------------------------------------------------------------------------
+# payload kinds: the sorts K_c of a language's syntax functor
+
+class PayloadKind(NamedTuple):
+    """One kind of payload value; no other module tells kinds apart by name.
+    ``name`` names the kind in messages.  ``choices(lang, cfg)`` lists the
+    values ``gen`` enumerates, in order.  ``ok(lang, v)`` says whether ``v``
+    is a value of the kind in ``lang``; it checks each part of ``v`` by its
+    own kind's ``check``, so a failure names the innermost bad part.
+    """
+
+    name: str
+    choices: Callable
+    ok: Callable
+
+    def check(self, lang, v) -> None:
+        if not self.ok(lang, v):
+            raise IllFormed(f"bad {self.name} payload in {lang.name}: {v!r}")
+
+
+def _n_locs(lang, cells):
+    """How many of ``cells`` cells a ``loc`` of ``lang`` may name: on a
+    framed kind a cell is a frame slot, below ``L``.  Validation passes
+    ``math.inf``, since a term may run against any number of cells."""
+    return min(cells, lang.L) if lang.state_kind.framed else cells
+
+
+def _expr_ok(lang, e) -> bool:
+    match e:
+        case Lit(int() as n):
+            return n >= 0 or lang.state_kind.signed
+        case Loc(l):
+            LOC.check(lang, l)
+        case Bin(op, lhs, rhs) if op in BIN_OPS:
+            EXPR.check(lang, lhs)
+            EXPR.check(lang, rhs)
+        case Un(op, inner) if op in UN_OPS:
+            EXPR.check(lang, inner)
+        case _:
+            return False
+    return True
+
+
+def _inst_choices(lang, cfg) -> list:
+    # gen's stream is read through the module, where the benchmark's tracer binds it
+    n_locs = _n_locs(lang, cfg.store_cells)
+    base = list(itertools.islice(gen.expr_stream(cfg, False, n_locs), 2))
+    return [Nop(), Stop(), *(IAssign(l, base[1]) for l in range(n_locs)),
+            Br(base[0], 2), Br(base[1], -1)]
+
+
+def _inst_ok(lang, i) -> bool:
+    match i:
+        case IAssign(l, e):
+            LOC.check(lang, l)
+            EXPR.check(lang, e)
+        case Br(e, int()):
+            EXPR.check(lang, e)
+        case _:
+            return isinstance(i, (Nop, Stop))
+    return True
+
+
+NAT = PayloadKind("nat", lambda lang, cfg: list(range(cfg.store_cells)),
+                  lambda lang, v: isinstance(v, int) and v >= 0)
+LOC = PayloadKind("loc", lambda lang, cfg: list(range(_n_locs(lang, cfg.store_cells))),
+                  lambda lang, v: isinstance(v, int) and 0 <= v < _n_locs(lang, math.inf))
+EXPR = PayloadKind("expr", lambda lang, cfg: gen.exprs(
+    cfg, lang.state_kind.signed, _n_locs(lang, cfg.store_cells)), _expr_ok)
+INST = PayloadKind("inst", _inst_choices, _inst_ok)
+
+
+# ---------------------------------------------------------------------------
 # language definitions
 
 @dataclass  # perfbench's tracer assigns each language's rule
 class LangDef:
     name: str
-    constructors: tuple  # ((tag, payload_kinds, arity), ...) in enumeration order
+    constructors: tuple  # ((tag, PayloadKind records, arity), ...) in enumeration order
     state_kind: StateKind  # the State of its behaviour functor
     has_label: bool
     rule: Callable  # (tag, payload, children, state) -> StepOutcome
@@ -139,9 +219,8 @@ class LangDef:
 
     def validate(self, term: OpenTerm):
         """Well-formedness against the constructor table: each layer is a
-        constructor of this language, each payload value of its kind (natural
-        numbers, a ``loc`` below ``L`` on a framed kind, a negative literal
-        only on a signed one); raises IllFormed with the offending part."""
+        constructor of this language, each payload value of its kind (see
+        ``PayloadKind``); raises IllFormed with the offending part."""
         for t in subterms(term):  # left to right, as the term reads
             if isinstance(t, Var):
                 continue
@@ -152,32 +231,7 @@ class LangDef:
                 raise IllFormed(f"{t.tag} with {len(t.payload)} payload value(s) and"
                                 f" {len(t.children)} child(ren) is not a {self.name} constructor")
             for kind, value in zip(kinds, t.payload):
-                self._check(kind, value)
-
-    def _check(self, kind: str, v):
-        match kind, v:
-            case "nat", int() if v >= 0:
-                return
-            case "loc", int() if v >= 0 and not (self.state_kind.framed and v >= self.L):
-                return
-            case "expr", Lit(int() as n) if n >= 0 or self.state_kind.signed:
-                return
-            case "expr", Loc(l):
-                self._check("loc", l)
-            case "expr", Bin(op, lhs, rhs) if op in BIN_OPS:
-                self._check("expr", lhs)
-                self._check("expr", rhs)
-            case "expr", Un(op, inner) if op in UN_OPS:
-                self._check("expr", inner)
-            case "inst", Nop() | Stop():
-                return
-            case "inst", IAssign(l, e):
-                self._check("loc", l)
-                self._check("expr", e)
-            case "inst", Br(e, int()):
-                self._check("expr", e)
-            case _:
-                raise IllFormed(f"bad {kind} payload in {self.name}: {v!r}")
+                kind.check(self, value)
 
 
 # --- the structured languages ----------------------------------------------
@@ -221,8 +275,8 @@ def structured_language(name: str, kind: StateKind, labelled: bool, L: int,
                         seq(x, while_(e, x)) if v != 0 else skip(),
                         empty_flags(s) if empty_flags and expr_locs(e) else NO_FLAGS))
 
-    table = (("skip", (), 0, skip_rule), ("assign", ("loc", "expr"), 0, assign_rule),
-             ("seq", (), 2, seq_rule), ("while", ("expr",), 1, while_rule), *extras)
+    table = (("skip", (), 0, skip_rule), ("assign", (LOC, EXPR), 0, assign_rule),
+             ("seq", (), 2, seq_rule), ("while", (EXPR,), 1, while_rule), *extras)
     rules = {tag: r for tag, _, _, r in table}
 
     def rule(tag, payload, children, s) -> StepOutcome:
@@ -259,7 +313,7 @@ def _isandbox_rule(payload, children, s: Store) -> StepOutcome:
     return outcome((state, None, None if cont is None else isandbox(cont), flags))
 
 
-_OBS = ("obs", ("nat",), 1, _obs_rule)
+_OBS = ("obs", (NAT,), 1, _obs_rule)
 _EMPTY_STACK = frozenset({"whileb-empty-stack"})
 
 
@@ -345,9 +399,9 @@ def counter_language(name: str, structured: bool, L: int) -> LangDef:
         return _inst_step(payload[0], st.store, instr(payload[0], tail),
                           structured and tail is None)
 
-    table = (("instr", ("inst",), 0, instr_rule), ("instr", ("inst",), 1, instr_rule))
+    table = (("instr", (INST,), 0, instr_rule), ("instr", (INST,), 1, instr_rule))
     if structured:
-        table += (("sseq", (), 2, _sseq_rule), ("loop", ("expr",), 1, _loop_rule))
+        table += (("sseq", (), 2, _sseq_rule), ("loop", (EXPR,), 1, _loop_rule))
     rules = {tag: r for tag, _, _, r in table}
 
     def rule(tag, payload, children, st: LowState) -> StepOutcome:

@@ -81,15 +81,19 @@ def _nested_cases(lang, cfg):
             yield outer, mapping
 
 
+def _sample_tables(rng: random.Random, lang, inputs, cfg) -> dict:
+    """A table on ``inputs`` for each of x0 and x1, drawn in that order,
+    whose continuations are x0 or x1."""
+    return {x: gen.sample_table(rng, x, inputs, lang.has_label, ["x0", "x1"], cfg)
+            for x in ("x0", "x1")}
+
+
 def check_multiplication_law(lang, cfg, inputs) -> int:
     """lambda . mu = H mu . lambda . T lambda on the nested case stream."""
     rng = random.Random(cfg.seed ^ 0x302)
     checked = 0
     for outer, mapping in _nested_cases(lang, cfg):
-        tables = {
-            x: gen.sample_table(rng, x, inputs, lang.has_label, ["x0", "x1"], cfg)
-            for x in ("x0", "x1")
-        }
+        tables = _sample_tables(rng, lang, inputs, cfg)
         flat = subst(outer, mapping)
         nested = subst(outer, {k: Var(("t", v)) for k, v in mapping.items()})
         # one extension step queries only the outer variables of `nested`
@@ -136,10 +140,7 @@ def check_copoint_law(lang, cfg, inputs) -> int:
     rng = random.Random(cfg.seed ^ 0x303)
     checked = 0
     for outer, mapping in itertools.islice(_nested_cases(lang, cfg), 40):
-        tables = {
-            x: gen.sample_table(rng, x, inputs, lang.has_label, ["x0", "x1"], cfg)
-            for x in ("x0", "x1")
-        }
+        tables = _sample_tables(rng, lang, inputs, cfg)
         flat = subst(outer, mapping)
         watched = replace(lang, rule=partial(_watch, lang.rule, flat, set(subterms(flat))))
         for s in inputs[:4]:

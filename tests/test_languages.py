@@ -5,9 +5,11 @@ import itertools
 
 import pytest
 
-from gsoscheck.languages import block_cells, evaluate, frame_cells, language_registry
-from gsoscheck.semantics import step
-from gsoscheck.states import FrameState, LowState, StackState, Store
+from gsoscheck.languages import (
+    PayloadKind, block_cells, evaluate, frame_cells, language_registry, structured_language,
+)
+from gsoscheck.semantics import StepOutcome, step
+from gsoscheck.states import STORE, FrameState, LowState, StackState, Store
 from gsoscheck.terms import (
     Bin, Br, IAssign, IllFormed, Lit, Loc, Node, Nop, Stop, Un, assign, frame, instr,
     instr_flatten, instr_list, loop, parse_term, print_term, ret, seq, skip, sseq, while_,
@@ -272,21 +274,47 @@ def test_validation_rejects_ill_formed(langs):
     langs["while-int"].validate(while_(Lit(-1), skip()))
 
 
-@pytest.mark.parametrize("lang, term", [
-    ("while", Node("seq", (skip(), skip()), (0,))),
-    ("while", Node("while", (skip(),), (0,))),
-    ("while", Node("assign", (), (Lit(1), Lit(0)))),
-    ("while-flag", Node("obs", (skip(),), (Lit(0),))),
-    ("low", Node("instr", (), (Lit(0),))),
-    ("while", assign(0, Loc(-1))),
-    ("while-b", assign(0, Bin("add", Loc(2), Lit(0)))),
-    ("low", instr(IAssign(0, Lit(-1)))),
+@pytest.mark.parametrize("lang, term, message", [
+    ("while", Node("seq", (skip(), skip()), (0,)),
+     "seq with 1 payload value(s) and 2 child(ren) is not a while constructor"),
+    ("while", Node("while", (skip(),), (0,)), "bad expr payload in while: 0"),
+    ("while", Node("assign", (), (Lit(1), Lit(0))), "bad loc payload in while: Lit(n=1)"),
+    ("while-flag", Node("obs", (skip(),), (Lit(0),)), "bad nat payload in while-flag: Lit(n=0)"),
+    ("low", Node("instr", (), (Lit(0),)), "bad inst payload in low: Lit(n=0)"),
+    ("while", assign(0, Loc(-1)), "bad loc payload in while: -1"),
+    ("while-b", assign(0, Bin("add", Loc(2), Lit(0))), "bad loc payload in while-b: 2"),
+    ("low", instr(IAssign(0, Lit(-1))), "bad expr payload in low: Lit(n=-1)"),
 ], ids=["seq-with-a-payload", "int-guard", "expr-as-loc", "expr-as-nat", "expr-as-inst",
         "negative-var", "var-outside-the-frame", "negative-literal-in-inst"])
-def test_validation_checks_payload_kinds(lang, term, langs):
-    # a payload must match its constructor's kinds, in number and in shape
-    with pytest.raises(IllFormed):
+def test_validation_checks_payload_kinds(lang, term, message, langs):
+    # a payload must match its constructor's kinds, in number and in shape;
+    # the message names the innermost part that does not
+    with pytest.raises(IllFormed) as err:
         langs[lang].validate(term)
+    assert str(err.value) == message
+
+
+# a payload kind declared outside the package: a security level, 0 or 1
+LEVEL = PayloadKind("level", lambda lang, cfg: [0, 1], lambda lang, v: v in (0, 1))
+
+
+def _declassify_rule(payload, children, s):
+    # steps to its child, whatever the level
+    return StepOutcome(s, cont=children[0][0])
+
+
+def test_a_new_payload_kind_needs_no_edit_to_gen_or_languages(cfg):
+    lang = structured_language("while-level", STORE, False, 2, Store.get, Store.set,
+                               extras=(("declassify", (LEVEL,), 1, _declassify_rule),))
+    shapes = {print_term(t) for t in gen.layer_shapes(lang, cfg)}
+    assert {"(declassify 0 ?x0)", "(declassify 1 ?x0)"} <= shapes
+    small = cfg._replace(max_term_size=2)
+    closed = {print_term(t) for t in gen.closed_terms(lang, small)}
+    assert {"(declassify 0 skip)", "(declassify 1 skip)"} <= closed
+    lang.validate(parse_term("(declassify 1 skip)"))
+    with pytest.raises(IllFormed) as err:
+        lang.validate(parse_term("(declassify 2 skip)"))
+    assert str(err.value) == "bad level payload in while-level: 2"
 
 
 # sha256 of every step of the counter machines' small closed terms

@@ -5,8 +5,9 @@ function and method defined in the modules below, nested ones included,
 must be among the calls it records, or be on the allow-list with its
 reason.  A function only a unit test calls is machinery no user runs: it
 is deleted or wired into a command, not allow-listed.  The allow-list holds
-only names the benchmark's tracer binds by name.  Five guards read the
+only names the benchmark's tracer binds by name.  Six guards read the
 source: no module but ``states`` tells state kinds apart by name, no
+module tells payload kinds apart by name, no
 module but ``semantics`` calls the ``StepOutcome`` class, no function
 but ``checker._evaluate_group`` adds to a campaign's case counts, no
 function but the two language builders calls ``LangDef``, and only the
@@ -146,6 +147,35 @@ def test_no_module_but_the_state_table_tells_state_kinds_by_name():
                 if any(isinstance(p, ast.MatchValue) and _strings(p.value)
                        for case in node.cases for p in ast.walk(case.pattern)):
                     found.append((path.name, node.lineno))
+    assert found == []
+
+
+PAYLOAD_KIND_NAMES = {"nat", "loc", "expr", "inst"}
+
+
+def _payload_kind_name(node) -> bool:
+    """A payload kind's name as a string constant, or a tuple, list or set
+    holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(_payload_kind_name, node.elts))
+    return isinstance(node, ast.Constant) and node.value in PAYLOAD_KIND_NAMES
+
+
+def test_no_module_tells_payload_kinds_apart_by_name():
+    # a payload kind's choices and check are the fields of its PayloadKind
+    # record in languages.py; a case or comparison on a kind's name is a
+    # second table of kinds, which a new kind would have to be added to
+    found = []
+    for path in sorted(Path(gsoscheck.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare):
+                if any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops) \
+                        and any(map(_payload_kind_name, [node.left, *node.comparators])):
+                    found.append((path.name, node.lineno))
+            elif isinstance(node, ast.match_case):
+                if any(isinstance(p, ast.MatchValue) and _payload_kind_name(p.value)
+                       for p in ast.walk(node.pattern)):
+                    found.append((path.name, node.pattern.lineno))
     assert found == []
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from gsoscheck import checker, semantics
 from gsoscheck.checker import CampaignConfig, Pass, check_coherence
-from gsoscheck.languages import LangDef
+from gsoscheck.languages import NAT, LangDef
 from gsoscheck.semantics import (
     BehaviorTable, Distinguished, Equivalent, IncompleteTable, StepOutcome,
     check_bisim, extend_law, first_difference, memo_entry, run, step,
@@ -310,7 +310,7 @@ def _branching_language():
                 return StepOutcome(s, cont=x if s.get(0) else Node("wait", (x,), (3,)))
         raise IllFormed(tag)
 
-    cons = [("skip", (), 0), ("wait", ("nat",), 1), ("top", (), 1)]
+    cons = [("skip", (), 0), ("wait", (NAT,), 1), ("top", (), 1)]
     return LangDef("branching", cons, STORE, False, rule)
 
 

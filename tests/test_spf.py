@@ -26,11 +26,11 @@ def functor_counts(lang, n: int) -> tuple[int, int, int, int]:
     built = set()
     f_count = df_count = 0
     for tag, kinds, arity in lang.constructors:
-        values = [[(k, i) for i in range(CARRIER_SIZES[k])] for k in kinds]
+        values = [[(k.name, i) for i in range(CARRIER_SIZES[k.name])] for k in kinds]
         for payload in itertools.product(*values):
             for children in itertools.product(xs, repeat=arity):
                 built.add(Node(tag, children, payload))
-        k_c = math.prod(CARRIER_SIZES[k] for k in kinds)
+        k_c = math.prod(CARRIER_SIZES[k.name] for k in kinds)
         f_count += k_c * n ** arity
         if arity:
             df_count += arity * k_c * n ** (arity - 1)
